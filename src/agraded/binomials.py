@@ -6,10 +6,12 @@ fiber is then finite, so completion and normal forms terminate for any
 weight order, including weights with negative entries; ties are broken
 lexicographically.  Working polynomials always have at most two terms.
 
-Divisibility tests dominate the running time, so inside the completion and
-the wall-ideal closure exponent vectors are mirrored into packed integers:
-each coordinate occupies a 32-bit field with a guard bit, making "divides"
-a three-operation integer test independent of the number of variables.
+Divisibility tests dominate the running time, so the completion and the
+wall-ideal closure work on the packed integers of ``monomials`` (one 32-bit
+field per coordinate with a guard bit, exponents below 2**31), where
+"divides" is a three-operation integer test independent of the number of
+variables.  Exponents that leave the field range raise ExponentOverflow
+instead of spilling into the guard bits.
 """
 
 from collections import deque
@@ -26,11 +28,15 @@ from .monomials import (
     cheapest_variable_order,
     exp_add,
     exp_sub,
+    guard_mask,
+    ideal_from_packed,
     minimalize,
+    pack,
+    packed_colon,
+    packed_generators,
+    packed_nf,
+    unpack,
 )
-
-_SHIFT = 32
-_FIELD = 1 << 31
 
 
 class NonHomogeneousInput(ValueError):
@@ -39,20 +45,6 @@ class NonHomogeneousInput(ValueError):
 
 class PreconditionViolated(ValueError):
     pass
-
-
-def _guard(n):
-    g = 0
-    for i in range(n):
-        g |= _FIELD << (_SHIFT * i)
-    return g
-
-
-def _pack(e):
-    x = 0
-    for i, v in enumerate(e):
-        x |= v << (_SHIFT * i)
-    return x
 
 
 @dataclass(frozen=True)
@@ -121,7 +113,7 @@ def _normal_form(terms, mons, pmons, bins, pbins, order, guard, skip=None):
         c = work.pop(u)
         if c == 0:
             continue
-        pu = _pack(u) | guard
+        pu = pack(u) | guard
         if any((pu - pm) & guard == guard for pm in pmons):
             continue
         hit = False
@@ -166,7 +158,7 @@ def buchberger(gens, order, matrix):
     unique for the order.
     """
     weights = matrix.certificate_weights
-    guard = _guard(matrix.n)
+    guard = guard_mask(matrix.n)
     mons = []
     bins = []
     for g in gens:
@@ -179,15 +171,14 @@ def buchberger(gens, order, matrix):
 
     elements = [("m", m) for m in mons] + [("b", b) for b in bins]
     leads = [m for m in mons] + [b.lead for b in bins]
-    packed_leads = [_pack(l) for l in leads]
+    packed_leads = [pack(l) for l in leads]
     n = matrix.n
-    mask = _FIELD - 1
     queue = []
     alive = {}
     counter = 0
 
     def packed_lcm(pa, pb):
-        return pb + _spair_packed(pa, pb, guard)
+        return pb + packed_colon(pa, pb, guard)
 
     def push_pairs(k):
         nonlocal counter
@@ -218,7 +209,7 @@ def buchberger(gens, order, matrix):
                 continue  # coprime leads
             alive[(i, k)] = pl
             counter += 1
-            l = tuple((pl >> (_SHIFT * t)) & mask for t in range(n))
+            l = unpack(pl, n)
             heappush(queue, (dot(weights, l), pl, counter, i, k))
 
     for idx in range(len(elements)):
@@ -226,8 +217,8 @@ def buchberger(gens, order, matrix):
 
     cur_mons = list(mons)
     cur_bins = list(bins)
-    packed_mons = [_pack(m) for m in mons]
-    packed_bins = [_pack(b.lead) for b in bins]
+    packed_mons = [pack(m) for m in mons]
+    packed_bins = [pack(b.lead) for b in bins]
 
     def reduce_lead(terms):
         # rewrite the maximal term until it is irreducible or the poly dies
@@ -238,7 +229,7 @@ def buchberger(gens, order, matrix):
             if c == 0:
                 del work[u]
                 continue
-            pu = _pack(u) | guard
+            pu = pack(u) | guard
             hit = False
             for pm in packed_mons:
                 if (pu - pm) & guard == guard:
@@ -263,7 +254,7 @@ def buchberger(gens, order, matrix):
         _, pl, _, i, j = heappop(queue)
         if alive.pop((i, j), None) is None:
             continue
-        l = tuple((pl >> (_SHIFT * t)) & mask for t in range(n))
+        l = unpack(pl, n)
         # S-pair: the x^l heads cancel; a monomial contributes nothing else
         terms = {}
         for el, sign in ((elements[i], 1), (elements[j], -1)):
@@ -278,13 +269,13 @@ def buchberger(gens, order, matrix):
         if isinstance(red, Binomial):
             elements.append(("b", red))
             leads.append(red.lead)
-            packed_leads.append(_pack(red.lead))
+            packed_leads.append(pack(red.lead))
             cur_bins.append(red)
             packed_bins.append(packed_leads[-1])
         else:
             elements.append(("m", red))
             leads.append(red)
-            packed_leads.append(_pack(red))
+            packed_leads.append(pack(red))
             cur_mons.append(red)
             packed_mons.append(packed_leads[-1])
         push_pairs(len(elements) - 1)
@@ -296,14 +287,14 @@ def _finalize(mons, bins, order):
     """Minimalize leads and interreduce trails into the reduced basis."""
     mons = list(dict.fromkeys(mons))
     bins = list(dict.fromkeys(bins))
-    guard = _guard(len(mons[0] if mons else bins[0].lead)) if (mons or bins) else 0
+    guard = guard_mask(len(mons[0] if mons else bins[0].lead)) if (mons or bins) else 0
     while True:
         changed = False
         # keep one element per minimal lead: monomials beat binomials, ties
         # among binomials keep the smallest pair (the difference of two
         # equal-lead binomials was produced as their S-pair during completion)
         items = [(m, None) for m in mons] + [(b.lead, b) for b in bins]
-        packed = [_pack(lead) | guard for lead, _ in items]
+        packed = [pack(lead) | guard for lead, _ in items]
         keep = []
         for idx, (lead, payload) in enumerate(items):
             pl = packed[idx]
@@ -329,9 +320,9 @@ def _finalize(mons, bins, order):
             else:
                 keep.append((lead, payload))
         mons = [lead for lead, p in keep if p is None]
-        pmons = [_pack(m) for m in mons]
+        pmons = [pack(m) for m in mons]
         kept_bins = [p for _, p in keep if p is not None]
-        pbins = [_pack(b.lead) for b in kept_bins]
+        pbins = [pack(b.lead) for b in kept_bins]
         bins = []
         for i, b in enumerate(kept_bins):
             reduced = _canonicalize(
@@ -349,7 +340,7 @@ def _finalize(mons, bins, order):
                 bins.append(reduced)
             else:
                 mons.append(reduced)
-                pmons.append(_pack(reduced))
+                pmons.append(pack(reduced))
                 changed = True
         if not changed:
             break
@@ -403,24 +394,6 @@ def initial_ideal(matrix, weight, priority=None):
 
 # -- wall ideals -------------------------------------------------------------
 
-def _packed_nf(pu, packed, guard, plead, ptrail):
-    """Normal form of a packed monomial modulo packed monomials and one rewrite."""
-    pu |= guard
-    while True:
-        for pm in packed:
-            if (pu - pm) & guard == guard:
-                return None
-        if (pu - plead) & guard == guard:
-            pu = pu - plead + ptrail
-            continue
-        return pu ^ guard
-
-
-def _unpack(p, n):
-    mask = _FIELD - 1
-    return tuple((p >> (_SHIFT * i)) & mask for i in range(n))
-
-
 def wall_initial(ideal, a, b, direction):
     """Initial ideal of the wall ideal of (ideal, x^a - x^b).
 
@@ -431,41 +404,30 @@ def wall_initial(ideal, a, b, direction):
     depend on any further order choice.
     """
     a, b = tuple(a), tuple(b)
-    if a not in ideal.gens:
+    n = len(a)
+    guard = guard_mask(n)
+    known = dict(zip(packed_generators(ideal), ideal.gens))
+    pa, pb = pack(a), pack(b)
+    if pa not in known:
         raise PreconditionViolated("x^a must be a minimal generator")
-    if ideal.contains(b):
+    qb = pb | guard
+    if any((qb - p) & guard == guard for p in known):
         raise PreconditionViolated("x^b must lie outside the ideal")
     if direction not in ("a_leads", "b_leads"):
         raise ValueError(f"bad direction {direction!r}")
-    lead, trail = (a, b) if direction == "a_leads" else (b, a)
-    n = len(a)
-    guard = _guard(n)
-    plead, ptrail = _pack(lead), _pack(trail)
-    mons = [g for g in ideal.gens if g != a]
-    packed = [_pack(g) for g in mons]
+    lead, plead, ptrail = (a, pa, pb) if direction == "a_leads" else (b, pb, pa)
+    del known[pa]
+    packed = list(known)
     queue = deque(packed)
     while queue:
         pm = queue.popleft()
-        s = _spair_packed(pm, plead, guard) + ptrail
-        nf = _packed_nf(s, packed, guard, plead, ptrail)
+        nf = packed_nf(packed_colon(pm, plead, guard) + ptrail, packed, guard, plead, ptrail)
         if nf is not None:
             packed.append(nf)
             queue.append(nf)
-    return minimalize([_unpack(p, n) for p in packed] + [lead])
-
-
-def _spair_packed(pm, plead, guard):
-    """lcm(m, lead) - lead on packed vectors, i.e. fieldwise max(m - lead, 0).
-
-    Guard bits absorb borrows fieldwise; surviving guard bits mark the
-    fields with m_i >= lead_i, and spreading them down with a multiply
-    masks exactly those fields of the difference.
-    """
-    diff = (pm | guard) - plead
-    ok = diff & guard
-    if ok == guard:
-        return diff ^ guard
-    return diff & ((ok >> (_SHIFT - 1)) * (_FIELD - 1))
+    known[plead] = lead
+    packed.append(plead)
+    return ideal_from_packed(packed, n, known)
 
 
 def wall_recovers_source(ideal, a, b):
@@ -477,12 +439,10 @@ def wall_recovers_source(ideal, a, b):
     """
     a, b = tuple(a), tuple(b)
     n = len(a)
-    guard = _guard(n)
-    pa, pb = _pack(a), _pack(b)
-    mons = [g for g in ideal.gens if g != a]
-    packed = [_pack(g) for g in mons]
+    guard = guard_mask(n)
+    pa, pb = pack(a), pack(b)
+    packed = [p for p in packed_generators(ideal) if p != pa]
     for pm in packed:
-        s = _spair_packed(pm, pa, guard) + pb
-        if _packed_nf(s, packed, guard, pa, pb) is not None:
+        if packed_nf(packed_colon(pm, pa, guard) + pb, packed, guard, pa, pb) is not None:
             return False
     return True

@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 invalid input, 3 flip-graph disconnection
-detected, 4 known-answer mismatch.
+Exit codes: 0 success, 2 invalid input (including exponents of 2**31 or
+more, which the packed monomial representation cannot hold) or a tripped
+--guard, 3 flip-graph disconnection detected, 4 known-answer mismatch.
 """
 
 import argparse
@@ -30,7 +31,7 @@ from .ideals import (
     is_coherent,
     neighbors,
 )
-from .monomials import TermOrder
+from .monomials import ExponentOverflow, TermOrder
 from .triangulations import complex_of_radical, edge_transition, is_triangulation
 from .verify import REGISTRY, FixtureMismatch, verify_all, verify_paper
 
@@ -301,7 +302,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (FormatError, GradingError, FileNotFoundError, KeyError) as exc:
+    except (FormatError, GradingError, ExponentOverflow, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
     except GuardExceeded as exc:

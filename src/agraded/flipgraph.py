@@ -12,15 +12,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .binomials import canonical_pair
-from .ideals import is_coherent, neighbors
+from .ideals import GuardExceeded, is_coherent, neighbors
 from .monomials import MonomialIdeal, minimalize
 
 
 class IncompleteGraph(ValueError):
-    pass
-
-
-class GuardExceeded(RuntimeError):
     pass
 
 

@@ -8,7 +8,7 @@ in this package rely on.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .linalg import dot, integer_kernel_basis, mat_vec, primitive, rank
 from .lp import lp_strict_feasible
@@ -41,16 +41,18 @@ class GradingMatrix:
     def n(self):
         return len(self.rows[0])
 
-    @property
+    # derived values, computed once; they are not fields, so hashing and
+    # equality see only rows and certificate
+    @cached_property
     def certificate_weights(self):
         """The strictly positive integer row c^T A."""
         return tuple(dot(self.positive_certificate, col) for col in self.columns)
 
-    @property
+    @cached_property
     def columns(self):
         return tuple(tuple(row[j] for row in self.rows) for j in range(self.n))
 
-    @property
+    @cached_property
     def nonnegative(self):
         return all(all(x >= 0 for x in row) for row in self.rows)
 

@@ -29,12 +29,18 @@ from .grading import positive_combination
 from .graver import graver_basis
 from .lp import lp_strict_feasible
 from .monomials import (
+    FIELD_BITS,
+    FIELD_LIMIT,
+    ExponentOverflow,
     MonomialIdeal,
-    divides,
     exp_sub,
     fiber,
+    guard_mask,
+    ideal_from_packed,
     k_polynomial,
     minimalize,
+    pack,
+    packed_generators,
 )
 
 
@@ -51,7 +57,7 @@ class NotFlippable(FlipError):
 
 
 class GuardExceeded(RuntimeError):
-    pass
+    """An enumeration visited more vertices or leaves than its guard allows."""
 
 
 class IncompleteInput(ValueError):
@@ -122,9 +128,12 @@ class AGradedContext:
     def standard_monomial(self, ideal, b):
         """The unique monomial of degree b outside an A-graded ideal.
 
-        Backtracks over exponents in lexicographic order, pruning as soon
-        as the partial exponent is divisible by a generator whose support
-        is already fully decided.
+        Backtracks over exponents in lexicographic order; the last
+        coordinate is solved for, not searched.  A generator whose last
+        nonzero coordinate is j bounds coordinate j once the earlier
+        coordinates are decided: when its prefix divides the partial
+        exponent, every value from its own j-th entry on is divisible, so
+        each node tests each such generator once, on packed prefixes.
         """
         b = tuple(b)
         key = (ideal, b)
@@ -138,29 +147,45 @@ class AGradedContext:
             raise ValueError(f"degree {b} is outside the monoid")
         cols = self.A.columns
         nonneg = self.A.nonnegative
+        guard = guard_mask(n)
+        steps = [1 << (FIELD_BITS * j) for j in range(n)]
+        # per level j: (packed g[:j], g[j]) of the generators with last nonzero j
         buckets = [[] for _ in range(n)]
-        for g in ideal.gens:
-            top = max((i for i, e in enumerate(g) if e), default=0)
-            buckets[top].append(g)
+        for p in packed_generators(ideal):
+            top = max(p.bit_length() - 1, 0) // FIELD_BITS
+            buckets[top].append((p & (steps[top] - 1), p >> (FIELD_BITS * top)))
+        last = n - 1
         u = [0] * n
 
-        def rec(j, residual, budget):
-            if j == n:
-                return all(x == 0 for x in residual)
+        def rec(j, pu, residual, budget):
             if nonneg and any(x < 0 for x in residual):
                 return False
+            stop = budget // weights[j] + 1
+            q = pu | guard
+            for pg, e in buckets[j]:
+                if e < stop and (q - pg) & guard == guard:
+                    stop = e  # larger values stay divisible
             col = cols[j]
-            for k in range(budget // weights[j] + 1):
+            if j == last:
+                # c.residual == budget, so only k = budget / w can leave residual 0
+                k = budget // weights[j]
+                if k < stop and all(r == k * c for r, c in zip(residual, col)):
+                    u[j] = k
+                    return True
+                return False
+            step = steps[j]
+            for k in range(min(stop, FIELD_LIMIT)):
                 u[j] = k
-                if any(divides(g, u) for g in buckets[j]):
-                    break  # larger k stays divisible
-                if rec(j + 1, tuple(r - k * c for r, c in zip(residual, col)),
+                if rec(j + 1, pu + k * step,
+                       tuple(r - k * c for r, c in zip(residual, col)),
                        budget - k * weights[j]):
                     return True
             u[j] = 0
+            if stop > FIELD_LIMIT:
+                raise ExponentOverflow(f"degree {b} needs an exponent of 2**31 or more")
             return False
 
-        if not rec(0, b, budget):
+        if not rec(0, 0, b, budget):
             raise ValueError(f"no standard monomial in degree {b}")
         found = tuple(u)
         self._standard[key] = found
@@ -325,52 +350,66 @@ def brute_force_enumerate(ctx, guard=None):
     degrees = [ctx.A.degree(u) for u, _ in pairs]
     small_degrees = sorted(set(degrees),
                            key=lambda b: positive_combination(ctx.A, b))[:6]
+    n = ctx.A.n
+    mask = guard_mask(n)
+    sides = {}
+    packed_pairs = []
+    for u, v in pairs:
+        pu, pv = pack(u), pack(v)
+        sides[pu], sides[pv] = u, v
+        packed_pairs.append((pu, pv))
 
     def add_gen(chosen, g):
         # keep the chosen set minimal; the span is unchanged
-        return tuple(c for c in chosen if not divides(g, c)) + (g,)
+        return tuple(c for c in chosen if ((c | mask) - g) & mask != mask) + (g,)
 
     leaves = 0
     candidates = set()
-    # frames: (pair index, chosen gens, forbidden monomials, forbidden degrees)
+    # frames: (pair index, chosen gens, forbidden monomials | mask, forbidden
+    # degrees); every monomial is packed
     stack = [(0, (), (), frozenset())]
     while stack:
         idx, chosen, forbidden, fdegs = stack.pop()
         while idx < len(pairs):
-            u, v = pairs[idx]
-            u_in = any(divides(g, u) for g in chosen)
-            v_in = any(divides(g, v) for g in chosen)
+            pu, pv = packed_pairs[idx]
+            qu, qv = pu | mask, pv | mask
+            u_in = any((qu - g) & mask == mask for g in chosen)
+            v_in = any((qv - g) & mask == mask for g in chosen)
             if u_in or v_in:
                 idx += 1
                 continue
-            u_out = any(divides(u, f) for f in forbidden)
-            v_out = any(divides(v, f) for f in forbidden)
+            u_out = any((f - pu) & mask == mask for f in forbidden)
+            v_out = any((f - pv) & mask == mask for f in forbidden)
             if u_out and v_out:
                 idx = None
                 break
             if u_out:
-                chosen = add_gen(chosen, v)
+                chosen = add_gen(chosen, pv)
             elif v_out:
-                chosen = add_gen(chosen, u)
+                chosen = add_gen(chosen, pu)
             else:
                 # branch: u in the ideal, or u standard and v forced in
                 if degrees[idx] not in fdegs:
                     stack.append(
-                        (idx + 1, add_gen(chosen, v), forbidden + (u,),
+                        (idx + 1, add_gen(chosen, pv), forbidden + (qu,),
                          fdegs | {degrees[idx]})
                     )
-                chosen = add_gen(chosen, u)
+                chosen = add_gen(chosen, pu)
             idx += 1
         if idx is None:
             continue
         leaves += 1
         if guard is not None and leaves > guard:
             raise GuardExceeded(f"more than {guard} leaves")
-        candidates.add(minimalize(chosen))
+        candidates.add(ideal_from_packed(chosen, n, sides))
+
+    small_fibers = [[pack(m) | mask for m in ctx.fiber(b)] for b in small_degrees]
 
     def plausible(ideal):
-        for b in small_degrees:
-            standard = sum(1 for m in ctx.fiber(b) if not ideal.contains(m))
+        gens = [pack(g) for g in ideal.gens]
+        for fib in small_fibers:
+            standard = sum(
+                1 for q in fib if not any((q - g) & mask == mask for g in gens))
             if standard != 1:
                 return False
         return True

@@ -6,9 +6,25 @@ ideals are equal iff their representations are identical.  The K-polynomial
 of an ideal is the numerator of the multigraded Hilbert series of the
 quotient over the common denominator prod_i (1 - t^{deg x_i}); equality of
 K-polynomials is therefore equality of Hilbert functions.
+
+Divisibility tests dominate the running time of every enumeration, so the
+hot loops (ideal membership, minimalization, wall ideals, standard
+monomials, Buchberger completion, the brute-force search) mirror exponent
+vectors into packed integers, and this module holds the only definition of
+that representation.  Coordinate i occupies the 32-bit field starting at
+bit 32 i; its top bit is a guard bit, so each exponent must satisfy
+0 <= e < 2**31, and ``pack`` raises ExponentOverflow otherwise.  With the
+guard bits G set on x^u, x^g divides x^u iff ((pack(u) | G) - pack(g)) & G
+== G: a field with g_i > u_i borrows its guard bit away, and the guard
+stops the borrow from reaching the next field.  A proper divisor packs to a
+smaller integer, so ascending integer order is a linear extension of
+divisibility.  The tuple function ``divides`` is the reference that the
+packed tests are checked against.
 """
 
+import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .grading import positive_combination
 from .linalg import dot
@@ -17,6 +33,7 @@ from .linalg import dot
 # -- exponent vector helpers -------------------------------------------------
 
 def divides(g, u):
+    """Tuple divisibility: the reference for the packed test below."""
     return all(a <= b for a, b in zip(g, u))
 
 def exp_lcm(u, v):
@@ -28,9 +45,6 @@ def exp_add(u, v):
 def exp_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
-def exp_min(u, v):
-    return tuple(min(a, b) for a, b in zip(u, v))
-
 def support(u):
     return tuple(i for i, a in enumerate(u) if a)
 
@@ -39,6 +53,105 @@ def support_exp(u):
 
 def coprime(u, v):
     return all(a == 0 or b == 0 for a, b in zip(u, v))
+
+
+# -- packed exponent vectors -------------------------------------------------
+
+FIELD_BITS = 32
+FIELD_LIMIT = 1 << 31
+
+
+class ExponentOverflow(ValueError):
+    """An exponent lies outside the packed field range 0 <= e < 2**31."""
+
+
+@lru_cache(maxsize=None)
+def _layout(n):
+    """(struct of n little-endian 32-bit fields, guard mask of n fields)."""
+    guard = 0
+    for i in range(n):
+        guard |= FIELD_LIMIT << (FIELD_BITS * i)
+    return struct.Struct(f"<{n}I"), guard
+
+
+def guard_mask(n):
+    """The guard bits of n packed fields."""
+    return _layout(n)[1]
+
+
+def pack(u):
+    """An exponent vector as one integer, coordinate i at bit 32 i.
+
+    Raises ExponentOverflow unless every entry satisfies 0 <= e < 2**31.
+    """
+    layout, guard = _layout(len(u))
+    try:
+        p = int.from_bytes(layout.pack(*u), "little")
+        if not p & guard:
+            return p
+    except struct.error:  # an entry is negative or at least 2**32
+        pass
+    raise ExponentOverflow(f"exponent vector {tuple(u)} leaves the range 0 <= e < 2**31")
+
+
+def unpack(p, n):
+    """The exponent tuple of a packed vector with n fields and clear guard bits."""
+    return _layout(n)[0].unpack(p.to_bytes(4 * n, "little"))
+
+
+def packed_colon(pm, pl, guard):
+    """The quotient x^m : x^l on packed vectors, i.e. fieldwise max(m - l, 0).
+
+    Guard bits absorb borrows fieldwise; surviving guard bits mark the
+    fields with m_i >= l_i, and spreading them down with a multiply masks
+    exactly those fields of the difference.
+    """
+    diff = (pm | guard) - pl
+    ok = diff & guard
+    if ok == guard:
+        return diff ^ guard
+    return diff & ((ok >> (FIELD_BITS - 1)) * (FIELD_LIMIT - 1))
+
+
+def packed_nf(pu, packed, guard, plead, ptrail):
+    """Normal form of a packed x^u modulo packed monomials and x^lead -> x^trail.
+
+    None when one of the monomials divides a rewrite of x^u.  Raises
+    ExponentOverflow when x^u or a rewrite leaves the field range.
+    """
+    while True:
+        if pu & guard:
+            raise ExponentOverflow("a rewritten exponent reached 2**31")
+        q = pu | guard
+        for pm in packed:
+            if (q - pm) & guard == guard:
+                return None
+        if (q - plead) & guard != guard:
+            return pu
+        pu = pu - plead + ptrail
+
+
+def ideal_from_packed(packed, n, known=None):
+    """Canonical MonomialIdeal spanned by packed monomials with n fields.
+
+    One sweep in ascending integer order keeps exactly the minimal elements,
+    since every proper divisor comes first; duplicates fall out as divisors.
+    ``known`` maps packed integers to exponent tuples to reuse; the other
+    kept elements are unpacked.
+    """
+    guard = guard_mask(n)
+    keep = []
+    for p in sorted(packed):
+        q = p | guard
+        for h in keep:
+            if (q - h) & guard == guard:
+                break
+        else:
+            keep.append(p)
+    if known is None:
+        known = {}
+    return MonomialIdeal(tuple(sorted(
+        known[p] if p in known else unpack(p, n) for p in keep)))
 
 
 @dataclass(frozen=True)
@@ -89,14 +202,20 @@ class MonomialIdeal:
     gens: tuple
 
     def contains(self, u):
-        return any(divides(g, u) for g in self.gens)
+        """Whether x^u lies in the ideal, by the packed divisibility test."""
+        guard = guard_mask(len(u))
+        q = pack(u) | guard
+        return any((q - p) & guard == guard for p in packed_generators(self))
 
     def is_zero(self):
         return not self.gens
 
     def colon(self, m):
         """(self : x^m)."""
-        return minimalize(exp_sub(g, exp_min(g, m)) for g in self.gens)
+        n = len(m)
+        guard = guard_mask(n)
+        pm = pack(m)
+        return ideal_from_packed([packed_colon(pack(g), pm, guard) for g in self.gens], n)
 
     def radical(self):
         """Squarefree ideal generated by the supports of the generators."""
@@ -109,14 +228,30 @@ class MonomialIdeal:
         return f"MonomialIdeal({list(map(list, self.gens))})"
 
 
+@lru_cache(maxsize=32)
+def packed_generators(ideal):
+    """The packed minimal generators of an ideal, in generator order.
+
+    Memoised for the few most recently used ideals, so that the membership,
+    wall-ideal and standard-monomial calls of one flip-graph step pack a
+    vertex once; packed forms are not kept on every ideal, because
+    enumerations hold thousands of ideals at a time.
+    """
+    return tuple(map(pack, ideal.gens))
+
+
 def minimalize(gens):
-    """Canonical MonomialIdeal spanned by the given generators."""
-    items = sorted(set(tuple(g) for g in gens), key=lambda g: (sum(g), g))
-    keep = []
-    for g in items:
-        if not any(divides(h, g) for h in keep):
-            keep.append(g)
-    return MonomialIdeal(tuple(sorted(keep)))
+    """Canonical MonomialIdeal spanned by the given generators.
+
+    Generators passed as tuples are kept as the same objects, not copies.
+    """
+    known = {}
+    for g in gens:
+        g = tuple(g)
+        known[pack(g)] = g
+    if not known:
+        return MonomialIdeal(())
+    return ideal_from_packed(known, len(g), known)
 
 
 # -- degree fibers -----------------------------------------------------------

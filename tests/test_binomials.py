@@ -118,6 +118,38 @@ def test_wall_initial_preconditions():
         wall_initial(I, (2, 0), (4, 0), "b_leads")  # inside the ideal
 
 
+def test_exponents_beyond_the_packed_field_raise():
+    from agraded.monomials import ExponentOverflow, MonomialIdeal, divides, pack
+
+    for bad in [(2 ** 31, 0), (0, -1)]:
+        with pytest.raises(ExponentOverflow):
+            pack(bad)
+    with pytest.raises(ExponentOverflow):
+        minimalize([(2 ** 31, 0), (0, 1)])
+    # an entry of 2**31 used to spill into the guard bit, making the wall
+    # ideal the unit ideal where the source ideal is the answer
+    big = MonomialIdeal(((0, 1), (2 ** 31, 0)))
+    with pytest.raises(ExponentOverflow):
+        wall_initial(big, (0, 1), (1, 0), "a_leads")
+    with pytest.raises(ExponentOverflow):
+        wall_recovers_source(big, (0, 1), (1, 0))
+    # packed membership refuses where tuple divisibility answers
+    assert divides((2 ** 31, 0), (2 ** 31, 1))
+    with pytest.raises(ExponentOverflow):
+        MonomialIdeal(((2 ** 31, 0),)).contains((2 ** 31, 1))
+
+
+def test_wall_rewrite_beyond_the_packed_field_raises():
+    from agraded.monomials import ExponentOverflow
+
+    # every input fits, but the S-monomial x1^(2**31) does not
+    I = minimalize([(0, 1), (2 ** 31 - 1, 0)])
+    with pytest.raises(ExponentOverflow):
+        wall_initial(I, (0, 1), (1, 0), "a_leads")
+    with pytest.raises(ExponentOverflow):
+        wall_recovers_source(I, (0, 1), (1, 0))
+
+
 def test_wall_initial_curve_flip(curve_ctx):
     from agraded.ideals import definition_flip_ideal
 

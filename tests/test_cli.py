@@ -125,3 +125,19 @@ def test_cli_bad_input(tmp_path, capsys):
 
 def test_cli_guard(matrix137, capsys):
     assert main(["enumerate", "--matrix", matrix137, "--mode", "brute", "--guard", "1"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["flipgraph", "--guard", "1"],
+    ["enumerate", "--mode", "flip", "--guard", "1"],
+])
+def test_cli_flip_guard(matrix137, argv, capsys):
+    assert main(argv[:1] + ["--matrix", matrix137] + argv[1:]) == 2
+    assert "guard: more than 1 vertices" in capsys.readouterr().err
+
+
+def test_cli_exponent_beyond_packed_field(matrix12, tmp_path, capsys):
+    ideal_path = tmp_path / "ideal.txt"
+    ideal_path.write_text(f"{2 ** 31} 0\n")
+    assert main(["check", "--matrix", matrix12, "--ideal", str(ideal_path)]) == 2
+    assert "2**31" in capsys.readouterr().err

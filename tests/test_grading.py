@@ -24,6 +24,14 @@ def test_positive_row_certificate():
         assert dot(m.positive_certificate, col) > 0
 
 
+def test_derived_fields_are_cached_outside_hash_and_equality():
+    m = validate_grading([[1, 3, 7]])
+    assert m.columns is m.columns and m.certificate_weights is m.certificate_weights
+    assert m.nonnegative
+    fresh = validate_grading([[1, 3, 7]])
+    assert m == fresh and hash(m) == hash(fresh)
+
+
 def test_not_pointed_rejected():
     with pytest.raises(NotPointed):
         validate_grading([[1, -1]])

@@ -2,16 +2,62 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from agraded import k_polynomial, minimalize, validate_grading
-from agraded.monomials import divides
+from agraded import MonomialIdeal, explore, fiber, k_polynomial, minimalize, validate_grading
+from agraded.monomials import FIELD_LIMIT, divides, pack, unpack
 
 
 exponents3 = st.tuples(
     st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)
 )
 gensets3 = st.lists(exponents3, min_size=0, max_size=8)
+# small entries mixed with entries at the top of the packed field range
+wide_entries = st.one_of(st.integers(0, 5), st.integers(FIELD_LIMIT - 3, FIELD_LIMIT - 1))
+wide3 = st.tuples(wide_entries, wide_entries, wide_entries)
+wide_gensets3 = st.lists(wide3, min_size=0, max_size=8)
+
+
+def tuple_minimalize(gens):
+    """The tuple sweep minimalize replaced, kept as its oracle."""
+    items = sorted(set(tuple(g) for g in gens), key=lambda g: (sum(g), g))
+    keep = []
+    for g in items:
+        if not any(divides(h, g) for h in keep):
+            keep.append(g)
+    return MonomialIdeal(tuple(sorted(keep)))
+
+
+@given(wide3)
+def test_pack_roundtrip(u):
+    assert unpack(pack(u), 3) == u
+
+
+@given(wide_gensets3, wide3)
+def test_packed_contains_matches_divides(gens, u):
+    ideal = MonomialIdeal(tuple(gens))
+    assert ideal.contains(u) == any(divides(g, u) for g in gens)
+
+
+@given(st.one_of(gensets3, wide_gensets3))
+def test_packed_minimalize_matches_tuple_sweep(gens):
+    assert minimalize(gens) == tuple_minimalize(gens)
+
+
+@pytest.mark.parametrize("name", ["g137", "veronese6"])
+def test_standard_monomial_is_the_fiber_element_outside(name):
+    """Every vertex of an explored graph, at the degree of each generator."""
+    from agraded import AGradedContext
+    from agraded.fixtures import named_matrix
+
+    ctx = AGradedContext(named_matrix(name))
+    for ideal in explore(ctx).vertices:
+        for g in ideal.gens:
+            b = ctx.A.degree(g)
+            outside = [u for u in fiber(ctx.A, b)
+                       if not any(divides(h, u) for h in ideal.gens)]
+            assert outside == [ctx.standard_monomial(ideal, b)]
 
 
 @given(gensets3)
