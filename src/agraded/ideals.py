@@ -98,7 +98,11 @@ class AGradedContext:
         self._kpoly_memo = {}
         self._kpoly = {}
         self._agraded = {}
+        # ideal -> {degree: standard monomial}.  A matrix has few distinct
+        # degrees and standard monomials, shared across thousands of ideals,
+        # so both are interned: a cache entry costs a dict slot, not tuples.
         self._standard = {}
+        self._interned = {}
 
     @cached_property
     def graver(self):
@@ -136,10 +140,11 @@ class AGradedContext:
         each node tests each such generator once, on packed prefixes.
         """
         b = tuple(b)
-        key = (ideal, b)
-        cached = self._standard.get(key)
-        if cached is not None:
-            return cached
+        known = self._standard.get(ideal)
+        if known is not None:
+            cached = known.get(b)
+            if cached is not None:
+                return cached
         n = self.A.n
         weights = self.A.certificate_weights
         budget = positive_combination(self.A, b)
@@ -187,8 +192,10 @@ class AGradedContext:
 
         if not rec(0, 0, b, budget):
             raise ValueError(f"no standard monomial in degree {b}")
+        intern = self._interned.setdefault
         found = tuple(u)
-        self._standard[key] = found
+        found = intern(found, found)
+        self._standard.setdefault(ideal, {})[intern(b, b)] = found
         return found
 
 
