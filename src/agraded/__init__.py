@@ -6,15 +6,29 @@ ideals sharing the Hilbert function of its toric ideal, the flip graph
 connecting them, and the triangulations supported on their radicals.
 """
 
-from .grading import (
+from .errors import (
+    AgradedError,
+    BadLength,
+    CertificateError,
+    ExponentOverflow,
+    FixtureMismatch,
+    FormatError,
     GradingError,
-    GradingMatrix,
-    KernelBasis,
+    GuardExceeded,
+    IncompleteGraph,
+    IncompleteInput,
+    InputError,
+    NonHomogeneousInput,
+    NotAGraded,
+    NotApplicable,
+    NotFlippable,
+    NotFlippableComplex,
     NotPointed,
+    PreconditionViolated,
     RankDeficient,
-    kernel_lattice,
-    validate_grading,
+    UnknownName,
 )
+from .grading import GradingMatrix, KernelBasis, kernel_lattice, validate_grading
 from .lp import lp_strict_feasible, nonneg_feasible
 from .monomials import (
     KPolynomial,
@@ -27,8 +41,6 @@ from .monomials import (
 from .binomials import (
     Binomial,
     MarkedGB,
-    NonHomogeneousInput,
-    PreconditionViolated,
     buchberger,
     canonical_pair,
     initial_ideal,
@@ -38,12 +50,7 @@ from .binomials import (
 from .graver import Circuit, GraverBasis, graver_basis, graver_oracle, is_circuit, lawrence_lifting
 from .ideals import (
     AGradedContext,
-    BadLength,
     FlipMove,
-    GuardExceeded,
-    IncompleteInput,
-    NotApplicable,
-    NotFlippable,
     brute_force_enumerate,
     curve_binomial_families,
     curve_monomial_ideal,
@@ -59,7 +66,6 @@ from .ideals import (
 )
 from .flipgraph import (
     FlipGraph,
-    IncompleteGraph,
     census,
     classify_labels,
     explore,
@@ -73,7 +79,6 @@ from .triangulations import (
     SAME_RADICAL,
     VIOLATION,
     CircuitFlipSpec,
-    NotFlippableComplex,
     SimplicialComplex,
     baues_image,
     bistellar_flip,
@@ -82,6 +87,6 @@ from .triangulations import (
     edge_transition,
     is_triangulation,
 )
-from .verify import FixtureMismatch, verify_all, verify_paper
+from .verify import verify_all, verify_paper
 
 __version__ = "0.1.0"

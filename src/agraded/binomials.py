@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heappush, heappop
 
+from .errors import InputError, NonHomogeneousInput, PreconditionViolated, certify
 from .grading import kernel_lattice
 from .linalg import dot
 from .monomials import (
@@ -39,14 +40,6 @@ from .monomials import (
 )
 
 
-class NonHomogeneousInput(ValueError):
-    pass
-
-
-class PreconditionViolated(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Binomial:
     """The element x^lead - coeff * x^trail with a nonzero coefficient."""
@@ -57,9 +50,9 @@ class Binomial:
 
     def __post_init__(self):
         if self.lead == self.trail:
-            raise ValueError("binomial needs two distinct monomials")
+            raise InputError("binomial needs two distinct monomials")
         if self.coeff == 0:
-            raise ValueError("zero coefficient; use a bare exponent instead")
+            raise InputError("zero coefficient; use a bare exponent instead")
 
     def oriented(self, order):
         """Re-mark so that the lead is the larger term under the order."""
@@ -69,7 +62,7 @@ class Binomial:
 
     def pair(self):
         """Coefficient-free unordered pair, lexicographically larger side first."""
-        return (self.lead, self.trail) if self.lead > self.trail else (self.trail, self.lead)
+        return canonical_pair(self.lead, self.trail)
 
     def __repr__(self):
         c = "" if self.coeff == 1 else f" {self.coeff} *"
@@ -84,6 +77,7 @@ def binomial_from_vector(v):
 
 
 def canonical_pair(u, v):
+    """The unordered pair {u, v} as tuples, lexicographically larger side first."""
     u, v = tuple(u), tuple(v)
     return (u, v) if u > v else (v, u)
 
@@ -100,11 +94,12 @@ class MarkedGB:
         return minimalize(tuple(b.lead for b in self.binomials) + self.monomials.gens)
 
 
-def _normal_form(terms, mons, pmons, bins, pbins, order, guard, skip=None):
+def _normal_form(terms, pmons, bins, pbins, order, guard, skip=None):
     """Fully reduce a <=2 term polynomial given as {exponent: coefficient}.
 
-    ``pmons``/``pbins`` mirror the reducers in packed form; ``skip`` names
-    one binomial index to ignore (for interreduction against the others).
+    ``pmons`` are the packed monomial reducers and ``pbins`` the packed
+    leads of the binomial reducers ``bins``; ``skip`` names one binomial
+    index to ignore (for interreduction against the others).
     """
     out = {}
     work = dict(terms)
@@ -137,7 +132,7 @@ def _canonicalize(terms, order):
     if len(terms) == 1:
         (u, _), = terms.items()
         return u
-    assert len(terms) == 2
+    certify(len(terms) == 2, "a working polynomial has more than two terms")
     (u, cu), (v, cv) = terms.items()
     if order.compare(u, v) < 0:
         u, v, cu, cv = v, u, cv, cu
@@ -170,8 +165,7 @@ def buchberger(gens, order, matrix):
             mons.append(tuple(g))
 
     elements = [("m", m) for m in mons] + [("b", b) for b in bins]
-    leads = [m for m in mons] + [b.lead for b in bins]
-    packed_leads = [pack(l) for l in leads]
+    packed_leads = [pack(m) for m in mons] + [pack(b.lead) for b in bins]
     n = matrix.n
     queue = []
     alive = {}
@@ -268,13 +262,11 @@ def buchberger(gens, order, matrix):
             continue
         if isinstance(red, Binomial):
             elements.append(("b", red))
-            leads.append(red.lead)
             packed_leads.append(pack(red.lead))
             cur_bins.append(red)
             packed_bins.append(packed_leads[-1])
         else:
             elements.append(("m", red))
-            leads.append(red)
             packed_leads.append(pack(red))
             cur_mons.append(red)
             packed_mons.append(packed_leads[-1])
@@ -328,7 +320,7 @@ def _finalize(mons, bins, order):
             reduced = _canonicalize(
                 _normal_form(
                     {b.lead: Fraction(1), b.trail: -b.coeff},
-                    mons, pmons, kept_bins, pbins, order, guard, skip=i,
+                    pmons, kept_bins, pbins, order, guard, skip=i,
                 ),
                 order,
             )
@@ -368,10 +360,10 @@ def toric_ideal(matrix):
     for i in range(n):
         order = cheapest_variable_order(n, i)
         gb = buchberger(gens, order, matrix)
-        assert gb.monomials.is_zero(), "toric saturation stays binomial"
+        certify(gb.monomials.is_zero(), "toric saturation stays binomial")
         new = []
         for b in gb.binomials:
-            assert b.coeff == 1
+            certify(b.coeff == 1, "toric saturation keeps unit coefficients")
             common = min(b.lead[i], b.trail[i])
             if common:
                 strip = tuple(common if j == i else 0 for j in range(n))
@@ -381,13 +373,13 @@ def toric_ideal(matrix):
     return tuple(sorted(gens, key=lambda b: b.pair()))
 
 
-def initial_ideal(matrix, weight, priority=None):
+def initial_ideal(matrix, weight):
     """Monomial initial ideal of the toric ideal for a weight vector.
 
     Non-generic weights are refined by the lexicographic tie-break, so the
     result is always a monomial ideal.
     """
-    order = TermOrder(tuple(weight), tuple(priority) if priority is not None else None)
+    order = TermOrder(tuple(weight))
     gb = buchberger(toric_ideal(matrix), order, matrix)
     return gb.lead_ideal()
 
@@ -414,7 +406,7 @@ def wall_initial(ideal, a, b, direction):
     if any((qb - p) & guard == guard for p in known):
         raise PreconditionViolated("x^b must lie outside the ideal")
     if direction not in ("a_leads", "b_leads"):
-        raise ValueError(f"bad direction {direction!r}")
+        raise InputError(f"bad direction {direction!r}")
     lead, plead, ptrail = (a, pa, pb) if direction == "a_leads" else (b, pb, pa)
     del known[pa]
     packed = list(known)

@@ -1,8 +1,20 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 invalid input (including exponents of 2**31 or
-more, which the packed monomial representation cannot hold) or a tripped
---guard, 3 flip-graph disconnection detected, 4 known-answer mismatch.
+Exit codes, and the branch of ``errors.py`` that each failure comes from:
+
+* 0: success.
+* 2: invalid input, an ``InputError``.  Examples are a file that does not
+  parse or cannot be read (an OSError), an unknown example name, an ideal
+  that is not A-graded where one is required (``NotAGraded``), an edge
+  label that does not flip its vertex, and exponents of 2**31 or more,
+  which the packed monomial representation cannot hold.  A tripped
+  --guard (``GuardExceeded``) also exits 2.
+* 3: ``flipgraph`` found the flip graph disconnected.  This is a verdict,
+  not an exception.
+* 4: a result failed its check, a ``CertificateError``: a known-answer
+  mismatch (``FixtureMismatch``) or a certificate that failed its exact
+  re-check.  ``triangulations`` also exits 4 when it finds a flip edge
+  whose transition is a violation, which is a verdict.
 """
 
 import argparse
@@ -10,42 +22,58 @@ import json
 import sys
 
 from .binomials import buchberger, initial_ideal, toric_ideal
-from .fileio import (
+from .errors import (
+    CertificateError,
+    FixtureMismatch,
     FormatError,
+    GuardExceeded,
+    InputError,
+    NotAGraded,
+)
+from .fileio import (
     binomial_str,
     format_ideal,
     load_ideal,
     load_matrix,
     monomial_str,
     pair_str,
+    parse_integers,
     variable_names,
 )
-from .flipgraph import census, explore, to_dot, to_json, with_coherence
-from .grading import GradingError, validate_grading
+from .flipgraph import census, explore, from_json, to_dot, to_json, with_coherence
+from .grading import validate_grading
 from .graver import graver_basis, graver_oracle
 from .ideals import (
     AGradedContext,
-    GuardExceeded,
     brute_force_enumerate,
+    flip,
     is_agraded,
     is_coherent,
     neighbors,
 )
-from .monomials import ExponentOverflow, TermOrder
+from .monomials import TermOrder
 from .triangulations import complex_of_radical, edge_transition, is_triangulation
-from .verify import REGISTRY, FixtureMismatch, verify_all, verify_paper
+from .verify import REGISTRY, verify_all, verify_paper
 
 OK, BAD_INPUT, DISCONNECTED, MISMATCH = 0, 2, 3, 4
 
 
 def _weight(text, n):
-    parts = [int(tok) for tok in text.split(",")]
+    parts = parse_integers(text, ",")
     if len(parts) != n:
         raise FormatError(f"weight needs {n} entries")
     return tuple(parts)
 
 
-def _ideal_record(ideal, ctx, with_valency=True):
+def _agraded_ideal(path, ctx):
+    """The ideal of a file, which must be A-graded."""
+    ideal = load_ideal(path, ctx.A.n)
+    if not is_agraded(ideal, ctx):
+        raise NotAGraded(f"{path}: not A-graded, its Hilbert function is not the toric one")
+    return ideal
+
+
+def _ideal_record(ideal, ctx):
     record = {
         "generators": [list(g) for g in ideal.gens],
         "agraded": is_agraded(ideal, ctx),
@@ -55,8 +83,7 @@ def _ideal_record(ideal, ctx, with_valency=True):
         record["coherent"] = coherent
         if witness is not None:
             record["witness"] = [str(x) for x in witness]
-        if with_valency:
-            record["valency"] = len(neighbors(ideal, ctx))
+        record["valency"] = len(neighbors(ideal, ctx))
     else:
         record["coherent"] = False
     return record
@@ -64,7 +91,7 @@ def _ideal_record(ideal, ctx, with_valency=True):
 
 def cmd_graver(args):
     matrix = load_matrix(args.matrix)
-    basis = graver_oracle(matrix, args.bound) if args.bound else graver_basis(matrix)
+    basis = graver_basis(matrix) if args.bound is None else graver_oracle(matrix, args.bound)
     names = variable_names(matrix.n)
     for u, v in basis:
         print(" ".join(map(str, u)), "|", " ".join(map(str, v)),
@@ -106,7 +133,7 @@ def cmd_check(args):
 def cmd_neighbors(args):
     matrix = load_matrix(args.matrix)
     ctx = AGradedContext(matrix)
-    ideal = load_ideal(args.ideal, matrix.n)
+    ideal = _agraded_ideal(args.ideal, ctx)
     names = variable_names(matrix.n)
     moves = neighbors(ideal, ctx)
     doc = [
@@ -124,7 +151,7 @@ def cmd_neighbors(args):
 def cmd_coherent(args):
     matrix = load_matrix(args.matrix)
     ctx = AGradedContext(matrix)
-    ideal = load_ideal(args.ideal, matrix.n)
+    ideal = _agraded_ideal(args.ideal, ctx)
     coherent, witness = is_coherent(ideal, ctx)
     doc = {"coherent": coherent}
     if witness is not None:
@@ -139,7 +166,7 @@ def cmd_enumerate(args):
     if args.mode == "brute":
         ideals = brute_force_enumerate(ctx, guard=args.guard)
     else:
-        graph = explore(ctx, guard=args.guard, workers=args.workers)
+        graph = explore(ctx, guard=args.guard)
         ideals = graph.vertices
     print(len(ideals))
     if args.list:
@@ -151,8 +178,8 @@ def cmd_enumerate(args):
 def cmd_flipgraph(args):
     matrix = load_matrix(args.matrix)
     ctx = AGradedContext(matrix)
-    start = load_ideal(args.start, matrix.n) if args.start else None
-    graph = explore(ctx, start=start, guard=args.guard, workers=args.workers)
+    start = _agraded_ideal(args.start, ctx) if args.start else None
+    graph = explore(ctx, start=start, guard=args.guard)
     if args.coherence:
         graph = with_coherence(graph, ctx)
     if args.dot:
@@ -172,9 +199,6 @@ def cmd_flipgraph(args):
 
 
 def cmd_triangulations(args):
-    from .flipgraph import from_json
-    from .ideals import flip
-
     matrix = load_matrix(args.matrix)
     if args.homogenize:
         ones = [1] * matrix.n
@@ -183,6 +207,8 @@ def cmd_triangulations(args):
     if args.graph:
         with open(args.graph, "r", encoding="utf-8") as fh:
             graph = from_json(fh.read())
+        if any(len(g) != matrix.n for v in graph.vertices for g in v.gens):
+            raise FormatError(f"{args.graph}: the ideals do not have {matrix.n} variables")
     else:
         graph = explore(ctx)
     for i, vertex in enumerate(graph.vertices):
@@ -192,6 +218,8 @@ def cmd_triangulations(args):
     verdicts = {}
     for i, j, label in graph.edges:
         move = flip(graph.vertices[i], label, ctx)
+        if move.target != graph.vertices[j]:
+            raise FormatError(f"edge {i} -- {j}: the flip over {pair_str(label)} leads elsewhere")
         verdict = edge_transition(move, ctx)
         verdicts[verdict] = verdicts.get(verdict, 0) + 1
         print(f"edge {i} -- {j} [{pair_str(label)}]: {verdict}")
@@ -265,7 +293,6 @@ def build_parser():
     p.add_argument("--matrix", required=True)
     p.add_argument("--mode", choices=("brute", "flip"), default="brute")
     p.add_argument("--guard", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--list", action="store_true")
 
     p = add("flipgraph", cmd_flipgraph, help="explore the flip graph")
@@ -277,7 +304,6 @@ def build_parser():
                    help="cross-check against the brute-force enumeration")
     p.add_argument("--coherence", action="store_true")
     p.add_argument("--guard", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
 
     p = add("triangulations", cmd_triangulations,
             help="facet lists and flip transitions")
@@ -288,7 +314,6 @@ def build_parser():
 
     p = add("verify-paper", cmd_verify, help="recompute the known-answer catalogue")
     p.add_argument("--example", default=None)
-    p.add_argument("--all", action="store_true")
     p.add_argument("--heavy", action="store_true",
                    help="include the large census examples")
     p.add_argument("--list", action="store_true")
@@ -302,12 +327,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (FormatError, GradingError, ExponentOverflow, FileNotFoundError, KeyError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
     except GuardExceeded as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return BAD_INPUT
+    except CertificateError as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return MISMATCH
 
 
 if __name__ == "__main__":

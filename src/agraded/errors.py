@@ -1,0 +1,111 @@
+"""Every exception the package raises, under one base class.
+
+There are three branches, and the ``agraded`` command line maps each to
+one exit code:
+
+* ``InputError`` (exit 2): malformed or unsupported input, from a file, an
+  option or a caller.  It is a ValueError.
+* ``GuardExceeded`` (exit 2): an enumeration visited more vertices or
+  leaves than its guard allows.  It is a RuntimeError.
+* ``CertificateError`` (exit 4): a computed certificate failed its exact
+  re-check, or a known-answer example gave another answer.  It is an
+  AssertionError, but ``certify`` raises it explicitly, so the checks also
+  run under ``python -O``.
+
+The modules that raise a class import it from here, so each class can
+also be imported from the module that raises it.
+"""
+
+
+class AgradedError(Exception):
+    """Base class of every exception the package raises."""
+
+
+class InputError(AgradedError, ValueError):
+    """Malformed or unsupported input."""
+
+
+class FormatError(InputError):
+    """A matrix, ideal, weight or graph document that does not parse."""
+
+
+class UnknownName(InputError):
+    """A fixture or known-answer example that is not in the catalogue."""
+
+
+class GradingError(InputError):
+    """A matrix that is not a grading matrix."""
+
+
+class RankDeficient(GradingError):
+    pass
+
+
+class NotPointed(GradingError):
+    pass
+
+
+class ExponentOverflow(InputError):
+    """An exponent lies outside the packed field range 0 <= e < 2**31."""
+
+
+class NonHomogeneousInput(InputError):
+    """A binomial or pair whose two monomials have different degrees."""
+
+
+class PreconditionViolated(InputError):
+    pass
+
+
+class NotAGraded(InputError):
+    """A monomial ideal without the Hilbert function of the toric ideal."""
+
+
+class IncompleteInput(InputError):
+    pass
+
+
+class BadLength(InputError):
+    pass
+
+
+class IncompleteGraph(InputError):
+    pass
+
+
+class FlipError(InputError):
+    """A pair that does not flip the given ideal."""
+
+
+class NotApplicable(FlipError):
+    """Neither orientation pairs a minimal generator with an outside monomial."""
+
+
+class NotFlippable(FlipError):
+    """The wall ideal does not reproduce the source under the reverse marking."""
+
+
+class NotFlippableComplex(InputError):
+    pass
+
+
+class GuardExceeded(AgradedError, RuntimeError):
+    """An enumeration visited more vertices or leaves than its guard allows."""
+
+
+class CertificateError(AgradedError, AssertionError):
+    """A certificate or an internal invariant failed its exact re-check."""
+
+
+class FixtureMismatch(CertificateError):
+    """A known-answer example gave another answer; carries the report."""
+
+    def __init__(self, report):
+        super().__init__(f"{report['example']}: expected {report['expected']}, got {report['actual']}")
+        self.report = report
+
+
+def certify(ok, message):
+    """Raise CertificateError(message) unless ``ok``; runs under python -O."""
+    if not ok:
+        raise CertificateError(message)

@@ -9,12 +9,9 @@ Monomials print with variable names a, b, c, ... when n <= 26, x1, x2,
 
 import string
 
+from .errors import FormatError
 from .grading import validate_grading
 from .monomials import minimalize
-
-
-class FormatError(ValueError):
-    pass
 
 
 def _content_lines(text):
@@ -24,19 +21,27 @@ def _content_lines(text):
             yield line
 
 
+def parse_integers(text, sep=None):
+    """The integers of a separated list; FormatError on any other token."""
+    try:
+        return [int(tok) for tok in text.split(sep)]
+    except ValueError as exc:
+        raise FormatError(f"not a list of integers: {text!r}") from exc
+
+
 def parse_matrix(text):
     lines = list(_content_lines(text))
     if not lines:
         raise FormatError("empty matrix file")
-    try:
-        d, n = map(int, lines[0].split())
-    except ValueError as exc:
-        raise FormatError(f"bad header line {lines[0]!r}") from exc
+    header = parse_integers(lines[0])
+    if len(header) != 2:
+        raise FormatError(f"bad header line {lines[0]!r}")
+    d, n = header
     if len(lines) != d + 1:
         raise FormatError(f"expected {d} rows, found {len(lines) - 1}")
     rows = []
     for line in lines[1:]:
-        row = [int(tok) for tok in line.split()]
+        row = parse_integers(line)
         if len(row) != n:
             raise FormatError(f"row {line!r} does not have {n} entries")
         rows.append(row)
@@ -57,7 +62,7 @@ def format_matrix(rows):
 def parse_ideal(text, n):
     gens = []
     for line in _content_lines(text):
-        exps = [int(tok) for tok in line.split()]
+        exps = parse_integers(line)
         if len(exps) != n:
             raise FormatError(f"generator {line!r} does not have {n} exponents")
         if any(e < 0 for e in exps):

@@ -8,6 +8,8 @@ import json
 from functools import lru_cache
 from importlib import resources
 
+from .binomials import canonical_pair
+from .errors import UnknownName
 from .grading import validate_grading
 from .monomials import minimalize
 
@@ -18,20 +20,12 @@ def _load(name):
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
-def matrix_names():
-    return sorted(_load("matrices"))
-
-
 @lru_cache(maxsize=None)
 def named_matrix(name):
     rows = _load("matrices").get(name)
     if rows is None:
-        raise KeyError(f"unknown matrix {name!r}")
+        raise UnknownName(f"unknown matrix {name!r}")
     return validate_grading(rows)
-
-
-def ideal_names():
-    return sorted(_load("ideals"))
 
 
 @lru_cache(maxsize=None)
@@ -39,7 +33,7 @@ def named_ideal(name):
     """(matrix, ideal) for a named ideal fixture."""
     rec = _load("ideals").get(name)
     if rec is None:
-        raise KeyError(f"unknown ideal {name!r}")
+        raise UnknownName(f"unknown ideal {name!r}")
     matrix = named_matrix(rec["matrix"])
     ideal = minimalize(tuple(map(tuple, rec["generators"])))
     return matrix, ideal
@@ -48,18 +42,10 @@ def named_ideal(name):
 def expected(name):
     rec = _load("expected").get(name)
     if rec is None:
-        raise KeyError(f"unknown expectation {name!r}")
+        raise UnknownName(f"unknown expectation {name!r}")
     return rec
-
-
-def expectation_names():
-    return sorted(_load("expected"))
 
 
 def as_pairs(records):
     """JSON [[u, v], ...] into canonical exponent pairs."""
-    out = set()
-    for u, v in records:
-        u, v = tuple(u), tuple(v)
-        out.add((u, v) if u > v else (v, u))
-    return out
+    return {canonical_pair(u, v) for u, v in records}

@@ -2,22 +2,17 @@
 
 Vertices are monomial A-graded ideals in canonical form; edges carry the
 unordered pair of monomials that was flipped.  Exploration is a plain
-breadth-first closure under flips with canonical deduplication, so the
-result is independent of scheduling; vertices are renumbered by sorted
-canonical form before the graph is returned.
+breadth-first closure under flips with canonical deduplication; vertices
+are renumbered by sorted canonical form before the graph is returned.
 """
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .binomials import canonical_pair
-from .ideals import GuardExceeded, is_coherent, neighbors
+from .errors import FormatError, GuardExceeded, IncompleteGraph, certify
+from .ideals import is_coherent, neighbors
 from .monomials import MonomialIdeal, minimalize
-
-
-class IncompleteGraph(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -55,14 +50,12 @@ class FlipGraph:
         return tuple(sorted({label for _, _, label in self.edges}))
 
 
-def explore(ctx, start=None, guard=None, workers=1):
+def explore(ctx, start=None, guard=None):
     """Breadth-first closure under flips from one or many start ideals.
 
     ``start`` may be a single ideal or an iterable of them (exploring every
     component that meets the set); default is the reference initial ideal.
-    ``guard`` bounds the vertex count.  ``workers`` parallelises the
-    frontier expansion; results are merged canonically, so the output is
-    schedule-independent.
+    ``guard`` bounds the vertex count.
     """
     if start is None:
         starts = [ctx.reference_ideal]
@@ -73,30 +66,17 @@ def explore(ctx, start=None, guard=None, workers=1):
     seen = set(starts)
     frontier = sorted(seen)
     edges = set()
-
-    def expand(ideal):
-        return ideal, neighbors(ideal, ctx)
-
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while frontier:
-            if pool is not None:
-                expansions = list(pool.map(expand, frontier))
-            else:
-                expansions = [expand(v) for v in frontier]
-            nxt = set()
-            for ideal, moves in expansions:
-                for move in moves:
-                    edges.add(canonical_edge(ideal, move.target, move.label))
-                    if move.target not in seen:
-                        nxt.add(move.target)
-            seen.update(nxt)
-            if guard is not None and len(seen) > guard:
-                raise GuardExceeded(f"more than {guard} vertices")
-            frontier = sorted(nxt)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    while frontier:
+        nxt = set()
+        for ideal in frontier:
+            for move in neighbors(ideal, ctx):
+                edges.add(canonical_edge(ideal, move.target, move.label))
+                if move.target not in seen:
+                    nxt.add(move.target)
+        seen.update(nxt)
+        if guard is not None and len(seen) > guard:
+            raise GuardExceeded(f"more than {guard} vertices")
+        frontier = sorted(nxt)
 
     vertices = tuple(sorted(seen))
     index = {v: i for i, v in enumerate(vertices)}
@@ -114,7 +94,9 @@ def canonical_edge(a, b, label):
 
 
 def with_coherence(graph, ctx):
-    """Copy of the graph with per-vertex coherence flags filled in."""
+    """The graph with per-vertex coherence flags; flags it carries are kept."""
+    if graph.coherent is not None:
+        return graph
     flags = tuple(is_coherent(v, ctx)[0] for v in graph.vertices)
     return FlipGraph(graph.vertices, graph.edges, graph.start, flags)
 
@@ -132,15 +114,13 @@ def classify_labels(graph, ctx, expected_total=None):
         raise IncompleteGraph(
             f"graph has {len(graph.vertices)} vertices, expected {expected_total}"
         )
-    flags = graph.coherent
-    if flags is None:
-        flags = tuple(is_coherent(v, ctx)[0] for v in graph.vertices)
+    flags = with_coherence(graph, ctx).coherent
     flips = set(graph.labels())
     ugb = {
         label for i, j, label in graph.edges if flags[i] and flags[j]
     }
     graver = set(ctx.graver.elements)
-    assert ugb <= flips <= graver
+    certify(ugb <= flips <= graver, "edge labels are not nested inside the Graver basis")
     return (
         tuple(sorted(ugb)),
         tuple(sorted(flips)),
@@ -169,12 +149,10 @@ def census(graph, ctx, coherence=False, brute_count=None):
     else:
         report["connected"] = None  # single BFS component; needs a census to decide
     if coherence:
-        flags = graph.coherent
-        if flags is None:
-            flags = tuple(is_coherent(v, ctx)[0] for v in graph.vertices)
+        flags = with_coherence(graph, ctx).coherent
         report["coherent_vertices"] = sum(flags)
-        # flip-deficient vertices are necessarily non-coherent
-        assert not any(flags[i] for i in report["flip_deficient"])
+        certify(not any(flags[i] for i in report["flip_deficient"]),
+                "a flip-deficient vertex is coherent")
     return report
 
 
@@ -203,19 +181,20 @@ def to_json(graph):
 
 
 def from_json(text):
-    doc = json.loads(text)
-    vertices = tuple(
-        minimalize(tuple(map(tuple, rec["generators"])))
-        for rec in sorted(doc["vertices"], key=lambda r: r["id"])
-    )
-    flags = [rec["coherent"] for rec in sorted(doc["vertices"], key=lambda r: r["id"])]
+    """The graph of a to_json document; FormatError if it is malformed."""
+    try:
+        doc = json.loads(text)
+        records = sorted(doc["vertices"], key=lambda r: r["id"])
+        vertices = tuple(minimalize(tuple(map(tuple, rec["generators"]))) for rec in records)
+        flags = [rec["coherent"] for rec in records]
+        edges = tuple(sorted(
+            (rec["u"], rec["v"], canonical_pair(*rec["label"])) for rec in doc["edges"]))
+        dangling = not all(0 <= i < j < len(vertices) for i, j, _ in edges)
+    except (ValueError, LookupError, TypeError) as exc:
+        raise FormatError(f"malformed graph document: {exc!r}") from exc
+    if dangling:
+        raise FormatError("a graph edge does not join two listed vertices in order")
     coherent = None if any(f is None for f in flags) else tuple(flags)
-    edges = tuple(
-        sorted(
-            (rec["u"], rec["v"], canonical_pair(tuple(rec["label"][0]), tuple(rec["label"][1])))
-            for rec in doc["edges"]
-        )
-    )
     return FlipGraph(vertices, edges, doc.get("start", 0), coherent)
 
 

@@ -10,20 +10,9 @@ in this package rely on.
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+from .errors import GradingError, NotPointed, RankDeficient, certify
 from .linalg import dot, integer_kernel_basis, mat_vec, primitive, rank
 from .lp import lp_strict_feasible
-
-
-class GradingError(ValueError):
-    pass
-
-
-class RankDeficient(GradingError):
-    pass
-
-
-class NotPointed(GradingError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -89,18 +78,8 @@ def validate_grading(entries):
         raise NotPointed("kernel meets the nonnegative orthant nontrivially")
     cert = primitive(witness)
     matrix = GradingMatrix(rows, cert)
-    assert all(w > 0 for w in matrix.certificate_weights)
-    return matrix
-
-
-def _certified(entries, certificate):
-    """Internal constructor for matrices with a known certificate."""
-    rows = _freeze(entries)
-    matrix = GradingMatrix(rows, tuple(int(c) for c in certificate))
-    if rank(rows) != matrix.d:
-        raise RankDeficient("matrix has deficient rank")
-    if not all(w > 0 for w in matrix.certificate_weights):
-        raise NotPointed("supplied certificate is not strictly positive")
+    certify(all(w > 0 for w in matrix.certificate_weights),
+            "positivity certificate is not strictly positive")
     return matrix
 
 
@@ -115,9 +94,8 @@ class KernelBasis:
 def kernel_lattice(matrix):
     """Saturated integer kernel basis of a GradingMatrix."""
     basis = integer_kernel_basis(matrix.rows, matrix.n)
-    for v in basis:
-        assert all(x == 0 for x in matrix.degree(v))
-    assert len(basis) == matrix.n - matrix.d
+    certify(all(not any(matrix.degree(v)) for v in basis), "kernel vector of nonzero degree")
+    certify(len(basis) == matrix.n - matrix.d, "kernel basis of the wrong rank")
     return KernelBasis(tuple(basis))
 
 

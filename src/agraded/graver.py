@@ -10,8 +10,10 @@ it is complete up to its weight bound and validates the production route.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from math import gcd
 
+from .errors import InputError, NonHomogeneousInput, certify
 from .grading import GradingMatrix, positive_combination
 from .linalg import rank
 from .monomials import TermOrder, support
@@ -34,12 +36,6 @@ class GraverBasis:
         u, v = pair
         return canonical_pair(u, v) in set(self.elements)
 
-    def by_degree(self, matrix):
-        index = {}
-        for u, v in self.elements:
-            index.setdefault(matrix.degree(u), []).append((u, v))
-        return index
-
 
 def lawrence_lifting(matrix):
     """The (d+n) x 2n block matrix [[A, 0], [I, I]] as a GradingMatrix."""
@@ -50,8 +46,8 @@ def lawrence_lifting(matrix):
         rows.append(unit + unit)
     cert = (0,) * d + (1,) * n  # pairs to 1 on every column
     lifted = GradingMatrix(tuple(rows), cert)
-    assert all(w == 1 for w in lifted.certificate_weights)
-    assert rank(rows) == d + n
+    certify(all(w == 1 for w in lifted.certificate_weights), "Lawrence certificate is not 1")
+    certify(rank(rows) == d + n, "Lawrence lifting is rank deficient")
     return lifted
 
 
@@ -62,12 +58,12 @@ def graver_basis(matrix):
     n = matrix.n
     order = TermOrder((0,) * (2 * n))  # pure lexicographic
     gb = buchberger(toric_ideal(lifted), order, lifted)
-    assert gb.monomials.is_zero()
+    certify(gb.monomials.is_zero(), "Lawrence basis contains a monomial")
     pairs = set()
     for b in gb.binomials:
         u, ytail = b.lead[:n], b.lead[n:]
         v, yhead = b.trail[:n], b.trail[n:]
-        assert ytail == v and yhead == u, "Lawrence element is not a mirror pair"
+        certify(ytail == v and yhead == u, "Lawrence element is not a mirror pair")
         pairs.add(canonical_pair(u, v))
     return GraverBasis(tuple(sorted(pairs)))
 
@@ -82,7 +78,7 @@ def graver_oracle(matrix, bound):
     dominates the largest Graver weight.
     """
     if bound <= 0:
-        raise ValueError("bound must be positive")
+        raise InputError("bound must be positive")
     n = matrix.n
     weights = matrix.certificate_weights
     by_degree = {}
@@ -147,8 +143,9 @@ def is_circuit(matrix, pair):
         u, v = pair.lead, pair.trail
     else:
         u, v = pair
+    if matrix.degree(u) != matrix.degree(v):
+        raise NonHomogeneousInput(f"{u} and {v} have different degrees")
     t = tuple(a - b for a, b in zip(u, v))
-    assert matrix.degree(u) == matrix.degree(v)
     supp = support(t)
     if not supp:
         return None
@@ -160,19 +157,10 @@ def is_circuit(matrix, pair):
         subset = [sub[i] for i in range(len(sub)) if i != leave_out]
         if subset and rank(subset) != len(subset):
             return None
-    g = 0
-    for x in t:
-        g = _gcd(g, abs(x))
-    if g != 1:
+    if reduce(gcd, t, 0) != 1:
         return None
     return Circuit(
         t,
         tuple(i for i in supp if t[i] > 0),
         tuple(i for i in supp if t[i] < 0),
     )
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

@@ -21,9 +21,21 @@ from .binomials import (
     Binomial,
     canonical_pair,
     initial_ideal,
-    toric_ideal,
     wall_initial,
     wall_recovers_source,
+)
+from .errors import (
+    BadLength,
+    ExponentOverflow,
+    FlipError,
+    GuardExceeded,
+    IncompleteInput,
+    InputError,
+    NonHomogeneousInput,
+    NotAGraded,
+    NotApplicable,
+    NotFlippable,
+    certify,
 )
 from .grading import positive_combination
 from .graver import graver_basis
@@ -31,7 +43,6 @@ from .lp import lp_strict_feasible
 from .monomials import (
     FIELD_BITS,
     FIELD_LIMIT,
-    ExponentOverflow,
     MonomialIdeal,
     exp_sub,
     fiber,
@@ -42,30 +53,6 @@ from .monomials import (
     pack,
     packed_generators,
 )
-
-
-class FlipError(Exception):
-    pass
-
-
-class NotApplicable(FlipError):
-    """Neither orientation pairs a minimal generator with an outside monomial."""
-
-
-class NotFlippable(FlipError):
-    """The wall ideal does not reproduce the source under the reverse marking."""
-
-
-class GuardExceeded(RuntimeError):
-    """An enumeration visited more vertices or leaves than its guard allows."""
-
-
-class IncompleteInput(ValueError):
-    pass
-
-
-class BadLength(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -84,20 +71,16 @@ class AGradedContext:
     """Shared caches for one grading matrix.
 
     Everything heavy (toric ideal, Graver basis, reference numerator,
-    degree fibers, K-polynomials) is computed once on demand and reused;
-    all cached values are immutable.
+    standard monomials, K-polynomials) is computed once on demand and reused;
+    all cached values are immutable.  The reference ideal is the initial
+    ideal for the certificate weights c^T A.
     """
 
-    def __init__(self, matrix, reference_weight=None):
+    def __init__(self, matrix):
         self.A = matrix
-        self.reference_weight = (
-            tuple(reference_weight) if reference_weight is not None
-            else matrix.certificate_weights
-        )
-        self._fibers = {}
+        # canonical generators -> K-polynomial, for every ideal the
+        # K-polynomial recursion met, so it answers repeated ideals too
         self._kpoly_memo = {}
-        self._kpoly = {}
-        self._agraded = {}
         # ideal -> {degree: standard monomial}.  A matrix has few distinct
         # degrees and standard monomials, shared across thousands of ideals,
         # so both are interned: a cache entry costs a dict slot, not tuples.
@@ -110,24 +93,14 @@ class AGradedContext:
 
     @cached_property
     def reference_ideal(self):
-        return initial_ideal(self.A, self.reference_weight)
+        return initial_ideal(self.A, self.A.certificate_weights)
 
     @cached_property
     def reference_numerator(self):
         return self.k_polynomial(self.reference_ideal)
 
-    def fiber(self, b):
-        b = tuple(b)
-        got = self._fibers.get(b)
-        if got is None:
-            got = self._fibers[b] = fiber(self.A, b)
-        return got
-
     def k_polynomial(self, ideal):
-        got = self._kpoly.get(ideal)
-        if got is None:
-            got = self._kpoly[ideal] = k_polynomial(ideal, self.A, memo=self._kpoly_memo)
-        return got
+        return k_polynomial(ideal, self.A, memo=self._kpoly_memo)
 
     def standard_monomial(self, ideal, b):
         """The unique monomial of degree b outside an A-graded ideal.
@@ -149,7 +122,7 @@ class AGradedContext:
         weights = self.A.certificate_weights
         budget = positive_combination(self.A, b)
         if budget < 0:
-            raise ValueError(f"degree {b} is outside the monoid")
+            raise InputError(f"degree {b} is outside the monoid")
         cols = self.A.columns
         nonneg = self.A.nonnegative
         guard = guard_mask(n)
@@ -191,7 +164,7 @@ class AGradedContext:
             return False
 
         if not rec(0, 0, b, budget):
-            raise ValueError(f"no standard monomial in degree {b}")
+            raise NotAGraded(f"no standard monomial in degree {b}")
         intern = self._interned.setdefault
         found = tuple(u)
         found = intern(found, found)
@@ -201,12 +174,7 @@ class AGradedContext:
 
 def is_agraded(ideal, ctx):
     """Exact K-polynomial equality with the toric reference."""
-    got = ctx._agraded.get(ideal)
-    if got is None:
-        got = ctx._agraded[ideal] = (
-            ctx.k_polynomial(ideal) == ctx.reference_numerator
-        )
-    return got
+    return ctx.k_polynomial(ideal) == ctx.reference_numerator
 
 
 def is_weakly_agraded(ideal, ctx):
@@ -251,13 +219,14 @@ def flip(ideal, pair, ctx, validate=False):
     else:
         raise NotApplicable(f"{u} / {v} does not match a generator/standard split")
     if ctx.A.degree(a) != ctx.A.degree(b):
-        raise ValueError("pair is not homogeneous")
+        raise NonHomogeneousInput(f"{a} and {b} have different degrees")
     if not wall_recovers_source(ideal, a, b):
         raise NotFlippable(f"wall of {a} - {b} does not re-mark to the source")
     target = wall_initial(ideal, a, b, "b_leads")
     if validate:
         direct = definition_flip_ideal(ideal, a, b, ctx.graver)
-        assert direct == target, (ideal, a, b, direct, target)
+        certify(direct == target, f"flip of {ideal} over {a} - {b}: wall ideal "
+                f"gives {target}, Graver definition gives {direct}")
     return FlipMove(ideal, a, b, target)
 
 
@@ -336,7 +305,8 @@ def special_ideals(ctx, all_ideals, expected_count=None):
     pair_ideal = minimalize(
         tuple(x + y for x, y in zip(u, v)) for u, v in ctx.graver
     )
-    assert all(meet.contains(g) for g in pair_ideal.gens)
+    certify(all(meet.contains(g) for g in pair_ideal.gens),
+            "the pair ideal is not inside the intersection")
     return meet, pair_ideal
 
 
@@ -410,7 +380,7 @@ def brute_force_enumerate(ctx, guard=None):
             raise GuardExceeded(f"more than {guard} leaves")
         candidates.add(ideal_from_packed(chosen, n, sides))
 
-    small_fibers = [[pack(m) | mask for m in ctx.fiber(b)] for b in small_degrees]
+    small_fibers = [[pack(m) | mask for m in fiber(ctx.A, b)] for b in small_degrees]
 
     def plausible(ideal):
         gens = [pack(g) for g in ideal.gens]
@@ -494,9 +464,7 @@ def curve_parametric_family(j, coefficients):
         raise BadLength(f"need exactly {j} coefficients")
     fams = curve_binomial_families(j)
     gens = [b.lead for b in fams["p"]] + [b.lead for b in fams["q"]]
-    for t, mu in enumerate(coefficients):
-        lead = (5 + 3 * t, 0, j - t, 0, 0)
-        trail = (0, 6 + 3 * t, 0, 0, j - 1 - t)
-        gens.append(lead if mu == 0 else Binomial(lead, trail, mu))
+    for b, mu in zip(fams["r"], coefficients):
+        gens.append(b.lead if mu == 0 else Binomial(b.lead, b.trail, mu))
     gens += [b.lead for b in fams["s"]]
     return gens

@@ -8,6 +8,8 @@ floating point is used anywhere in this package.
 from fractions import Fraction
 from math import gcd
 
+from .errors import InputError
+
 
 def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
@@ -17,50 +19,45 @@ def mat_vec(rows, v):
     return tuple(dot(row, v) for row in rows)
 
 
-def rank(rows):
-    """Rank over the rationals by Gaussian elimination."""
+def _gauss_jordan(rows, ncols):
+    """Gauss-Jordan elimination over the rationals on the first ncols columns.
+
+    Returns (reduced rows, pivot columns, signed product of the pivots); the
+    product is the determinant when the matrix is square and of full rank.
+    """
     m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    r = 0
+    pivots = []
+    det = Fraction(1)
     for c in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
         piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            det = -det
+        det *= m[r][c]
         inv = 1 / m[r][c]
         m[r] = [x * inv for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c]:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
+        pivots.append(c)
+    return m, pivots, det
+
+
+def rank(rows):
+    """Rank over the rationals."""
+    return len(_gauss_jordan(rows, len(rows[0]) if rows else 0)[1])
 
 
 def det(rows):
     """Determinant over the rationals (exact)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    n = len(m)
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        result *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return sign * result
+    _, pivots, value = _gauss_jordan(rows, len(rows))
+    return value if len(pivots) == len(rows) else Fraction(0)
 
 
 def primitive(vec):
@@ -87,41 +84,19 @@ def primitive(vec):
 
 def solve_linear(rows, rhs):
     """Solve the square system rows . x = rhs exactly (rows invertible)."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if m[i][c])
-        m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return tuple(m[i][-1] for i in range(n))
+    m, pivots, _ = _gauss_jordan([list(row) + [b] for row, b in zip(rows, rhs)], len(rows))
+    if len(pivots) != len(rows):
+        raise InputError("singular system")
+    return tuple(row[-1] for row in m)
 
 
 def rational_nullspace(rows, ncols):
     """Basis of the rational nullspace {x : rows . x = 0} in Q^ncols."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    m, pivots, _ = _gauss_jordan(rows, ncols)
     basis = []
-    for c in free:
+    for c in range(ncols):
+        if c in pivots:
+            continue
         vec = [Fraction(0)] * ncols
         vec[c] = Fraction(1)
         for i, p in enumerate(pivots):

@@ -11,11 +11,13 @@ Two exact phase-one simplex solvers cover every system in this package:
   substitution x = 1 + z for systems whose variables are all >= 1).
 
 Both run Bland's rule over Fractions, so they terminate and are exact; all
-witnesses are re-checked before being returned.
+witnesses are re-checked before being returned, and a witness that fails
+its check raises CertificateError.
 """
 
 from fractions import Fraction
 
+from .errors import InputError, certify
 from .linalg import solve_linear
 
 ZERO = Fraction(0)
@@ -61,7 +63,7 @@ def _phase1(columns, rhs):
                 ):
                     best = ratio
                     leave = i
-        assert leave is not None, "phase-one ratio test cannot fail"
+        certify(leave is not None, "phase-one ratio test cannot fail")
         piv = tableau[leave][enter]
         inv = 1 / piv
         tableau[leave] = [a * inv for a in tableau[leave]]
@@ -98,7 +100,7 @@ def lp_strict_feasible(rows, nvars=None):
     rows = [tuple(Fraction(a) for a in row) for row in rows]
     if nvars is None:
         if not rows:
-            raise ValueError("empty system needs an explicit dimension")
+            raise InputError("empty system needs an explicit dimension")
         nvars = len(rows[0])
     if not rows:
         return tuple(ZERO for _ in range(nvars))
@@ -108,15 +110,15 @@ def lp_strict_feasible(rows, nvars=None):
     if optimum == 0:
         return None
     witness = tuple(-pi[i] / optimum for i in range(nvars))
-    for row in rows:
-        assert sum(a * w for a, w in zip(row, witness)) >= 1
+    certify(all(sum(a * w for a, w in zip(row, witness)) >= 1 for row in rows),
+            "strict-feasibility witness fails a row")
     return witness
 
 
 def nonneg_feasible(eq_rows, rhs):
     """Some z >= 0 with eq_rows . z = rhs, or None."""
     if not eq_rows:
-        raise ValueError("need at least one equation")
+        raise InputError("need at least one equation")
     eq_rows = [tuple(Fraction(a) for a in row) for row in eq_rows]
     rhs = [Fraction(b) for b in rhs]
     flipped = [row if b >= 0 else tuple(-a for a in row) for row, b in zip(eq_rows, rhs)]
@@ -125,7 +127,6 @@ def nonneg_feasible(eq_rows, rhs):
     optimum, z, _ = _phase1(columns, flipped_rhs)
     if optimum != 0:
         return None
-    for row, b in zip(eq_rows, rhs):
-        assert sum(a * x for a, x in zip(row, z)) == b
-    assert all(x >= 0 for x in z)
+    certify(all(sum(a * x for a, x in zip(row, z)) == b for row, b in zip(eq_rows, rhs))
+            and all(x >= 0 for x in z), "nonnegative solution fails its system")
     return z

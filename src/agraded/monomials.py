@@ -26,6 +26,7 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import ExponentOverflow
 from .grading import positive_combination
 from .linalg import dot
 
@@ -51,18 +52,11 @@ def support(u):
 def support_exp(u):
     return tuple(1 if a else 0 for a in u)
 
-def coprime(u, v):
-    return all(a == 0 or b == 0 for a, b in zip(u, v))
-
 
 # -- packed exponent vectors -------------------------------------------------
 
 FIELD_BITS = 32
 FIELD_LIMIT = 1 << 31
-
-
-class ExponentOverflow(ValueError):
-    """An exponent lies outside the packed field range 0 <= e < 2**31."""
 
 
 @lru_cache(maxsize=None)
@@ -159,12 +153,10 @@ class TermOrder:
     """Weight vector refined by lexicographic tie-break.
 
     Comparison is total on monomials of equal degree for any grading; the
-    weight may have negative entries.  The tie-break priority is a variable
-    permutation, by default x1 > x2 > ... > xn.
+    weight may have negative entries.  Ties are broken with x1 > x2 > ... > xn.
     """
 
     weight: tuple
-    priority: tuple = None
 
     def compare(self, u, v):
         """-1, 0 or 1 as u is smaller, equal or larger than v."""
@@ -174,11 +166,7 @@ class TermOrder:
         wv = dot(self.weight, v)
         if wu != wv:
             return 1 if wu > wv else -1
-        order = self.priority if self.priority is not None else range(len(u))
-        for i in order:
-            if u[i] != v[i]:
-                return 1 if u[i] > v[i] else -1
-        return 0
+        return 1 if tuple(u) > tuple(v) else -1
 
     def max(self, terms):
         best = None
@@ -300,8 +288,7 @@ class KPolynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        data = dict(terms) if not isinstance(terms, dict) else dict(terms)
-        self.terms = {k: v for k, v in data.items() if v}
+        self.terms = {k: v for k, v in dict(terms).items() if v}
 
     @classmethod
     def one(cls, d):
@@ -325,9 +312,6 @@ class KPolynomial:
     def shifted(self, by):
         """Multiply by t^by."""
         return KPolynomial({exp_add(k, by): v for k, v in self.terms.items()})
-
-    def coefficient(self, k):
-        return self.terms.get(tuple(k), 0)
 
     def items(self):
         return sorted(self.terms.items())

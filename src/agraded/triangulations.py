@@ -13,14 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import NotFlippableComplex, certify
 from .graver import is_circuit
 from .linalg import det, dot, rank, rational_nullspace
 from .lp import nonneg_feasible
 from .monomials import support
-
-
-class NotFlippableComplex(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -90,7 +87,7 @@ def reference_facets(matrix):
             initial.append(i)
         if len(initial) == d:
             break
-    assert len(initial) == d
+    certify(len(initial) == d, "the columns do not span")
     facets = {tuple(initial)}
     for k in range(n):
         if k in initial:
@@ -105,10 +102,10 @@ def reference_facets(matrix):
             if len(apexes) != 1:
                 continue  # interior ridge
             basis = rational_nullspace([cols[i] for i in ridge], d)
-            assert len(basis) == 1
+            certify(len(basis) == 1, "a boundary ridge does not span a hyperplane")
             h = basis[0]
             inward = dot(h, cols[apexes[0]])
-            assert inward != 0
+            certify(inward != 0, "a facet apex lies on its ridge")
             if inward > 0:
                 h = tuple(-x for x in h)
             if dot(h, cols[k]) > 0:
@@ -259,16 +256,16 @@ def edge_transition(move, ctx):
     rad_target = move.target.radical()
     if rad_source == rad_target:
         incoming = tuple(1 if x else 0 for x in move.b)
-        assert rad_source.contains(incoming)
+        certify(rad_source.contains(incoming), "incoming monomial outside the shared radical")
         return SAME_RADICAL
     circuit = is_circuit(ctx.A, (move.a, move.b))
-    assert circuit is not None, "radical-changing flip label must be a circuit"
-    assert set(circuit.t_plus) == set(support(move.a))
+    certify(circuit is not None, "radical-changing flip label must be a circuit")
+    certify(set(circuit.t_plus) == set(support(move.a)), "circuit sides do not match the flip")
     spec = circuit_flip_spec(circuit)
     source_cplx = complex_of_radical(move.source, n)
     target_cplx = complex_of_radical(move.target, n)
-    assert all(source_cplx.has_face(s) for s in spec.c_plus), \
-        "positive side must be a subcomplex of the source triangulation"
+    certify(all(source_cplx.has_face(s) for s in spec.c_plus),
+            "positive side must be a subcomplex of the source triangulation")
     flipped = _replace(source_cplx, spec.c_plus, spec.c_minus)
     return BISTELLAR if flipped == target_cplx else VIOLATION
 

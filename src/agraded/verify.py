@@ -9,6 +9,7 @@ so a passing run certifies the whole pipeline end to end.
 import time
 
 from .binomials import canonical_pair
+from .errors import FixtureMismatch, UnknownName
 from .fixtures import as_pairs, expected, named_ideal, named_matrix
 from .flipgraph import classify_labels, explore, with_coherence
 from .ideals import (
@@ -28,12 +29,6 @@ from .grading import validate_grading
 from .linalg import dot
 from .monomials import TermOrder, minimalize
 from .triangulations import BISTELLAR, SAME_RADICAL, edge_transition
-
-
-class FixtureMismatch(AssertionError):
-    def __init__(self, report):
-        super().__init__(f"{report['example']}: expected {report['expected']}, got {report['actual']}")
-        self.report = report
 
 
 def _report(example, expected_value, actual_value):
@@ -142,7 +137,6 @@ def check_veronese(name="veronese-29"):
 
 def check_curve_initial(j):
     matrix = validate_grading(curve_rows(j))
-    ctx = _context(matrix)
     actual = initial_ideal(matrix, (1, 1, 2, 0, 2))
     return _report(f"curve-initial-j{j}", curve_monomial_ideal(j), actual)
 
@@ -323,7 +317,7 @@ def verify_paper(example):
     """Run one catalogued example; raises FixtureMismatch on failure."""
     fn = REGISTRY.get(example)
     if fn is None:
-        raise KeyError(f"unknown example {example!r}; known: {sorted(REGISTRY)}")
+        raise UnknownName(f"unknown example {example!r}; known: {sorted(REGISTRY)}")
     return fn()
 
 

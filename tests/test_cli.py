@@ -141,3 +141,76 @@ def test_cli_exponent_beyond_packed_field(matrix12, tmp_path, capsys):
     ideal_path.write_text(f"{2 ** 31} 0\n")
     assert main(["check", "--matrix", matrix12, "--ideal", str(ideal_path)]) == 2
     assert "2**31" in capsys.readouterr().err
+
+
+def _graph_doc(v, label):
+    """A one-edge graph document on the two ideals of A = (1 2) and <x1>."""
+    vertex = {"coherent": None, "valency": 1}
+    return json.dumps({
+        "vertices": [dict(vertex, id=0, generators=[[0, 1]]),
+                     dict(vertex, id=1, generators=[[2, 0]]),
+                     dict(vertex, id=2, generators=[[1, 0]])],
+        "edges": [{"u": 0, "v": v, "label": label}],
+        "start": 0,
+    })
+
+
+@pytest.mark.parametrize("case", [
+    "matrix-token", "ideal-token", "weight-token", "matrix-directory", "graph-json",
+    "graph-label", "graph-target",
+])
+def test_cli_malformed_input_exits_2(matrix12, tmp_path, capsys, case):
+    path = tmp_path / "input.txt"
+    graph = ["triangulations", "--matrix", matrix12, "--graph", str(path)]
+    argv = {
+        "matrix-token": ["graver", "--matrix", str(path)],
+        "ideal-token": ["check", "--matrix", matrix12, "--ideal", str(path)],
+        "weight-token": ["initial", "--matrix", matrix12, "--weight", "1,x"],
+        "matrix-directory": ["graver", "--matrix", str(tmp_path)],
+    }.get(case, graph)
+    path.write_text({
+        "matrix-token": "1 2\n1 two\n",
+        "ideal-token": "2 x\n",
+        "graph-json": "{not json",
+        "graph-label": _graph_doc(1, [[3, 0], [1, 1]]),  # x1^3 - x1 x2 does not flip <x2>
+        "graph-target": _graph_doc(2, [[2, 0], [0, 1]]),  # the flip of <x2> is <x1^2>, not <x1>
+    }.get(case, ""))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, generators", [
+    ("coherent", "0 3\n"),
+    ("flipgraph", "0 3\n"),
+    ("neighbors", "1 0\n"),
+])
+def test_cli_requires_agraded_ideals(matrix12, tmp_path, capsys, command, generators):
+    ideal_path = tmp_path / "ideal.txt"
+    ideal_path.write_text(generators)
+    flag = "--start" if command == "flipgraph" else "--ideal"
+    assert main([command, "--matrix", matrix12, flag, str(ideal_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Hilbert function" in captured.err
+
+
+def test_cli_exit_3_when_the_census_disagrees(matrix12, monkeypatch, capsys):
+    import agraded.cli as cli
+
+    monkeypatch.setattr(cli, "brute_force_enumerate", lambda ctx, guard=None: (None,) * 3)
+    assert main(["flipgraph", "--matrix", matrix12, "--census"]) == 3
+    assert json.loads(capsys.readouterr().out)["connected"] is False
+
+
+def test_cli_exit_4_on_a_failed_check(matrix12, monkeypatch, capsys):
+    from agraded import lp, verify
+
+    monkeypatch.setitem(verify.REGISTRY, "coherence-mask",
+                        lambda: verify._report("coherence-mask", "recorded", "computed"))
+    assert main(["verify-paper", "--example", "coherence-mask"]) == 4
+    assert "coherence-mask: fail" in capsys.readouterr().out
+    # a certificate that fails its re-check: the LP returns a zero dual
+    monkeypatch.setattr(lp, "_phase1", lambda columns, rhs: (1, (), (0,) * len(rhs)))
+    assert main(["graver", "--matrix", matrix12]) == 4
+    assert capsys.readouterr().err.startswith("check failed: ")

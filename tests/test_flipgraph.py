@@ -109,13 +109,6 @@ def test_curve_vertices_exceed_bound(curve_ctx):
         assert len(neighbors(curve_monomial_ideal(j), ctx)) == 2 * j + 4 > ctx.A.n - ctx.A.d
 
 
-def test_workers_schedule_independent(ctx_veronese):
-    serial = explore(ctx_veronese, workers=1)
-    parallel = explore(ctx_veronese, workers=3)
-    assert serial == parallel
-    assert to_json(serial) == to_json(parallel)
-
-
 def test_json_roundtrip(ctx12):
     graph = with_coherence(explore(ctx12), ctx12)
     assert from_json(to_json(graph)) == graph

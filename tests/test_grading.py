@@ -134,3 +134,39 @@ def test_lp_witness_exact():
 def test_masked_marking_system_infeasible(ctx345, ideal_masked):
     rows = graver_split_rows(ideal_masked, ctx345)
     assert lp_strict_feasible(rows, nvars=5) is None
+
+
+def _wrong_dual(columns, rhs):
+    """A phase-one result whose zero dual prices certify nothing."""
+    return 1, (), (0,) * len(rhs)
+
+
+def test_lp_witness_recheck_raises(monkeypatch):
+    from agraded import CertificateError, lp
+
+    monkeypatch.setattr(lp, "_phase1", _wrong_dual)
+    with pytest.raises(CertificateError):
+        lp_strict_feasible([(1, 0), (0, 1)])
+
+
+def test_lp_witness_recheck_runs_under_optimize():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = (
+        "import sys\n"
+        "from agraded import CertificateError, lp\n"
+        "lp._phase1 = lambda columns, rhs: (1, (), (0,) * len(rhs))\n"
+        "try:\n"
+        "    lp.lp_strict_feasible([(1, 0), (0, 1)])\n"
+        "except CertificateError:\n"
+        "    print('raised', sys.flags.optimize)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60, check=True).stdout
+    assert out.split() == ["raised", "1"]
