@@ -6,12 +6,16 @@ fiber is then finite, so completion and normal forms terminate for any
 weight order, including weights with negative entries; ties are broken
 lexicographically.  Working polynomials always have at most two terms.
 
-Divisibility tests dominate the running time, so the completion and the
-wall-ideal closure work on the packed integers of ``monomials`` (one 32-bit
-field per coordinate with a guard bit, exponents below 2**31), where
-"divides" is a three-operation integer test independent of the number of
-variables.  Exponents that leave the field range raise ExponentOverflow
-instead of spilling into the guard bits.
+Divisibility tests dominate the running time, so everything here works on
+the packed integers of ``monomials`` (one 32-bit field per coordinate with
+a guard bit, exponents below 2**31), where "divides" is a three-operation
+integer test independent of the number of variables.  Exponents that leave
+the field range raise ExponentOverflow instead of spilling into the guard
+bits.  One routine, ``monomials.packed_nf``, rewrites a term c x^u by
+packed monomials and (lead, trail, coeff) binomials: completion brings the
+leading term of each S-polynomial to normal form with it, the reduced-basis
+sweep brings each trail to normal form with it, and the wall ideals pass
+their one binomial x^a - x^b as the only binomial reducer.
 """
 
 from collections import deque
@@ -94,39 +98,8 @@ class MarkedGB:
         return minimalize(tuple(b.lead for b in self.binomials) + self.monomials.gens)
 
 
-def _normal_form(terms, pmons, bins, pbins, order, guard, skip=None):
-    """Fully reduce a <=2 term polynomial given as {exponent: coefficient}.
-
-    ``pmons`` are the packed monomial reducers and ``pbins`` the packed
-    leads of the binomial reducers ``bins``; ``skip`` names one binomial
-    index to ignore (for interreduction against the others).
-    """
-    out = {}
-    work = dict(terms)
-    while work:
-        u = order.max(work)
-        c = work.pop(u)
-        if c == 0:
-            continue
-        pu = pack(u) | guard
-        if any((pu - pm) & guard == guard for pm in pmons):
-            continue
-        hit = False
-        for idx, pb in enumerate(pbins):
-            if idx != skip and (pu - pb) & guard == guard:
-                g = bins[idx]
-                v = exp_add(exp_sub(u, g.lead), g.trail)
-                work[v] = work.get(v, 0) + c * g.coeff
-                hit = True
-                break
-        if not hit:
-            out[u] = c
-    return out
-
-
 def _canonicalize(terms, order):
     """Turn a reduced term dict into None (zero), an exponent, or a Binomial."""
-    terms = {u: c for u, c in terms.items() if c}
     if not terms:
         return None
     if len(terms) == 1:
@@ -143,18 +116,20 @@ def buchberger(gens, order, matrix):
     """Reduced Groebner basis of monomial/binomial generators.
 
     Raises NonHomogeneousInput if a binomial pairs monomials of different
-    degree.  S-pairs of two monomials vanish; those of a monomial with a
+    degree.  The basis is one list of (packed lead, Binomial) elements, with
+    None for a monomial, and the reducers passed to ``packed_nf`` are kept
+    beside it.  S-pairs of two monomials vanish; those of a monomial with a
     binomial are monomials.  Pairs are processed by increasing positivity
     weight of the lcm (the generators are homogeneous, so this is a normal
     degree-by-degree selection even when the order's own weight has
     negative entries), pruned with the Gebauer-Moeller criteria.  During
-    completion only leading terms are reduced; trails are brought to normal
-    form by the final interreduction, so the output is the reduced basis,
-    unique for the order.
+    completion only the leading term is reduced; ``_finalize`` then turns
+    the Groebner basis into the reduced one, which is unique for the order.
     """
     weights = matrix.certificate_weights
-    guard = guard_mask(matrix.n)
-    mons = []
+    n = matrix.n
+    guard = guard_mask(n)
+    pmons = []
     bins = []
     for g in gens:
         if isinstance(g, Binomial):
@@ -162,11 +137,9 @@ def buchberger(gens, order, matrix):
                 raise NonHomogeneousInput(f"{g} is not homogeneous")
             bins.append(g.oriented(order))
         else:
-            mons.append(tuple(g))
-
-    elements = [("m", m) for m in mons] + [("b", b) for b in bins]
-    packed_leads = [pack(m) for m in mons] + [pack(b.lead) for b in bins]
-    n = matrix.n
+            pmons.append(pack(g))
+    pbins = [(pack(b.lead), pack(b.trail), b.coeff) for b in bins]
+    elements = [(p, None) for p in pmons] + [(p[0], b) for p, b in zip(pbins, bins)]
     queue = []
     alive = {}
     counter = 0
@@ -176,12 +149,12 @@ def buchberger(gens, order, matrix):
 
     def push_pairs(k):
         nonlocal counter
-        plk = packed_leads[k]
+        plk, bk = elements[k]
         # drop superseded old pairs (chain criterion)
         for (i, j), plij in list(alive.items()):
             if ((plij | guard) - plk) & guard == guard:
-                if packed_lcm(packed_leads[i], plk) != plij and packed_lcm(
-                    packed_leads[j], plk
+                if packed_lcm(elements[i][0], plk) != plij and packed_lcm(
+                    elements[j][0], plk
                 ) != plij:
                     del alive[(i, j)]
         # group candidate partners by their lcm with the new lead; packed
@@ -189,9 +162,9 @@ def buchberger(gens, order, matrix):
         # one sweep keep exactly the minimal lcms
         by_lcm = {}
         for i in range(k):
-            if elements[i][0] == "m" and elements[k][0] == "m":
+            if bk is None and elements[i][1] is None:
                 continue
-            by_lcm.setdefault(packed_lcm(packed_leads[i], plk), []).append(i)
+            by_lcm.setdefault(packed_lcm(elements[i][0], plk), []).append(i)
         minimal = []
         for pl in sorted(by_lcm):
             gl = pl | guard
@@ -199,7 +172,7 @@ def buchberger(gens, order, matrix):
                 minimal.append(pl)
         for pl in minimal:
             i = min(by_lcm[pl])
-            if pl == packed_leads[i] + plk:
+            if pl == elements[i][0] + plk:
                 continue  # coprime leads
             alive[(i, k)] = pl
             counter += 1
@@ -209,133 +182,78 @@ def buchberger(gens, order, matrix):
     for idx in range(len(elements)):
         push_pairs(idx)
 
-    cur_mons = list(mons)
-    cur_bins = list(bins)
-    packed_mons = [pack(m) for m in mons]
-    packed_bins = [pack(b.lead) for b in bins]
-
-    def reduce_lead(terms):
-        # rewrite the maximal term until it is irreducible or the poly dies
-        work = dict(terms)
-        while work:
-            u = order.max(work)
-            c = work[u]
-            if c == 0:
-                del work[u]
-                continue
-            pu = pack(u) | guard
-            hit = False
-            for pm in packed_mons:
-                if (pu - pm) & guard == guard:
-                    del work[u]
-                    hit = True
-                    break
-            if hit:
-                continue
-            for idx, pb in enumerate(packed_bins):
-                if (pu - pb) & guard == guard:
-                    g = cur_bins[idx]
-                    del work[u]
-                    v = exp_add(exp_sub(u, g.lead), g.trail)
-                    work[v] = work.get(v, 0) + c * g.coeff
-                    hit = True
-                    break
-            if not hit:
-                break
-        return work
-
     while queue:
         _, pl, _, i, j = heappop(queue)
         if alive.pop((i, j), None) is None:
             continue
         l = unpack(pl, n)
         # S-pair: the x^l heads cancel; a monomial contributes nothing else
-        terms = {}
-        for el, sign in ((elements[i], 1), (elements[j], -1)):
-            kind, val = el
-            if kind == "m":
-                continue
-            t = exp_add(exp_sub(l, val.lead), val.trail)
-            terms[t] = terms.get(t, 0) + sign * val.coeff
-        red = _canonicalize(reduce_lead(terms), order)
+        work = {}
+        for (_, b), sign in ((elements[i], 1), (elements[j], -1)):
+            if b is not None:
+                t = exp_add(exp_sub(l, b.lead), b.trail)
+                work[t] = work.get(t, 0) + sign * b.coeff
+        # bring the largest term to normal form until the largest term is
+        # irreducible or the polynomial vanishes; the other term is rewritten
+        # only if it becomes the largest
+        irreducible = set()
+        while work:
+            u = order.max(work)
+            if u in irreducible:
+                break
+            nf = packed_nf(pack(u), work.pop(u), pmons, pbins, guard)
+            if nf is not None:
+                v = unpack(nf[0], n)
+                c = work.pop(v, 0) + nf[1]
+                if c:
+                    work[v] = c
+                    irreducible.add(v)
+        red = _canonicalize(work, order)
         if red is None:
             continue
         if isinstance(red, Binomial):
-            elements.append(("b", red))
-            packed_leads.append(pack(red.lead))
-            cur_bins.append(red)
-            packed_bins.append(packed_leads[-1])
+            elements.append((pack(red.lead), red))
+            pbins.append((elements[-1][0], pack(red.trail), red.coeff))
         else:
-            elements.append(("m", red))
-            packed_leads.append(pack(red))
-            cur_mons.append(red)
-            packed_mons.append(packed_leads[-1])
+            elements.append((pack(red), None))
+            pmons.append(elements[-1][0])
         push_pairs(len(elements) - 1)
 
-    return _finalize(cur_mons, cur_bins, order)
+    return _finalize(elements, order, n)
 
 
-def _finalize(mons, bins, order):
-    """Minimalize leads and interreduce trails into the reduced basis."""
-    mons = list(dict.fromkeys(mons))
-    bins = list(dict.fromkeys(bins))
-    guard = guard_mask(len(mons[0] if mons else bins[0].lead)) if (mons or bins) else 0
-    while True:
-        changed = False
-        # keep one element per minimal lead: monomials beat binomials, ties
-        # among binomials keep the smallest pair (the difference of two
-        # equal-lead binomials was produced as their S-pair during completion)
-        items = [(m, None) for m in mons] + [(b.lead, b) for b in bins]
-        packed = [pack(lead) | guard for lead, _ in items]
-        keep = []
-        for idx, (lead, payload) in enumerate(items):
-            pl = packed[idx]
-            dominated = False
-            for jdx, (other_lead, other_payload) in enumerate(items):
-                if idx == jdx or (pl - (packed[jdx] ^ guard)) & guard != guard:
-                    continue
-                if other_lead == lead:
-                    if payload is None:
-                        dominated = other_payload is None and jdx < idx
-                    elif other_payload is None:
-                        dominated = True
-                    else:
-                        key = (payload.pair(), payload.coeff)
-                        other_key = (other_payload.pair(), other_payload.coeff)
-                        dominated = other_key < key or (other_key == key and jdx < idx)
-                else:
-                    dominated = True
-                if dominated:
-                    break
-            if dominated:
-                changed = True
-            else:
-                keep.append((lead, payload))
-        mons = [lead for lead, p in keep if p is None]
-        pmons = [pack(m) for m in mons]
-        kept_bins = [p for _, p in keep if p is not None]
-        pbins = [pack(b.lead) for b in kept_bins]
-        bins = []
-        for i, b in enumerate(kept_bins):
-            reduced = _canonicalize(
-                _normal_form(
-                    {b.lead: Fraction(1), b.trail: -b.coeff},
-                    pmons, kept_bins, pbins, order, guard, skip=i,
-                ),
-                order,
-            )
-            if reduced is None:
-                changed = True
-            elif isinstance(reduced, Binomial):
-                if reduced != b:
-                    changed = True
-                bins.append(reduced)
-            else:
-                mons.append(reduced)
-                pmons.append(pack(reduced))
-                changed = True
-        if not changed:
-            break
+def _finalize(elements, order, n):
+    """The reduced basis from a Groebner basis of (packed lead, Binomial) elements.
+
+    One sweep in ascending order of packed leads, a linear extension of
+    divisibility, keeps each element whose lead no kept lead divides.
+    Among equal leads a monomial (None) comes first, then the binomial with
+    the smallest (pair, coeff).  The kept elements still form a Groebner
+    basis, so normal forms modulo them are unique: each trail is replaced
+    by its normal form, and a binomial whose trail reduces to zero becomes
+    its lead monomial.  No element has to be left out of the reducers: the
+    trail and its rewrites have the degree of the lead, so under a pointed
+    grading the lead divides one of them only if equal to it, and they all
+    lie below the lead in the order.
+    """
+    guard = guard_mask(n)
+    keep = []
+    for plead, b in sorted(elements, key=lambda e: (e[0], 0) if e[1] is None
+                           else (e[0], 1, e[1].pair(), e[1].coeff)):
+        q = plead | guard
+        if not any((q - h) & guard == guard for h, _ in keep):
+            keep.append((plead, b))
+    kept = [b for _, b in keep if b is not None]
+    pmons = [p for p, b in keep if b is None]
+    pbins = [(pack(b.lead), pack(b.trail), b.coeff) for b in kept]
+    mons = [unpack(p, n) for p in pmons]
+    bins = []
+    for b, (_, ptrail, coeff) in zip(kept, pbins):
+        nf = packed_nf(ptrail, coeff, pmons, pbins, guard)
+        if nf is None:
+            mons.append(b.lead)
+        else:
+            bins.append(Binomial(b.lead, unpack(nf[0], n), nf[1]))
     return MarkedGB(
         tuple(sorted(bins, key=lambda b: (b.lead, b.trail))),
         minimalize(mons),
@@ -410,13 +328,14 @@ def wall_initial(ideal, a, b, direction):
     lead, plead, ptrail = (a, pa, pb) if direction == "a_leads" else (b, pb, pa)
     del known[pa]
     packed = list(known)
+    wall = ((plead, ptrail, 1),)
     queue = deque(packed)
     while queue:
         pm = queue.popleft()
-        nf = packed_nf(packed_colon(pm, plead, guard) + ptrail, packed, guard, plead, ptrail)
+        nf = packed_nf(packed_colon(pm, plead, guard) + ptrail, 1, packed, wall, guard)
         if nf is not None:
-            packed.append(nf)
-            queue.append(nf)
+            packed.append(nf[0])
+            queue.append(nf[0])
     known[plead] = lead
     packed.append(plead)
     return ideal_from_packed(packed, n, known)
@@ -434,7 +353,8 @@ def wall_recovers_source(ideal, a, b):
     guard = guard_mask(n)
     pa, pb = pack(a), pack(b)
     packed = [p for p in packed_generators(ideal) if p != pa]
+    wall = ((pa, pb, 1),)
     for pm in packed:
-        if packed_nf(packed_colon(pm, pa, guard) + pb, packed, guard, pa, pb) is not None:
+        if packed_nf(packed_colon(pm, pa, guard) + pb, 1, packed, wall, guard) is not None:
             return False
     return True

@@ -198,21 +198,25 @@ def from_json(text):
     return FlipGraph(vertices, edges, doc.get("start", 0), coherent)
 
 
-def to_dot(graph, namer=None):
+def _monomial_label(exps):
+    """x1^2 x3 for the exponent (2, 0, 1); 1 for the zero exponent."""
+    return " ".join(
+        "x%d^%d" % (i + 1, e) if e > 1 else "x%d" % (i + 1)
+        for i, e in enumerate(exps) if e
+    ) or "1"
+
+
+def to_dot(graph):
     """Undirected DOT with generator labels; coherent vertices filled."""
-    if namer is None:
-        namer = lambda exps: " ".join(
-            "x%d^%d" % (i + 1, e) if e > 1 else "x%d" % (i + 1)
-            for i, e in enumerate(exps) if e
-        ) or "1"
     lines = ["graph flips {"]
     for i, v in enumerate(graph.vertices):
-        label = ", ".join(namer(g) for g in v.gens)
+        label = ", ".join(map(_monomial_label, v.gens))
         style = ""
         if graph.coherent is not None and graph.coherent[i]:
             style = ", style=filled"
         lines.append(f'  v{i} [label="{label}"{style}];')
     for i, j, label in graph.edges:
-        lines.append(f'  v{i} -- v{j} [label="{namer(label[0])} - {namer(label[1])}"];')
+        a, b = map(_monomial_label, label)
+        lines.append(f'  v{i} -- v{j} [label="{a} - {b}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -6,19 +6,21 @@ Two exact phase-one simplex solvers cover every system in this package:
   few variables and many rows.  By Gordan duality this holds iff the origin
   is outside the convex hull of the rows, so the simplex runs on the tiny
   dual system {sum y_j r_j = 0, sum y_j = 1, y >= 0}; the dual prices of
-  the phase-one optimum yield an exact primal witness.
+  the phase-one optimum, read off its final cost row, yield an exact
+  primal witness, and a zero optimum leaves a y that certifies
+  infeasibility.
 * ``nonneg_feasible`` decides E z = b with z >= 0 directly (used with the
   substitution x = 1 + z for systems whose variables are all >= 1).
 
 Both run Bland's rule over Fractions, so they terminate and are exact; all
-witnesses are re-checked before being returned, and a witness that fails
-its check raises CertificateError.
+witnesses, and the certificate behind a None from ``lp_strict_feasible``,
+are re-checked before being returned, and one that fails its check raises
+CertificateError.
 """
 
 from fractions import Fraction
 
 from .errors import InputError, certify
-from .linalg import solve_linear
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -81,15 +83,10 @@ def _phase1(columns, rhs):
     for i, b in enumerate(basis):
         if b < nvars:
             y[b] = tableau[i][-1]
-    # dual prices: pi^T B = c_B, i.e. B^T pi = c_B, with the rows of B^T
-    # being the basis columns of [A | I]
-    bcols = [
-        columns[b] if b < nvars else tuple(ONE if k == b - nvars else ZERO for k in range(m))
-        for b in basis
-    ]
-    cb = [ONE if b >= nvars else ZERO for b in basis]
-    pi = solve_linear(bcols, cb)
-    return optimum, tuple(y), tuple(pi)
+    # dual prices: the cost row holds the reduced costs c_j - pi . A_j, and
+    # artificial column k has cost 1 and column e_k
+    pi = tuple(ONE - cost[nvars + k] for k in range(m))
+    return optimum, tuple(y), pi
 
 
 def lp_strict_feasible(rows, nvars=None):
@@ -106,8 +103,11 @@ def lp_strict_feasible(rows, nvars=None):
         return tuple(ZERO for _ in range(nvars))
     columns = [row + (ONE,) for row in rows]  # dual variable per row
     rhs = [ZERO] * nvars + [ONE]
-    optimum, _, pi = _phase1(columns, rhs)
+    optimum, y, pi = _phase1(columns, rhs)
     if optimum == 0:
+        certify(all(x >= 0 for x in y) and sum(y) == 1
+                and not any(sum(x * row[i] for x, row in zip(y, rows)) for i in range(nvars)),
+                "infeasibility certificate is not a convex combination giving 0")
         return None
     witness = tuple(-pi[i] / optimum for i in range(nvars))
     certify(all(sum(a * w for a, w in zip(row, witness)) >= 1 for row in rows),

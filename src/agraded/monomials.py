@@ -107,22 +107,29 @@ def packed_colon(pm, pl, guard):
     return diff & ((ok >> (FIELD_BITS - 1)) * (FIELD_LIMIT - 1))
 
 
-def packed_nf(pu, packed, guard, plead, ptrail):
-    """Normal form of a packed x^u modulo packed monomials and x^lead -> x^trail.
+def packed_nf(pu, c, pmons, pbins, guard):
+    """Normal form of the term c x^u modulo monomials and binomials, all packed.
 
-    None when one of the monomials divides a rewrite of x^u.  Raises
-    ExponentOverflow when x^u or a rewrite leaves the field range.
+    ``pmons`` are packed monomials and ``pbins`` (lead, trail, coeff)
+    triples, each rewriting x^lead to coeff x^trail; the first reducer that
+    divides wins.  Returns the pair (packed exponent, coefficient), or None
+    when a monomial divides a rewrite of x^u.  Raises ExponentOverflow when
+    x^u or a rewrite leaves the field range.
     """
     while True:
         if pu & guard:
             raise ExponentOverflow("a rewritten exponent reached 2**31")
         q = pu | guard
-        for pm in packed:
+        for pm in pmons:
             if (q - pm) & guard == guard:
                 return None
-        if (q - plead) & guard != guard:
-            return pu
-        pu = pu - plead + ptrail
+        for plead, ptrail, k in pbins:
+            if (q - plead) & guard == guard:
+                pu = pu - plead + ptrail
+                c = c * k
+                break
+        else:
+            return pu, c
 
 
 def ideal_from_packed(packed, n, known=None):

@@ -141,12 +141,18 @@ def _wrong_dual(columns, rhs):
     return 1, (), (0,) * len(rhs)
 
 
+def _wrong_primal(columns, rhs):
+    """An optimum of 0 whose y >= 0 sums to 1 but does not combine the rows to 0."""
+    return 0, (1,) + (0,) * (len(columns) - 1), (0,) * len(rhs)
+
+
 def test_lp_witness_recheck_raises(monkeypatch):
     from agraded import CertificateError, lp
 
-    monkeypatch.setattr(lp, "_phase1", _wrong_dual)
-    with pytest.raises(CertificateError):
-        lp_strict_feasible([(1, 0), (0, 1)])
+    for fake in (_wrong_dual, _wrong_primal):
+        monkeypatch.setattr(lp, "_phase1", fake)
+        with pytest.raises(CertificateError):
+            lp_strict_feasible([(1, 0), (0, 1)])
 
 
 def test_lp_witness_recheck_runs_under_optimize():

@@ -138,3 +138,15 @@ def test_kpolynomial_subtract_and_shift():
     assert (p - q) == KPolynomial({(0,): 1})
     assert p.shifted((3,)) == KPolynomial({(4,): 2, (3,): 1})
     assert (p - p).is_zero()
+
+
+def test_packed_nf_multiplies_coefficients():
+    from agraded.monomials import guard_mask, pack, packed_nf
+
+    guard = guard_mask(2)
+    reducers = ((pack((2, 0)), pack((0, 1)), Fraction(3, 7)),)  # x^2 -> 3/7 y
+    assert packed_nf(pack((3, 0)), 2, (), reducers, guard) == (pack((1, 1)), Fraction(6, 7))
+    assert packed_nf(pack((4, 0)), 1, (), reducers, guard) == (pack((0, 2)), Fraction(9, 49))
+    assert packed_nf(pack((0, 3)), 5, (), reducers, guard) == (pack((0, 3)), 5)
+    # a monomial reducer removes the term once a rewrite reaches it
+    assert packed_nf(pack((4, 0)), 1, (pack((0, 2)),), reducers, guard) is None

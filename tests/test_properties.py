@@ -1,6 +1,7 @@
 """Property-based invariants for the combinatorial core."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,3 +163,49 @@ def test_random_rank_one_pipelines(weights):
     assert all(is_agraded(v, ctx) for v in graph.vertices)
     for i, j, label in graph.edges:
         assert label in basis
+
+
+nonzero_fractions = st.builds(
+    Fraction, st.integers(1, 4).flatmap(lambda a: st.sampled_from((a, -a))), st.integers(1, 4))
+small3 = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.just(1), st.integers(1, 3), st.integers(1, 3)),
+       st.tuples(st.integers(-2, 3), st.integers(-2, 3), st.integers(-2, 3)),
+       st.lists(st.tuples(small3, small3, nonzero_fractions), min_size=1, max_size=4),
+       st.lists(small3, max_size=2),
+       st.randoms(use_true_random=False))
+def test_buchberger_mixed_generators(weights, order_weight, pairs, mons, rng):
+    """Reduced, order-independent, and every generator reduces to zero."""
+    from agraded import Binomial, TermOrder, buchberger
+    from agraded.monomials import guard_mask, packed_nf
+
+    matrix = validate_grading([weights])
+    bins = []
+    for u, v, c in pairs:
+        # x1 has degree 1: pad the lighter side to make the binomial homogeneous
+        gap = matrix.degree(v)[0] - matrix.degree(u)[0]
+        u = (u[0] + max(gap, 0),) + u[1:]
+        v = (v[0] + max(-gap, 0),) + v[1:]
+        if u != v:
+            bins.append(Binomial(u, v, c))
+    gens = bins + mons
+    order = TermOrder(order_weight)
+    gb = buchberger(gens, order, matrix)
+    rng.shuffle(gens)
+    assert buchberger(gens, order, matrix) == gb
+
+    leads = [b.lead for b in gb.binomials] + list(gb.monomials.gens)
+    for i, g in enumerate(leads):
+        assert not any(divides(h, g) for j, h in enumerate(leads) if j != i)
+        assert not any(divides(g, b.trail) for b in gb.binomials)
+
+    guard = guard_mask(3)
+    pmons = [pack(m) for m in gb.monomials.gens]
+    pbins = [(pack(b.lead), pack(b.trail), b.coeff) for b in gb.binomials]
+    for b in bins:
+        assert (packed_nf(pack(b.lead), 1, pmons, pbins, guard)
+                == packed_nf(pack(b.trail), b.coeff, pmons, pbins, guard))
+    for m in mons:
+        assert packed_nf(pack(m), 1, pmons, pbins, guard) is None
