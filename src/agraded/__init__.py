@@ -29,7 +29,7 @@ from .errors import (
     UnknownName,
 )
 from .grading import GradingMatrix, KernelBasis, kernel_lattice, validate_grading
-from .lp import lp_strict_feasible, nonneg_feasible
+from .lp import lp_strict_feasible
 from .monomials import (
     KPolynomial,
     MonomialIdeal,

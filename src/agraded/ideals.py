@@ -271,6 +271,9 @@ def graver_split_rows(ideal, ctx):
     One row per Graver pair with exactly one side in the ideal, oriented
     toward the ideal side; feasibility of this larger system is equivalent
     to the minimal-generator system used by is_coherent.
+
+    Oracle: the tests solve this textbook marking system independently of
+    is_coherent.
     """
     rows = []
     for u, v in ctx.graver:
@@ -319,6 +322,9 @@ def brute_force_enumerate(ctx, guard=None):
     forced, two standard monomials of equal degree prune the branch, and
     every leaf is filtered by the exact A-gradedness certificate.  ``guard``
     bounds the number of leaves visited.
+
+    Oracle: it finds every ideal without flips, so the census and the
+    verify-paper entries check the flip graph against it.
     """
     pairs = sorted(
         ctx.graver,

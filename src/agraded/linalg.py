@@ -1,12 +1,15 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
-Everything works on small dense matrices given as sequences of row
-sequences.  All arithmetic uses Python ints and fractions.Fraction; no
-floating point is used anywhere in this package.
+Everything works on small dense integer matrices given as sequences of row
+sequences; no floating point is used anywhere in this package.  ``pivot``
+is the one row-elimination step: a fraction-free (Edmonds/Bareiss) pivot
+that keeps every row over one common denominator with exact integer
+division.  Gauss-Jordan elimination here and the simplex of ``lp`` both run
+on it, and results become Fractions only when they are returned.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InputError
 
@@ -19,15 +22,40 @@ def mat_vec(rows, v):
     return tuple(dot(row, v) for row in rows)
 
 
-def _gauss_jordan(rows, ncols):
-    """Gauss-Jordan elimination over the rationals on the first ncols columns.
+def integer_rows(rows):
+    """The rows as lists of ints; InputError on any other entry, which ``//`` would floor."""
+    rows = [list(row) for row in rows]
+    if not all(isinstance(x, int) for row in rows for x in row):
+        raise InputError("exact elimination needs integer entries")
+    return rows
 
-    Returns (reduced rows, pivot columns, signed product of the pivots); the
-    product is the determinant when the matrix is square and of full rank.
+
+def pivot(rows, r, c, den):
+    """Fraction-free pivot on p = rows[r][c]; returns p, the new denominator.
+
+    The integer rows stand for rows / den.  Each row other than r becomes
+    (p * row - row[c] * rows[r]) // den; the division is exact because every
+    entry is a minor of the starting integer matrix (Edmonds 1967).
     """
-    m = [[Fraction(x) for x in row] for row in rows]
+    p = rows[r][c]
+    prow = rows[r]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[c]
+            rows[i] = [(p * a - f * b) // den for a, b in zip(row, prow)]
+    return p
+
+
+def _gauss_jordan(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination on the first ncols columns.
+
+    Returns (rows, pivot columns, den, sign): the rows are den times the
+    reduced row echelon form and sign is the parity of the row swaps, so
+    sign * den is the determinant of a square matrix of full rank.
+    """
+    m = integer_rows(rows)
     pivots = []
-    det = Fraction(1)
+    den, sign = 1, 1
     for c in range(ncols):
         r = len(pivots)
         if r == len(m):
@@ -37,16 +65,10 @@ def _gauss_jordan(rows, ncols):
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
-            det = -det
-        det *= m[r][c]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            sign = -sign
+        den = pivot(m, r, c, den)
         pivots.append(c)
-    return m, pivots, det
+    return m, pivots, den, sign
 
 
 def rank(rows):
@@ -55,9 +77,9 @@ def rank(rows):
 
 
 def det(rows):
-    """Determinant over the rationals (exact)."""
-    _, pivots, value = _gauss_jordan(rows, len(rows))
-    return value if len(pivots) == len(rows) else Fraction(0)
+    """Determinant (exact), as a Fraction."""
+    _, pivots, den, sign = _gauss_jordan(rows, len(rows))
+    return Fraction(sign * den) if len(pivots) == len(rows) else Fraction(0)
 
 
 def primitive(vec):
@@ -68,13 +90,9 @@ def primitive(vec):
     fracs = [Fraction(x) for x in vec]
     if all(f == 0 for f in fracs):
         return tuple(0 for _ in fracs)
-    scale = 1
-    for f in fracs:
-        scale = scale * f.denominator // gcd(scale, f.denominator)
+    scale = lcm(*(f.denominator for f in fracs))
     ints = [int(f * scale) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    g = gcd(*ints)
     ints = [x // g for x in ints]
     lead = next(x for x in ints if x)
     if lead < 0:
@@ -83,16 +101,19 @@ def primitive(vec):
 
 
 def solve_linear(rows, rhs):
-    """Solve the square system rows . x = rhs exactly (rows invertible)."""
-    m, pivots, _ = _gauss_jordan([list(row) + [b] for row, b in zip(rows, rhs)], len(rows))
+    """Solve the square system rows . x = rhs exactly (rows invertible).
+
+    Oracle: the kernel-lattice tests solve for lattice coordinates with it.
+    """
+    m, pivots, den, _ = _gauss_jordan([list(row) + [b] for row, b in zip(rows, rhs)], len(rows))
     if len(pivots) != len(rows):
         raise InputError("singular system")
-    return tuple(row[-1] for row in m)
+    return tuple(Fraction(row[-1], den) for row in m)
 
 
 def rational_nullspace(rows, ncols):
     """Basis of the rational nullspace {x : rows . x = 0} in Q^ncols."""
-    m, pivots, _ = _gauss_jordan(rows, ncols)
+    m, pivots, den, _ = _gauss_jordan(rows, ncols)
     basis = []
     for c in range(ncols):
         if c in pivots:
@@ -100,7 +121,7 @@ def rational_nullspace(rows, ncols):
         vec = [Fraction(0)] * ncols
         vec[c] = Fraction(1)
         for i, p in enumerate(pivots):
-            vec[p] = -m[i][c]
+            vec[p] = Fraction(-m[i][c], den)
         basis.append(tuple(vec))
     return basis
 

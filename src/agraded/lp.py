@@ -1,108 +1,85 @@
-"""Exact rational linear feasibility.
+"""Exact rational linear feasibility: one phase-one simplex.
 
-Two exact phase-one simplex solvers cover every system in this package:
+``lp_strict_feasible`` decides row . w >= 1 for all rows of an integer
+system with few variables and many rows.  By Gordan duality this holds iff
+the origin is outside the convex hull of the rows, so the simplex runs on
+the tiny dual system {sum y_j r_j = 0, sum y_j = 1, y >= 0}.  The dual
+prices of the phase-one optimum, read off its final cost row, yield an
+exact primal witness; a zero optimum leaves a y that certifies
+infeasibility.  Both answers are re-checked before being returned, and one
+that fails its check raises CertificateError.
 
-* ``lp_strict_feasible`` decides row . w >= 1 for all rows of a system with
-  few variables and many rows.  By Gordan duality this holds iff the origin
-  is outside the convex hull of the rows, so the simplex runs on the tiny
-  dual system {sum y_j r_j = 0, sum y_j = 1, y >= 0}; the dual prices of
-  the phase-one optimum, read off its final cost row, yield an exact
-  primal witness, and a zero optimum leaves a y that certifies
-  infeasibility.
-* ``nonneg_feasible`` decides E z = b with z >= 0 directly (used with the
-  substitution x = 1 + z for systems whose variables are all >= 1).
-
-Both run Bland's rule over Fractions, so they terminate and are exact; all
-witnesses, and the certificate behind a None from ``lp_strict_feasible``,
-are re-checked before being returned, and one that fails its check raises
-CertificateError.
+The tableau is integer: ``linalg.pivot`` keeps it over one common positive
+denominator, and Bland's rule makes the simplex terminate.
 """
 
 from fractions import Fraction
 
 from .errors import InputError, certify
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .linalg import integer_rows, pivot
 
 
 def _phase1(columns, rhs):
     """Minimise the artificial sum for {A y = b, y >= 0}.
 
-    ``columns`` lists the columns of A; ``rhs`` must be componentwise
-    nonnegative.  Returns (optimum, y, pi) where y is the final basic
-    solution over the original variables and pi the dual price vector.
+    ``columns`` lists the integer columns of A; ``rhs`` must be
+    componentwise nonnegative.  Returns (optimum, y, pi) as Fractions, where
+    y is the final basic solution over the original variables and pi the
+    dual price vector.
     """
     m = len(rhs)
     nvars = len(columns)
+    width = nvars + m
     tableau = [
-        [Fraction(columns[j][i]) for j in range(nvars)]
-        + [ONE if k == i else ZERO for k in range(m)]
-        + [Fraction(rhs[i])]
+        [col[i] for col in columns] + [int(k == i) for k in range(m)] + [rhs[i]]
         for i in range(m)
     ]
+    # the cost row, last, holds the reduced costs of the artificial sum
+    tableau.append([-sum(col) for col in columns] + [0] * m + [-sum(rhs)])
     basis = [nvars + i for i in range(m)]
-    width = nvars + m
-    cost = [ZERO] * (width + 1)
-    for row in tableau:
-        for j in range(width + 1):
-            cost[j] -= row[j]
-    for k in range(m):
-        cost[nvars + k] = ZERO
+    den = 1  # every pivot entry is positive, so den stays positive
 
     while True:
+        cost = tableau[m]
         enter = next((j for j in range(width) if cost[j] < 0), None)
         if enter is None:
             break
-        leave = None
-        best = None
+        leave = best = None  # best = (rhs, a) of the least ratio rhs / a so far
         for i in range(m):
-            a = tableau[i][enter]
-            if a > 0:
-                ratio = tableau[i][-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
-                    leave = i
+            a, b = tableau[i][enter], tableau[i][-1]
+            if a > 0 and (best is None or b * best[1] < best[0] * a or (
+                    b * best[1] == best[0] * a and basis[i] < basis[leave])):
+                leave, best = i, (b, a)
         certify(leave is not None, "phase-one ratio test cannot fail")
-        piv = tableau[leave][enter]
-        inv = 1 / piv
-        tableau[leave] = [a * inv for a in tableau[leave]]
-        for i in range(m):
-            if i != leave and tableau[i][enter]:
-                f = tableau[i][enter]
-                tableau[i] = [a - f * b for a, b in zip(tableau[i], tableau[leave])]
-        if cost[enter]:
-            f = cost[enter]
-            cost = [a - f * b for a, b in zip(cost, tableau[leave])]
+        den = pivot(tableau, leave, enter, den)
         basis[leave] = enter
 
-    optimum = -cost[-1]
-    y = [ZERO] * nvars
+    optimum = Fraction(-cost[-1], den)
+    y = [Fraction(0)] * nvars
     for i, b in enumerate(basis):
         if b < nvars:
-            y[b] = tableau[i][-1]
+            y[b] = Fraction(tableau[i][-1], den)
     # dual prices: the cost row holds the reduced costs c_j - pi . A_j, and
     # artificial column k has cost 1 and column e_k
-    pi = tuple(ONE - cost[nvars + k] for k in range(m))
+    pi = tuple(1 - Fraction(cost[nvars + k], den) for k in range(m))
     return optimum, tuple(y), pi
 
 
 def lp_strict_feasible(rows, nvars=None):
     """Witness w with row . w >= 1 for every row, or None if infeasible.
 
-    The empty system is feasible with w = 0 (nvars then required).
+    The rows must have integer entries.  The empty system is feasible with
+    w = 0 (nvars then required).
     """
-    rows = [tuple(Fraction(a) for a in row) for row in rows]
+    rows = [tuple(row) for row in integer_rows(rows)]
     if nvars is None:
         if not rows:
             raise InputError("empty system needs an explicit dimension")
         nvars = len(rows[0])
     if not rows:
-        return tuple(ZERO for _ in range(nvars))
-    columns = [row + (ONE,) for row in rows]  # dual variable per row
-    rhs = [ZERO] * nvars + [ONE]
+        return tuple(Fraction(0) for _ in range(nvars))
+    columns = [row + (1,) for row in rows]  # dual variable per row
+    rhs = [0] * nvars + [1]
     optimum, y, pi = _phase1(columns, rhs)
     if optimum == 0:
         certify(all(x >= 0 for x in y) and sum(y) == 1
@@ -113,20 +90,3 @@ def lp_strict_feasible(rows, nvars=None):
     certify(all(sum(a * w for a, w in zip(row, witness)) >= 1 for row in rows),
             "strict-feasibility witness fails a row")
     return witness
-
-
-def nonneg_feasible(eq_rows, rhs):
-    """Some z >= 0 with eq_rows . z = rhs, or None."""
-    if not eq_rows:
-        raise InputError("need at least one equation")
-    eq_rows = [tuple(Fraction(a) for a in row) for row in eq_rows]
-    rhs = [Fraction(b) for b in rhs]
-    flipped = [row if b >= 0 else tuple(-a for a in row) for row, b in zip(eq_rows, rhs)]
-    flipped_rhs = [b if b >= 0 else -b for b in rhs]
-    columns = list(zip(*flipped)) if flipped else []
-    optimum, z, _ = _phase1(columns, flipped_rhs)
-    if optimum != 0:
-        return None
-    certify(all(sum(a * x for a, x in zip(row, z)) == b for row, b in zip(eq_rows, rhs))
-            and all(x >= 0 for x in z), "nonnegative solution fails its system")
-    return z

@@ -256,6 +256,9 @@ def fiber(matrix, b):
 
     Backtracking bounded by the positivity certificate: c.(A u) = c.b caps
     every coordinate.  Empty when b is not a nonnegative combination.
+
+    Oracle: the tests check ``AGradedContext.standard_monomial`` against
+    it; brute force also uses it for the fibers of small degrees.
     """
     b = tuple(b)
     n = matrix.n

@@ -15,8 +15,8 @@ from functools import lru_cache
 
 from .errors import NotFlippableComplex, certify
 from .graver import is_circuit
-from .linalg import det, dot, rank, rational_nullspace
-from .lp import nonneg_feasible
+from .linalg import _gauss_jordan, det, dot, rank, rational_nullspace
+from .lp import lp_strict_feasible
 from .monomials import support
 
 
@@ -159,17 +159,20 @@ def is_triangulation(cplx, matrix):
 def _interiors_meet(matrix, sigma, tau):
     """Whether the open cones of two independent facets share a point.
 
-    Solves sum_{i in sigma} s_i a_i = sum_{j in tau} t_j a_j with all
-    coefficients >= 1 via the substitution s = 1 + z.
+    Elimination on [A_sigma | A_tau] gives den * A_sigma^-1 A_tau, and the
+    open cones meet iff some t > 0 has A_sigma^-1 A_tau t > 0.  The rows
+    count times the sign of den, not of the determinant: a row swap flips
+    the determinant but not the rows.
     """
+    d = matrix.d
     cols = matrix.columns
-    vars_ = [(i, 1) for i in sigma] + [(j, -1) for j in tau]
-    rows = []
-    rhs = []
-    for r in range(matrix.d):
-        rows.append(tuple(sign * cols[i][r] for i, sign in vars_))
-        rhs.append(-sum(sign * cols[i][r] for i, sign in vars_))
-    return nonneg_feasible(rows, rhs) is not None
+    block = [[cols[i][r] for i in sigma] + [cols[j][r] for j in tau] for r in range(d)]
+    m, pivots, den, _ = _gauss_jordan(block, d)
+    certify(len(pivots) == d, "a facet of a triangulation must be independent")
+    sign = 1 if den > 0 else -1
+    rows = [tuple(sign * x for x in row[d:]) for row in m]
+    rows += [tuple(int(k == i) for k in range(d)) for i in range(d)]
+    return lp_strict_feasible(rows, nvars=d) is not None
 
 
 # -- bistellar flips ----------------------------------------------------------
