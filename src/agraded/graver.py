@@ -32,10 +32,6 @@ class GraverBasis:
     def __len__(self):
         return len(self.elements)
 
-    def __contains__(self, pair):
-        u, v = pair
-        return canonical_pair(u, v) in set(self.elements)
-
 
 def lawrence_lifting(matrix):
     """The (d+n) x 2n block matrix [[A, 0], [I, I]] as a GradingMatrix."""

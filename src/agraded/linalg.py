@@ -82,22 +82,21 @@ def det(rows):
     return Fraction(sign * den) if len(pivots) == len(rows) else Fraction(0)
 
 
-def primitive(vec):
-    """Scale a rational vector to a primitive integer vector.
-
-    The result has coprime entries and positive first nonzero entry.
-    """
+def clear_denominators(vec):
+    """(ints, scale): the least scale > 0 that makes scale * vec an integer vector."""
     fracs = [Fraction(x) for x in vec]
-    if all(f == 0 for f in fracs):
-        return tuple(0 for _ in fracs)
     scale = lcm(*(f.denominator for f in fracs))
-    ints = [int(f * scale) for f in fracs]
-    g = gcd(*ints)
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    return [f.numerator * (scale // f.denominator) for f in fracs], scale
+
+
+def primitive(vec):
+    """Scale a rational vector by a positive factor to a primitive integer vector.
+
+    The result has coprime entries and the signs of ``vec``.
+    """
+    ints, _ = clear_denominators(vec)
+    g = gcd(*ints) or 1
+    return tuple(x // g for x in ints)
 
 
 def solve_linear(rows, rhs):

@@ -6,8 +6,9 @@ the origin is outside the convex hull of the rows, so the simplex runs on
 the tiny dual system {sum y_j r_j = 0, sum y_j = 1, y >= 0}.  The dual
 prices of the phase-one optimum, read off its final cost row, yield an
 exact primal witness; a zero optimum leaves a y that certifies
-infeasibility.  Both answers are re-checked before being returned, and one
-that fails its check raises CertificateError.
+infeasibility.  Both answers are re-checked in integers, once their
+denominators are cleared, and one that fails its check raises
+CertificateError.
 
 The tableau is integer: ``linalg.pivot`` keeps it over one common positive
 denominator, and Bland's rule makes the simplex terminate.
@@ -16,7 +17,7 @@ denominator, and Bland's rule makes the simplex terminate.
 from fractions import Fraction
 
 from .errors import InputError, certify
-from .linalg import integer_rows, pivot
+from .linalg import clear_denominators, dot, integer_rows, pivot
 
 
 def _phase1(columns, rhs):
@@ -82,11 +83,13 @@ def lp_strict_feasible(rows, nvars=None):
     rhs = [0] * nvars + [1]
     optimum, y, pi = _phase1(columns, rhs)
     if optimum == 0:
-        certify(all(x >= 0 for x in y) and sum(y) == 1
-                and not any(sum(x * row[i] for x, row in zip(y, rows)) for i in range(nvars)),
+        ys, scale = clear_denominators(y)
+        certify(all(x >= 0 for x in ys) and sum(ys) == scale
+                and not any(sum(x * row[i] for x, row in zip(ys, rows)) for i in range(nvars)),
                 "infeasibility certificate is not a convex combination giving 0")
         return None
     witness = tuple(-pi[i] / optimum for i in range(nvars))
-    certify(all(sum(a * w for a, w in zip(row, witness)) >= 1 for row in rows),
+    ints, scale = clear_denominators(witness)
+    certify(all(dot(row, ints) >= scale for row in rows),
             "strict-feasibility witness fails a row")
     return witness

@@ -2,20 +2,20 @@
 
 Complexes are stored by their facets over the column indices of the grading
 matrix.  Triangulations are read as simplicial fans of the cone spanned by
-the columns; volumes are measured on the slice {x : c.x <= 1} cut by the
-positivity certificate, which makes the total volume independent of the
-chosen triangulation even when the columns are not coplanar.  A matrix with
-a row of ones in its row space recovers the classical normalized volume up
-to a global factor.
+the columns, so the columns need not be coplanar.  ``is_triangulation``
+certifies one by local, exact tests: independent facets, a supporting
+hyperplane under every ridge that only one facet has, and open facet cones
+that pairwise do not meet.
 """
 
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from .errors import NotFlippableComplex, certify
 from .graver import is_circuit
-from .linalg import _gauss_jordan, det, dot, rank, rational_nullspace
+from .linalg import _gauss_jordan, dot, rank, rational_nullspace
 from .lp import lp_strict_feasible
 from .monomials import support
 
@@ -58,86 +58,19 @@ def make_complex(n, facets):
 def complex_of_radical(ideal, n):
     """Complex whose minimal non-faces are the generator supports of rad(I)."""
     nonfaces = [frozenset(support(g)) for g in ideal.radical().gens]
-    faces = []
-    for mask in range(1 << n):
-        sigma = frozenset(i for i in range(n) if mask & (1 << i))
-        if not any(nf <= sigma for nf in nonfaces):
-            faces.append(sigma)
-    facets = [
-        tuple(sorted(f))
-        for f in faces
-        if not any(f < g for g in faces)
-    ]
-    return SimplicialComplex(n, tuple(sorted(facets)))
-
-
-@lru_cache(maxsize=None)
-def reference_facets(matrix):
-    """A triangulation of the cone built by placing the columns in order.
-
-    Starts from the first index-set of d independent columns and cones each
-    later column over the boundary ridges it sees; columns inside the cone
-    built so far are skipped.
-    """
-    cols = matrix.columns
-    d, n = matrix.d, matrix.n
-    initial = []
-    for i in range(n):
-        if rank([cols[j] for j in initial] + [cols[i]]) > len(initial):
-            initial.append(i)
-        if len(initial) == d:
-            break
-    certify(len(initial) == d, "the columns do not span")
-    facets = {tuple(initial)}
-    for k in range(n):
-        if k in initial:
-            continue
-        ridges = {}
-        for f in facets:
-            for leave in f:
-                ridge = tuple(i for i in f if i != leave)
-                ridges.setdefault(ridge, []).append(leave)
-        new = set()
-        for ridge, apexes in ridges.items():
-            if len(apexes) != 1:
-                continue  # interior ridge
-            basis = rational_nullspace([cols[i] for i in ridge], d)
-            certify(len(basis) == 1, "a boundary ridge does not span a hyperplane")
-            h = basis[0]
-            inward = dot(h, cols[apexes[0]])
-            certify(inward != 0, "a facet apex lies on its ridge")
-            if inward > 0:
-                h = tuple(-x for x in h)
-            if dot(h, cols[k]) > 0:
-                new.add(tuple(sorted(ridge + (k,))))
-        facets |= new
-    return tuple(sorted(facets))
-
-
-def slice_volume(matrix, facets):
-    """Total volume of the facet cones on the certificate slice, exact.
-
-    Each simplicial cone contributes |det of its columns| divided by the
-    product of the certificate weights of its vertices; these add up to a
-    triangulation-independent total for the whole cone.
-    """
-    weights = matrix.certificate_weights
-    cols = matrix.columns
-    total = Fraction(0)
-    for f in facets:
-        vol = abs(det([cols[i] for i in f]))
-        for i in f:
-            vol = vol / weights[i]
-        total += vol
-    return total
+    faces = ([i for i in range(n) if mask >> i & 1] for mask in range(1 << n))
+    return make_complex(n, [f for f in faces if not any(nf.issubset(f) for nf in nonfaces)])
 
 
 def is_triangulation(cplx, matrix):
     """Exact check that the facets triangulate the cone of the columns.
 
-    Facets must be full-dimensional and independent, their slice volumes
-    must add up to the reference total, and no point may lie strictly
-    inside two facet cones (decided by exact LP).
+    The pseudo-manifold test (De Loera, Rambau and Santos, *Triangulations*,
+    ch. 4): every facet is d independent columns, every ridge (a facet less
+    one index) that lies in only one facet spans a supporting hyperplane of
+    the cone, and no point lies strictly inside two facet cones (exact LP).
+    Then the facet cones cover the cone, and every other ridge lies in
+    exactly two facets, one on each side.
     """
     d = matrix.d
     cols = matrix.columns
@@ -147,13 +80,23 @@ def is_triangulation(cplx, matrix):
     for f in facets:
         if len(f) != d or rank([cols[i] for i in f]) != d:
             return False
-    if slice_volume(matrix, facets) != slice_volume(matrix, reference_facets(matrix)):
+    ridges = Counter(f[:k] + f[k + 1:] for f in facets for k in range(d))
+    if not all(_supporting(matrix, r) for r, count in ridges.items() if count == 1):
         return False
-    for a in range(len(facets)):
-        for b in range(a + 1, len(facets)):
-            if _interiors_meet(matrix, facets[a], facets[b]):
-                return False
-    return True
+    return not any(_interiors_meet(matrix, a, b) for a, b in combinations(facets, 2))
+
+
+@lru_cache(maxsize=None)
+def _supporting(matrix, ridge):
+    """Whether the hyperplane spanned by d - 1 independent columns supports the cone.
+
+    It does iff all columns lie weakly on one side of it.  For d = 1 the
+    ridge is empty, its hyperplane is the origin, and that supports the
+    pointed cone.
+    """
+    (normal,) = rational_nullspace([matrix.columns[i] for i in ridge], matrix.d)
+    sides = [dot(normal, col) for col in matrix.columns]
+    return all(x >= 0 for x in sides) or all(x <= 0 for x in sides)
 
 
 def _interiors_meet(matrix, sigma, tau):

@@ -48,6 +48,14 @@ def test_curve_matrix_accepted():
     assert all(w > 0 for w in m.certificate_weights)
 
 
+def test_certificate_keeps_the_sign_of_the_lp_witness():
+    # the LP witness starts negative; flipping it to a positive first entry
+    # would make every certificate weight negative
+    m = validate_grading([[0, 2, 2, 0, 1], [0, 0, 2, 2, 1], [1, 1, 1, 1, 1]])
+    assert m.positive_certificate == (-1, -1, 5)
+    assert m.certificate_weights == (5, 3, 1, 3, 3)
+
+
 def _kernel_window_oracle(matrix, basis, window):
     """Every integer kernel vector in the window must be a Z-combination.
 
@@ -146,10 +154,15 @@ def _wrong_primal(columns, rhs):
     return 0, (1,) + (0,) * (len(columns) - 1), (0,) * len(rhs)
 
 
+def _half_dual(columns, rhs):
+    """Dual prices whose witness (1/2, 1/2) meets every row at 1/2 only."""
+    return Fraction(1), (), (Fraction(-1, 2),) * (len(rhs) - 1) + (Fraction(0),)
+
+
 def test_lp_witness_recheck_raises(monkeypatch):
     from agraded import CertificateError, lp
 
-    for fake in (_wrong_dual, _wrong_primal):
+    for fake in (_wrong_dual, _wrong_primal, _half_dual):
         monkeypatch.setattr(lp, "_phase1", fake)
         with pytest.raises(CertificateError):
             lp_strict_feasible([(1, 0), (0, 1)])

@@ -15,6 +15,7 @@ from agraded import (
     curve_binomial_families,
     curve_monomial_ideal,
     curve_parametric_family,
+    explore,
     flip,
     is_agraded,
     is_coherent,
@@ -44,11 +45,26 @@ def test_weakly_agraded(ctx12):
         assert is_weakly_agraded(ideal, ctx12)
 
 
+def assert_definition_flips(moves, ctx):
+    """Each move's target equals the flip built from the Graver basis."""
+    for move in moves:
+        assert definition_flip_ideal(move.source, move.a, move.b, ctx.graver) == move.target
+
+
 def test_flip_corank1(ctx12):
-    move = flip(minimalize([(2, 0)]), ((2, 0), (0, 1)), ctx12, validate=True)
+    move = flip(minimalize([(2, 0)]), ((2, 0), (0, 1)), ctx12)
     assert move.target == minimalize([(0, 1)])
-    back = flip(move.target, ((2, 0), (0, 1)), ctx12, validate=True)
+    back = flip(move.target, ((2, 0), (0, 1)), ctx12)
     assert back.target == move.source
+    assert_definition_flips((move, back), ctx12)
+
+
+def test_every_graph_edge_matches_definition_flip(ctx137, ctx_veronese, ctx_corank4):
+    for ctx in (ctx137, ctx_veronese, ctx_corank4):
+        graph = explore(ctx)
+        moves = [flip(graph.vertices[i], label, ctx) for i, _, label in graph.edges]
+        assert [m.target for m in moves] == [graph.vertices[j] for _, j, _ in graph.edges]
+        assert_definition_flips(moves, ctx)
 
 
 def test_flip_not_applicable(ctx12):
@@ -63,7 +79,9 @@ def test_curve_flips_exactly_qrs(curve_ctx):
         fams = curve_binomial_families(j)
         flippable = {b.pair() for b in fams["q"] + fams["r"] + fams["s"]}
         blocked = {b.pair() for b in fams["p"]}
-        moves = neighbors(ideal, ctx, validate=(j == 1))
+        moves = neighbors(ideal, ctx)
+        if j == 1:
+            assert_definition_flips(moves, ctx)
         assert {m.label for m in moves} == flippable
         assert len(moves) == 2 * j + 4
         for b in fams["p"]:
@@ -85,7 +103,8 @@ def test_not_flippable_direct_ideal_stays_weak(curve_ctx):
 
 
 def test_masked_ideal_flips(ctx345, ideal_masked):
-    moves = neighbors(ideal_masked, ctx345, validate=True)
+    moves = neighbors(ideal_masked, ctx345)
+    assert_definition_flips(moves, ctx345)
     assert {m.label for m in moves} == as_pairs(expected("coherence-mask")["flips"])
     coherent, witness = is_coherent(ideal_masked, ctx345)
     assert not coherent and witness is None
@@ -103,7 +122,8 @@ def test_coherent_reference_everywhere(ctx137, ctx345, ctx_veronese):
 
 def test_corank4_neighbors(ctx_corank4, ideal_corank4):
     rec = expected("corank4-deficiency")
-    moves = neighbors(ideal_corank4, ctx_corank4, validate=True)
+    moves = neighbors(ideal_corank4, ctx_corank4)
+    assert_definition_flips(moves, ctx_corank4)
     assert sorted(m.label for m in moves) == sorted(as_pairs(rec["labels"]))
     targets = sorted(m.target for m in moves)
     assert targets == sorted(named_ideal(nm)[1] for nm in rec["neighbors"])

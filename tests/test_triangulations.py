@@ -1,8 +1,13 @@
 """Radical complexes, exact triangulation checks, bistellar flips."""
 
+from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
+
 import pytest
 
 from agraded import (
+    AGradedContext,
     SAME_RADICAL,
     BISTELLAR,
     NotFlippableComplex,
@@ -19,7 +24,103 @@ from agraded import (
     minimalize,
     validate_grading,
 )
-from agraded.triangulations import make_complex, reference_facets, slice_volume
+from agraded.fixtures import named_matrix
+from agraded.linalg import det, dot, rank, rational_nullspace
+from agraded.triangulations import _interiors_meet, make_complex
+
+
+# -- oracle: the volume check the local ridge test replaced -------------------
+
+@lru_cache(maxsize=None)
+def reference_facets(matrix):
+    """A triangulation of the cone built by placing the columns in order.
+
+    Starts from the first index-set of d independent columns and cones each
+    later column over the boundary ridges it sees; columns inside the cone
+    built so far are skipped.
+    """
+    cols = matrix.columns
+    d, n = matrix.d, matrix.n
+    initial = []
+    for i in range(n):
+        if rank([cols[j] for j in initial] + [cols[i]]) > len(initial):
+            initial.append(i)
+        if len(initial) == d:
+            break
+    assert len(initial) == d
+    facets = {tuple(initial)}
+    for k in range(n):
+        if k in initial:
+            continue
+        ridges = {}
+        for f in facets:
+            for leave in f:
+                ridge = tuple(i for i in f if i != leave)
+                ridges.setdefault(ridge, []).append(leave)
+        new = set()
+        for ridge, apexes in ridges.items():
+            if len(apexes) != 1:
+                continue  # interior ridge
+            basis = rational_nullspace([cols[i] for i in ridge], d)
+            assert len(basis) == 1
+            h = basis[0]
+            inward = dot(h, cols[apexes[0]])
+            assert inward != 0
+            if inward > 0:
+                h = tuple(-x for x in h)
+            if dot(h, cols[k]) > 0:
+                new.add(tuple(sorted(ridge + (k,))))
+        facets |= new
+    return tuple(sorted(facets))
+
+
+def slice_volume(matrix, facets):
+    """Total volume of the facet cones on the slice {x : c.x <= 1} of the certificate c.
+
+    Each simplicial cone contributes |det of its columns| divided by the
+    product of the certificate weights of its vertices; these add up to a
+    triangulation-independent total for the whole cone.
+    """
+    weights = matrix.certificate_weights
+    cols = matrix.columns
+    total = Fraction(0)
+    for f in facets:
+        vol = abs(det([cols[i] for i in f]))
+        for i in f:
+            vol = vol / weights[i]
+        total += vol
+    return total
+
+
+def oracle_is_triangulation(cplx, matrix):
+    """Independent full-dimensional facets, the reference volume, disjoint open cones."""
+    cols = matrix.columns
+    facets = cplx.facets
+    if not facets:
+        return False
+    if any(len(f) != matrix.d or rank([cols[i] for i in f]) != matrix.d for f in facets):
+        return False
+    if slice_volume(matrix, facets) != slice_volume(matrix, reference_facets(matrix)):
+        return False
+    return not any(_interiors_meet(matrix, a, b) for a, b in combinations(facets, 2))
+
+
+def perturbed(cplx, matrix):
+    """The complex, each copy with one facet dropped, each with one d-subset added."""
+    yield cplx
+    for k in range(len(cplx.facets)):
+        yield make_complex(cplx.n, cplx.facets[:k] + cplx.facets[k + 1:])
+    for extra in combinations(range(matrix.n), matrix.d):
+        if extra not in cplx.facets:
+            yield make_complex(cplx.n, cplx.facets + (extra,))
+
+
+def homogenized(matrix):
+    return validate_grading([[1] * matrix.n] + [list(row) for row in matrix.rows])
+
+
+# a square with its center, columns 0..3 the corners and 4 the center
+SQUARE = [[1, 1, 1, 1, 1], [0, 2, 2, 0, 1], [0, 0, 2, 2, 1]]
 
 
 def test_complex_of_radical_basics(ctx12):
@@ -45,6 +146,49 @@ def test_reference_volume_invariance(ctx_veronese):
     cplx = complex_of_radical(ideal, m.n)
     assert slice_volume(m, cplx.facets) == vol
     assert is_triangulation(cplx, m)
+    assert is_triangulation(make_complex(m.n, ref), m)
+
+
+def test_ridge_test_matches_volume_oracle(ctx_veronese, curve_ctx):
+    contexts = (ctx_veronese, curve_ctx[1], AGradedContext(homogenized(named_matrix("g36-8-10-15"))))
+    for ctx in contexts:
+        m = ctx.A
+        radicals = {complex_of_radical(v, m.n) for v in explore(ctx).vertices}
+        verdicts = set()
+        for cplx in {p for r in radicals for p in perturbed(r, m)}:
+            verdict = is_triangulation(cplx, m)
+            assert verdict == oracle_is_triangulation(cplx, m), cplx
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+
+def test_t_junction_rejected():
+    """Covering cones with disjoint interiors that do not meet face to face.
+
+    Corner 4 is the center of the square and lies inside the edge 0-2 of
+    the facet (0, 1, 2); the volume oracle accepts the complex.
+    """
+    m = validate_grading(SQUARE)
+    cplx = make_complex(m.n, [(0, 1, 2), (0, 3, 4), (2, 3, 4)])
+    assert oracle_is_triangulation(cplx, m)
+    assert not is_triangulation(cplx, m)
+    assert is_triangulation(make_complex(m.n, [(0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)]), m)
+
+
+def test_ridge_test_accepts_only_what_the_oracle_accepts():
+    m = validate_grading(SQUARE)
+    triples = list(combinations(range(m.n), m.d))
+    accepted = rejected_t_junctions = 0
+    for size in range(1, 5):
+        for facets in combinations(triples, size):
+            cplx = make_complex(m.n, facets)
+            if is_triangulation(cplx, m):
+                assert oracle_is_triangulation(cplx, m), cplx
+                accepted += 1
+            elif oracle_is_triangulation(cplx, m):
+                rejected_t_junctions += 1
+    # the two diagonal splittings and the four-triangle fan around the center
+    assert accepted == 3 and rejected_t_junctions > 0
 
 
 def test_missing_facet_fails(ctx_veronese):
@@ -153,3 +297,4 @@ def test_homogenized_matrix_accepted():
     assert is_triangulation(make_complex(2, [(0, 1)]), m)
     assert not is_triangulation(make_complex(2, [(0,)]), m)
     assert slice_volume(m, reference_facets(m)) > 0
+    assert oracle_is_triangulation(make_complex(2, [(0, 1)]), m)
