@@ -11,10 +11,10 @@ Exit codes, and the branch of ``errors.py`` that each failure comes from:
   --guard (``GuardExceeded``) also exits 2.
 * 3: ``flipgraph`` found the flip graph disconnected.  This is a verdict,
   not an exception.
-* 4: a result failed its check, a ``CertificateError``: a known-answer
-  mismatch (``FixtureMismatch``) or a certificate that failed its exact
-  re-check.  ``triangulations`` also exits 4 when it finds a flip edge
-  whose transition is a violation, which is a verdict.
+* 4: a result failed its check: a certificate that failed its exact
+  re-check, a ``CertificateError``.  ``verify-paper`` also exits 4 when a
+  known-answer report says "fail", and ``triangulations`` when it finds a
+  flip edge whose transition is a violation; both are verdicts.
 """
 
 import argparse
@@ -24,7 +24,6 @@ import sys
 from .binomials import buchberger, initial_ideal, toric_ideal
 from .errors import (
     CertificateError,
-    FixtureMismatch,
     FormatError,
     GuardExceeded,
     InputError,
@@ -53,7 +52,7 @@ from .ideals import (
 )
 from .monomials import TermOrder
 from .triangulations import complex_of_radical, edge_transition, is_triangulation
-from .verify import REGISTRY, verify_all, verify_paper
+from .verify import REGISTRY, run, verify_all
 
 OK, BAD_INPUT, DISCONNECTED, MISMATCH = 0, 2, 3, 4
 
@@ -233,18 +232,12 @@ def cmd_verify(args):
             print(name)
         return OK
     if args.example:
-        try:
-            reports = [verify_paper(args.example)]
-        except FixtureMismatch as exc:
-            reports = [exc.report]
+        reports = [run(args.example)]
     else:
         reports = verify_all(include_heavy=args.heavy)
     failed = [r for r in reports if r["status"] != "pass"]
     for r in reports:
-        line = f"{r['example']}: {r['status']}"
-        if "seconds" in r:
-            line += f" ({r['seconds']}s)"
-        print(line)
+        print(f"{r['example']}: {r['status']} ({r['seconds']}s)")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(reports, fh, indent=1, sort_keys=True, default=str)

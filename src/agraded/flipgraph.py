@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass
 
 from .binomials import canonical_pair
-from .errors import FormatError, GuardExceeded, IncompleteGraph, certify
+from .errors import FormatError, GuardExceeded, IncompleteGraph, InputError, certify
 from .ideals import is_coherent, neighbors
 from .monomials import MonomialIdeal, minimalize
 
@@ -63,6 +63,8 @@ def explore(ctx, start=None, guard=None):
         starts = [start]
     else:
         starts = sorted(set(start))
+    if not starts:
+        raise InputError("explore needs at least one start ideal")
     seen = set(starts)
     frontier = sorted(seen)
     edges = set()
@@ -190,12 +192,15 @@ def from_json(text):
         edges = tuple(sorted(
             (rec["u"], rec["v"], canonical_pair(*rec["label"])) for rec in doc["edges"]))
         dangling = not all(0 <= i < j < len(vertices) for i, j, _ in edges)
+        start = doc.get("start", 0)
     except (ValueError, LookupError, TypeError) as exc:
         raise FormatError(f"malformed graph document: {exc!r}") from exc
     if dangling:
         raise FormatError("a graph edge does not join two listed vertices in order")
+    if not (isinstance(start, int) and 0 <= start < len(vertices)):
+        raise FormatError(f"start {start!r} is not the id of a listed vertex")
     coherent = None if any(f is None for f in flags) else tuple(flags)
-    return FlipGraph(vertices, edges, doc.get("start", 0), coherent)
+    return FlipGraph(vertices, edges, start, coherent)
 
 
 def _monomial_label(exps):

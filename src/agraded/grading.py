@@ -54,7 +54,9 @@ class GradingMatrix:
 
 
 def _freeze(entries):
-    rows = tuple(tuple(int(x) for x in row) for row in entries)
+    rows = tuple(tuple(row) for row in entries)
+    if not all(isinstance(x, int) for row in rows for x in row):
+        raise GradingError("a grading matrix needs integer entries")
     if not rows or not rows[0]:
         raise GradingError("empty matrix")
     if any(len(row) != len(rows[0]) for row in rows):

@@ -45,7 +45,6 @@ from .monomials import (
     FIELD_LIMIT,
     MonomialIdeal,
     exp_sub,
-    fiber,
     guard_mask,
     ideal_from_packed,
     k_polynomial,
@@ -315,9 +314,9 @@ def brute_force_enumerate(ctx, guard=None):
     Depth-first over the pairs in increasing degree: each pair must have a
     side inside the ideal, so branch on which one, recording the rejected
     side as permanently standard.  Choices implied by divisibility are
-    forced, two standard monomials of equal degree prune the branch, and
-    every leaf is filtered by the exact A-gradedness certificate.  ``guard``
-    bounds the number of leaves visited.
+    forced and two standard monomials of equal degree prune the branch.
+    Every leaf is kept only if it passes ``is_agraded``, the exact
+    K-polynomial test.  ``guard`` bounds the number of leaves visited.
 
     Oracle: it finds every ideal without flips, so the census and the
     verify-paper entries check the flip graph against it.
@@ -327,8 +326,6 @@ def brute_force_enumerate(ctx, guard=None):
         key=lambda p: (positive_combination(ctx.A, ctx.A.degree(p[0])), p),
     )
     degrees = [ctx.A.degree(u) for u, _ in pairs]
-    small_degrees = sorted(set(degrees),
-                           key=lambda b: positive_combination(ctx.A, b))[:6]
     n = ctx.A.n
     mask = guard_mask(n)
     sides = {}
@@ -381,23 +378,7 @@ def brute_force_enumerate(ctx, guard=None):
         if guard is not None and leaves > guard:
             raise GuardExceeded(f"more than {guard} leaves")
         candidates.add(ideal_from_packed(chosen, n, sides))
-
-    small_fibers = [[pack(m) | mask for m in fiber(ctx.A, b)] for b in small_degrees]
-
-    def plausible(ideal):
-        gens = [pack(g) for g in ideal.gens]
-        for fib in small_fibers:
-            standard = sum(
-                1 for q in fib if not any((q - g) & mask == mask for g in gens))
-            if standard != 1:
-                return False
-        return True
-
-    result = [
-        ideal for ideal in sorted(candidates)
-        if plausible(ideal) and is_agraded(ideal, ctx)
-    ]
-    return tuple(result)
+    return tuple(ideal for ideal in sorted(candidates) if is_agraded(ideal, ctx))
 
 
 # -- the two-by-five curve family ---------------------------------------------

@@ -258,7 +258,7 @@ def fiber(matrix, b):
     every coordinate.  Empty when b is not a nonnegative combination.
 
     Oracle: the tests check ``AGradedContext.standard_monomial`` against
-    it; brute force also uses it for the fibers of small degrees.
+    it; no enumeration calls it.
     """
     b = tuple(b)
     n = matrix.n

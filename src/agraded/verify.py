@@ -1,17 +1,23 @@
 """Known-answer verification: recompute every catalogued example.
 
-Each check returns a report dict {"example", "status", "expected",
-"actual"}; a mismatch raises FixtureMismatch carrying the same report.
-The registry deliberately recomputes everything from the matrices alone,
-so a passing run certifies the whole pipeline end to end.
+Each ``REGISTRY`` entry is a zero-argument function returning
+``(expected, actual)``.  ``run`` times one entry and builds its report
+{"example", "status", "expected", "actual", "seconds"}; ``verify_paper``
+raises FixtureMismatch carrying the report of a failed entry.  Every entry
+recomputes its answer from the matrices alone, so a passing run certifies
+the whole pipeline end to end.
 """
 
+import random
 import time
+from fractions import Fraction
+from functools import partial
 
-from .binomials import canonical_pair
+from .binomials import buchberger, canonical_pair, initial_ideal
 from .errors import FixtureMismatch, UnknownName
 from .fixtures import as_pairs, expected, named_ideal, named_matrix
 from .flipgraph import classify_labels, explore, with_coherence
+from .grading import validate_grading
 from .ideals import (
     AGradedContext,
     brute_force_enumerate,
@@ -19,30 +25,19 @@ from .ideals import (
     curve_monomial_ideal,
     curve_parametric_family,
     curve_rows,
+    flip,
     is_agraded,
     is_coherent,
     neighbors,
     special_ideals,
 )
-from .binomials import buchberger, initial_ideal
-from .grading import validate_grading
 from .linalg import dot
 from .monomials import TermOrder, minimalize
 from .triangulations import BISTELLAR, SAME_RADICAL, edge_transition
 
-
-def _report(example, expected_value, actual_value):
-    status = "pass" if expected_value == actual_value else "fail"
-    report = {
-        "example": example,
-        "status": status,
-        "expected": expected_value,
-        "actual": actual_value,
-    }
-    if status == "fail":
-        raise FixtureMismatch(report)
-    return report
-
+CURVE_WEIGHT = (1, 1, 2, 0, 2)
+CURVE_SEED, CURVE_TRIALS = 7, 10
+CENSUS = "census-123789"
 
 _CONTEXTS = {}
 
@@ -54,61 +49,36 @@ def _context(matrix):
     return ctx
 
 
-def _classification(name):
-    rec = expected(name)
-    ctx = _context(named_matrix(rec["matrix"]))
+def _complete_graph(matrix_name):
+    """(context, brute-force ideals, flip graph explored from all of them)."""
+    ctx = _context(named_matrix(matrix_name))
     ideals = brute_force_enumerate(ctx)
-    graph = with_coherence(explore(ctx, start=ideals), ctx)
-    ugb, flips, graver = classify_labels(graph, ctx, expected_total=len(ideals))
-    return rec, set(ugb), set(flips), set(graver)
+    return ctx, ideals, explore(ctx, start=ideals)
 
 
-def check_graver_137(name="graver-137"):
-    rec, ugb, flips, graver = _classification(name)
-    actual = {
-        "graver": sorted(graver),
-        "flips": sorted(flips),
-        "ugb_equals_flips": ugb == flips,
-    }
-    exp = {
-        "graver": sorted(as_pairs(rec["graver"])),
-        "flips": sorted(as_pairs(rec["flips"])),
-        "ugb_equals_flips": rec["ugb_equals_flips"],
-    }
-    return _report(name, exp, actual)
-
-
-def check_graver_134(name="graver-134"):
-    rec, ugb, flips, graver = _classification(name)
-    actual = {
-        "graver": sorted(graver),
-        "all_three_equal": ugb == flips == graver,
-    }
-    exp = {
-        "graver": sorted(as_pairs(rec["graver"])),
-        "all_three_equal": rec["all_three_equal"],
-    }
-    return _report(name, exp, actual)
-
-
-def check_graver_345(name="graver-345-13-14"):
-    rec, ugb, flips, graver = _classification(name)
-    actual = {
-        "flips_minus_ugb": sorted(flips - ugb),
-        "graver_minus_flips": sorted(graver - flips),
-    }
-    exp = {
-        "flips_minus_ugb": sorted(as_pairs(rec["flips_minus_ugb"])),
-        "graver_minus_flips": sorted(as_pairs(rec["graver_minus_flips"])),
-    }
-    return _report(name, exp, actual)
-
-
-def check_veronese(name="veronese-29"):
+def check_labels(name):
+    """The nesting UGB <= flip labels <= Graver basis, as the record states it."""
     rec = expected(name)
-    ctx = _context(named_matrix(rec["matrix"]))
-    ideals = brute_force_enumerate(ctx)
-    graph = with_coherence(explore(ctx, start=ideals), ctx)
+    ctx, ideals, graph = _complete_graph(rec["matrix"])
+    ugb, flips, graver = map(set, classify_labels(graph, ctx, expected_total=len(ideals)))
+    derive = {
+        "graver": lambda: sorted(graver),
+        "flips": lambda: sorted(flips),
+        "flips_minus_ugb": lambda: sorted(flips - ugb),
+        "graver_minus_flips": lambda: sorted(graver - flips),
+        "ugb_equals_flips": lambda: ugb == flips,
+        "all_three_equal": lambda: ugb == flips == graver,
+    }
+    keys = [key for key in rec if key in derive]
+    exp = {key: rec[key] if isinstance(rec[key], bool) else sorted(as_pairs(rec[key]))
+           for key in keys}
+    return exp, {key: derive[key]() for key in keys}
+
+
+def check_veronese():
+    rec = expected("veronese-29")
+    ctx, ideals, graph = _complete_graph(rec["matrix"])
+    graph = with_coherence(graph, ctx)
     meet, pair_ideal = special_ideals(ctx, ideals, expected_count=rec["count"])
     special = canonical_pair(*map(tuple, rec["special_pair"]))
     listed = [tuple(g) for g in rec["pair_products"]]
@@ -132,18 +102,16 @@ def check_veronese(name="veronese-29"):
         "special_in_graver_not_flips": True,
         "special_sides_outside_pair_ideal": True,
     }
-    return _report(name, exp, actual)
+    return exp, actual
 
 
 def check_curve_initial(j):
     matrix = validate_grading(curve_rows(j))
-    actual = initial_ideal(matrix, (1, 1, 2, 0, 2))
-    return _report(f"curve-initial-j{j}", curve_monomial_ideal(j), actual)
+    return curve_monomial_ideal(j), initial_ideal(matrix, CURVE_WEIGHT)
 
 
 def check_curve_flips(j):
-    matrix = validate_grading(curve_rows(j))
-    ctx = _context(matrix)
+    ctx = _context(validate_grading(curve_rows(j)))
     ideal = curve_monomial_ideal(j)
     fams = curve_binomial_families(j)
     moves = neighbors(ideal, ctx)
@@ -154,55 +122,47 @@ def check_curve_flips(j):
     }
     exp = {
         "count": 2 * j + 4,
-        "labels": sorted(
-            b.pair() for b in fams["q"] + fams["r"] + fams["s"]
-        ),
+        "labels": sorted(b.pair() for b in fams["q"] + fams["r"] + fams["s"]),
         "agraded": True,
     }
-    return _report(f"curve-flips-j{j}", exp, actual)
+    return exp, actual
 
 
-def check_curve_family(j, seed=7, trials=10):
+def check_curve_family(j):
     """Random rational scalar choices all marked toward the same initial ideal."""
-    import random
-    from fractions import Fraction
-
-    rng = random.Random(seed)
+    rng = random.Random(CURVE_SEED)
     matrix = validate_grading(curve_rows(j))
-    order = TermOrder((1, 1, 2, 0, 2))
+    order = TermOrder(CURVE_WEIGHT)
     target = curve_monomial_ideal(j)
     outcomes = []
-    for _ in range(trials):
+    for _ in range(CURVE_TRIALS):
         mus = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(j)]
-        gens = curve_parametric_family(j, mus)
-        gb = buchberger(gens, order, matrix)
+        gb = buchberger(curve_parametric_family(j, mus), order, matrix)
         outcomes.append(gb.lead_ideal() == target)
-    return _report(f"curve-family-j{j}", [True] * trials, outcomes)
+    return [True] * CURVE_TRIALS, outcomes
 
 
-def check_deficient_ideal(name="deficient-20"):
-    rec = expected(name)
+def check_deficient_ideal():
+    rec = expected("deficient-20")
     matrix, ideal = named_ideal(rec["ideal"])
     ctx = _context(matrix)
-    moves = neighbors(ideal, ctx)
     actual = {
         "agraded": is_agraded(ideal, ctx),
-        "labels": sorted(m.label for m in moves),
+        "labels": sorted(m.label for m in neighbors(ideal, ctx)),
     }
-    exp = {"agraded": True, "labels": sorted(as_pairs(rec["flips"]))}
-    return _report(name, exp, actual)
+    return {"agraded": True, "labels": sorted(as_pairs(rec["flips"]))}, actual
 
 
-def check_census_123789(name="census-123789", mode="bfs"):
-    rec = expected(name)
-    ctx = _context(named_matrix(rec["matrix"]))
-    if mode == "bfs":
-        graph = explore(ctx)
-        actual = {"count": len(graph.vertices), "components": graph.components()}
-        exp = {"count": rec["count"], "components": 1}
-        return _report(f"{name}-bfs", exp, actual)
-    ideals = brute_force_enumerate(ctx)
-    return _report(f"{name}-brute", rec["count"], len(ideals))
+def check_census_bfs():
+    rec = expected(CENSUS)
+    graph = explore(_context(named_matrix(rec["matrix"])))
+    exp = {"count": rec["count"], "components": 1}
+    return exp, {"count": len(graph.vertices), "components": graph.components()}
+
+
+def check_census_brute():
+    rec = expected(CENSUS)
+    return rec["count"], len(brute_force_enumerate(_context(named_matrix(rec["matrix"]))))
 
 
 def check_extended(name):
@@ -218,119 +178,109 @@ def check_extended(name):
         for k in range(pad)
     ]
     ideal = minimalize(gens)
-    moves = neighbors(ideal, ctx)
-    actual = {"flip_count": len(moves), "agraded": is_agraded(ideal, ctx)}
-    exp = {"flip_count": rec["flip_count"], "agraded": True}
-    return _report(name, exp, actual)
+    actual = {"flip_count": len(neighbors(ideal, ctx)), "agraded": is_agraded(ideal, ctx)}
+    return {"flip_count": rec["flip_count"], "agraded": True}, actual
 
 
-def check_corank4(name="corank4-deficiency"):
-    rec = expected(name)
+def check_corank4():
+    rec = expected("corank4-deficiency")
     matrix, ideal = named_ideal(rec["ideal"])
     ctx = _context(matrix)
     moves = neighbors(ideal, ctx)
-    neighbor_ideals = sorted(m.target for m in moves)
-    listed = sorted(named_ideal(nm)[1] for nm in rec["neighbors"])
     actual = {
         "agraded": is_agraded(ideal, ctx),
         "labels": sorted(m.label for m in moves),
-        "targets": neighbor_ideals,
+        "targets": sorted(m.target for m in moves),
         "deficient": len(moves) < rec["valency_bound"],
     }
     exp = {
         "agraded": True,
         "labels": sorted(as_pairs(rec["labels"])),
-        "targets": listed,
+        "targets": sorted(named_ideal(nm)[1] for nm in rec["neighbors"]),
         "deficient": True,
     }
-    return _report(name, exp, actual)
+    return exp, actual
 
 
-def check_coherence_mask(name="coherence-mask"):
-    rec = expected(name)
+def check_coherence_mask():
+    rec = expected("coherence-mask")
     matrix, ideal = named_ideal(rec["ideal"])
     ctx = _context(matrix)
     moves = neighbors(ideal, ctx)
     w = tuple(rec["mask_weight"])
-    marks = [dot(w, m.a) > dot(w, m.b) for m in moves]
-    coherent, _ = is_coherent(ideal, ctx)
     actual = {
         "labels": sorted(m.label for m in moves),
-        "coherent": coherent,
-        "positively_marked": marks,
+        "coherent": is_coherent(ideal, ctx)[0],
+        "positively_marked": [dot(w, m.a) > dot(w, m.b) for m in moves],
     }
+    labels = sorted(as_pairs(rec["flips"]))
     exp = {
-        "labels": sorted(as_pairs(rec["flips"])),
+        "labels": labels,
         "coherent": rec["coherent"],
-        "positively_marked": [True] * len(as_pairs(rec["flips"])),
+        "positively_marked": [True] * len(labels),
     }
-    return _report(name, exp, actual)
+    return exp, actual
 
 
-def check_transitions(name="triangulation-transitions"):
+def check_transitions():
     """Every flip edge of the small graphs maps to the Baues graph cleanly."""
-    from .ideals import flip
-
     bad = 0
     total = 0
     for mname in ("g12", "g137", "veronese6", "g36-8-10-15"):
-        ctx = _context(named_matrix(mname))
-        ideals = brute_force_enumerate(ctx)
-        graph = explore(ctx, start=ideals)
+        ctx, _, graph = _complete_graph(mname)
         for i, j, label in graph.edges:
-            move = flip(graph.vertices[i], label, ctx)
-            verdict = edge_transition(move, ctx)
+            verdict = edge_transition(flip(graph.vertices[i], label, ctx), ctx)
             total += 1
             if verdict not in (SAME_RADICAL, BISTELLAR):
                 bad += 1
-    return _report(name, {"violations": 0, "nonempty": True},
-                   {"violations": bad, "nonempty": total > 0})
+    return {"violations": 0, "nonempty": True}, {"violations": bad, "nonempty": total > 0}
 
 
 REGISTRY = {
-    "graver-137": check_graver_137,
-    "graver-134": check_graver_134,
-    "graver-345-13-14": check_graver_345,
+    "graver-137": partial(check_labels, "graver-137"),
+    "graver-134": partial(check_labels, "graver-134"),
+    "graver-345-13-14": partial(check_labels, "graver-345-13-14"),
     "veronese-29": check_veronese,
-    "curve-initial-j1": lambda: check_curve_initial(1),
-    "curve-initial-j2": lambda: check_curve_initial(2),
-    "curve-initial-j3": lambda: check_curve_initial(3),
-    "curve-flips-j1": lambda: check_curve_flips(1),
-    "curve-flips-j2": lambda: check_curve_flips(2),
-    "curve-flips-j3": lambda: check_curve_flips(3),
-    "curve-family-j1": lambda: check_curve_family(1),
-    "curve-family-j2": lambda: check_curve_family(2),
+    **{f"curve-initial-j{j}": partial(check_curve_initial, j) for j in (1, 2, 3)},
+    **{f"curve-flips-j{j}": partial(check_curve_flips, j) for j in (1, 2, 3)},
+    **{f"curve-family-j{j}": partial(check_curve_family, j) for j in (1, 2)},
     "deficient-20": check_deficient_ideal,
-    "extended-n7": lambda: check_extended("extended-n7"),
-    "extended-n8": lambda: check_extended("extended-n8"),
+    "extended-n7": partial(check_extended, "extended-n7"),
+    "extended-n8": partial(check_extended, "extended-n8"),
     "corank4-deficiency": check_corank4,
     "coherence-mask": check_coherence_mask,
     "triangulation-transitions": check_transitions,
-    "census-123789-bfs": lambda: check_census_123789(mode="bfs"),
-    "census-123789-brute": lambda: check_census_123789(mode="brute"),
+    f"{CENSUS}-bfs": check_census_bfs,
+    f"{CENSUS}-brute": check_census_brute,
 }
 
-HEAVY = {"census-123789-bfs", "census-123789-brute"}
+HEAVY = {f"{CENSUS}-bfs", f"{CENSUS}-brute"}
+
+
+def run(example):
+    """Recompute one catalogued example and report it; UnknownName if it is not listed."""
+    check = REGISTRY.get(example)
+    if check is None:
+        raise UnknownName(f"unknown example {example!r}; known: {sorted(REGISTRY)}")
+    start = time.perf_counter()
+    exp, actual = check()
+    return {
+        "example": example,
+        "status": "pass" if exp == actual else "fail",
+        "expected": exp,
+        "actual": actual,
+        "seconds": round(time.perf_counter() - start, 2),
+    }
 
 
 def verify_paper(example):
-    """Run one catalogued example; raises FixtureMismatch on failure."""
-    fn = REGISTRY.get(example)
-    if fn is None:
-        raise UnknownName(f"unknown example {example!r}; known: {sorted(REGISTRY)}")
-    return fn()
+    """The report of one catalogued example; raises FixtureMismatch on failure."""
+    report = run(example)
+    if report["status"] != "pass":
+        raise FixtureMismatch(report)
+    return report
 
 
 def verify_all(include_heavy=True):
-    reports = []
-    for name in sorted(REGISTRY):
-        if not include_heavy and name in HEAVY:
-            continue
-        start = time.time()
-        try:
-            report = verify_paper(name)
-        except FixtureMismatch as exc:
-            report = exc.report
-        report["seconds"] = round(time.time() - start, 2)
-        reports.append(report)
-    return reports
+    """Reports of every catalogued example, in name order; failures are reported, not raised."""
+    return [run(name) for name in sorted(REGISTRY) if include_heavy or name not in HEAVY]

@@ -206,8 +206,7 @@ def test_cli_exit_3_when_the_census_disagrees(matrix12, monkeypatch, capsys):
 def test_cli_exit_4_on_a_failed_check(matrix12, monkeypatch, capsys):
     from agraded import lp, verify
 
-    monkeypatch.setitem(verify.REGISTRY, "coherence-mask",
-                        lambda: verify._report("coherence-mask", "recorded", "computed"))
+    monkeypatch.setitem(verify.REGISTRY, "coherence-mask", lambda: ("recorded", "computed"))
     assert main(["verify-paper", "--example", "coherence-mask"]) == 4
     assert "coherence-mask: fail" in capsys.readouterr().out
     # a certificate that fails its re-check: the LP returns a zero dual

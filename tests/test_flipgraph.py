@@ -1,5 +1,7 @@
 """Flip-graph exploration, classification, census, serialisation."""
 
+import json
+
 import pytest
 
 from agraded import (
@@ -15,6 +17,7 @@ from agraded import (
     with_coherence,
 )
 from agraded.fixtures import as_pairs, expected
+from agraded.errors import FormatError, InputError
 from agraded.flipgraph import GuardExceeded, IncompleteGraph
 
 
@@ -118,6 +121,19 @@ def test_json_roundtrip_without_flags(ctx_veronese):
     graph = explore(ctx_veronese)
     again = from_json(to_json(graph))
     assert again == graph
+
+
+@pytest.mark.parametrize("start", [2, -1, "0", None])
+def test_json_start_must_be_a_vertex_id(ctx12, start):
+    doc = json.loads(to_json(explore(ctx12)))
+    doc["start"] = start
+    with pytest.raises(FormatError, match="start"):
+        from_json(json.dumps(doc))
+
+
+def test_explore_needs_a_start(ctx12):
+    with pytest.raises(InputError, match="at least one start"):
+        explore(ctx12, start=[])
 
 
 def test_dot_output(ctx12):

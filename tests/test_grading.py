@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from agraded import (
+    GradingError,
     NotPointed,
     RankDeficient,
     kernel_lattice,
@@ -40,6 +41,12 @@ def test_not_pointed_rejected():
 def test_rank_deficient_rejected():
     with pytest.raises(RankDeficient):
         validate_grading([[1, 2], [2, 4]])
+
+
+@pytest.mark.parametrize("rows", [[[1, Fraction(5, 2), 7]], [[1, 2.9, 7]], [[1, 2.0, 7]], [["1", 2]]])
+def test_non_integer_entries_rejected(rows):
+    with pytest.raises(GradingError, match="integer entries"):
+        validate_grading(rows)
 
 
 def test_curve_matrix_accepted():
