@@ -1,9 +1,12 @@
 """Flip-graph exploration, classification, census and serialisation.
 
 Vertices are monomial A-graded ideals in canonical form; edges carry the
-unordered pair of monomials that was flipped.  Exploration is a plain
+unordered pair of monomials that was flipped.  Exploration is a
 breadth-first closure under flips with canonical deduplication; vertices
-are renumbered by sorted canonical form before the graph is returned.
+are renumbered by sorted canonical form before the graph is returned.  It
+is incremental: a flip M -> M' hands M' its standard monomials, carried
+over from M, and the reverse move M' -> M, so each undirected edge pays
+for its wall-ideal tests once.
 """
 
 import json
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 
 from .binomials import canonical_pair
 from .errors import FormatError, GuardExceeded, IncompleteGraph, InputError, certify
-from .ideals import is_coherent, neighbors
+from .ideals import FlipMove, is_coherent, neighbors
 from .monomials import MonomialIdeal, minimalize
 
 
@@ -53,9 +56,16 @@ class FlipGraph:
 def explore(ctx, start=None, guard=None):
     """Breadth-first closure under flips from one or many start ideals.
 
-    ``start`` may be a single ideal or an iterable of them (exploring every
-    component that meets the set); default is the reference initial ideal.
-    ``guard`` bounds the vertex count.
+    ``start`` may be a single A-graded ideal or an iterable of them
+    (exploring every component that meets the set); default is the
+    reference initial ideal.  ``guard`` bounds the vertex count: more than
+    ``guard`` vertices seen raises GuardExceeded at once.
+
+    Each flip M -> M' over (a, b) found before M' is expanded does two
+    things for M'.  ``ctx.carry`` seeds the standard monomials of M' from
+    those of M, and the reverse move M' -> M over (b, a) is recorded, so
+    expanding M' reuses it instead of testing the wall ideal again.  The
+    returned graph is the same as without either.
     """
     if start is None:
         starts = [ctx.reference_ideal]
@@ -66,18 +76,28 @@ def explore(ctx, start=None, guard=None):
     if not starts:
         raise InputError("explore needs at least one start ideal")
     seen = set(starts)
+    if guard is not None and len(seen) > guard:
+        raise GuardExceeded(f"more than {guard} vertices")
     frontier = sorted(seen)
     edges = set()
+    done = set()
+    reverse = {}  # vertex not yet expanded -> {generator b: move back over (b, a)}
     while frontier:
-        nxt = set()
+        nxt = []
         for ideal in frontier:
-            for move in neighbors(ideal, ctx):
-                edges.add(canonical_edge(ideal, move.target, move.label))
-                if move.target not in seen:
-                    nxt.add(move.target)
-        seen.update(nxt)
-        if guard is not None and len(seen) > guard:
-            raise GuardExceeded(f"more than {guard} vertices")
+            done.add(ideal)
+            for move in neighbors(ideal, ctx, reverse.pop(ideal, None)):
+                target = move.target
+                edges.add(canonical_edge(ideal, target, move.label))
+                if target in done:
+                    continue
+                ctx.carry(move)
+                reverse.setdefault(target, {})[move.b] = FlipMove(target, move.b, move.a, ideal)
+                if target not in seen:
+                    seen.add(target)
+                    nxt.append(target)
+                    if guard is not None and len(seen) > guard:
+                        raise GuardExceeded(f"more than {guard} vertices")
         frontier = sorted(nxt)
 
     vertices = tuple(sorted(seen))

@@ -170,6 +170,45 @@ class AGradedContext:
         self._standard.setdefault(ideal, {})[intern(b, b)] = found
         return found
 
+    def carry(self, move):
+        """Seed the standard-monomial cache of a flip target from its source.
+
+        For the degree beta of each generator of M' = ``move.target`` that
+        M = ``move.source`` has cached as s = std_M(beta), the candidate c
+        is s with x^b traded for x^a for as long as x^b divides it; the
+        loop ends because a Graver pair has disjoint supports.  c has
+        degree beta, since deg a = deg b, and an A-graded M' has exactly
+        one standard monomial in degree beta, so c is that monomial iff it
+        lies outside M'.  One packed membership test decides, and c is
+        stored only then; otherwise, or when M has not cached beta, the
+        degree is left to ``standard_monomial``.
+
+        For a flip the test always passes.  Modulo the wall ideal, the
+        monomials of degree beta that trades of x^a and x^b join to s form
+        the only chain that is not zero, and the marking with x^b leading
+        leaves standard exactly its member without x^b, which is c.  A
+        single trade is not enough when x^{2b} divides s.
+        """
+        source = self._standard.get(move.source)
+        if not source:
+            return
+        target = move.target
+        a, b = move.a, move.b
+        known = self._standard.setdefault(target, {})
+        intern = self._interned.setdefault
+        guard = guard_mask(self.A.n)
+        pgens = packed_generators(target)
+        for g in target.gens:
+            beta = self.A.degree(g)
+            c = source.get(beta)
+            if c is None or beta in known:
+                continue
+            while all(x >= y for x, y in zip(c, b)):
+                c = tuple(x - y + z for x, y, z in zip(c, b, a))
+            q = pack(c) | guard
+            if not any((q - p) & guard == guard for p in pgens):
+                known[intern(beta, beta)] = intern(c, c)
+
 
 def is_agraded(ideal, ctx):
     """Exact K-polynomial equality with the toric reference."""
@@ -225,16 +264,25 @@ def flip(ideal, pair, ctx):
     return FlipMove(ideal, a, b, wall_initial(ideal, a, b, "b_leads"))
 
 
-def neighbors(ideal, ctx):
+def neighbors(ideal, ctx, reverse=None):
     """All flips out of an A-graded monomial ideal, in generator order.
 
     Candidates pair each minimal generator with the unique standard
     monomial of its degree; no other Graver pair can satisfy the flip
     preconditions, and each candidate is itself a Graver pair.
+
+    ``reverse`` is for ``explore`` only: it maps generators of ``ideal`` to
+    moves already known to leave through them, the reverses of flips into
+    ``ideal``.  Flips are symmetric, so such a move is used as it is
+    instead of testing its wall ideal again; the standard monomial of
+    every generator is still looked up, so the cache fills as without it.
     """
     moves = []
     for a in ideal.gens:
         b = ctx.standard_monomial(ideal, ctx.A.degree(a))
+        if reverse and a in reverse:
+            moves.append(reverse[a])
+            continue
         try:
             moves.append(flip(ideal, (a, b), ctx))
         except NotFlippable:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from agraded import (
+    AGradedContext,
     brute_force_enumerate,
     census,
     classify_labels,
@@ -12,13 +13,79 @@ from agraded import (
     flip,
     from_json,
     minimalize,
+    neighbors,
     to_dot,
     to_json,
     with_coherence,
 )
-from agraded.fixtures import as_pairs, expected
+from agraded import flipgraph
+from agraded.fixtures import as_pairs, expected, named_matrix
 from agraded.errors import FormatError, InputError
-from agraded.flipgraph import GuardExceeded, IncompleteGraph
+from agraded.flipgraph import FlipGraph, GuardExceeded, IncompleteGraph, canonical_edge
+
+
+def plain_explore(ctx, start=None):
+    """The plain breadth-first closure explore replaced, kept as its oracle.
+
+    Every vertex finds its standard monomials with the backtracker and
+    tests the wall ideal of every candidate, reverse moves included.
+    """
+    starts = [ctx.reference_ideal] if start is None else sorted(set(start))
+    seen = set(starts)
+    frontier = sorted(seen)
+    edges = set()
+    while frontier:
+        nxt = set()
+        for ideal in frontier:
+            for move in neighbors(ideal, ctx):
+                edges.add(canonical_edge(ideal, move.target, move.label))
+                if move.target not in seen:
+                    nxt.add(move.target)
+        seen.update(nxt)
+        frontier = sorted(nxt)
+    vertices = tuple(sorted(seen))
+    index = {v: i for i, v in enumerate(vertices)}
+    numbered = tuple(sorted(
+        (min(index[a], index[b]), max(index[a], index[b]), label) for a, b, label in edges))
+    return FlipGraph(vertices, numbered, index[starts[0]])
+
+
+ORACLE_MATRICES = ["g137", "veronese6", "g36-8-10-15"]
+
+
+@pytest.fixture(scope="module", params=ORACLE_MATRICES)
+def complete(request):
+    """(matrix, every A-graded ideal by brute force) for one oracle fixture."""
+    matrix = named_matrix(request.param)
+    return matrix, brute_force_enumerate(AGradedContext(matrix))
+
+
+@pytest.mark.parametrize("multi", [False, True], ids=["reference", "all-ideals"])
+def test_explore_matches_plain_bfs(complete, multi):
+    matrix, ideals = complete
+    start = ideals if multi else None
+    graph = explore(AGradedContext(matrix), start=start)
+    assert to_json(graph) == to_json(plain_explore(AGradedContext(matrix), start=start))
+
+
+@pytest.mark.parametrize("multi", [False, True], ids=["reference", "all-ideals"])
+def test_reused_reverse_moves_are_flips(complete, multi, monkeypatch):
+    """Every reverse move explore hands to neighbors is the flip it replaces."""
+    matrix, ideals = complete
+    ctx = AGradedContext(matrix)
+    reused = []
+
+    def recording(ideal, ctx, reverse=None):
+        reused.extend((ideal, b, move) for b, move in (reverse or {}).items())
+        return neighbors(ideal, ctx, reverse)
+
+    monkeypatch.setattr(flipgraph, "neighbors", recording)
+    graph = explore(ctx, start=ideals if multi else None)
+    # one forward flip and one reused reverse move per undirected edge
+    assert len(reused) == len(graph.edges)
+    for ideal, b, move in reused:
+        assert move.source == ideal and move.a == b and b in ideal.gens
+        assert move == flip(ideal, (b, move.b), ctx)
 
 
 def test_two_vertex_graph(ctx12):
@@ -32,6 +99,26 @@ def test_two_vertex_graph(ctx12):
 def test_guard(ctx_veronese):
     with pytest.raises(GuardExceeded):
         explore(ctx_veronese, guard=5)
+
+
+@pytest.mark.parametrize("guard", [0, 1, 5, 12, 28])
+def test_guard_trips_at_the_first_vertex_past_it(guard, monkeypatch):
+    """No vertex is expanded once more than ``guard`` vertices are seen."""
+    ctx = AGradedContext(named_matrix("veronese6"))
+    seen = {ctx.reference_ideal}
+    expanded_past = []
+
+    def recording(ideal, ctx, reverse=None):
+        expanded_past.append(len(seen) > guard)
+        moves = neighbors(ideal, ctx, reverse)
+        seen.update(move.target for move in moves)
+        return moves
+
+    monkeypatch.setattr(flipgraph, "neighbors", recording)
+    with pytest.raises(GuardExceeded):
+        explore(ctx, guard=guard)
+    assert len(seen) > guard and not any(expanded_past)
+    assert len(explore(ctx, guard=29).vertices) == 29
 
 
 def test_veronese_29_all_coherent(ctx_veronese):

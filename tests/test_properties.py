@@ -46,19 +46,92 @@ def test_packed_minimalize_matches_tuple_sweep(gens):
     assert minimalize(gens) == tuple_minimalize(gens)
 
 
-@pytest.mark.parametrize("name", ["g137", "veronese6"])
-def test_standard_monomial_is_the_fiber_element_outside(name):
-    """Every vertex of an explored graph, at the degree of each generator."""
-    from agraded import AGradedContext
+def outside_in_fiber(ideal, matrix, b, fibers):
+    """The elements of the degree-b fiber outside the ideal, by tuple divides."""
+    if b not in fibers:
+        fibers[b] = fiber(matrix, b)
+    return [u for u in fibers[b] if not any(divides(h, u) for h in ideal.gens)]
+
+
+@pytest.mark.parametrize("name,multi", [
+    pytest.param(name, multi, id=name + ("-all-ideals" if multi else ""))
+    for name, multi in [("g137", False), ("veronese6", False), ("g36-8-10-15", False),
+                        ("veronese6", True), ("g36-8-10-15", True)]
+])
+def test_standard_monomial_is_the_fiber_element_outside(name, multi):
+    """Every vertex of an explored graph, at the degree of each generator.
+
+    The values come from the cache that explore filled, so this pins the
+    carried values as well as the backtracked ones, from the reference
+    ideal and from every ideal at once.
+    """
+    from agraded import AGradedContext, brute_force_enumerate
     from agraded.fixtures import named_matrix
 
     ctx = AGradedContext(named_matrix(name))
-    for ideal in explore(ctx).vertices:
+    start = brute_force_enumerate(AGradedContext(ctx.A)) if multi else None
+    fibers = {}
+    for ideal in explore(ctx, start=start).vertices:
         for g in ideal.gens:
             b = ctx.A.degree(g)
-            outside = [u for u in fiber(ctx.A, b)
-                       if not any(divides(h, u) for h in ideal.gens)]
-            assert outside == [ctx.standard_monomial(ideal, b)]
+            assert outside_in_fiber(ideal, ctx.A, b, fibers) == [ctx.standard_monomial(ideal, b)]
+
+
+def test_carry_repeats_the_trade_where_one_lands_inside():
+    """Carries where s - b + a still lies in the target, found on g36-8-10-15.
+
+    For each flip M -> M' over (a, b) of the graph and each degree beta of
+    a generator of M' that M has cached, trading x^b for x^a once leaves a
+    multiple of x^b, which lies inside M', when x^{2b} divides std_M(beta).
+    The carry repeats the trade; it must store the fiber element outside
+    M' there.
+    """
+    from agraded import AGradedContext, flip
+    from agraded.fixtures import named_matrix
+
+    matrix = named_matrix("g36-8-10-15")
+    graph = explore(AGradedContext(matrix))
+    fibers = {}
+    cases = 0
+    for i, j, label in graph.edges:
+        for source in (graph.vertices[i], graph.vertices[j]):
+            ctx = AGradedContext(matrix)
+            move = flip(source, label, ctx)
+            a, b, target = move.a, move.b, move.target
+            cached = {ctx.A.degree(g) for g in source.gens}
+            for beta in cached:
+                ctx.standard_monomial(source, beta)
+            ctx.carry(move)
+            carried = ctx._standard.get(target, {})
+            for beta in {ctx.A.degree(g) for g in target.gens} & cached:
+                s = ctx.standard_monomial(source, beta)
+                if not divides(b, s):
+                    continue
+                once = tuple(x - y + z for x, y, z in zip(s, b, a))
+                if target.contains(once):
+                    cases += 1
+                    assert outside_in_fiber(target, matrix, beta, fibers) == [carried[beta]]
+    assert cases == 72  # over both directions of the 553 edges
+
+
+def test_carry_stores_nothing_inside_the_target():
+    """A move whose target contains the candidate leaves that degree uncached."""
+    from agraded import AGradedContext, FlipMove, neighbors
+    from agraded.fixtures import named_matrix
+
+    ctx = AGradedContext(named_matrix("g137"))
+    source = ctx.reference_ideal
+    move = neighbors(source, ctx)[0]
+    ctx.carry(move)
+    carried = dict(ctx._standard[move.target])
+    beta, c = next(iter(carried.items()))
+    # the same trade into a target that also holds the candidate
+    wrong = minimalize(move.target.gens + (c,))
+    fresh = AGradedContext(ctx.A)
+    for g in source.gens:
+        fresh.standard_monomial(source, fresh.A.degree(g))
+    fresh.carry(FlipMove(source, move.a, move.b, wrong))
+    assert beta not in fresh._standard.get(wrong, {})
 
 
 @given(gensets3)
