@@ -40,6 +40,7 @@ from .monomials import (
     packed_colon,
     packed_generators,
     packed_nf,
+    support_mask,
     unpack,
 )
 
@@ -312,6 +313,11 @@ def wall_initial(ideal, a, b, direction):
     "a_leads" or "b_leads".  Completion only ever forms S-pairs of a
     monomial with the binomial, which are monomials, so the result does not
     depend on any further order choice.
+
+    Buchberger's product criterion skips a monomial x^m coprime to the
+    lead: its S-monomial (x^m : lead) trail = x^m trail reduces to zero.
+    When m + trail leaves the packed field range it still goes to
+    ``packed_nf``, which raises ExponentOverflow as without the criterion.
     """
     a, b = tuple(a), tuple(b)
     n = len(a)
@@ -320,18 +326,20 @@ def wall_initial(ideal, a, b, direction):
     pa, pb = pack(a), pack(b)
     if pa not in known:
         raise PreconditionViolated("x^a must be a minimal generator")
-    qb = pb | guard
-    if any((qb - p) & guard == guard for p in known):
+    if ideal.contains(b):
         raise PreconditionViolated("x^b must lie outside the ideal")
     if direction not in ("a_leads", "b_leads"):
         raise InputError(f"bad direction {direction!r}")
     lead, plead, ptrail = (a, pa, pb) if direction == "a_leads" else (b, pb, pa)
+    lead_support = support_mask(lead)
     del known[pa]
     packed = list(known)
     wall = ((plead, ptrail, 1),)
     queue = deque(packed)
     while queue:
         pm = queue.popleft()
+        if not pm & lead_support and not (pm + ptrail) & guard:
+            continue
         nf = packed_nf(packed_colon(pm, plead, guard) + ptrail, 1, packed, wall, guard)
         if nf is not None:
             packed.append(nf[0])
@@ -346,15 +354,17 @@ def wall_recovers_source(ideal, a, b):
 
     Equivalent to wall_initial(ideal, a, b, "a_leads") == ideal, but exits
     as soon as one S-monomial survives reduction, which is the common case
-    for rejected candidates.
+    for rejected candidates.  It skips generators by the product criterion
+    of ``wall_initial``.
     """
-    a, b = tuple(a), tuple(b)
-    n = len(a)
-    guard = guard_mask(n)
+    guard = guard_mask(len(a))
     pa, pb = pack(a), pack(b)
+    lead_support = support_mask(a)
     packed = [p for p in packed_generators(ideal) if p != pa]
     wall = ((pa, pb, 1),)
     for pm in packed:
+        if not pm & lead_support and not (pm + pb) & guard:
+            continue
         if packed_nf(packed_colon(pm, pa, guard) + pb, 1, packed, wall, guard) is not None:
             return False
     return True

@@ -196,8 +196,6 @@ class AGradedContext:
         a, b = move.a, move.b
         known = self._standard.setdefault(target, {})
         intern = self._interned.setdefault
-        guard = guard_mask(self.A.n)
-        pgens = packed_generators(target)
         for g in target.gens:
             beta = self.A.degree(g)
             c = source.get(beta)
@@ -205,8 +203,7 @@ class AGradedContext:
                 continue
             while all(x >= y for x, y in zip(c, b)):
                 c = tuple(x - y + z for x, y, z in zip(c, b, a))
-            q = pack(c) | guard
-            if not any((q - p) & guard == guard for p in pgens):
+            if not target.contains(c):
                 known[intern(beta, beta)] = intern(c, c)
 
 
@@ -251,11 +248,8 @@ def flip(ideal, pair, ctx):
         u, v = pair.lead, pair.trail
     else:
         u, v = (tuple(x) for x in pair)
-    if u in ideal.gens and not ideal.contains(v):
-        a, b = u, v
-    elif v in ideal.gens and not ideal.contains(u):
-        a, b = v, u
-    else:
+    a, b = (u, v) if u in ideal.gens else (v, u)
+    if a not in ideal.gens or ideal.contains(b):
         raise NotApplicable(f"{u} / {v} does not match a generator/standard split")
     if ctx.A.degree(a) != ctx.A.degree(b):
         raise NonHomogeneousInput(f"{a} and {b} have different degrees")

@@ -18,8 +18,10 @@ guard bits G set on x^u, x^g divides x^u iff ((pack(u) | G) - pack(g)) & G
 == G: a field with g_i > u_i borrows its guard bit away, and the guard
 stops the borrow from reaching the next field.  A proper divisor packs to a
 smaller integer, so ascending integer order is a linear extension of
-divisibility.  The tuple function ``divides`` is the reference that the
-packed tests are checked against.
+divisibility.  ``support_mask(u)`` holds the value bits of the fields where
+u is nonzero, so x^g and x^u are coprime iff pack(g) & support_mask(u) is
+0.  The tuple function ``divides`` is the reference that the packed tests
+are checked against.
 """
 
 import struct
@@ -86,6 +88,11 @@ def pack(u):
     except struct.error:  # an entry is negative or at least 2**32
         pass
     raise ExponentOverflow(f"exponent vector {tuple(u)} leaves the range 0 <= e < 2**31")
+
+
+def support_mask(u):
+    """The value bits of the fields where u is nonzero."""
+    return sum((FIELD_LIMIT - 1) << (FIELD_BITS * i) for i, e in enumerate(u) if e)
 
 
 def unpack(p, n):
@@ -196,11 +203,22 @@ class MonomialIdeal:
 
     gens: tuple
 
+    def __hash__(self):
+        # tuples do not cache their hash; the stored value is not a field
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self.gens))
+            return self._hash
+
     def contains(self, u):
         """Whether x^u lies in the ideal, by the packed divisibility test."""
         guard = guard_mask(len(u))
         q = pack(u) | guard
-        return any((q - p) & guard == guard for p in packed_generators(self))
+        for p in packed_generators(self):
+            if (q - p) & guard == guard:
+                return True
+        return False
 
     def is_zero(self):
         return not self.gens

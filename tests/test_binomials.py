@@ -150,6 +150,63 @@ def test_wall_rewrite_beyond_the_packed_field_raises():
         wall_recovers_source(I, (0, 1), (1, 0))
 
 
+# -- oracle: the wall-ideal completion on tuples, without the product criterion
+
+def oracle_wall_initial(ideal, a, b, direction):
+    """Initial ideal of the wall ideal of (ideal, x^a - x^b), on tuples.
+
+    Every monomial of the completion forms its S-monomial with the marked
+    binomial, which is brought to normal form by tuple divisibility.
+    """
+    from agraded.monomials import divides, exp_add
+
+    lead, trail = (a, b) if direction == "a_leads" else (b, a)
+    mons = [g for g in ideal.gens if g != a]
+    queue = list(mons)
+    while queue:
+        m = queue.pop(0)
+        u = exp_add(tuple(max(x - y, 0) for x, y in zip(m, lead)), trail)
+        while not any(divides(g, u) for g in mons):
+            if not divides(lead, u):
+                mons.append(u)
+                queue.append(u)
+                break
+            u = exp_add(tuple(x - y for x, y in zip(u, lead)), trail)
+    return minimalize(mons + [lead])
+
+
+@pytest.mark.parametrize("ctx_name", ["ctx137", "ctx_veronese", "ctx_corank4"])
+def test_wall_tests_match_the_tuple_oracle(ctx_name, request):
+    from agraded import explore
+
+    ctx = request.getfixturevalue(ctx_name)
+    tried = rejected = 0
+    for ideal in explore(ctx).vertices:
+        for a in ideal.gens:
+            b = ctx.standard_monomial(ideal, ctx.A.degree(a))
+            recovered = oracle_wall_initial(ideal, a, b, "a_leads")
+            assert wall_initial(ideal, a, b, "a_leads") == recovered
+            assert wall_recovers_source(ideal, a, b) == (recovered == ideal)
+            assert wall_initial(ideal, a, b, "b_leads") == oracle_wall_initial(ideal, a, b, "b_leads")
+            tried += 1
+            rejected += recovered != ideal
+    assert 0 < rejected < tried
+
+
+def test_coprime_generator_overflows_before_a_later_one_rejects():
+    from agraded.monomials import ExponentOverflow
+
+    # x2^(2**31 - 1) is coprime to the lead x3^2, but its S-monomial
+    # x2^(2**31) is not packable; the later generator x1 x3 rejects
+    I = minimalize([(0, 0, 2), (0, 2 ** 31 - 1, 0), (1, 0, 1)])
+    a, b = (0, 0, 2), (0, 1, 0)
+    assert oracle_wall_initial(I, a, b, "a_leads") != I
+    with pytest.raises(ExponentOverflow):
+        wall_recovers_source(I, a, b)
+    with pytest.raises(ExponentOverflow):
+        wall_initial(I, a, b, "a_leads")
+
+
 def test_wall_initial_curve_flip(curve_ctx):
     from agraded.ideals import definition_flip_ideal
 

@@ -31,6 +31,12 @@ def test_derived_fields_are_cached_outside_hash_and_equality():
     assert m.nonnegative
     fresh = validate_grading([[1, 3, 7]])
     assert m == fresh and hash(m) == hash(fresh)
+    # degree is memoised per matrix, keyed on the tuple of its argument;
+    # the memo is not a field, so equality and hashing do not see it
+    assert m.degree([1, 2, 0]) == m.degree((1, 2, 0)) == (7,)
+    assert m.degree((1, 2, 0)) is m.degree([1, 2, 0])
+    assert m.degree((0, 0, -1)) == (-7,)
+    assert m == fresh and hash(m) == hash(fresh)
 
 
 def test_not_pointed_rejected():

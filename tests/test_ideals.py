@@ -7,8 +7,10 @@ import pytest
 from agraded import (
     AGradedContext,
     BadLength,
+    Binomial,
     GuardExceeded,
     IncompleteInput,
+    NonHomogeneousInput,
     NotApplicable,
     NotFlippable,
     brute_force_enumerate,
@@ -70,6 +72,23 @@ def test_every_graph_edge_matches_definition_flip(ctx137, ctx_veronese, ctx_cora
 def test_flip_not_applicable(ctx12):
     with pytest.raises(NotApplicable):
         flip(minimalize([(2, 0)]), ((4, 0), (0, 2)), ctx12)
+
+
+def test_flip_rejects_a_pair_of_unequal_degree(ctx12):
+    # x2^2 lies outside <x1^2>, but has degree 4 against 2
+    with pytest.raises(NonHomogeneousInput):
+        flip(minimalize([(2, 0)]), ((2, 0), (0, 2)), ctx12)
+    with pytest.raises(NonHomogeneousInput):
+        flip(minimalize([(2, 0)]), ((0, 2), (2, 0)), ctx12)
+
+
+def test_flip_orients_the_pair(ctx_veronese):
+    graph = explore(ctx_veronese)
+    for ideal in graph.vertices[:20]:
+        for move in neighbors(ideal, ctx_veronese):
+            assert flip(ideal, (move.b, move.a), ctx_veronese) == move
+            assert flip(ideal, Binomial(move.b, move.a), ctx_veronese) == move
+            assert flip(ideal, [list(move.b), list(move.a)], ctx_veronese) == move
 
 
 def test_curve_flips_exactly_qrs(curve_ctx):

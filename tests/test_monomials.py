@@ -24,6 +24,19 @@ def hilbert_value(numerator, matrix, b):
     return total
 
 
+def test_ideal_hash_is_cached_and_follows_the_generators():
+    import dataclasses
+
+    ideal = minimalize([(2, 0, 1), (0, 3, 0), (2, 1, 1)])
+    twin = MonomialIdeal(((0, 3, 0), (2, 0, 1)))  # built separately
+    assert ideal == twin and hash(ideal) == hash(twin) == hash(ideal.gens)
+    other = dataclasses.replace(ideal, gens=((1, 0, 0),))
+    assert hash(other) == hash(((1, 0, 0),)) and other != ideal
+    assert other == MonomialIdeal(((1, 0, 0),)) and ideal < other
+    assert repr(ideal) == "MonomialIdeal([[0, 3, 0], [2, 0, 1]])"
+    assert {ideal: 1}[twin] == 1
+
+
 def test_compare_basics():
     order = TermOrder((1, 1, 2, 0, 2))
     assert order.compare((1, 2, 0, 0, 1), (1, 2, 0, 0, 1)) == 0
