@@ -40,6 +40,7 @@ from .monomials import (
     packed_colon,
     packed_generators,
     packed_nf,
+    support,
     support_mask,
     unpack,
 )
@@ -264,19 +265,39 @@ def _finalize(elements, order, n):
 
 @lru_cache(maxsize=None)
 def toric_ideal(matrix):
-    """Generating binomials of the saturated lattice ideal of ker(A).
+    """Generating binomials of the saturated lattice ideal I_L of L = ker(A).
 
-    Starts from a saturated integer kernel basis and saturates the binomial
-    ideal variable by variable: recompute a Groebner basis under an order
-    that makes x_i cheapest (weight -e_i), then strip the common x_i power
-    from each element.  Under such an order x_i divides a lead only if it
-    divides the whole binomial, which makes the stripping exact, and the
-    variable saturations compose, so a single pass suffices.
+    The ideal J of a lattice basis has J : (x_1...x_n)^inf = I_L.  Lemma
+    (Hosten-Sturmfels, GRIN): let u in L be nonzero wherever a basis vector
+    is, D = {i : u_i < 0}, and J' = (J + <x^{u+} - x^{u-}>) : (prod_D x_i)^inf.
+    Then J' = I_L.  Proof: for a binomial f of I_L, x^m f lies in J for an m
+    on coordinates some basis vector touches (the others occur in no
+    generator), so x^m divides x_D^N x^{k u+} for some k and N.  Since
+    x^{k u+} - x^{k u-} is a multiple of x^{u+} - x^{u-}, x_D^N x^{k u-} f
+    lies in J'; x^{k u-} uses only D, for which J' is saturated, so f does.
+
+    u is the greedy sum of the basis vectors b, each added as k b with the
+    smallest k in 1..n+1 that keeps the most coordinates nonzero (each
+    coordinate forbids at most one k), negated if that makes fewer entries
+    negative; a Lawrence lifting thus saturates by n of its 2n variables.
+    Saturating by x_i: a Groebner basis under an order making x_i cheapest
+    (weight -e_i), then strip each element's common x_i power; x_i divides a
+    lead only if it divides the whole binomial, so the stripping is exact.
     """
     basis = kernel_lattice(matrix).vectors
-    gens = tuple(binomial_from_vector(v) for v in basis)
     n = matrix.n
-    for i in range(n):
+    u = (0,) * n
+    for b in basis:
+        u = max((tuple(x + k * y for x, y in zip(u, b)) for k in range(1, n + 2)),
+                key=lambda v: sum(map(bool, v)))
+    if sum(x < 0 for x in u) > sum(x > 0 for x in u):
+        u = tuple(-x for x in u)
+    certify(not any(matrix.degree(u)) and all(u[i] for b in basis for i in support(b)),
+            "the saturation vector is a full-support kernel vector")
+    gens = tuple(binomial_from_vector(v) for v in basis)
+    if len(basis) > 1:  # in corank one u is +-b, already a generator
+        gens += (binomial_from_vector(u),)
+    for i in (i for i in range(n) if u[i] < 0):
         order = cheapest_variable_order(n, i)
         gb = buchberger(gens, order, matrix)
         certify(gb.monomials.is_zero(), "toric saturation stays binomial")

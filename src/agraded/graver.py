@@ -49,7 +49,11 @@ def lawrence_lifting(matrix):
 
 @lru_cache(maxsize=None)
 def graver_basis(matrix):
-    """Complete Graver basis through the Lawrence lifting."""
+    """Complete Graver basis through the Lawrence lifting.
+
+    ``toric_ideal`` saturates the lifting by n of its 2n variables; its lex
+    reduced basis is the Graver basis as mirror pairs x^u y^v - x^v y^u.
+    """
     lifted = lawrence_lifting(matrix)
     n = matrix.n
     order = TermOrder((0,) * (2 * n))  # pure lexicographic

@@ -73,6 +73,76 @@ def test_toric_ideal_12():
     assert toric_ideal(m) == (Binomial((2, 0), (0, 1)),)
 
 
+# -- oracle: the toric saturation by every variable
+
+def oracle_toric_ideal(matrix):
+    """Generators of the toric ideal, saturating by x_1, ..., x_n in turn."""
+    from agraded import kernel_lattice
+    from agraded.binomials import binomial_from_vector
+    from agraded.monomials import cheapest_variable_order, exp_sub
+
+    gens = tuple(binomial_from_vector(v) for v in kernel_lattice(matrix).vectors)
+    n = matrix.n
+    for i in range(n):
+        gb = buchberger(gens, cheapest_variable_order(n, i), matrix)
+        assert gb.monomials.is_zero()
+        new = []
+        for b in gb.binomials:
+            common = min(b.lead[i], b.trail[i])
+            strip = tuple(common if j == i else 0 for j in range(n))
+            new.append(Binomial(exp_sub(b.lead, strip), exp_sub(b.trail, strip)))
+        gens = tuple(new)
+    return gens
+
+
+@pytest.mark.parametrize("name,lifted", [
+    ("g137", False), ("veronese6", False), ("g36-8-10-15", False),
+    ("g137", True), ("veronese6", True),
+])
+def test_toric_ideal_matches_the_every_variable_oracle(name, lifted):
+    from agraded import lawrence_lifting
+
+    m = lawrence_lifting(named_matrix(name)) if lifted else named_matrix(name)
+    oracle = oracle_toric_ideal(m)
+    for order in (TermOrder((0,) * m.n), TermOrder(m.certificate_weights)):
+        assert buchberger(toric_ideal(m), order, m) == buchberger(oracle, order, m)
+
+
+@pytest.mark.parametrize("name,vectors", [
+    ("g137", ((3, -1, 0), (-2, 3, -1))),
+    ("g134", ((3, -1, 0), (-2, 2, -1))),
+    ("veronese6", ((-3, -1, 7, 1, -1, -3), (1, -1, -1, 0, 1, 0), (1, 0, -2, 0, 0, 1))),
+    ("g36-8-10-15", ((32, -1, -10, 2, -2), (-24, 1, 7, -2, 2), (-15, 0, 5, -1, 1),
+                     (45, 0, -15, 0, -1))),
+])
+def test_toric_ideal_from_a_scrambled_lattice_basis(name, vectors, monkeypatch):
+    # for these bases J : x_D^inf is not I_L without the added x^{u+} - x^{u-}
+    import agraded.binomials
+    from agraded import KernelBasis
+
+    m = named_matrix(name)
+    order = TermOrder((0,) * m.n)
+    want = buchberger(oracle_toric_ideal(m), order, m)
+    monkeypatch.setattr(agraded.binomials, "kernel_lattice", lambda _: KernelBasis(vectors))
+    assert buchberger(toric_ideal.__wrapped__(m), order, m) == want
+
+
+def test_toric_ideal_corank_zero_and_untouched_columns():
+    assert toric_ideal(validate_grading([[1, 0], [0, 1]])) == ()
+    # x1 occurs in no kernel vector, so u may vanish there
+    assert toric_ideal(validate_grading([[1, 0, 0], [0, 1, 2]])) == (
+        Binomial((0, 2, 0), (0, 0, 1)),
+    )
+
+
+def test_toric_ideal_beyond_the_packed_field_raises():
+    from agraded.monomials import ExponentOverflow
+
+    for rows in ([[1, 2 ** 31]], [[1, 1, 1], [0, 1, 2 ** 31]]):
+        with pytest.raises(ExponentOverflow):
+            toric_ideal(validate_grading(rows))
+
+
 def test_initial_ideals_12():
     m = validate_grading([[1, 2]])
     assert initial_ideal(m, (1, 0)) == minimalize([(2, 0)])

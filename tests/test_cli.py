@@ -213,3 +213,36 @@ def test_cli_exit_4_on_a_failed_check(matrix12, monkeypatch, capsys):
     monkeypatch.setattr(lp, "_phase1", lambda columns, rhs: (1, (), (0,) * len(rhs)))
     assert main(["graver", "--matrix", matrix12]) == 4
     assert capsys.readouterr().err.startswith("check failed: ")
+
+
+def _printed_binomials(out):
+    from fractions import Fraction
+
+    from agraded import Binomial
+
+    gens = []
+    for line in out.splitlines():
+        lead, coeff, trail = line.split("#")[0].split("|")
+        gens.append(Binomial(tuple(map(int, lead.split())), tuple(map(int, trail.split())),
+                             Fraction(coeff.strip())))
+    return gens
+
+
+def test_cli_toric_gb(matrix137, capsys):
+    from test_binomials import oracle_toric_ideal
+
+    from agraded import TermOrder, buchberger
+    from agraded.fileio import load_matrix
+
+    m = load_matrix(matrix137)
+    order = TermOrder((1, 0, 0))
+    assert main(["toric-gb", "--matrix", matrix137]) == 0
+    # without a weight: some generating set of the toric ideal
+    gens = _printed_binomials(capsys.readouterr().out)
+    assert buchberger(gens, order, m) == buchberger(oracle_toric_ideal(m), order, m)
+    # with a weight: the reduced basis
+    assert main(["toric-gb", "--matrix", matrix137, "--weight", "1,0,0"]) == 0
+    printed = _printed_binomials(capsys.readouterr().out)
+    assert tuple(printed) == buchberger(oracle_toric_ideal(m), order, m).binomials
+    assert main(["toric-gb", "--matrix", matrix137, "--weight", "1,0"]) == 2
+    assert "weight needs 3 entries" in capsys.readouterr().err

@@ -1,5 +1,9 @@
 """Graver bases: production route, oracle, circuits."""
 
+from itertools import permutations
+
+import pytest
+
 from agraded import (
     graver_basis,
     graver_oracle,
@@ -7,6 +11,7 @@ from agraded import (
     lawrence_lifting,
     validate_grading,
 )
+from agraded.binomials import canonical_pair
 from agraded.fixtures import as_pairs, expected, named_matrix
 from agraded.grading import positive_combination
 
@@ -133,3 +138,27 @@ def test_all_circuits_lie_in_graver(ctx_veronese, ctx137):
                 assert is_circuit(m, (plus, minus)) is not None
                 found += 1
         assert found > 0
+
+
+def _graver_of_permuted(matrix, perm):
+    """graver_basis of the matrix with columns ``perm``, mapped back."""
+    permuted = validate_grading([[row[j] for j in perm] for row in matrix.rows])
+
+    def back(w):
+        u = [0] * matrix.n
+        for j, x in zip(perm, w):
+            u[j] = x
+        return tuple(u)
+
+    return tuple(sorted(canonical_pair(back(u), back(v)) for u, v in graver_basis(permuted)))
+
+
+@pytest.mark.parametrize("name,perms", [
+    ("g137", list(permutations(range(3)))),
+    ("g36-8-10-15", [(2, 3, 1, 4, 0)]),
+    ("g345-13-14", [(4, 0, 3, 1, 2)]),
+])
+def test_graver_basis_is_column_order_free(name, perms):
+    m = named_matrix(name)
+    for perm in perms:
+        assert _graver_of_permuted(m, perm) == graver_basis(m).elements
