@@ -24,7 +24,6 @@ from .errors import (
     NotFlippable,
     NotFlippableComplex,
     NotPointed,
-    PreconditionViolated,
     RankDeficient,
     UnknownName,
 )
@@ -45,7 +44,6 @@ from .binomials import (
     canonical_pair,
     initial_ideal,
     toric_ideal,
-    wall_initial,
 )
 from .graver import Circuit, GraverBasis, graver_basis, graver_oracle, is_circuit, lawrence_lifting
 from .ideals import (

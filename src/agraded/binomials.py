@@ -13,18 +13,18 @@ integer test independent of the number of variables.  Exponents that leave
 the field range raise ExponentOverflow instead of spilling into the guard
 bits.  One routine, ``monomials.packed_nf``, rewrites a term c x^u by
 packed monomials and (lead, trail, coeff) binomials: completion brings the
-leading term of each S-polynomial to normal form with it, the reduced-basis
-sweep brings each trail to normal form with it, and the wall ideals pass
-their one binomial x^a - x^b as the only binomial reducer.
+leading term of each S-polynomial to normal form with it, and the
+reduced-basis sweep brings each trail to normal form with it.  The wall
+ideals of flips, whose only binomial is x^a - x^b, are completed by the
+flip itself in ``ideals``.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappush, heappop
 
-from .errors import InputError, NonHomogeneousInput, PreconditionViolated, certify
+from .errors import InputError, NonHomogeneousInput, certify
 from .grading import kernel_lattice
 from .linalg import dot
 from .monomials import (
@@ -34,14 +34,11 @@ from .monomials import (
     exp_add,
     exp_sub,
     guard_mask,
-    ideal_from_packed,
     minimalize,
     pack,
     packed_colon,
-    packed_generators,
     packed_nf,
     support,
-    support_mask,
     unpack,
 )
 
@@ -323,69 +320,3 @@ def initial_ideal(matrix, weight):
     gb = buchberger(toric_ideal(matrix), order, matrix)
     return gb.lead_ideal()
 
-
-# -- wall ideals -------------------------------------------------------------
-
-def wall_initial(ideal, a, b, direction):
-    """Initial ideal of the wall ideal of (ideal, x^a - x^b).
-
-    The wall ideal is generated by the minimal generators of ``ideal``
-    except x^a, together with x^a - x^b.  ``direction`` marks the lead:
-    "a_leads" or "b_leads".  Completion only ever forms S-pairs of a
-    monomial with the binomial, which are monomials, so the result does not
-    depend on any further order choice.
-
-    Buchberger's product criterion skips a monomial x^m coprime to the
-    lead: its S-monomial (x^m : lead) trail = x^m trail reduces to zero.
-    When m + trail leaves the packed field range it still goes to
-    ``packed_nf``, which raises ExponentOverflow as without the criterion.
-    """
-    a, b = tuple(a), tuple(b)
-    n = len(a)
-    guard = guard_mask(n)
-    known = dict(zip(packed_generators(ideal), ideal.gens))
-    pa, pb = pack(a), pack(b)
-    if pa not in known:
-        raise PreconditionViolated("x^a must be a minimal generator")
-    if ideal.contains(b):
-        raise PreconditionViolated("x^b must lie outside the ideal")
-    if direction not in ("a_leads", "b_leads"):
-        raise InputError(f"bad direction {direction!r}")
-    lead, plead, ptrail = (a, pa, pb) if direction == "a_leads" else (b, pb, pa)
-    lead_support = support_mask(lead)
-    del known[pa]
-    packed = list(known)
-    wall = ((plead, ptrail, 1),)
-    queue = deque(packed)
-    while queue:
-        pm = queue.popleft()
-        if not pm & lead_support and not (pm + ptrail) & guard:
-            continue
-        nf = packed_nf(packed_colon(pm, plead, guard) + ptrail, 1, packed, wall, guard)
-        if nf is not None:
-            packed.append(nf[0])
-            queue.append(nf[0])
-    known[plead] = lead
-    packed.append(plead)
-    return ideal_from_packed(packed, n, known)
-
-
-def wall_recovers_source(ideal, a, b):
-    """Whether re-marking the wall ideal toward x^a reproduces ``ideal``.
-
-    Equivalent to wall_initial(ideal, a, b, "a_leads") == ideal, but exits
-    as soon as one S-monomial survives reduction, which is the common case
-    for rejected candidates.  It skips generators by the product criterion
-    of ``wall_initial``.
-    """
-    guard = guard_mask(len(a))
-    pa, pb = pack(a), pack(b)
-    lead_support = support_mask(a)
-    packed = [p for p in packed_generators(ideal) if p != pa]
-    wall = ((pa, pb, 1),)
-    for pm in packed:
-        if not pm & lead_support and not (pm + pb) & guard:
-            continue
-        if packed_nf(packed_colon(pm, pa, guard) + pb, 1, packed, wall, guard) is not None:
-            return False
-    return True

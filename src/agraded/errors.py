@@ -53,10 +53,6 @@ class NonHomogeneousInput(InputError):
     """A binomial or pair whose two monomials have different degrees."""
 
 
-class PreconditionViolated(InputError):
-    pass
-
-
 class NotAGraded(InputError):
     """A monomial ideal without the Hilbert function of the toric ideal."""
 
@@ -73,15 +69,11 @@ class IncompleteGraph(InputError):
     pass
 
 
-class FlipError(InputError):
-    """A pair that does not flip the given ideal."""
-
-
-class NotApplicable(FlipError):
+class NotApplicable(InputError):
     """Neither orientation pairs a minimal generator with an outside monomial."""
 
 
-class NotFlippable(FlipError):
+class NotFlippable(InputError):
     """The wall ideal does not reproduce the source under the reverse marking."""
 
 

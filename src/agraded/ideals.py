@@ -8,26 +8,22 @@ so numerator equality is Hilbert-function equality.
 
 Flips are the local moves of the flip graph: a minimal generator x^a trades
 places with the unique standard monomial x^b of its degree when both
-markings of the wall ideal reproduce the expected sides.  Every flip label
-is automatically a Graver pair: a conformal decomposition of (a, b) would
-contradict either the minimality of x^a or the standardness of x^b.
+markings of the wall ideal reproduce the expected sides; ``flip`` and its
+two kernels complete the wall ideals here, on packed generators.  Every
+flip label is automatically a Graver pair: a conformal decomposition of
+(a, b) would contradict either the minimality of x^a or the standardness
+of x^b.
 """
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .binomials import (
-    Binomial,
-    canonical_pair,
-    initial_ideal,
-    wall_initial,
-    wall_recovers_source,
-)
+from .binomials import Binomial, canonical_pair, initial_ideal
 from .errors import (
     BadLength,
     ExponentOverflow,
-    FlipError,
     GuardExceeded,
     IncompleteInput,
     InputError,
@@ -50,7 +46,10 @@ from .monomials import (
     k_polynomial,
     minimalize,
     pack,
+    packed_colon,
     packed_generators,
+    packed_member,
+    packed_nf,
 )
 
 
@@ -242,20 +241,79 @@ def flip(ideal, pair, ctx):
     The pair is oriented so that one side is a minimal generator and the
     other lies outside (NotApplicable otherwise).  The move is accepted iff
     re-marking the wall ideal toward the generator side reproduces the
-    ideal, in which case the opposite marking is the A-graded target.
+    ideal, in which case the opposite marking is the A-graded target.  The
+    two wall kernels below take the checks made here as given.
     """
     if isinstance(pair, Binomial):
         u, v = pair.lead, pair.trail
     else:
         u, v = (tuple(x) for x in pair)
+    n = ctx.A.n
+    if not len(u) == len(v) == n:
+        raise BadLength(f"{u} and {v} need {n} entries each")
     a, b = (u, v) if u in ideal.gens else (v, u)
-    if a not in ideal.gens or ideal.contains(b):
-        raise NotApplicable(f"{u} / {v} does not match a generator/standard split")
+    if a not in ideal.gens:
+        raise NotApplicable(f"neither {u} nor {v} is a minimal generator")
+    packed = packed_generators(ideal)
+    i = ideal.gens.index(a)
+    pa, pb = packed[i], pack(b)
+    if packed_member(pb, packed, guard_mask(n)):
+        raise NotApplicable(f"{b} lies in the ideal")
     if ctx.A.degree(a) != ctx.A.degree(b):
         raise NonHomogeneousInput(f"{a} and {b} have different degrees")
-    if not wall_recovers_source(ideal, a, b):
+    rest = packed[:i] + packed[i + 1:]
+    if not wall_recovers_source(rest, pa, pb, n):
         raise NotFlippable(f"wall of {a} - {b} does not re-mark to the source")
-    return FlipMove(ideal, a, b, wall_initial(ideal, a, b, "b_leads"))
+    known = dict(zip(rest, ideal.gens[:i] + ideal.gens[i + 1:]))
+    known[pb] = b
+    return FlipMove(ideal, a, b, wall_initial(rest, pa, pb, n, known))
+
+
+def wall_recovers_source(rest, pa, pb, n):
+    """Whether marking x^a in the wall ideal <rest, x^a - x^b> gives the source.
+
+    ``rest`` holds the packed minimal generators of the source other than
+    pa, in n fields.  Completion only forms S-pairs of x^m with the binomial;
+    their S-monomials (x^m : x^a) x^b must all reduce to zero, so the test
+    exits at the first survivor, the common case for rejected candidates.
+    Buchberger's product criterion skips an x^m coprime to x^a, where
+    (x^m : x^a) = x^m, unless m + b leaves the packed field range: that
+    S-monomial still goes to ``packed_nf``, which raises ExponentOverflow.
+    """
+    guard = guard_mask(n)
+    wall = ((pa, pb, 1),)
+    for pm in rest:
+        pc = packed_colon(pm, pa, guard)
+        if pc == pm and not (pm + pb) & guard:
+            continue
+        if packed_nf(pc + pb, 1, rest, wall, guard) is not None:
+            return False
+    return True
+
+
+def wall_initial(rest, pa, pb, n, known):
+    """The flip target: the wall ideal <rest, x^a - x^b> with x^b marked.
+
+    Each S-monomial (x^m : x^b) x^a that survives reduction joins the
+    monomials and forms its own S-pair; the product criterion and overflow
+    are as in ``wall_recovers_source``.  ``known`` maps pb and the packed
+    ``rest`` to the exponent tuples that the result reuses.
+    """
+    guard = guard_mask(n)
+    packed = list(rest)
+    wall = ((pb, pa, 1),)
+    queue = deque(packed)
+    while queue:
+        pm = queue.popleft()
+        pc = packed_colon(pm, pb, guard)
+        if pc == pm and not (pm + pa) & guard:
+            continue
+        nf = packed_nf(pc + pa, 1, packed, wall, guard)
+        if nf is not None:
+            packed.append(nf[0])
+            queue.append(nf[0])
+    packed.append(pb)
+    return ideal_from_packed(packed, n, known)
 
 
 def neighbors(ideal, ctx, reverse=None):
@@ -358,7 +416,9 @@ def brute_force_enumerate(ctx, guard=None):
     side as permanently standard.  Choices implied by divisibility are
     forced and two standard monomials of equal degree prune the branch.
     Every leaf is kept only if it passes ``is_agraded``, the exact
-    K-polynomial test.  ``guard`` bounds the number of leaves visited.
+    K-polynomial test, as it is found.  No ideal is found twice: at each
+    branch x^u is a generator in one subtree and forbidden in the other.
+    ``guard`` bounds the number of leaves visited.
 
     Oracle: it finds every ideal without flips, so the census and the
     verify-paper entries check the flip graph against it.
@@ -382,7 +442,7 @@ def brute_force_enumerate(ctx, guard=None):
         return tuple(c for c in chosen if ((c | mask) - g) & mask != mask) + (g,)
 
     leaves = 0
-    candidates = set()
+    found = []
     # frames: (pair index, chosen gens, forbidden monomials | mask, forbidden
     # degrees); every monomial is packed
     stack = [(0, (), (), frozenset())]
@@ -419,8 +479,10 @@ def brute_force_enumerate(ctx, guard=None):
         leaves += 1
         if guard is not None and leaves > guard:
             raise GuardExceeded(f"more than {guard} leaves")
-        candidates.add(ideal_from_packed(chosen, n, sides))
-    return tuple(ideal for ideal in sorted(candidates) if is_agraded(ideal, ctx))
+        ideal = ideal_from_packed(chosen, n, sides)
+        if is_agraded(ideal, ctx):
+            found.append(ideal)
+    return tuple(sorted(found))
 
 
 # -- the two-by-five curve family ---------------------------------------------

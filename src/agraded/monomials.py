@@ -18,10 +18,8 @@ guard bits G set on x^u, x^g divides x^u iff ((pack(u) | G) - pack(g)) & G
 == G: a field with g_i > u_i borrows its guard bit away, and the guard
 stops the borrow from reaching the next field.  A proper divisor packs to a
 smaller integer, so ascending integer order is a linear extension of
-divisibility.  ``support_mask(u)`` holds the value bits of the fields where
-u is nonzero, so x^g and x^u are coprime iff pack(g) & support_mask(u) is
-0.  The tuple function ``divides`` is the reference that the packed tests
-are checked against.
+divisibility.  The tuple function ``divides`` is the reference that the
+packed tests are checked against.
 """
 
 import struct
@@ -90,11 +88,6 @@ def pack(u):
     raise ExponentOverflow(f"exponent vector {tuple(u)} leaves the range 0 <= e < 2**31")
 
 
-def support_mask(u):
-    """The value bits of the fields where u is nonzero."""
-    return sum((FIELD_LIMIT - 1) << (FIELD_BITS * i) for i, e in enumerate(u) if e)
-
-
 def unpack(p, n):
     """The exponent tuple of a packed vector with n fields and clear guard bits."""
     return _layout(n)[0].unpack(p.to_bytes(4 * n, "little"))
@@ -139,7 +132,16 @@ def packed_nf(pu, c, pmons, pbins, guard):
             return pu, c
 
 
-def ideal_from_packed(packed, n, known=None):
+def packed_member(pu, packed, guard):
+    """Whether some packed monomial in ``packed`` divides the packed x^u."""
+    q = pu | guard
+    for p in packed:
+        if (q - p) & guard == guard:
+            return True
+    return False
+
+
+def ideal_from_packed(packed, n, known):
     """Canonical MonomialIdeal spanned by packed monomials with n fields.
 
     One sweep in ascending integer order keeps exactly the minimal elements,
@@ -150,14 +152,8 @@ def ideal_from_packed(packed, n, known=None):
     guard = guard_mask(n)
     keep = []
     for p in sorted(packed):
-        q = p | guard
-        for h in keep:
-            if (q - h) & guard == guard:
-                break
-        else:
+        if not packed_member(p, keep, guard):
             keep.append(p)
-    if known is None:
-        known = {}
     return MonomialIdeal(tuple(sorted(
         known[p] if p in known else unpack(p, n) for p in keep)))
 
@@ -213,12 +209,7 @@ class MonomialIdeal:
 
     def contains(self, u):
         """Whether x^u lies in the ideal, by the packed divisibility test."""
-        guard = guard_mask(len(u))
-        q = pack(u) | guard
-        for p in packed_generators(self):
-            if (q - p) & guard == guard:
-                return True
-        return False
+        return packed_member(pack(u), packed_generators(self), guard_mask(len(u)))
 
     def is_zero(self):
         return not self.gens
@@ -228,7 +219,7 @@ class MonomialIdeal:
         n = len(m)
         guard = guard_mask(n)
         pm = pack(m)
-        return ideal_from_packed([packed_colon(pack(g), pm, guard) for g in self.gens], n)
+        return ideal_from_packed([packed_colon(pack(g), pm, guard) for g in self.gens], n, {})
 
     def radical(self):
         """Squarefree ideal generated by the supports of the generators."""
@@ -367,21 +358,25 @@ def k_polynomial(ideal, matrix, memo=None, pivot=None):
         pivot = _largest_degree_pivot
     d = matrix.d
     one = KPolynomial.one(d)
+    zero = KPolynomial()
 
     def rec(gens):
-        if not gens:
-            return one
-        if len(gens) == 1 and not any(gens[0]):
-            return KPolynomial()
-        val = memo.get(gens)
-        if val is not None:
-            return val
-        m = pivot(gens)
-        rest = tuple(g for g in gens if g != m)
-        rest_ideal = MonomialIdeal(rest)
-        colon = rest_ideal.colon(m)
-        val = rec(rest) - rec(colon.gens).shifted(matrix.degree(m))
-        memo[gens] = val
+        # a loop walks gens -> rest -> ... to a base case or a memo hit, then
+        # fills the chain in upwards, so that only the colons recurse
+        chain = []
+        while gens and (len(gens) > 1 or any(gens[0])):
+            val = memo.get(gens)
+            if val is not None:
+                break
+            m = pivot(gens)
+            rest = tuple(g for g in gens if g != m)
+            chain.append((gens, m, rest))
+            gens = rest
+        else:  # the empty ideal has numerator 1, the unit ideal 0
+            val = zero if gens else one
+        for gens, m, rest in reversed(chain):
+            val = val - rec(MonomialIdeal(rest).colon(m).gens).shifted(matrix.degree(m))
+            memo[gens] = val
         return val
 
     return rec(ideal.gens)

@@ -1,24 +1,26 @@
-"""Buchberger completion, toric ideals, initial ideals, wall ideals."""
+"""Buchberger completion, toric ideals, initial ideals, and the wall ideals of flips."""
 
 from fractions import Fraction
 
 import pytest
 
 from agraded import (
+    BadLength,
     Binomial,
     NonHomogeneousInput,
-    PreconditionViolated,
+    NotApplicable,
+    NotFlippable,
     TermOrder,
     buchberger,
     curve_binomial_families,
     curve_monomial_ideal,
+    flip,
     initial_ideal,
     minimalize,
     toric_ideal,
     validate_grading,
-    wall_initial,
 )
-from agraded.binomials import wall_recovers_source
+from agraded.ideals import wall_initial, wall_recovers_source
 from agraded.fixtures import named_ideal, named_matrix
 
 
@@ -171,21 +173,44 @@ def test_saturated_lattice_basis_gives_agraded_initial(ctx137):
     assert is_agraded(ideal, ctx137)
 
 
-def test_wall_initial_corank1():
-    m = validate_grading([[1, 2]])
-    I = minimalize([(2, 0)])
-    assert wall_initial(I, (2, 0), (0, 1), "b_leads") == minimalize([(0, 1)])
-    assert wall_initial(I, (2, 0), (0, 1), "a_leads") == I
-    assert wall_recovers_source(I, (2, 0), (0, 1))
+# -- wall ideals: ``flip`` and its two kernels
+
+def context(rows):
+    from agraded import AGradedContext
+
+    return AGradedContext(validate_grading(rows))
 
 
-def test_wall_initial_preconditions():
-    m = validate_grading([[1, 2]])
+def kernel_args(ideal, a, b):
+    """(rest, pa, pb, n, known) as ``flip`` passes them to the wall kernels."""
+    from agraded.monomials import pack, packed_generators
+
+    packed = packed_generators(ideal)
+    i = ideal.gens.index(a)
+    rest = packed[:i] + packed[i + 1:]
+    known = dict(zip(rest, ideal.gens[:i] + ideal.gens[i + 1:]))
+    known[pack(b)] = b
+    return rest, pack(a), pack(b), len(a), known
+
+
+def test_wall_initial_corank1(ctx12):
     I = minimalize([(2, 0)])
-    with pytest.raises(PreconditionViolated):
-        wall_initial(I, (3, 0), (0, 1), "b_leads")  # not a minimal generator
-    with pytest.raises(PreconditionViolated):
-        wall_initial(I, (2, 0), (4, 0), "b_leads")  # inside the ideal
+    assert flip(I, ((2, 0), (0, 1)), ctx12).target == minimalize([(0, 1)])
+    rest, pa, pb, n, known = kernel_args(I, (2, 0), (0, 1))
+    assert wall_recovers_source(rest, pa, pb, n)
+    assert wall_initial(rest, pa, pb, n, known) == minimalize([(0, 1)])
+
+
+def test_wall_initial_preconditions(ctx12):
+    I = minimalize([(2, 0)])
+    with pytest.raises(NotApplicable):
+        flip(I, ((3, 0), (0, 1)), ctx12)  # not a minimal generator
+    with pytest.raises(NotApplicable):
+        flip(I, ((2, 0), (4, 0)), ctx12)  # inside the ideal
+    # mislabelled pairs, as a flip-graph JSON file may hold them
+    for pair in [((2, 0), (1,)), ((2, 0), (0, 1, 0)), ((2, 0, 0), (0, 1, 0))]:
+        with pytest.raises(BadLength):
+            flip(I, pair, ctx12)
 
 
 def test_exponents_beyond_the_packed_field_raise():
@@ -200,9 +225,7 @@ def test_exponents_beyond_the_packed_field_raise():
     # ideal the unit ideal where the source ideal is the answer
     big = MonomialIdeal(((0, 1), (2 ** 31, 0)))
     with pytest.raises(ExponentOverflow):
-        wall_initial(big, (0, 1), (1, 0), "a_leads")
-    with pytest.raises(ExponentOverflow):
-        wall_recovers_source(big, (0, 1), (1, 0))
+        flip(big, ((0, 1), (1, 0)), context([[1, 1]]))
     # packed membership refuses where tuple divisibility answers
     assert divides((2 ** 31, 0), (2 ** 31, 1))
     with pytest.raises(ExponentOverflow):
@@ -214,10 +237,15 @@ def test_wall_rewrite_beyond_the_packed_field_raises():
 
     # every input fits, but the S-monomial x1^(2**31) does not
     I = minimalize([(0, 1), (2 ** 31 - 1, 0)])
+    a, b = (0, 1), (1, 0)
+    rest, pa, pb, n, known = kernel_args(I, a, b)
     with pytest.raises(ExponentOverflow):
-        wall_initial(I, (0, 1), (1, 0), "a_leads")
+        wall_recovers_source(rest, pa, pb, n)
+    known[pa] = a
     with pytest.raises(ExponentOverflow):
-        wall_recovers_source(I, (0, 1), (1, 0))
+        wall_initial(rest, pb, pa, n, known)  # marks x^a
+    with pytest.raises(ExponentOverflow):
+        flip(I, (a, b), context([[1, 1]]))
 
 
 # -- oracle: the wall-ideal completion on tuples, without the product criterion
@@ -255,11 +283,17 @@ def test_wall_tests_match_the_tuple_oracle(ctx_name, request):
         for a in ideal.gens:
             b = ctx.standard_monomial(ideal, ctx.A.degree(a))
             recovered = oracle_wall_initial(ideal, a, b, "a_leads")
-            assert wall_initial(ideal, a, b, "a_leads") == recovered
-            assert wall_recovers_source(ideal, a, b) == (recovered == ideal)
-            assert wall_initial(ideal, a, b, "b_leads") == oracle_wall_initial(ideal, a, b, "b_leads")
+            marked = oracle_wall_initial(ideal, a, b, "b_leads")
+            try:
+                move = flip(ideal, (a, b), ctx)
+            except NotFlippable:
+                assert recovered != ideal
+                assert wall_initial(*kernel_args(ideal, a, b)) == marked
+                rejected += 1
+            else:
+                assert recovered == ideal
+                assert move.target == marked
             tried += 1
-            rejected += recovered != ideal
     assert 0 < rejected < tried
 
 
@@ -271,10 +305,14 @@ def test_coprime_generator_overflows_before_a_later_one_rejects():
     I = minimalize([(0, 0, 2), (0, 2 ** 31 - 1, 0), (1, 0, 1)])
     a, b = (0, 0, 2), (0, 1, 0)
     assert oracle_wall_initial(I, a, b, "a_leads") != I
+    rest, pa, pb, n, known = kernel_args(I, a, b)
     with pytest.raises(ExponentOverflow):
-        wall_recovers_source(I, a, b)
+        wall_recovers_source(rest, pa, pb, n)
+    known[pa] = a
     with pytest.raises(ExponentOverflow):
-        wall_initial(I, a, b, "a_leads")
+        wall_initial(rest, pb, pa, n, known)  # marks x^a
+    with pytest.raises(ExponentOverflow):
+        flip(I, (a, b), context([[1, 2, 1]]))
 
 
 def test_wall_initial_curve_flip(curve_ctx):
@@ -283,19 +321,17 @@ def test_wall_initial_curve_flip(curve_ctx):
     ctx = curve_ctx[1]
     M1 = curve_monomial_ideal(1)
     a, b = (5, 0, 1, 0, 0), (0, 6, 0, 0, 0)  # the unique high-degree strand flip
-    target = wall_initial(M1, a, b, "b_leads")
-    assert wall_initial(M1, a, b, "a_leads") == M1
+    target = flip(M1, (a, b), ctx).target
     assert target == definition_flip_ideal(M1, a, b, ctx.graver)
     # flipping back returns the original ideal
-    back = wall_initial(target, b, a, "b_leads")
+    back = flip(target, (b, a), ctx).target
     assert back == M1
 
 
 def test_wall_initial_deficient_ideal(ctx123789, ideal_J):
     a, b = (0, 1, 0, 0, 0, 1), (0, 0, 1, 0, 1, 0)
-    target = wall_initial(ideal_J, a, b, "b_leads")
-    assert wall_initial(ideal_J, a, b, "a_leads") == ideal_J
-    assert wall_initial(target, b, a, "b_leads") == ideal_J
+    target = flip(ideal_J, (a, b), ctx123789).target
+    assert flip(target, (b, a), ctx123789).target == ideal_J
 
 
 def test_coefficient_arithmetic_in_completion():

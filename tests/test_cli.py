@@ -66,6 +66,18 @@ def test_cli_check_and_neighbors(matrix12, tmp_path, capsys):
     assert doc["moves"][0]["target"] == [[0, 1]]
 
 
+def test_cli_check_many_generators(tmp_path, capsys):
+    # beyond the interpreter's recursion limit, if each generator took a frame
+    matrix = tmp_path / "m11.txt"
+    matrix.write_text(format_matrix([[1, 1]]))
+    ideal = tmp_path / "ideal.txt"
+    ideal.write_text("".join(f"{i} {1099 - i}\n" for i in range(1100)))
+    assert main(["check", "--matrix", str(matrix), "--ideal", str(ideal)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["generators"]) == 1100
+    assert doc["agraded"] is False
+
+
 def test_cli_coherent(matrix12, tmp_path, capsys):
     ideal_path = tmp_path / "ideal.txt"
     ideal_path.write_text("0 1\n")

@@ -219,6 +219,10 @@ def test_brute_force_counts(ctx12, ctx_veronese):
 def test_brute_force_guard(ctx_veronese):
     with pytest.raises(GuardExceeded):
         brute_force_enumerate(ctx_veronese, guard=3)
+    # the guard counts leaves (76 here), not the 29 ideals that pass
+    with pytest.raises(GuardExceeded):
+        brute_force_enumerate(ctx_veronese, guard=29)
+    assert len(brute_force_enumerate(ctx_veronese, guard=76)) == 29
 
 
 def test_parametric_family_bad_length():
