@@ -76,8 +76,9 @@ class AGradedContext:
 
     def __init__(self, matrix):
         self.A = matrix
-        # canonical generators -> K-polynomial, for every ideal the
-        # K-polynomial recursion met, so it answers repeated ideals too
+        # sorted packed generators -> {degree code: coefficient}, for every
+        # ideal the K-polynomial recursion met below the ideals asked for;
+        # brute_force_enumerate releases it when it returns
         self._kpoly_memo = {}
         # ideal -> {degree: standard monomial}.  A matrix has few distinct
         # degrees and standard monomials, shared across thousands of ideals,
@@ -411,14 +412,28 @@ def special_ideals(ctx, all_ideals, expected_count=None):
 def brute_force_enumerate(ctx, guard=None):
     """All monomial A-graded ideals by side choices over the Graver basis.
 
-    Depth-first over the pairs in increasing degree: each pair must have a
-    side inside the ideal, so branch on which one, recording the rejected
-    side as permanently standard.  Choices implied by divisibility are
-    forced and two standard monomials of equal degree prune the branch.
-    Every leaf is kept only if it passes ``is_agraded``, the exact
+    Depth-first over the pairs (u, v) in increasing certificate weight, then
+    tuple order: each pair must have a side inside the ideal, so a pair with
+    a side already inside is passed over, and otherwise the search branches
+    on x^u going in, or x^u staying standard and x^v going in.  A degree has
+    one standard monomial, so once it has one only the first branch
+    remains.  Every leaf is kept only if it passes ``is_agraded``, the exact
     K-polynomial test, as it is found.  No ideal is found twice: at each
-    branch x^u is a generator in one subtree and forbidden in the other.
+    branch x^u is a generator in one subtree and standard in the other.
     ``guard`` bounds the number of leaves visited.
+
+    The distinct sides are numbered in tuple order, and the chosen sides and
+    the degrees with a standard side are bitmasks.  Divisibility among the
+    sides is tested once, with packed integers, into ``below[i]`` (the sides
+    that divide side i), so a step of the search is a few AND operations.
+    Weights are positive, so no side divides another of no larger weight:
+    the chosen sides stay minimal, and a leaf's set bits, read in ascending
+    order, are its sorted minimal generators.  A standard side x^u need not
+    be recorded.  A later pair (w, u) takes x^w by the degree rule, and a
+    later pair (u, y) has y > v, so y - v, or a conformal piece of it of
+    smaller weight, is an earlier pair, which put x^y inside (x^v inside
+    would have passed over (u, v)).  The K-polynomial memo is released when
+    the enumeration returns.
 
     Oracle: it finds every ideal without flips, so the census and the
     verify-paper entries check the flip graph against it.
@@ -427,61 +442,44 @@ def brute_force_enumerate(ctx, guard=None):
         ctx.graver,
         key=lambda p: (positive_combination(ctx.A, ctx.A.degree(p[0])), p),
     )
-    degrees = [ctx.A.degree(u) for u, _ in pairs]
-    n = ctx.A.n
-    mask = guard_mask(n)
-    sides = {}
-    packed_pairs = []
-    for u, v in pairs:
-        pu, pv = pack(u), pack(v)
-        sides[pu], sides[pv] = u, v
-        packed_pairs.append((pu, pv))
-
-    def add_gen(chosen, g):
-        # keep the chosen set minimal; the span is unchanged
-        return tuple(c for c in chosen if ((c | mask) - g) & mask != mask) + (g,)
+    sides = sorted({side for pair in pairs for side in pair})
+    index = {side: i for i, side in enumerate(sides)}
+    packed = [pack(side) for side in sides]
+    mask = guard_mask(ctx.A.n)
+    below = [sum(1 << j for j, pj in enumerate(packed) if ((pi | mask) - pj) & mask == mask)
+             for pi in packed]
+    degree_ids = {}
+    steps = [(index[u], index[v], 1 << degree_ids.setdefault(ctx.A.degree(u), len(degree_ids)))
+             for u, v in pairs]
 
     leaves = 0
     found = []
-    # frames: (pair index, chosen gens, forbidden monomials | mask, forbidden
-    # degrees); every monomial is packed
-    stack = [(0, (), (), frozenset())]
-    while stack:
-        idx, chosen, forbidden, fdegs = stack.pop()
-        while idx < len(pairs):
-            pu, pv = packed_pairs[idx]
-            qu, qv = pu | mask, pv | mask
-            u_in = any((qu - g) & mask == mask for g in chosen)
-            v_in = any((qv - g) & mask == mask for g in chosen)
-            if u_in or v_in:
-                idx += 1
-                continue
-            u_out = any((f - pu) & mask == mask for f in forbidden)
-            v_out = any((f - pv) & mask == mask for f in forbidden)
-            if u_out and v_out:
-                idx = None
-                break
-            if u_out:
-                chosen = add_gen(chosen, pv)
-            elif v_out:
-                chosen = add_gen(chosen, pu)
-            else:
-                # branch: u in the ideal, or u standard and v forced in
-                if degrees[idx] not in fdegs:
-                    stack.append(
-                        (idx + 1, add_gen(chosen, pv), forbidden + (qu,),
-                         fdegs | {degrees[idx]})
-                    )
-                chosen = add_gen(chosen, pu)
-            idx += 1
-        if idx is None:
-            continue
-        leaves += 1
-        if guard is not None and leaves > guard:
-            raise GuardExceeded(f"more than {guard} leaves")
-        ideal = ideal_from_packed(chosen, n, sides)
-        if is_agraded(ideal, ctx):
-            found.append(ideal)
+    # frames: (next pair, chosen sides, degrees whose standard side is fixed)
+    stack = [(0, 0, 0)]
+    try:
+        while stack:
+            start, chosen, fixed = stack.pop()
+            for idx in range(start, len(steps)):
+                iu, iv, deg = steps[idx]
+                if chosen & (below[iu] | below[iv]):
+                    continue
+                # branch: u in the ideal, or u standard and v in
+                if not fixed & deg:
+                    stack.append((idx + 1, chosen | 1 << iv, fixed | deg))
+                chosen |= 1 << iu
+            leaves += 1
+            if guard is not None and leaves > guard:
+                raise GuardExceeded(f"more than {guard} leaves")
+            gens = []
+            while chosen:
+                low = chosen & -chosen
+                gens.append(sides[low.bit_length() - 1])
+                chosen ^= low
+            ideal = MonomialIdeal(tuple(gens))
+            if is_agraded(ideal, ctx):
+                found.append(ideal)
+    finally:
+        ctx._kpoly_memo.clear()
     return tuple(sorted(found))
 
 

@@ -9,22 +9,26 @@ K-polynomials is therefore equality of Hilbert functions.
 
 Divisibility tests dominate the running time of every enumeration, so the
 hot loops (ideal membership, minimalization, wall ideals, standard
-monomials, Buchberger completion, the brute-force search) mirror exponent
-vectors into packed integers, and this module holds the only definition of
-that representation.  Coordinate i occupies the 32-bit field starting at
-bit 32 i; its top bit is a guard bit, so each exponent must satisfy
-0 <= e < 2**31, and ``pack`` raises ExponentOverflow otherwise.  With the
+monomials, Buchberger completion, the K-polynomial recursion and, through
+divisibility tables over the Graver sides, the brute-force search) mirror
+exponent vectors into packed integers, and this module holds the only
+definition of that representation.  Coordinate i occupies the 32-bit field
+starting at bit 32 i; its top bit is a guard bit, so each exponent must
+satisfy 0 <= e < 2**31, and ``pack`` raises ExponentOverflow otherwise.  With the
 guard bits G set on x^u, x^g divides x^u iff ((pack(u) | G) - pack(g)) & G
 == G: a field with g_i > u_i borrows its guard bit away, and the guard
 stops the borrow from reaching the next field.  A proper divisor packs to a
 smaller integer, so ascending integer order is a linear extension of
 divisibility.  The tuple function ``divides`` is the reference that the
-packed tests are checked against.
+packed tests are checked against.  The K-polynomial recursion also keys
+its terms by an additive integer code of the degree (``DegreeCode``), so
+that multiplying by t^{A.m} adds one integer to each key.
 """
 
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .errors import ExponentOverflow
 from .grading import positive_combination
@@ -141,21 +145,28 @@ def packed_member(pu, packed, guard):
     return False
 
 
-def ideal_from_packed(packed, n, known):
-    """Canonical MonomialIdeal spanned by packed monomials with n fields.
+def minimal_packed(packed, guard):
+    """The minimal elements of packed monomials, as a sorted tuple.
 
     One sweep in ascending integer order keeps exactly the minimal elements,
     since every proper divisor comes first; duplicates fall out as divisors.
-    ``known`` maps packed integers to exponent tuples to reuse; the other
-    kept elements are unpacked.
     """
-    guard = guard_mask(n)
     keep = []
     for p in sorted(packed):
         if not packed_member(p, keep, guard):
             keep.append(p)
+    return tuple(keep)
+
+
+def ideal_from_packed(packed, n, known):
+    """Canonical MonomialIdeal spanned by packed monomials with n fields.
+
+    ``known`` maps packed integers to exponent tuples to reuse; the other
+    minimal elements are unpacked.
+    """
     return MonomialIdeal(tuple(sorted(
-        known[p] if p in known else unpack(p, n) for p in keep)))
+        known[p] if p in known else unpack(p, n)
+        for p in minimal_packed(packed, guard_mask(n)))))
 
 
 @dataclass(frozen=True)
@@ -322,16 +333,6 @@ class KPolynomial:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) - v
-        return KPolynomial(out)
-
-    def shifted(self, by):
-        """Multiply by t^by."""
-        return KPolynomial({exp_add(k, by): v for k, v in self.terms.items()})
-
     def items(self):
         return sorted(self.terms.items())
 
@@ -339,8 +340,67 @@ class KPolynomial:
         return f"KPolynomial({self.items()})"
 
 
-def _largest_degree_pivot(gens):
-    return max(gens, key=lambda g: (sum(g), g))
+class _Lazy(dict):
+    """A dict that computes and keeps the value of a missing key."""
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+class DegreeCode:
+    """Additive integer codes of the degrees A.u of packed monomials.
+
+    Every exponent of a packed monomial lies in 0 <= e < 2**31, so row k
+    of its degree satisfies |b_k| <= L_k = (2**31 - 1) sum_j |A_kj|.  With
+    ``bits`` one more than the bit length of the largest L_k, the code
+    sum_k b_k 2**(bits k) of such a degree is read back as balanced digits
+    in [-2**(bits - 1), 2**(bits - 1)), so it is injective on them, also
+    when A has negative entries, and code(A.(u + v)) = code(A.u) +
+    code(A.v).  A code outside that bound raises ExponentOverflow when it
+    is decoded.
+
+    Three lazy dicts are kept per matrix: ``code`` (packed monomial -> its
+    degree code), ``rank`` (packed monomial -> (c.A.m) 2**(32 n) + packed
+    value, which orders by certificate weight, then by packed value) and
+    ``degree`` (degree code -> degree tuple).
+    """
+
+    def __init__(self, matrix):
+        n = matrix.n
+        self.limits = [sum(map(abs, row)) * (FIELD_LIMIT - 1) for row in matrix.rows]
+        self.bits = max(self.limits).bit_length() + 1
+        columns = [sum(a << (self.bits * k) for k, a in enumerate(col))
+                   for col in matrix.columns]
+        weights = matrix.certificate_weights
+        self.code = _Lazy(lambda p: sum(map(mul, columns, unpack(p, n))))
+        self.rank = _Lazy(lambda p: sum(map(mul, weights, unpack(p, n))) << (FIELD_BITS * n) | p)
+        self.degree = _Lazy(self._decode)
+
+    def _decode(self, code):
+        half = 1 << (self.bits - 1)
+        mask = (1 << self.bits) - 1
+        digits = []
+        rest = code
+        for limit in self.limits:
+            b = ((rest + half) & mask) - half
+            if abs(b) > limit:
+                raise ExponentOverflow(f"degree code {code} leaves the bound")
+            digits.append(b)
+            rest = (rest - b) >> self.bits
+        if rest:
+            raise ExponentOverflow(f"degree code {code} leaves the bound")
+        return tuple(digits)
+
+
+@lru_cache(maxsize=8)
+def degree_code(matrix):
+    """The DegreeCode of a grading matrix, kept for the few latest matrices."""
+    return DegreeCode(matrix)
 
 
 def k_polynomial(ideal, matrix, memo=None, pivot=None):
@@ -348,35 +408,59 @@ def k_polynomial(ideal, matrix, memo=None, pivot=None):
 
     Uses the exact generator recursion
         N(<G, m>) = N(<G>) - t^{A.m} N(<G> : m)
-    with base case N(<>) = 1, memoised on canonical generator tuples.  The
-    result does not depend on the pivot choice; the default takes the
-    generator of largest total degree.
+    with base cases N(<>) = 1 and N(<1>) = 0 (Bayer-Stillman; Bigatti,
+    "Computation of Hilbert-Poincare series", JPAA 1997).  It runs on
+    sorted tuples of packed minimal generators: a colon is ``packed_colon``
+    of each generator plus one minimal sweep.  Terms are {degree code:
+    coefficient} dicts (see ``DegreeCode``), so a shift by t^{A.m} adds one
+    integer to every key; degrees are decoded only for the KPolynomial
+    returned.  ``memo`` maps sorted packed generator tuples to code dicts,
+    for every ideal the recursion meets below ``ideal``.
+    The result does not depend on the pivot, a function from the sorted
+    packed generators to one of them; the default takes the generator of
+    largest certificate weight c.A.m, ties broken by the packed value.
     """
     if memo is None:
         memo = {}
+    coding = degree_code(matrix)
     if pivot is None:
-        pivot = _largest_degree_pivot
-    d = matrix.d
-    one = KPolynomial.one(d)
-    zero = KPolynomial()
+        rank = coding.rank.__getitem__
+        pivot = lambda gens: max(gens, key=rank)
+    shifts, degrees = coding.code, coding.degree
+    guard = guard_mask(matrix.n)
 
     def rec(gens):
         # a loop walks gens -> rest -> ... to a base case or a memo hit, then
         # fills the chain in upwards, so that only the colons recurse
         chain = []
-        while gens and (len(gens) > 1 or any(gens[0])):
+        while len(gens) > 1 or (gens and gens[0]):
             val = memo.get(gens)
             if val is not None:
                 break
             m = pivot(gens)
-            rest = tuple(g for g in gens if g != m)
+            i = gens.index(m)
+            rest = gens[:i] + gens[i + 1:]
             chain.append((gens, m, rest))
             gens = rest
         else:  # the empty ideal has numerator 1, the unit ideal 0
-            val = zero if gens else one
+            val = {} if gens else {0: 1}
         for gens, m, rest in reversed(chain):
-            val = val - rec(MonomialIdeal(rest).colon(m).gens).shifted(matrix.degree(m))
-            memo[gens] = val
+            colon = rec(minimal_packed([packed_colon(g, m, guard) for g in rest], guard))
+            shift = shifts[m]
+            val = dict(val)
+            for k, c in colon.items():
+                k += shift
+                c = val.get(k, 0) - c
+                if c:
+                    val[k] = c
+                else:
+                    del val[k]
+            if gens is not top:
+                memo[gens] = val
         return val
 
-    return rec(ideal.gens)
+    # the ideal itself is left out of the memo: each brute-force leaf is
+    # asked for once, and a repeat costs one colon over the entries kept
+    top = tuple(sorted(map(pack, ideal.gens)))
+    terms = rec(top)
+    return KPolynomial({degrees[k]: c for k, c in terms.items()})

@@ -1,8 +1,10 @@
 """A-gradedness, flips, coherence, special ideals, enumeration."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from agraded import (
     AGradedContext,
@@ -10,6 +12,7 @@ from agraded import (
     Binomial,
     GuardExceeded,
     IncompleteInput,
+    MonomialIdeal,
     NonHomogeneousInput,
     NotApplicable,
     NotFlippable,
@@ -27,8 +30,10 @@ from agraded import (
     special_ideals,
     validate_grading,
 )
-from agraded.fixtures import as_pairs, expected, named_ideal
+from agraded.fixtures import as_pairs, expected, named_ideal, named_matrix
+from agraded.grading import positive_combination
 from agraded.ideals import definition_flip_ideal
+from agraded.monomials import divides
 
 
 def test_agraded_examples(ctx12, ctx123789, ideal_J, curve_ctx):
@@ -223,6 +228,94 @@ def test_brute_force_guard(ctx_veronese):
     with pytest.raises(GuardExceeded):
         brute_force_enumerate(ctx_veronese, guard=29)
     assert len(brute_force_enumerate(ctx_veronese, guard=76)) == 29
+
+
+def oracle_brute_force_leaves(ctx):
+    """The side-choice DFS on exponent tuples, keeping a tuple of chosen
+    generators, a tuple of forbidden sides and a set of forbidden degrees,
+    as ``brute_force_enumerate`` ran before its bitmasks; returns the
+    leaves in visiting order."""
+    pairs = sorted(
+        ctx.graver,
+        key=lambda p: (positive_combination(ctx.A, ctx.A.degree(p[0])), p),
+    )
+
+    def add_gen(chosen, g):
+        return tuple(c for c in chosen if not divides(g, c)) + (g,)
+
+    leaves = []
+    stack = [(0, (), (), frozenset())]
+    while stack:
+        idx, chosen, forbidden, fdegs = stack.pop()
+        while idx < len(pairs):
+            u, v = pairs[idx]
+            if any(divides(g, u) or divides(g, v) for g in chosen):
+                idx += 1
+                continue
+            u_out = any(divides(u, f) for f in forbidden)
+            v_out = any(divides(v, f) for f in forbidden)
+            if u_out and v_out:
+                idx = None
+                break
+            if u_out:
+                chosen = add_gen(chosen, v)
+            elif v_out:
+                chosen = add_gen(chosen, u)
+            else:
+                degree = ctx.A.degree(u)
+                if degree not in fdegs:
+                    stack.append((idx + 1, add_gen(chosen, v), forbidden + (u,),
+                                  fdegs | {degree}))
+                chosen = add_gen(chosen, u)
+            idx += 1
+        if idx is not None:
+            leaves.append(MonomialIdeal(tuple(sorted(chosen))))
+    return leaves
+
+
+@pytest.mark.parametrize("name", ["g137", "veronese6", "g36-8-10-15"])
+def test_bitset_dfs_matches_the_tuple_dfs(name, monkeypatch):
+    from agraded import ideals
+    from test_monomials import k_polynomial_oracle
+
+    ctx = AGradedContext(named_matrix(name))
+    visited = []
+    real = ideals.is_agraded
+
+    def recording(ideal, ctx):
+        verdict = real(ideal, ctx)
+        visited.append((ideal, verdict))
+        return verdict
+
+    monkeypatch.setattr(ideals, "is_agraded", recording)
+    found = brute_force_enumerate(ctx)
+    leaves = oracle_brute_force_leaves(ctx)
+    assert [ideal for ideal, _ in visited] == leaves
+    memo = {}
+    reference = k_polynomial_oracle(ctx.reference_ideal, ctx.A, memo)
+    assert [verdict for _, verdict in visited] == [
+        k_polynomial_oracle(leaf, ctx.A, memo) == reference for leaf in leaves]
+    assert found == tuple(sorted(ideal for ideal, verdict in visited if verdict))
+    assert not ctx._kpoly_memo  # released when the enumeration returns
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=3, max_size=4, unique=True), st.booleans())
+def test_bitset_dfs_matches_the_tuple_dfs_on_small_matrices(entries, homogenize):
+    from agraded import ideals
+
+    assume(homogenize or math.gcd(*entries) == 1)
+    entries = sorted(entries)
+    rows = [[1] * len(entries), entries] if homogenize else [entries]
+    ctx = AGradedContext(validate_grading(rows))
+    visited = []
+    real = ideals.is_agraded
+    ideals.is_agraded = lambda ideal, ctx: visited.append(ideal) or real(ideal, ctx)
+    try:
+        brute_force_enumerate(ctx)
+    finally:
+        ideals.is_agraded = real
+    assert visited == oracle_brute_force_leaves(ctx)
 
 
 def test_parametric_family_bad_length():

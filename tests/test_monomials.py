@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from agraded import (
     KPolynomial,
     MonomialIdeal,
@@ -13,6 +15,7 @@ from agraded import (
 )
 from agraded.fixtures import named_ideal
 from agraded.linalg import dot
+from agraded.monomials import FIELD_LIMIT, ExponentOverflow, degree_code, divides, pack
 
 
 def hilbert_value(numerator, matrix, b):
@@ -145,12 +148,91 @@ def test_kpolynomial_pivot_independence():
         assert k_polynomial(ideal, m, memo={}, pivot=chooser) == reference
 
 
+def test_kpolynomial_memo_leaves_out_the_ideal_asked_for():
+    m = validate_grading([[1, 1, 1], [0, 2, 5]])
+    ideal = minimalize([(3, 0, 0), (1, 2, 0), (0, 1, 2), (0, 4, 1), (2, 0, 2)])
+    memo = {}
+    first = k_polynomial(ideal, m, memo=memo)
+    assert memo and tuple(sorted(map(pack, ideal.gens))) not in memo
+    size = len(memo)
+    assert k_polynomial(ideal, m, memo=memo) == first
+    assert len(memo) == size  # a repeat is answered from the entries below it
+
+
 def test_kpolynomial_subtract_and_shift():
-    p = KPolynomial({(1,): 2, (0,): 1})
-    q = KPolynomial({(1,): 2})
-    assert (p - q) == KPolynomial({(0,): 1})
-    assert p.shifted((3,)) == KPolynomial({(4,): 2, (3,): 1})
-    assert (p - p).is_zero()
+    p = {(1,): 2, (0,): 1}
+    q = {(1,): 2}
+    assert kpoly_sub(p, q) == {(0,): 1}
+    assert kpoly_shift(p, (3,)) == {(4,): 2, (3,): 1}
+    assert kpoly_sub(p, p) == {}
+
+
+# -- oracle: the K-polynomial recursion on exponent tuples ------------------------
+
+def kpoly_sub(p, q):
+    """p - q on {degree tuple: coefficient} dicts, without zero terms."""
+    out = dict(p)
+    for k, v in q.items():
+        out[k] = out.get(k, 0) - v
+    return {k: v for k, v in out.items() if v}
+
+
+def kpoly_shift(p, by):
+    """t^by p on a {degree tuple: coefficient} dict."""
+    return {tuple(x + y for x, y in zip(k, by)): v for k, v in p.items()}
+
+
+def k_polynomial_oracle(ideal, matrix, memo=None):
+    """The generator recursion N(<G, m>) = N(<G>) - t^{A.m} N(<G> : m) on
+    tuples: tuple colons, tuple minimalization, dict arithmetic and the
+    pivot of largest total degree, as ``k_polynomial`` ran before it moved
+    to packed generators and degree codes."""
+    memo = {} if memo is None else memo
+    d = matrix.d
+
+    def rec(gens):
+        if not gens:
+            return {(0,) * d: 1}
+        if gens == ((0,) * len(gens[0]),):
+            return {}
+        if gens not in memo:
+            m = max(gens, key=lambda g: (sum(g), g))
+            rest = tuple(g for g in gens if g != m)
+            colon = {tuple(max(x - y, 0) for x, y in zip(g, m)) for g in rest}
+            colon = tuple(sorted(g for g in colon
+                                 if not any(h != g and divides(h, g) for h in colon)))
+            memo[gens] = kpoly_sub(rec(rest), kpoly_shift(rec(colon), matrix.degree(m)))
+        return memo[gens]
+
+    return KPolynomial(rec(ideal.gens))
+
+
+NEGATIVE_ENTRY = [[1, 1, 1], [-1, 0, 1]]
+
+
+def test_kpolynomial_at_the_field_limit_decodes_exactly():
+    m = validate_grading(NEGATIVE_ENTRY)
+    top = FIELD_LIMIT - 1
+    for gens in ([(top, 0, 0)], [(0, 0, top)], [(top, top, top)], [(top, 0, 1), (1, 0, top)]):
+        ideal = minimalize(gens)
+        numerator = k_polynomial(ideal, m)
+        assert numerator == k_polynomial_oracle(ideal, m)
+    assert k_polynomial(minimalize([(top, 0, 0)]), m) == KPolynomial({(0, 0): 1, (top, -top): -1})
+
+
+def test_degree_code_outside_the_bound_raises():
+    m = validate_grading(NEGATIVE_ENTRY)
+    code = degree_code(m)
+    top = FIELD_LIMIT - 1
+    for u in [(top, 0, 0), (0, top, 0), (0, 0, top), (top, top, top), (top, 5, 0)]:
+        assert code.degree[code.code[pack(u)]] == m.degree(u)
+    # row 0 reaches 3 (2**31 - 1) and row 1 2 (2**31 - 1) on packed monomials
+    for degree in [(3 * top + 1, 0), (0, 2 * top + 1), (-1, -2 * top - 1)]:
+        raw = sum(b << (code.bits * k) for k, b in enumerate(degree))
+        with pytest.raises(ExponentOverflow):
+            code.degree[raw]
+    with pytest.raises(ExponentOverflow):  # a digit past the last row
+        code.degree[1 << (2 * code.bits)]
 
 
 def test_packed_nf_multiplies_coefficients():

@@ -193,6 +193,24 @@ def test_kpolynomial_pivot_independence(gens, seed):
     assert k_polynomial(ideal, matrix, memo={}, pivot=rng.choice) == reference
 
 
+KPOLY_MATRICES = {
+    "one-row": [[1, 2, 3]],
+    "two-row": [[1, 1, 1], [0, 2, 5]],
+    "negative-entry": [[1, 1, 1], [-1, 0, 1]],
+}
+
+
+@pytest.mark.parametrize("rows", list(KPOLY_MATRICES.values()), ids=list(KPOLY_MATRICES))
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(gensets3, wide_gensets3))
+def test_packed_kpolynomial_matches_the_tuple_oracle(rows, gens):
+    from test_monomials import k_polynomial_oracle
+
+    matrix = validate_grading(rows)
+    ideal = minimalize(gens)
+    assert k_polynomial(ideal, matrix) == k_polynomial_oracle(ideal, matrix)
+
+
 @settings(max_examples=20, deadline=None)
 @given(gensets3)
 def test_kpolynomial_counts_standard_monomials(gens):
