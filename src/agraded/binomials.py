@@ -11,10 +11,15 @@ the packed integers of ``monomials`` (one 32-bit field per coordinate with
 a guard bit, exponents below 2**31), where "divides" is a three-operation
 integer test independent of the number of variables.  Exponents that leave
 the field range raise ExponentOverflow instead of spilling into the guard
-bits.  One routine, ``monomials.packed_nf``, rewrites a term c x^u by
-packed monomials and (lead, trail, coeff) binomials: completion brings the
-leading term of each S-polynomial to normal form with it, and the
-reduced-basis sweep brings each trail to normal form with it.  The wall
+bits.  ``buchberger`` keeps every basis element as a packed (lead, trail,
+coeff) triple, trail None for a monomial, from the moment it packs its
+input until ``_finalize`` unpacks the reduced basis into Binomials: an
+S-polynomial term is the one integer l - lead + trail, and terms are
+ranked by ``TermOrder.key`` of their unpacked exponents.  Coefficients
+are Fractions.  One routine, ``monomials.packed_nf``, rewrites a term
+c x^u by packed monomials and binomials: completion brings the leading
+term of each S-polynomial to normal form with it, and the reduced-basis
+sweep brings each trail to normal form with it.  The wall
 ideals of flips, whose only binomial is x^a - x^b, are completed by the
 flip itself in ``ideals``.
 """
@@ -23,15 +28,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappush, heappop
+from numbers import Rational
 
-from .errors import InputError, NonHomogeneousInput, certify
+from .errors import ExponentOverflow, InputError, NonHomogeneousInput, certify
 from .grading import kernel_lattice
 from .linalg import dot
 from .monomials import (
     MonomialIdeal,
     TermOrder,
     cheapest_variable_order,
-    exp_add,
     exp_sub,
     guard_mask,
     minimalize,
@@ -45,13 +50,21 @@ from .monomials import (
 
 @dataclass(frozen=True)
 class Binomial:
-    """The element x^lead - coeff * x^trail with a nonzero coefficient."""
+    """The element x^lead - coeff * x^trail with a nonzero rational coefficient.
+
+    The coefficient is stored as a Fraction; one that is not rational (a
+    float or a string, say) raises InputError.
+    """
 
     lead: tuple
     trail: tuple
     coeff: Fraction = Fraction(1)
 
     def __post_init__(self):
+        if not isinstance(self.coeff, Fraction):  # keeps shared Fractions shared
+            if not isinstance(self.coeff, Rational):
+                raise InputError(f"coefficient {self.coeff!r} is not rational")
+            object.__setattr__(self, "coeff", Fraction(self.coeff))
         if self.lead == self.trail:
             raise InputError("binomial needs two distinct monomials")
         if self.coeff == 0:
@@ -59,7 +72,7 @@ class Binomial:
 
     def oriented(self, order):
         """Re-mark so that the lead is the larger term under the order."""
-        if order.compare(self.lead, self.trail) >= 0:
+        if order.key(self.lead) > order.key(self.trail):
             return self
         return Binomial(self.trail, self.lead, 1 / self.coeff)
 
@@ -97,48 +110,38 @@ class MarkedGB:
         return minimalize(tuple(b.lead for b in self.binomials) + self.monomials.gens)
 
 
-def _canonicalize(terms, order):
-    """Turn a reduced term dict into None (zero), an exponent, or a Binomial."""
-    if not terms:
-        return None
-    if len(terms) == 1:
-        (u, _), = terms.items()
-        return u
-    certify(len(terms) == 2, "a working polynomial has more than two terms")
-    (u, cu), (v, cv) = terms.items()
-    if order.compare(u, v) < 0:
-        u, v, cu, cv = v, u, cv, cu
-    return Binomial(u, v, -cv / cu)
-
-
 def buchberger(gens, order, matrix):
     """Reduced Groebner basis of monomial/binomial generators.
 
     Raises NonHomogeneousInput if a binomial pairs monomials of different
-    degree.  The basis is one list of (packed lead, Binomial) elements, with
-    None for a monomial, and the reducers passed to ``packed_nf`` are kept
-    beside it.  S-pairs of two monomials vanish; those of a monomial with a
-    binomial are monomials.  Pairs are processed by increasing positivity
-    weight of the lcm (the generators are homogeneous, so this is a normal
-    degree-by-degree selection even when the order's own weight has
-    negative entries), pruned with the Gebauer-Moeller criteria.  During
+    degree.  The basis is one list of packed (lead, trail, coeff) triples,
+    with trail None for a monomial; ``pmons`` and ``pbins`` split it for
+    ``packed_nf``.  S-pairs of two monomials vanish; those of a monomial
+    with a binomial are monomials.  Pairs are processed by increasing
+    positivity weight of the lcm (the generators are homogeneous, so this
+    is a normal degree-by-degree selection even when the order's own weight
+    has negative entries), pruned with the Gebauer-Moeller criteria.  During
     completion only the leading term is reduced; ``_finalize`` then turns
     the Groebner basis into the reduced one, which is unique for the order.
     """
     weights = matrix.certificate_weights
     n = matrix.n
     guard = guard_mask(n)
+
+    def rank(p):
+        return order.key(unpack(p, n))
+
     pmons = []
-    bins = []
+    pbins = []
     for g in gens:
         if isinstance(g, Binomial):
             if matrix.degree(g.lead) != matrix.degree(g.trail):
                 raise NonHomogeneousInput(f"{g} is not homogeneous")
-            bins.append(g.oriented(order))
+            g = g.oriented(order)
+            pbins.append((pack(g.lead), pack(g.trail), g.coeff))
         else:
             pmons.append(pack(g))
-    pbins = [(pack(b.lead), pack(b.trail), b.coeff) for b in bins]
-    elements = [(p, None) for p in pmons] + [(p[0], b) for p, b in zip(pbins, bins)]
+    elements = [(p, None, None) for p in pmons] + pbins
     queue = []
     alive = {}
     counter = 0
@@ -148,7 +151,7 @@ def buchberger(gens, order, matrix):
 
     def push_pairs(k):
         nonlocal counter
-        plk, bk = elements[k]
+        plk, ptk, _ = elements[k]
         # drop superseded old pairs (chain criterion)
         for (i, j), plij in list(alive.items()):
             if ((plij | guard) - plk) & guard == guard:
@@ -161,7 +164,7 @@ def buchberger(gens, order, matrix):
         # one sweep keep exactly the minimal lcms
         by_lcm = {}
         for i in range(k):
-            if bk is None and elements[i][1] is None:
+            if ptk is None and elements[i][1] is None:
                 continue
             by_lcm.setdefault(packed_lcm(elements[i][0], plk), []).append(i)
         minimal = []
@@ -185,74 +188,75 @@ def buchberger(gens, order, matrix):
         _, pl, _, i, j = heappop(queue)
         if alive.pop((i, j), None) is None:
             continue
-        l = unpack(pl, n)
         # S-pair: the x^l heads cancel; a monomial contributes nothing else
         work = {}
-        for (_, b), sign in ((elements[i], 1), (elements[j], -1)):
-            if b is not None:
-                t = exp_add(exp_sub(l, b.lead), b.trail)
-                work[t] = work.get(t, 0) + sign * b.coeff
+        for (plead, ptrail, coeff), sign in ((elements[i], 1), (elements[j], -1)):
+            if ptrail is not None:
+                t = pl - plead + ptrail
+                if t & guard:
+                    raise ExponentOverflow("an S-polynomial exponent reached 2**31")
+                work[t] = work.get(t, 0) + sign * coeff
         # bring the largest term to normal form until the largest term is
         # irreducible or the polynomial vanishes; the other term is rewritten
         # only if it becomes the largest
         irreducible = set()
         while work:
-            u = order.max(work)
+            u = max(work, key=rank)
             if u in irreducible:
                 break
-            nf = packed_nf(pack(u), work.pop(u), pmons, pbins, guard)
+            nf = packed_nf(u, work.pop(u), pmons, pbins, guard)
             if nf is not None:
-                v = unpack(nf[0], n)
-                c = work.pop(v, 0) + nf[1]
+                v, c = nf
+                c += work.pop(v, 0)
                 if c:
                     work[v] = c
                     irreducible.add(v)
-        red = _canonicalize(work, order)
-        if red is None:
-            continue
-        if isinstance(red, Binomial):
-            elements.append((pack(red.lead), red))
-            pbins.append((elements[-1][0], pack(red.trail), red.coeff))
         else:
-            elements.append((pack(red), None))
-            pmons.append(elements[-1][0])
+            continue  # reduced to zero
+        c = work.pop(u)
+        if work:
+            (v, cv), = work.items()
+            elements.append((u, v, -cv / c))
+            pbins.append(elements[-1])
+        else:
+            elements.append((u, None, None))
+            pmons.append(u)
         push_pairs(len(elements) - 1)
 
     return _finalize(elements, order, n)
 
 
 def _finalize(elements, order, n):
-    """The reduced basis from a Groebner basis of (packed lead, Binomial) elements.
+    """The reduced basis from a Groebner basis of packed (lead, trail, coeff) triples.
 
     One sweep in ascending order of packed leads, a linear extension of
-    divisibility, keeps each element whose lead no kept lead divides.
-    Among equal leads a monomial (None) comes first, then the binomial with
-    the smallest (pair, coeff).  The kept elements still form a Groebner
-    basis, so normal forms modulo them are unique: each trail is replaced
-    by its normal form, and a binomial whose trail reduces to zero becomes
-    its lead monomial.  No element has to be left out of the reducers: the
+    divisibility, keeps each element whose lead no kept lead divides; among
+    equal leads a monomial (trail None) comes first.  Which of several
+    binomials with one lead survives does not matter, because the result
+    is the reduced basis, which is unique: the kept elements still form a
+    Groebner basis, so normal forms modulo them are unique, and each trail
+    is replaced by its normal form.  A binomial whose trail reduces to zero
+    becomes its lead monomial.  No element has to be left out of the reducers: the
     trail and its rewrites have the degree of the lead, so under a pointed
     grading the lead divides one of them only if equal to it, and they all
     lie below the lead in the order.
     """
     guard = guard_mask(n)
     keep = []
-    for plead, b in sorted(elements, key=lambda e: (e[0], 0) if e[1] is None
-                           else (e[0], 1, e[1].pair(), e[1].coeff)):
-        q = plead | guard
-        if not any((q - h) & guard == guard for h, _ in keep):
-            keep.append((plead, b))
-    kept = [b for _, b in keep if b is not None]
-    pmons = [p for p, b in keep if b is None]
-    pbins = [(pack(b.lead), pack(b.trail), b.coeff) for b in kept]
+    for e in sorted(elements, key=lambda e: (e[0], e[1] is not None)):
+        q = e[0] | guard
+        if not any((q - h) & guard == guard for h, _, _ in keep):
+            keep.append(e)
+    pmons = [p for p, ptrail, _ in keep if ptrail is None]
+    pbins = [e for e in keep if e[1] is not None]
     mons = [unpack(p, n) for p in pmons]
     bins = []
-    for b, (_, ptrail, coeff) in zip(kept, pbins):
+    for plead, ptrail, coeff in pbins:
         nf = packed_nf(ptrail, coeff, pmons, pbins, guard)
         if nf is None:
-            mons.append(b.lead)
+            mons.append(unpack(plead, n))
         else:
-            bins.append(Binomial(b.lead, unpack(nf[0], n), nf[1]))
+            bins.append(Binomial(unpack(plead, n), unpack(nf[0], n), nf[1]))
     return MarkedGB(
         tuple(sorted(bins, key=lambda b: (b.lead, b.trail))),
         minimalize(mons),

@@ -19,10 +19,14 @@ guard bits G set on x^u, x^g divides x^u iff ((pack(u) | G) - pack(g)) & G
 == G: a field with g_i > u_i borrows its guard bit away, and the guard
 stops the borrow from reaching the next field.  A proper divisor packs to a
 smaller integer, so ascending integer order is a linear extension of
-divisibility.  The tuple function ``divides`` is the reference that the
-packed tests are checked against.  The K-polynomial recursion also keys
-its terms by an additive integer code of the degree (``DegreeCode``), so
-that multiplying by t^{A.m} adds one integer to each key.
+divisibility.  Fields add and subtract independently while every entry
+stays in range, so a product or quotient of monomials is one integer
+operation.  The tuple function ``divides`` is the reference that the
+packed tests are checked against.  Term orders rank monomials by
+``TermOrder.key``, applied to exponent tuples.  The K-polynomial
+recursion also keys its terms by an additive integer code of the degree
+(``DegreeCode``), so that multiplying by t^{A.m} adds one integer to each
+key.
 """
 
 import struct
@@ -43,9 +47,6 @@ def divides(g, u):
 
 def exp_lcm(u, v):
     return tuple(max(a, b) for a, b in zip(u, v))
-
-def exp_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
 
 def exp_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
@@ -173,28 +174,16 @@ def ideal_from_packed(packed, n, known):
 class TermOrder:
     """Weight vector refined by lexicographic tie-break.
 
-    Comparison is total on monomials of equal degree for any grading; the
-    weight may have negative entries.  Ties are broken with x1 > x2 > ... > xn.
+    ``key(u) = (weight . u, u)`` ranks monomials: x^u is the larger term iff
+    its key is.  The order is total, the weight may have negative entries,
+    and ties are broken with x1 > x2 > ... > xn.
     """
 
     weight: tuple
 
-    def compare(self, u, v):
-        """-1, 0 or 1 as u is smaller, equal or larger than v."""
-        if u == v:
-            return 0
-        wu = dot(self.weight, u)
-        wv = dot(self.weight, v)
-        if wu != wv:
-            return 1 if wu > wv else -1
-        return 1 if tuple(u) > tuple(v) else -1
-
-    def max(self, terms):
-        best = None
-        for t in terms:
-            if best is None or self.compare(t, best) > 0:
-                best = t
-        return best
+    def key(self, u):
+        """The sort key (weight . u, u) of the monomial x^u."""
+        return dot(self.weight, u), tuple(u)
 
 
 def cheapest_variable_order(n, i):
@@ -224,13 +213,6 @@ class MonomialIdeal:
 
     def is_zero(self):
         return not self.gens
-
-    def colon(self, m):
-        """(self : x^m)."""
-        n = len(m)
-        guard = guard_mask(n)
-        pm = pack(m)
-        return ideal_from_packed([packed_colon(pack(g), pm, guard) for g in self.gens], n, {})
 
     def radical(self):
         """Squarefree ideal generated by the supports of the generators."""
@@ -403,7 +385,7 @@ def degree_code(matrix):
     return DegreeCode(matrix)
 
 
-def k_polynomial(ideal, matrix, memo=None, pivot=None):
+def k_polynomial(ideal, matrix, memo=None):
     """Hilbert-series numerator of the quotient by a monomial ideal.
 
     Uses the exact generator recursion
@@ -416,16 +398,13 @@ def k_polynomial(ideal, matrix, memo=None, pivot=None):
     integer to every key; degrees are decoded only for the KPolynomial
     returned.  ``memo`` maps sorted packed generator tuples to code dicts,
     for every ideal the recursion meets below ``ideal``.
-    The result does not depend on the pivot, a function from the sorted
-    packed generators to one of them; the default takes the generator of
-    largest certificate weight c.A.m, ties broken by the packed value.
+    The pivot m is the generator of largest certificate weight c.A.m, ties
+    broken by the packed value; the result does not depend on the pivot.
     """
     if memo is None:
         memo = {}
     coding = degree_code(matrix)
-    if pivot is None:
-        rank = coding.rank.__getitem__
-        pivot = lambda gens: max(gens, key=rank)
+    rank = coding.rank.__getitem__
     shifts, degrees = coding.code, coding.degree
     guard = guard_mask(matrix.n)
 
@@ -437,7 +416,7 @@ def k_polynomial(ideal, matrix, memo=None, pivot=None):
             val = memo.get(gens)
             if val is not None:
                 break
-            m = pivot(gens)
+            m = max(gens, key=rank)
             i = gens.index(m)
             rest = gens[:i] + gens[i + 1:]
             chain.append((gens, m, rest))

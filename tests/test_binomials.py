@@ -7,6 +7,7 @@ import pytest
 from agraded import (
     BadLength,
     Binomial,
+    InputError,
     NonHomogeneousInput,
     NotApplicable,
     NotFlippable,
@@ -29,6 +30,25 @@ def test_single_binomial_is_its_own_basis():
     gb = buchberger([Binomial((2, 0), (0, 1))], TermOrder((1, 0)), m)
     assert gb.monomials.is_zero()
     assert gb.binomials == (Binomial((2, 0), (0, 1)),)
+
+
+def test_coefficients_stay_exact():
+    m = validate_grading([[1, 1, 1]])
+    gens = [Binomial((2, 0, 0), (0, 1, 1), 3), Binomial((1, 1, 0), (0, 0, 2), 2)]
+    gb = buchberger(gens, TermOrder((0, 0, 0)), m)
+    assert gb.binomials == (
+        Binomial((0, 3, 1), (0, 0, 4), Fraction(4, 3)),
+        Binomial((1, 0, 2), (0, 2, 1), Fraction(3, 2)),
+        Binomial((1, 1, 0), (0, 0, 2), 2),
+        Binomial((2, 0, 0), (0, 1, 1), 3),
+    )
+    assert all(type(b.coeff) is Fraction for b in gb.binomials)
+    flipped = Binomial((1, 0), (0, 1), 2).oriented(TermOrder((0, 1)))
+    assert flipped == Binomial((0, 1), (1, 0), Fraction(1, 2))
+    assert type(flipped.coeff) is Fraction
+    for bad in (0.5, "2"):
+        with pytest.raises(InputError):
+            Binomial((1, 0), (0, 1), bad)
 
 
 def test_non_homogeneous_rejected():
@@ -145,6 +165,16 @@ def test_toric_ideal_beyond_the_packed_field_raises():
             toric_ideal(validate_grading(rows))
 
 
+def test_s_polynomial_beyond_the_packed_field_raises():
+    from agraded.monomials import ExponentOverflow
+
+    # every input fits, but the S-polynomial of the two has the trail z^(2**31)
+    N = 2 ** 31 - 1
+    gens = [Binomial((N, 0, 0), (0, 0, N)), Binomial((1, 0, 1), (0, 2, 0))]
+    with pytest.raises(ExponentOverflow):
+        buchberger(gens, TermOrder((0, 0, 0)), validate_grading([[1, 1, 1]]))
+
+
 def test_initial_ideals_12():
     m = validate_grading([[1, 2]])
     assert initial_ideal(m, (1, 0)) == minimalize([(2, 0)])
@@ -256,20 +286,20 @@ def oracle_wall_initial(ideal, a, b, direction):
     Every monomial of the completion forms its S-monomial with the marked
     binomial, which is brought to normal form by tuple divisibility.
     """
-    from agraded.monomials import divides, exp_add
+    from agraded.monomials import divides
 
     lead, trail = (a, b) if direction == "a_leads" else (b, a)
     mons = [g for g in ideal.gens if g != a]
     queue = list(mons)
     while queue:
         m = queue.pop(0)
-        u = exp_add(tuple(max(x - y, 0) for x, y in zip(m, lead)), trail)
+        u = tuple(max(x - y, 0) + z for x, y, z in zip(m, lead, trail))
         while not any(divides(g, u) for g in mons):
             if not divides(lead, u):
                 mons.append(u)
                 queue.append(u)
                 break
-            u = exp_add(tuple(x - y for x, y in zip(u, lead)), trail)
+            u = tuple(x - y + z for x, y, z in zip(u, lead, trail))
     return minimalize(mons + [lead])
 
 

@@ -1,6 +1,5 @@
 """Property-based invariants for the combinatorial core."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from agraded import MonomialIdeal, explore, fiber, k_polynomial, minimalize, validate_grading
 from agraded.monomials import FIELD_LIMIT, divides, pack, unpack
+from test_monomials import colon
 
 
 exponents3 = st.tuples(
@@ -159,7 +159,7 @@ def test_minimal_generators_form_antichain(gens):
 @given(gensets3, exponents3)
 def test_colon_definition(gens, m):
     ideal = minimalize(gens)
-    quotient = ideal.colon(m)
+    quotient = colon(ideal, m)
     for a in range(4):
         for b in range(4):
             for c in range(4):
@@ -171,7 +171,7 @@ def test_colon_definition(gens, m):
 @given(gensets3)
 def test_colon_by_one_is_identity(gens):
     ideal = minimalize(gens)
-    assert ideal.colon((0, 0, 0)) == ideal
+    assert colon(ideal, (0, 0, 0)) == ideal
 
 
 @given(gensets3)
@@ -181,16 +181,6 @@ def test_radical_idempotent(gens):
     assert rad.radical() == rad
     for g in rad.gens:
         assert all(e <= 1 for e in g)
-
-
-@settings(max_examples=25, deadline=None)
-@given(gensets3, st.integers(0, 10 ** 6))
-def test_kpolynomial_pivot_independence(gens, seed):
-    matrix = validate_grading([[1, 2, 3]])
-    ideal = minimalize(gens)
-    rng = random.Random(seed)
-    reference = k_polynomial(ideal, matrix)
-    assert k_polynomial(ideal, matrix, memo={}, pivot=rng.choice) == reference
 
 
 KPOLY_MATRICES = {
@@ -256,15 +246,16 @@ def test_random_rank_one_pipelines(weights):
         assert label in basis
 
 
-nonzero_fractions = st.builds(
-    Fraction, st.integers(1, 4).flatmap(lambda a: st.sampled_from((a, -a))), st.integers(1, 4))
+nonzero_integers = st.integers(1, 4).flatmap(lambda a: st.sampled_from((a, -a)))
+nonzero_rationals = st.one_of(nonzero_integers,
+                              st.builds(Fraction, nonzero_integers, st.integers(1, 4)))
 small3 = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.tuples(st.just(1), st.integers(1, 3), st.integers(1, 3)),
        st.tuples(st.integers(-2, 3), st.integers(-2, 3), st.integers(-2, 3)),
-       st.lists(st.tuples(small3, small3, nonzero_fractions), min_size=1, max_size=4),
+       st.lists(st.tuples(small3, small3, nonzero_rationals), min_size=1, max_size=4),
        st.lists(small3, max_size=2),
        st.randoms(use_true_random=False))
 def test_buchberger_mixed_generators(weights, order_weight, pairs, mons, rng):
@@ -287,6 +278,7 @@ def test_buchberger_mixed_generators(weights, order_weight, pairs, mons, rng):
     rng.shuffle(gens)
     assert buchberger(gens, order, matrix) == gb
 
+    assert all(type(b.coeff) is Fraction for b in gb.binomials)
     leads = [b.lead for b in gb.binomials] + list(gb.monomials.gens)
     for i, g in enumerate(leads):
         assert not any(divides(h, g) for j, h in enumerate(leads) if j != i)
