@@ -16,10 +16,11 @@ coeff) triple, trail None for a monomial, from the moment it packs its
 input until ``_finalize`` unpacks the reduced basis into Binomials: an
 S-polynomial term is the one integer l - lead + trail, and terms are
 ranked by ``TermOrder.key`` of their unpacked exponents.  Coefficients
-are Fractions.  One routine, ``monomials.packed_nf``, rewrites a term
-c x^u by packed monomials and binomials: completion brings the leading
-term of each S-polynomial to normal form with it, and the reduced-basis
-sweep brings each trail to normal form with it.  The wall
+are ints until a division needs a Fraction.  One kernel,
+``monomials.packed_step``, rewrites a packed monomial once by packed
+monomials and binomials: completion rewrites the largest term of each
+S-polynomial one step at a time, and the reduced-basis sweep brings each
+trail to normal form with ``packed_nf``, a loop over that kernel.  The wall
 ideals of flips, whose only binomial is x^a - x^b, are completed by the
 flip itself in ``ideals``.
 """
@@ -34,6 +35,9 @@ from .errors import ExponentOverflow, InputError, NonHomogeneousInput, certify
 from .grading import kernel_lattice
 from .linalg import dot
 from .monomials import (
+    FIELD_BITS,
+    FIELD_LIMIT,
+    IRREDUCIBLE,
     MonomialIdeal,
     TermOrder,
     cheapest_variable_order,
@@ -41,8 +45,8 @@ from .monomials import (
     guard_mask,
     minimalize,
     pack,
-    packed_colon,
     packed_nf,
+    packed_step,
     support,
     unpack,
 )
@@ -116,13 +120,15 @@ def buchberger(gens, order, matrix):
     Raises NonHomogeneousInput if a binomial pairs monomials of different
     degree.  The basis is one list of packed (lead, trail, coeff) triples,
     with trail None for a monomial; ``pmons`` and ``pbins`` split it for
-    ``packed_nf``.  S-pairs of two monomials vanish; those of a monomial
+    ``packed_step``.  S-pairs of two monomials vanish; those of a monomial
     with a binomial are monomials.  Pairs are processed by increasing
     positivity weight of the lcm (the generators are homogeneous, so this
     is a normal degree-by-degree selection even when the order's own weight
     has negative entries), pruned with the Gebauer-Moeller criteria.  During
-    completion only the leading term is reduced; ``_finalize`` then turns
-    the Groebner basis into the reduced one, which is unique for the order.
+    completion the largest term is rewritten one step at a time, ranking
+    again after each step, until it is irreducible; the two terms then
+    cancel where their rewrite paths meet.  ``_finalize`` turns the
+    Groebner basis into the reduced one, which is unique for the order.
     """
     weights = matrix.certificate_weights
     n = matrix.n
@@ -138,7 +144,8 @@ def buchberger(gens, order, matrix):
             if matrix.degree(g.lead) != matrix.degree(g.trail):
                 raise NonHomogeneousInput(f"{g} is not homogeneous")
             g = g.oriented(order)
-            pbins.append((pack(g.lead), pack(g.trail), g.coeff))
+            c = g.coeff
+            pbins.append((pack(g.lead), pack(g.trail), c.numerator if c.denominator == 1 else c))
         else:
             pmons.append(pack(g))
     elements = [(p, None, None) for p in pmons] + pbins
@@ -146,34 +153,33 @@ def buchberger(gens, order, matrix):
     alive = {}
     counter = 0
 
-    def packed_lcm(pa, pb):
-        return pb + packed_colon(pa, pb, guard)
-
     def push_pairs(k):
         nonlocal counter
         plk, ptk, _ = elements[k]
+        # lcm(x^lead_i, x^lead_k) = x^lead_k (x^lead_i : x^lead_k), with the
+        # arithmetic of packed_colon in place: a call per partner costs more
+        lcms = [plk + (d & ((d & guard) >> (FIELD_BITS - 1)) * (FIELD_LIMIT - 1))
+                for d in [(pa | guard) - plk for pa, _, _ in elements[:k]]]
         # drop superseded old pairs (chain criterion)
-        for (i, j), plij in list(alive.items()):
-            if ((plij | guard) - plk) & guard == guard:
-                if packed_lcm(elements[i][0], plk) != plij and packed_lcm(
-                    elements[j][0], plk
-                ) != plij:
-                    del alive[(i, j)]
-        # group candidate partners by their lcm with the new lead; packed
-        # integer comparison is divisor-compatible, so ascending order lets
-        # one sweep keep exactly the minimal lcms
-        by_lcm = {}
-        for i in range(k):
-            if ptk is None and elements[i][1] is None:
-                continue
-            by_lcm.setdefault(packed_lcm(elements[i][0], plk), []).append(i)
+        for ij in [ij for ij, plij in alive.items()
+                   if ((plij | guard) - plk) & guard == guard
+                   and lcms[ij[0]] != plij and lcms[ij[1]] != plij]:
+            del alive[ij]
+        # the lowest-index partner of each lcm (built in reverse, so it wins);
+        # packed integer comparison is divisor-compatible, so ascending order
+        # lets one sweep keep exactly the minimal lcms
+        first = {pl: i for i, pl in reversed(list(enumerate(lcms)))
+                 if ptk is not None or elements[i][1] is not None}
         minimal = []
-        for pl in sorted(by_lcm):
+        for pl in sorted(first):
             gl = pl | guard
-            if not any((gl - pl2) & guard == guard for pl2 in minimal):
+            for pl2 in minimal:
+                if (gl - pl2) & guard == guard:
+                    break
+            else:
                 minimal.append(pl)
         for pl in minimal:
-            i = min(by_lcm[pl])
+            i = first[pl]
             if pl == elements[i][0] + plk:
                 continue  # coprime leads
             alive[(i, k)] = pl
@@ -188,35 +194,38 @@ def buchberger(gens, order, matrix):
         _, pl, _, i, j = heappop(queue)
         if alive.pop((i, j), None) is None:
             continue
-        # S-pair: the x^l heads cancel; a monomial contributes nothing else
+        # S-pair: the x^l heads cancel; a monomial contributes nothing else,
+        # and two trails that coincide may cancel too
         work = {}
         for (plead, ptrail, coeff), sign in ((elements[i], 1), (elements[j], -1)):
             if ptrail is not None:
                 t = pl - plead + ptrail
                 if t & guard:
                     raise ExponentOverflow("an S-polynomial exponent reached 2**31")
-                work[t] = work.get(t, 0) + sign * coeff
-        # bring the largest term to normal form until the largest term is
-        # irreducible or the polynomial vanishes; the other term is rewritten
-        # only if it becomes the largest
-        irreducible = set()
+                c = work.pop(t, 0) + sign * coeff
+                if c:
+                    work[t] = c
+        # rewrite the largest term one step at a time, ranking again after
+        # each step, until the largest term is irreducible or the polynomial
+        # vanishes; rewrite paths that meet merge, and may cancel, there
         while work:
             u = max(work, key=rank)
-            if u in irreducible:
+            step = packed_step(u, pmons, pbins, guard)
+            if step is IRREDUCIBLE:
                 break
-            nf = packed_nf(u, work.pop(u), pmons, pbins, guard)
-            if nf is not None:
-                v, c = nf
-                c += work.pop(v, 0)
+            c = work.pop(u)
+            if step is not None:
+                v, k = step
+                c = work.pop(v, 0) + c * k
                 if c:
                     work[v] = c
-                    irreducible.add(v)
         else:
             continue  # reduced to zero
         c = work.pop(u)
         if work:
             (v, cv), = work.items()
-            elements.append((u, v, -cv / c))
+            k = Fraction(-cv, c)
+            elements.append((u, v, k.numerator if k.denominator == 1 else k))
             pbins.append(elements[-1])
         else:
             elements.append((u, None, None))

@@ -112,29 +112,48 @@ def packed_colon(pm, pl, guard):
     return diff & ((ok >> (FIELD_BITS - 1)) * (FIELD_LIMIT - 1))
 
 
-def packed_nf(pu, c, pmons, pbins, guard):
-    """Normal form of the term c x^u modulo monomials and binomials, all packed.
+IRREDUCIBLE = "irreducible"
+
+
+def packed_step(pu, pmons, pbins, guard):
+    """One rewrite of the packed monomial x^u modulo monomials and binomials.
 
     ``pmons`` are packed monomials and ``pbins`` (lead, trail, coeff)
     triples, each rewriting x^lead to coeff x^trail; the first reducer that
-    divides wins.  Returns the pair (packed exponent, coefficient), or None
-    when a monomial divides a rewrite of x^u.  Raises ExponentOverflow when
-    x^u or a rewrite leaves the field range.
+    divides wins.  Returns None when a monomial divides x^u, the pair
+    (packed u - lead + trail, coeff) when a binomial does, and IRREDUCIBLE
+    when no reducer does.  Raises ExponentOverflow when the rewrite leaves
+    the field range.  This is the package's one term-rewriting kernel.
     """
-    while True:
-        if pu & guard:
-            raise ExponentOverflow("a rewritten exponent reached 2**31")
-        q = pu | guard
-        for pm in pmons:
-            if (q - pm) & guard == guard:
-                return None
-        for plead, ptrail, k in pbins:
-            if (q - plead) & guard == guard:
-                pu = pu - plead + ptrail
-                c = c * k
-                break
-        else:
-            return pu, c
+    q = pu | guard
+    for pm in pmons:
+        if (q - pm) & guard == guard:
+            return None
+    for plead, ptrail, k in pbins:
+        if (q - plead) & guard == guard:
+            pv = pu - plead + ptrail
+            if pv & guard:
+                raise ExponentOverflow("a rewritten exponent reached 2**31")
+            return pv, k
+    return IRREDUCIBLE
+
+
+def packed_nf(pu, c, pmons, pbins, guard):
+    """Normal form of the term c x^u modulo monomials and binomials, all packed.
+
+    ``packed_step`` rewrites x^u until no reducer divides it.  Returns the
+    pair (packed exponent, coefficient), or None when a monomial divides a
+    rewrite of x^u.  Raises ExponentOverflow when x^u or a rewrite leaves
+    the field range.
+    """
+    if pu & guard:
+        raise ExponentOverflow("a rewritten exponent reached 2**31")
+    while (step := packed_step(pu, pmons, pbins, guard)) is not IRREDUCIBLE:
+        if step is None:
+            return None
+        pu, k = step
+        c = c * k
+    return pu, c
 
 
 def packed_member(pu, packed, guard):

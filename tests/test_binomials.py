@@ -43,6 +43,12 @@ def test_coefficients_stay_exact():
         Binomial((2, 0, 0), (0, 1, 1), 3),
     )
     assert all(type(b.coeff) is Fraction for b in gb.binomials)
+    # integer inputs: x - 2y and x - 3z give y - 3/2 z and x - 3z; x - 3y
+    # and x - z give y - 1/3 z, and x - 3y reduces to x - (3 * 1/3) z = x - z
+    for (c2, c3), (want_y, want_x) in [((2, 3), (Fraction(3, 2), 3)), ((3, 1), (Fraction(1, 3), 1))]:
+        gens = [Binomial((1, 0, 0), (0, 1, 0), c2), Binomial((1, 0, 0), (0, 0, 1), c3)]
+        assert buchberger(gens, TermOrder((0, 0, 0)), m).binomials == (
+            Binomial((0, 1, 0), (0, 0, 1), want_y), Binomial((1, 0, 0), (0, 0, 1), want_x))
     flipped = Binomial((1, 0), (0, 1), 2).oriented(TermOrder((0, 1)))
     assert flipped == Binomial((0, 1), (1, 0), Fraction(1, 2))
     assert type(flipped.coeff) is Fraction
@@ -173,6 +179,58 @@ def test_s_polynomial_beyond_the_packed_field_raises():
     gens = [Binomial((N, 0, 0), (0, 0, N)), Binomial((1, 0, 1), (0, 2, 0))]
     with pytest.raises(ExponentOverflow):
         buchberger(gens, TermOrder((0, 0, 0)), validate_grading([[1, 1, 1]]))
+
+
+def test_rewrite_beyond_the_packed_field_raises_during_completion():
+    from agraded.monomials import ExponentOverflow
+
+    # the S-pair of x z^N with x - y is the term y z^N, which fits; its
+    # rewrite by y -> z is z^(2**31)
+    N = 2 ** 31 - 1
+    gens = [Binomial((1, 0, 0), (0, 1, 0)), Binomial((0, 1, 0), (0, 0, 1)), (1, 0, N)]
+    with pytest.raises(ExponentOverflow, match="rewritten") as raised:
+        buchberger(gens, TermOrder((0, 0, 0)), validate_grading([[1, 1, 1]]))
+    assert [entry.name for entry in raised.traceback[-2:]] == ["buchberger", "packed_step"]
+
+
+def test_s_polynomial_whose_trails_coincide_vanishes():
+    # x2 (x1 - 3 x4) and x3 (x1 - 3 x4): the S-pair's terms 3 x2 x3 x4 cancel
+    # at formation, and x2 x3 x4 is irreducible, so a zero entry kept there
+    # would join the basis as a monomial
+    gens = [Binomial((1, 1, 0, 0), (0, 1, 0, 1), 3), Binomial((1, 0, 1, 0), (0, 0, 1, 1), 3)]
+    gb = buchberger(gens, TermOrder((0, 0, 0, 0)), validate_grading([[1, 1, 1, 1]]))
+    assert gb.monomials.is_zero()
+    assert gb.binomials == tuple(sorted(gens, key=lambda b: (b.lead, b.trail)))
+
+
+def test_packed_step_matches_the_tuple_oracle():
+    import random
+
+    from agraded.monomials import (
+        FIELD_LIMIT, IRREDUCIBLE, ExponentOverflow, divides, guard_mask, pack, packed_step,
+    )
+
+    rng = random.Random(14)
+    guard = guard_mask(3)
+
+    def mono():
+        return tuple(rng.randint(0, 3) for _ in range(3))
+
+    for _ in range(300):
+        mons = [mono() for _ in range(rng.randint(0, 2))]
+        bins = [(mono(), mono(), rng.randint(1, 5)) for _ in range(rng.randint(0, 3))]
+        u = tuple(rng.randint(0, 6) for _ in range(3))
+        if any(divides(g, u) for g in mons):
+            want = None
+        else:
+            want = next(((pack(tuple(x - y + z for x, y, z in zip(u, lead, trail))), k)
+                         for lead, trail, k in bins if divides(lead, u)), IRREDUCIBLE)
+        got = packed_step(pack(u), [pack(g) for g in mons],
+                          [(pack(lead), pack(trail), k) for lead, trail, k in bins], guard)
+        assert got == want
+    # x -> z^(2**31 - 1) rewrites x z to z^(2**31)
+    with pytest.raises(ExponentOverflow):
+        packed_step(pack((1, 0, 1)), [], [(pack((1, 0, 0)), pack((0, 0, FIELD_LIMIT - 1)), 1)], guard)
 
 
 def test_initial_ideals_12():

@@ -246,6 +246,46 @@ def test_random_rank_one_pipelines(weights):
         assert label in basis
 
 
+def tuple_remainder(poly, gb):
+    """Remainder of {exponent: coefficient} on division by a marked basis, on tuples.
+
+    The largest term is reduced by the first lead that divides it (a
+    monomial removes it) or moved to the remainder; independent of the
+    packed kernels.
+    """
+    poly, rest = dict(poly), {}
+    while poly:
+        u = max(poly, key=gb.order.key)
+        c = poly.pop(u)
+        if any(divides(m, u) for m in gb.monomials.gens):
+            continue
+        for b in gb.binomials:
+            if divides(b.lead, u):
+                v = tuple(x - y + z for x, y, z in zip(u, b.lead, b.trail))
+                poly[v] = poly.get(v, 0) + c * b.coeff
+                if not poly[v]:
+                    del poly[v]
+                break
+        else:
+            rest[u] = c
+    return rest
+
+
+def s_polynomials(gb):
+    """The S-polynomials of every pair of a marked basis, as {exponent: coefficient}."""
+    marked = [(b.lead, {b.lead: 1, b.trail: -b.coeff}) for b in gb.binomials]
+    marked += [(m, {m: 1}) for m in gb.monomials.gens]
+    for i, (a, f) in enumerate(marked):
+        for b, g in marked[:i]:
+            l = tuple(map(max, a, b))
+            s = {}
+            for lead, poly, sign in ((a, f, 1), (b, g, -1)):
+                for u, c in poly.items():
+                    v = tuple(x + y - z for x, y, z in zip(u, l, lead))
+                    s[v] = s.get(v, 0) + sign * c
+            yield {v: c for v, c in s.items() if c}
+
+
 nonzero_integers = st.integers(1, 4).flatmap(lambda a: st.sampled_from((a, -a)))
 nonzero_rationals = st.one_of(nonzero_integers,
                               st.builds(Fraction, nonzero_integers, st.integers(1, 4)))
@@ -259,7 +299,7 @@ small3 = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
        st.lists(small3, max_size=2),
        st.randoms(use_true_random=False))
 def test_buchberger_mixed_generators(weights, order_weight, pairs, mons, rng):
-    """Reduced, order-independent, and every generator reduces to zero."""
+    """Reduced, order-independent, a Groebner basis, and every generator reduces to zero."""
     from agraded import Binomial, TermOrder, buchberger
     from agraded.monomials import guard_mask, packed_nf
 
@@ -292,3 +332,6 @@ def test_buchberger_mixed_generators(weights, order_weight, pairs, mons, rng):
                 == packed_nf(pack(b.trail), b.coeff, pmons, pbins, guard))
     for m in mons:
         assert packed_nf(pack(m), 1, pmons, pbins, guard) is None
+    # Buchberger's criterion: the result is a Groebner basis
+    for spoly in s_polynomials(gb):
+        assert tuple_remainder(spoly, gb) == {}

@@ -1,0 +1,162 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of the census benchmark, written to BENCH_<pr>.json.
+
+Run from the root of a checkout whose working tree holds the change:
+
+    python3 tools/bench_pairs.py --pr 14 --description "..." \\
+        --pairs graver=10 --pairs graver:1=3 --pairs flips-g123789=5 --trace graver
+
+The parent (``--parent REV``, default HEAD) is extracted with ``git
+archive`` into a temporary directory, so it runs from its committed files
+as the benchmark itself does; the change runs from the working tree.  Each
+run is ``python3 censusbench/run.py --workload W --seed S --seconds T
+--trace 0`` in that side's directory, one run at a time, with T the
+``run_seconds`` of BENCHMARK.json.  ``--pairs W[:S]=N`` asks for
+N pairs on workload W with seed S (default 0); odd pairs run the parent
+first, even pairs the change first.  ``--trace W`` adds one traced run
+(``--trace 1``, seed 0) per side, whose per-layer metrics are kept under
+``traced``.  The summary gives, per workload and seed and per end-to-end
+metric, each side's median and inclusive quartiles, the relative change of
+the median and the number of pairs in which the change read lower.
+Standard library only.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COMMAND = "python3 censusbench/run.py --workload <w> --seed <s> --seconds {seconds} --trace 0"
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--pr", required=True, help="number in the output name BENCH_<pr>.json")
+    parser.add_argument("--parent", default="HEAD", help="git revision of the parent")
+    parser.add_argument("--description", required=True)
+    parser.add_argument("--pairs", action="append", required=True, metavar="W[:S]=N")
+    parser.add_argument("--trace", action="append", default=[], metavar="W")
+    return parser.parse_args(argv)
+
+
+def parse_pairs(spec):
+    """'graver:1=3' -> ('graver', 1, 3); the seed defaults to 0."""
+    head, _, count = spec.partition("=")
+    workload, _, seed = head.partition(":")
+    if not count.isdigit() or (seed and not seed.isdigit()):
+        raise SystemExit(f"error: --pairs {spec!r} is not W[:S]=N")
+    return workload, int(seed or 0), int(count)
+
+
+def extract(rev, dest):
+    """The committed files of a revision, written under dest."""
+    archive = subprocess.Popen(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                               stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait():
+        raise SystemExit(f"error: git archive {rev} failed")
+
+
+def run(checkout, workload, seed, seconds, trace):
+    """The result object that one run of the benchmark prints last."""
+    cmd = [sys.executable, "censusbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    out = subprocess.run(cmd, cwd=checkout, check=True, stdout=subprocess.PIPE, text=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def spread(values):
+    """(median, [lower quartile, upper quartile]), quartiles by the inclusive method."""
+    if len(values) < 2:
+        return values[0], [values[0], values[0]]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q2, [q1, q3]
+
+
+def summarize(runs):
+    """Per workload (and seed, when not 0) and metric: medians, quartiles, wins."""
+    groups = {}
+    for r in runs:
+        key = r["workload"] if r["seed"] == 0 else f"{r['workload']}, seed {r['seed']}"
+        groups.setdefault(key, {}).setdefault(r["pair"], {})[r["side"]] = r["metrics"]
+    summary = {}
+    for key, pairs in groups.items():
+        sides = [p for p in pairs.values() if len(p) == 2]
+        summary[key] = {}
+        for name in sides[0]["parent"]:
+            before = [p["parent"][name]["value"] for p in sides]
+            after = [p["change"][name]["value"] for p in sides]
+            (pm, pq), (cm, cq) = spread(before), spread(after)
+            summary[key][name] = {
+                "parent_median": round(pm, 4),
+                "parent_quartiles": [round(q, 4) for q in pq],
+                "change_median": round(cm, 4),
+                "change_quartiles": [round(q, 4) for q in cq],
+                "change_vs_parent": round(cm / pm - 1, 4),
+                "pairs": len(sides),
+                "change_lower_in": sum(a < b for a, b in zip(after, before)),
+            }
+    return summary
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    plan = [parse_pairs(spec) for spec in args.pairs]
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
+    parent = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT, check=True,
+                            stdout=subprocess.PIPE, text=True).stdout.strip()
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        checkouts = {"parent": Path(tmp), "change": ROOT}
+        extract(args.parent, checkouts["parent"])
+        runs = []
+        for workload, seed, count in plan:
+            for pair in range(1, count + 1):
+                order = ("parent", "change") if pair % 2 else ("change", "parent")
+                for side in order:
+                    result = run(checkouts[side], workload, seed, seconds, 0)
+                    metrics = result["metrics"]
+                    print(f"{workload} seed {seed} pair {pair} {side}: "
+                          f"total_s {metrics['total_s']['value']:.4f}", file=sys.stderr)
+                    runs.append({
+                        "workload": workload, "seed": seed, "pair": pair, "side": side,
+                        "first_in_pair": side == order[0],
+                        "attempted": result["attempted"], "correct": result["correct"],
+                        "failed": result["failed"], "metrics": metrics,
+                    })
+        traced = {}
+        for workload in args.trace:
+            traced[workload] = {
+                "command": f"python3 censusbench/run.py --workload {workload} --seed 0 --trace 1",
+                "note": "one traced pass per side, wall seconds",
+            }
+            for side in ("parent", "change"):
+                metrics = run(checkouts[side], workload, 0, seconds, 1)["metrics"]
+                traced[workload][side] = {k: round(v["value"], 4) for k, v in metrics.items()}
+    report = {
+        "description": args.description,
+        "command": COMMAND.format(seconds=f"{seconds:g}"),
+        "parent": parent,
+        "change": "this commit",
+        "host": f"{os.cpu_count()}-core {platform.system()} host, Python "
+                f"{platform.python_version()}; runs one at a time; odd pairs run the parent "
+                "first, even pairs the change first",
+        "plan": {f"{w}, seed {s}": f"{n} pairs" for w, s, n in plan},
+        "summary": summarize(runs),
+        "traced": traced,
+        "runs": runs,
+    }
+    out = ROOT / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
