@@ -37,6 +37,7 @@ from .fileio import (
     monomial_str,
     pair_str,
     parse_integers,
+    read_text,
     variable_names,
 )
 from .flipgraph import census, explore, from_json, to_dot, to_json, with_coherence
@@ -204,8 +205,7 @@ def cmd_triangulations(args):
         matrix = validate_grading([ones] + [list(r) for r in matrix.rows])
     ctx = AGradedContext(matrix)
     if args.graph:
-        with open(args.graph, "r", encoding="utf-8") as fh:
-            graph = from_json(fh.read())
+        graph = from_json(read_text(args.graph))
         if any(len(g) != matrix.n for v in graph.vertices for g in v.gens):
             raise FormatError(f"{args.graph}: the ideals do not have {matrix.n} variables")
     else:

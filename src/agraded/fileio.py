@@ -48,9 +48,17 @@ def parse_matrix(text):
     return rows
 
 
+def read_text(path):
+    """The text of a UTF-8 file; FormatError if its bytes are not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+
+
 def load_matrix(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return validate_grading(parse_matrix(fh.read()))
+    return validate_grading(parse_matrix(read_text(path)))
 
 
 def format_matrix(rows):
@@ -72,8 +80,7 @@ def parse_ideal(text, n):
 
 
 def load_ideal(path, n):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_ideal(fh.read(), n)
+    return parse_ideal(read_text(path), n)
 
 
 def format_ideal(ideal):

@@ -75,7 +75,8 @@ def explore(ctx, start=None, guard=None):
         starts = sorted(set(start))
     if not starts:
         raise InputError("explore needs at least one start ideal")
-    seen = set(starts)
+    # vertex -> its first instance, reused for equal flip targets so edges keep no copies
+    seen = {s: s for s in starts}
     if guard is not None and len(seen) > guard:
         raise GuardExceeded(f"more than {guard} vertices")
     frontier = sorted(seen)
@@ -87,14 +88,14 @@ def explore(ctx, start=None, guard=None):
         for ideal in frontier:
             done.add(ideal)
             for move in neighbors(ideal, ctx, reverse.pop(ideal, None)):
-                target = move.target
+                target = seen.get(move.target, move.target)
                 edges.add(canonical_edge(ideal, target, move.label))
                 if target in done:
                     continue
                 ctx.carry(move)
                 reverse.setdefault(target, {})[move.b] = FlipMove(target, move.b, move.a, ideal)
                 if target not in seen:
-                    seen.add(target)
+                    seen[target] = target
                     nxt.append(target)
                     if guard is not None and len(seen) > guard:
                         raise GuardExceeded(f"more than {guard} vertices")
@@ -211,13 +212,16 @@ def from_json(text):
         flags = [rec["coherent"] for rec in records]
         edges = tuple(sorted(
             (rec["u"], rec["v"], canonical_pair(*rec["label"])) for rec in doc["edges"]))
-        dangling = not all(0 <= i < j < len(vertices) for i, j, _ in edges)
+        dangling = not all(type(i) is type(j) is int and 0 <= i < j < len(vertices)
+                           for i, j, _ in edges)
         start = doc.get("start", 0)
     except (ValueError, LookupError, TypeError) as exc:
         raise FormatError(f"malformed graph document: {exc!r}") from exc
+    if any(type(rec["id"]) is not int or rec["id"] != i for i, rec in enumerate(records)):
+        raise FormatError(f"the vertex ids are not 0, 1, ..., {len(records) - 1}")
     if dangling:
         raise FormatError("a graph edge does not join two listed vertices in order")
-    if not (isinstance(start, int) and 0 <= start < len(vertices)):
+    if not (type(start) is int and 0 <= start < len(vertices)):
         raise FormatError(f"start {start!r} is not the id of a listed vertex")
     coherent = None if any(f is None for f in flags) else tuple(flags)
     return FlipGraph(vertices, edges, start, coherent)

@@ -8,14 +8,13 @@ so numerator equality is Hilbert-function equality.
 
 Flips are the local moves of the flip graph: a minimal generator x^a trades
 places with the unique standard monomial x^b of its degree when both
-markings of the wall ideal reproduce the expected sides; ``flip`` and its
-two kernels complete the wall ideals here, on packed generators.  Every
+markings of the wall ideal reproduce the expected sides; ``flip`` tests
+both with one completion loop on the ideal's packed generators.  Every
 flip label is automatically a Graver pair: a conformal decomposition of
 (a, b) would contradict either the minimality of x^a or the standardness
 of x^b.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -43,11 +42,11 @@ from .monomials import (
     exp_sub,
     guard_mask,
     ideal_from_packed,
+    ideal_with_packed,
     k_polynomial,
     minimalize,
     pack,
     packed_colon,
-    packed_generators,
     packed_member,
     packed_nf,
 )
@@ -128,7 +127,7 @@ class AGradedContext:
         steps = [1 << (FIELD_BITS * j) for j in range(n)]
         # per level j: (packed g[:j], g[j]) of the generators with last nonzero j
         buckets = [[] for _ in range(n)]
-        for p in packed_generators(ideal):
+        for p in ideal.packed:
             top = max(p.bit_length() - 1, 0) // FIELD_BITS
             buckets[top].append((p & (steps[top] - 1), p >> (FIELD_BITS * top)))
         last = n - 1
@@ -255,7 +254,7 @@ def flip(ideal, pair, ctx):
     a, b = (u, v) if u in ideal.gens else (v, u)
     if a not in ideal.gens:
         raise NotApplicable(f"neither {u} nor {v} is a minimal generator")
-    packed = packed_generators(ideal)
+    packed = ideal.packed
     i = ideal.gens.index(a)
     pa, pb = packed[i], pack(b)
     if packed_member(pb, packed, guard_mask(n)):
@@ -265,56 +264,51 @@ def flip(ideal, pair, ctx):
     rest = packed[:i] + packed[i + 1:]
     if not wall_recovers_source(rest, pa, pb, n):
         raise NotFlippable(f"wall of {a} - {b} does not re-mark to the source")
-    known = dict(zip(rest, ideal.gens[:i] + ideal.gens[i + 1:]))
+    known = dict(zip(packed, ideal.gens))
     known[pb] = b
     return FlipMove(ideal, a, b, wall_initial(rest, pa, pb, n, known))
+
+
+def _wall_survivors(rest, plead, ptrail, guard):
+    """Completion of the wall ideal <rest, x^lead - x^trail>, all packed.
+
+    Only S-pairs of a monomial x^m with the binomial arise.  Each
+    S-monomial (x^m : x^lead) x^trail that survives reduction is yielded
+    as it is found, then joins the monomials and forms its own S-pair.
+    Buchberger's product criterion skips an x^m coprime to x^lead unless
+    m + trail leaves the packed field range: that S-monomial still goes to
+    ``packed_nf``, which raises ExponentOverflow.
+    """
+    packed = list(rest)
+    wall = ((plead, ptrail, 1),)
+    for pm in packed:  # survivors are appended, and visited in turn
+        pc = packed_colon(pm, plead, guard)
+        if pc == pm and not (pm + ptrail) & guard:
+            continue
+        nf = packed_nf(pc + ptrail, 1, packed, wall, guard)
+        if nf is not None:
+            packed.append(nf[0])
+            yield nf[0]
 
 
 def wall_recovers_source(rest, pa, pb, n):
     """Whether marking x^a in the wall ideal <rest, x^a - x^b> gives the source.
 
     ``rest`` holds the packed minimal generators of the source other than
-    pa, in n fields.  Completion only forms S-pairs of x^m with the binomial;
-    their S-monomials (x^m : x^a) x^b must all reduce to zero, so the test
-    exits at the first survivor, the common case for rejected candidates.
-    Buchberger's product criterion skips an x^m coprime to x^a, where
-    (x^m : x^a) = x^m, unless m + b leaves the packed field range: that
-    S-monomial still goes to ``packed_nf``, which raises ExponentOverflow.
+    pa, in n fields.  It does iff no S-monomial survives, so the test stops
+    at the first survivor, the common case for rejected candidates.
     """
-    guard = guard_mask(n)
-    wall = ((pa, pb, 1),)
-    for pm in rest:
-        pc = packed_colon(pm, pa, guard)
-        if pc == pm and not (pm + pb) & guard:
-            continue
-        if packed_nf(pc + pb, 1, rest, wall, guard) is not None:
-            return False
-    return True
+    return next(_wall_survivors(rest, pa, pb, guard_mask(n)), None) is None
 
 
 def wall_initial(rest, pa, pb, n, known):
     """The flip target: the wall ideal <rest, x^a - x^b> with x^b marked.
 
-    Each S-monomial (x^m : x^b) x^a that survives reduction joins the
-    monomials and forms its own S-pair; the product criterion and overflow
-    are as in ``wall_recovers_source``.  ``known`` maps pb and the packed
-    ``rest`` to the exponent tuples that the result reuses.
+    ``known`` maps pb and the packed ``rest`` to the exponent tuples that
+    the result reuses.
     """
-    guard = guard_mask(n)
-    packed = list(rest)
-    wall = ((pb, pa, 1),)
-    queue = deque(packed)
-    while queue:
-        pm = queue.popleft()
-        pc = packed_colon(pm, pb, guard)
-        if pc == pm and not (pm + pa) & guard:
-            continue
-        nf = packed_nf(pc + pa, 1, packed, wall, guard)
-        if nf is not None:
-            packed.append(nf[0])
-            queue.append(nf[0])
-    packed.append(pb)
-    return ideal_from_packed(packed, n, known)
+    survivors = _wall_survivors(rest, pb, pa, guard_mask(n))
+    return ideal_from_packed([*rest, *survivors, pb], n, known)
 
 
 def neighbors(ideal, ctx, reverse=None):
@@ -470,12 +464,12 @@ def brute_force_enumerate(ctx, guard=None):
             leaves += 1
             if guard is not None and leaves > guard:
                 raise GuardExceeded(f"more than {guard} leaves")
-            gens = []
+            bits = []
             while chosen:
                 low = chosen & -chosen
-                gens.append(sides[low.bit_length() - 1])
+                bits.append(low.bit_length() - 1)
                 chosen ^= low
-            ideal = MonomialIdeal(tuple(gens))
+            ideal = ideal_with_packed(tuple(sides[j] for j in bits), tuple(packed[j] for j in bits))
             if is_agraded(ideal, ctx):
                 found.append(ideal)
     finally:

@@ -271,9 +271,9 @@ def context(rows):
 
 def kernel_args(ideal, a, b):
     """(rest, pa, pb, n, known) as ``flip`` passes them to the wall kernels."""
-    from agraded.monomials import pack, packed_generators
+    from agraded.monomials import pack
 
-    packed = packed_generators(ideal)
+    packed = ideal.packed
     i = ideal.gens.index(a)
     rest = packed[:i] + packed[i + 1:]
     known = dict(zip(rest, ideal.gens[:i] + ideal.gens[i + 1:]))

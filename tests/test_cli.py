@@ -192,6 +192,17 @@ def test_cli_malformed_input_exits_2(matrix12, tmp_path, capsys, case):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("flag", ["--matrix", "--ideal", "--graph"])
+def test_cli_file_that_is_not_utf8_exits_2(matrix12, tmp_path, capsys, flag):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"1 2\n1 2 \xff3\n")
+    command = {"--matrix": "graver", "--ideal": "check", "--graph": "triangulations"}[flag]
+    argv = [command] if flag == "--matrix" else [command, "--matrix", matrix12]
+    assert main(argv + [flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not UTF-8" in err and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("command, generators", [
     ("coherent", "0 3\n"),
     ("flipgraph", "0 3\n"),

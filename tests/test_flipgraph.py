@@ -210,11 +210,28 @@ def test_json_roundtrip_without_flags(ctx_veronese):
     assert again == graph
 
 
-@pytest.mark.parametrize("start", [2, -1, "0", None])
+@pytest.mark.parametrize("start", [2, -1, "0", None, True])
 def test_json_start_must_be_a_vertex_id(ctx12, start):
     doc = json.loads(to_json(explore(ctx12)))
     doc["start"] = start
     with pytest.raises(FormatError, match="start"):
+        from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("ids", [[0, 5], [0, 0], [1, 2], [0, True], [0, 1.0]])
+def test_json_vertex_ids_must_be_0_to_v_minus_1(ctx12, ids):
+    doc = json.loads(to_json(explore(ctx12)))
+    for record, i in zip(doc["vertices"], ids):
+        record["id"] = i
+    with pytest.raises(FormatError, match="vertex ids"):
+        from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("end", ["u", "v"])
+def test_json_edge_ends_must_be_vertex_ids(ctx12, end):
+    doc = json.loads(to_json(explore(ctx12)))
+    doc["edges"][0][end] = bool(doc["edges"][0][end])
+    with pytest.raises(FormatError, match="edge"):
         from_json(json.dumps(doc))
 
 

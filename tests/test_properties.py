@@ -134,6 +134,45 @@ def test_carry_stores_nothing_inside_the_target():
     assert beta not in fresh._standard.get(wrong, {})
 
 
+def test_packed_forms_and_the_wall_kernels_on_g36_8_10_15():
+    """Stored packed forms equal packing afresh, and the early exit is exact.
+
+    Every vertex and flip target of the graph and every brute-force ideal
+    keeps ``pack`` of its generators.  On every flip candidate the wall
+    test that stops at the first survivor agrees with the full completion
+    marked the same way.
+    """
+    from agraded import AGradedContext, brute_force_enumerate, flip
+    from agraded.fixtures import named_matrix
+    from agraded.ideals import wall_initial, wall_recovers_source
+    from test_binomials import kernel_args
+
+    ctx = AGradedContext(named_matrix("g36-8-10-15"))
+    ideals = list(brute_force_enumerate(ctx))
+    rejected = 0
+    for ideal in explore(ctx).vertices:
+        ideals.append(ideal)
+        for a in ideal.gens:
+            b = ctx.standard_monomial(ideal, ctx.A.degree(a))
+            rest, pa, pb, n, known = kernel_args(ideal, a, b)
+            known[pa] = a
+            recovered = wall_recovers_source(rest, pa, pb, n)
+            assert recovered == (wall_initial(rest, pb, pa, n, known) == ideal)
+            if recovered:
+                ideals.append(flip(ideal, (a, b), ctx).target)
+            else:
+                rejected += 1
+    assert rejected
+    for ideal in ideals:
+        assert ideal.packed == tuple(map(pack, ideal.gens))
+
+
+@given(st.one_of(gensets3, wide_gensets3))
+def test_minimalize_keeps_the_packed_generators(gens):
+    ideal = minimalize(gens)
+    assert ideal.packed == tuple(map(pack, ideal.gens))
+
+
 @given(gensets3)
 def test_minimalize_idempotent(gens):
     once = minimalize(gens)

@@ -15,10 +15,12 @@ run is ``python3 censusbench/run.py --workload W --seed S --seconds T
 N pairs on workload W with seed S (default 0); odd pairs run the parent
 first, even pairs the change first.  ``--trace W`` adds one traced run
 (``--trace 1``, seed 0) per side, whose per-layer metrics are kept under
-``traced``.  The summary gives, per workload and seed and per end-to-end
-metric, each side's median and inclusive quartiles, the relative change of
-the median and the number of pairs in which the change read lower.
-Standard library only.
+``traced``.  A run that fails its known-answer gate (``correct`` false)
+stops the script with an error naming the run, before anything is
+summarised or written.  The summary gives, per workload and seed and per
+end-to-end metric, each side's median and inclusive quartiles, the
+relative change of the median and the number of pairs in which the change
+read lower.  Standard library only.
 """
 
 import argparse
@@ -64,12 +66,19 @@ def extract(rev, dest):
         raise SystemExit(f"error: git archive {rev} failed")
 
 
-def run(checkout, workload, seed, seconds, trace):
-    """The result object that one run of the benchmark prints last."""
+def run(checkout, workload, seed, seconds, trace, name):
+    """The result object that one run of the benchmark prints last.
+
+    Exits with an error naming the run (``name``) if it is not correct.
+    """
     cmd = [sys.executable, "censusbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=checkout, check=True, stdout=subprocess.PIPE, text=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    result = json.loads(out.strip().splitlines()[-1])
+    if not result["correct"]:
+        raise SystemExit(f"error: {name}: {result['failed']} of {result['attempted']} "
+                         "operations failed the known-answer gate; nothing written")
+    return result
 
 
 def spread(values):
@@ -120,7 +129,8 @@ def main(argv=None):
             for pair in range(1, count + 1):
                 order = ("parent", "change") if pair % 2 else ("change", "parent")
                 for side in order:
-                    result = run(checkouts[side], workload, seed, seconds, 0)
+                    result = run(checkouts[side], workload, seed, seconds, 0,
+                                 f"{workload} seed {seed} pair {pair} {side}")
                     metrics = result["metrics"]
                     print(f"{workload} seed {seed} pair {pair} {side}: "
                           f"total_s {metrics['total_s']['value']:.4f}", file=sys.stderr)
@@ -137,7 +147,8 @@ def main(argv=None):
                 "note": "one traced pass per side, wall seconds",
             }
             for side in ("parent", "change"):
-                metrics = run(checkouts[side], workload, 0, seconds, 1)["metrics"]
+                metrics = run(checkouts[side], workload, 0, seconds, 1,
+                              f"{workload} seed 0 traced {side}")["metrics"]
                 traced[workload][side] = {k: round(v["value"], 4) for k, v in metrics.items()}
     report = {
         "description": args.description,
