@@ -40,7 +40,7 @@ from .fileio import (
     read_text,
     variable_names,
 )
-from .flipgraph import census, explore, from_json, to_dot, to_json, with_coherence
+from .flipgraph import census, explore, from_json, json_document, to_dot, with_coherence
 from .grading import validate_grading
 from .graver import graver_basis, graver_oracle
 from .ideals import (
@@ -187,7 +187,7 @@ def cmd_flipgraph(args):
             fh.write(to_dot(graph))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(to_json(graph))
+            json.dump(json_document(graph), fh, indent=1, sort_keys=True)
     brute_count = None
     if args.census:
         brute_count = len(brute_force_enumerate(ctx, guard=args.guard))

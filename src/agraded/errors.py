@@ -74,7 +74,18 @@ class NotApplicable(InputError):
 
 
 class NotFlippable(InputError):
-    """The wall ideal does not reproduce the source under the reverse marking."""
+    """The wall ideal does not reproduce the source under the reverse marking.
+
+    Raised with the pair (a, b).  The flip-graph search rejects most of its
+    candidates, so the message is formatted only when it is shown.
+    """
+
+    def __init__(self, a, b):
+        super().__init__(a, b)
+
+    def __str__(self):
+        a, b = self.args
+        return f"wall of {a} - {b} does not re-mark to the source"
 
 
 class NotFlippableComplex(InputError):

@@ -61,12 +61,6 @@ def load_matrix(path):
     return validate_grading(parse_matrix(read_text(path)))
 
 
-def format_matrix(rows):
-    out = [f"{len(rows)} {len(rows[0])}"]
-    out += [" ".join(str(x) for x in row) for row in rows]
-    return "\n".join(out) + "\n"
-
-
 def parse_ideal(text, n):
     gens = []
     for line in _content_lines(text):

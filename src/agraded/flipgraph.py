@@ -181,10 +181,10 @@ def census(graph, ctx, coherence=False, brute_count=None):
 
 # -- serialisation -----------------------------------------------------------
 
-def to_json(graph):
-    """Stable JSON document for a flip graph."""
+def json_document(graph):
+    """The JSON document of a flip graph, as plain lists and dicts."""
     vals = graph.valencies()
-    doc = {
+    return {
         "vertices": [
             {
                 "id": i,
@@ -200,7 +200,15 @@ def to_json(graph):
         ],
         "start": graph.start,
     }
-    return json.dumps(doc, indent=1, sort_keys=True)
+
+
+def to_json(graph):
+    """Stable JSON text for a flip graph.
+
+    ``agraded flipgraph --json`` writes the same text with ``json.dump``,
+    which encodes into the file instead of building the whole string.
+    """
+    return json.dumps(json_document(graph), indent=1, sort_keys=True)
 
 
 def from_json(text):

@@ -13,6 +13,16 @@ both with one completion loop on the ideal's packed generators.  Every
 flip label is automatically a Graver pair: a conformal decomposition of
 (a, b) would contradict either the minimality of x^a or the standardness
 of x^b.
+
+A flip step stays in packed integers from the candidate to the carried
+standard monomials.  ``flip`` checks every candidate, since pairs also come
+from files: lengths, x^a a minimal generator, x^b outside, equal degree
+codes, then the wall marked toward x^a.  ``wall_initial`` merges the
+target's minimal generators instead of sorting them out; this is exact
+because the source's other generators are minimal, each survivor of the
+completion is irreducible modulo everything found before it, and x^b lies
+outside the source.  ``AGradedContext.carry`` trades and tests membership
+on packed monomials.
 """
 
 from dataclasses import dataclass
@@ -39,9 +49,9 @@ from .monomials import (
     FIELD_BITS,
     FIELD_LIMIT,
     MonomialIdeal,
+    degree_code,
     exp_sub,
     guard_mask,
-    ideal_from_packed,
     ideal_with_packed,
     k_polynomial,
     minimalize,
@@ -49,6 +59,7 @@ from .monomials import (
     packed_colon,
     packed_member,
     packed_nf,
+    unpack,
 )
 
 
@@ -84,6 +95,8 @@ class AGradedContext:
         # so both are interned: a cache entry costs a dict slot, not tuples.
         self._standard = {}
         self._interned = {}
+        # monomial -> its packed form, for the monomials flips trade
+        self._packed = {}
 
     @cached_property
     def graver(self):
@@ -94,11 +107,25 @@ class AGradedContext:
         return initial_ideal(self.A, self.A.certificate_weights)
 
     @cached_property
-    def reference_numerator(self):
-        return self.k_polynomial(self.reference_ideal)
+    def reference_codes(self):
+        """The K-polynomial of the reference ideal, as ``k_codes`` gives it."""
+        return self.k_codes(self.reference_ideal)
 
-    def k_polynomial(self, ideal):
-        return k_polynomial(ideal, self.A, memo=self._kpoly_memo)
+    @cached_property
+    def degree_codes(self):
+        """Packed monomial -> additive code of its degree (``DegreeCode.code``)."""
+        return degree_code(self.A).code
+
+    def k_codes(self, ideal):
+        """The K-polynomial of an ideal as a {degree code: coefficient} dict."""
+        return k_polynomial(ideal, self.A, memo=self._kpoly_memo, codes=True)
+
+    def pack(self, u):
+        """``pack(u)``, made once per distinct monomial of this context."""
+        p = self._packed.get(u)
+        if p is None:
+            p = self._packed[u] = pack(u)
+        return p
 
     def standard_monomial(self, ideal, b):
         """The unique monomial of degree b outside an A-graded ideal.
@@ -180,7 +207,9 @@ class AGradedContext:
         one standard monomial in degree beta, so c is that monomial iff it
         lies outside M'.  One packed membership test decides, and c is
         stored only then; otherwise, or when M has not cached beta, the
-        degree is left to ``standard_monomial``.
+        degree is left to ``standard_monomial``.  The trades and the test
+        run on packed integers; c is unpacked, and its packed form kept,
+        only when a trade happened.
 
         For a flip the test always passes.  Modulo the wall ideal, the
         monomials of degree beta that trades of x^a and x^b join to s form
@@ -192,7 +221,10 @@ class AGradedContext:
         if not source:
             return
         target = move.target
-        a, b = move.a, move.b
+        n = self.A.n
+        guard = guard_mask(n)
+        pb = self.pack(move.b)
+        shift = self.pack(move.a) - pb
         known = self._standard.setdefault(target, {})
         intern = self._interned.setdefault
         for g in target.gens:
@@ -200,15 +232,26 @@ class AGradedContext:
             c = source.get(beta)
             if c is None or beta in known:
                 continue
-            while all(x >= y for x, y in zip(c, b)):
-                c = tuple(x - y + z for x, y, z in zip(c, b, a))
-            if not target.contains(c):
-                known[intern(beta, beta)] = intern(c, c)
+            pc = start = self.pack(c)
+            while ((pc | guard) - pb) & guard == guard:  # x^b divides x^c
+                pc += shift
+                if pc & guard:
+                    raise ExponentOverflow(f"a trade of {move.b} for {move.a} reached 2**31")
+            if packed_member(pc, target.packed, guard):
+                continue
+            if pc != start:
+                c = unpack(pc, n)
+                c = intern(c, c)
+                self._packed.setdefault(c, pc)
+            known[intern(beta, beta)] = c
 
 
 def is_agraded(ideal, ctx):
-    """Exact K-polynomial equality with the toric reference."""
-    return ctx.k_polynomial(ideal) == ctx.reference_numerator
+    """Exact K-polynomial equality with the toric reference.
+
+    The two numerators are compared as degree-code dicts, undecoded.
+    """
+    return ctx.k_codes(ideal) == ctx.reference_codes
 
 
 def is_weakly_agraded(ideal, ctx):
@@ -238,33 +281,44 @@ def definition_flip_ideal(ideal, a, b, graver):
 def flip(ideal, pair, ctx):
     """Flip an ideal over a Graver pair, or raise.
 
-    The pair is oriented so that one side is a minimal generator and the
-    other lies outside (NotApplicable otherwise).  The move is accepted iff
-    re-marking the wall ideal toward the generator side reproduces the
-    ideal, in which case the opposite marking is the A-graded target.  The
-    two wall kernels below take the checks made here as given.
+    The checks, in order; those after the orientation run on packed integers:
+    - BadLength unless both sides have n entries;
+    - the pair is oriented so that x^a is a minimal generator, found by one
+      scan of the generators (NotApplicable if neither side is one);
+    - NotApplicable if x^b lies in the ideal, and NonHomogeneousInput if
+      the degree codes of x^a and x^b differ;
+    - NotFlippable unless re-marking the wall ideal toward x^a reproduces
+      the ideal, in which case the opposite marking is the A-graded target.
+    x^b is packed once per context (``AGradedContext.pack``).  The two wall
+    kernels below take these checks as given.
     """
     if isinstance(pair, Binomial):
         u, v = pair.lead, pair.trail
     else:
-        u, v = (tuple(x) for x in pair)
+        u, v = map(tuple, pair)
     n = ctx.A.n
     if not len(u) == len(v) == n:
         raise BadLength(f"{u} and {v} need {n} entries each")
-    a, b = (u, v) if u in ideal.gens else (v, u)
-    if a not in ideal.gens:
-        raise NotApplicable(f"neither {u} nor {v} is a minimal generator")
+    gens = ideal.gens
+    try:
+        i = gens.index(u)
+        a, b = u, v
+    except ValueError:
+        if v not in gens:
+            raise NotApplicable(f"neither {u} nor {v} is a minimal generator") from None
+        i = gens.index(v)
+        a, b = v, u
     packed = ideal.packed
-    i = ideal.gens.index(a)
-    pa, pb = packed[i], pack(b)
+    pa, pb = packed[i], ctx.pack(b)
     if packed_member(pb, packed, guard_mask(n)):
         raise NotApplicable(f"{b} lies in the ideal")
-    if ctx.A.degree(a) != ctx.A.degree(b):
+    codes = ctx.degree_codes
+    if codes[pa] != codes[pb]:
         raise NonHomogeneousInput(f"{a} and {b} have different degrees")
     rest = packed[:i] + packed[i + 1:]
     if not wall_recovers_source(rest, pa, pb, n):
-        raise NotFlippable(f"wall of {a} - {b} does not re-mark to the source")
-    known = dict(zip(packed, ideal.gens))
+        raise NotFlippable(a, b)
+    known = dict(zip(packed, gens))
     known[pb] = b
     return FlipMove(ideal, a, b, wall_initial(rest, pa, pb, n, known))
 
@@ -305,10 +359,36 @@ def wall_initial(rest, pa, pb, n, known):
     """The flip target: the wall ideal <rest, x^a - x^b> with x^b marked.
 
     ``known`` maps pb and the packed ``rest`` to the exponent tuples that
-    the result reuses.
+    the result reuses.  Its minimal generators are merged, not sorted out
+    of everything: x^b, the survivors of the completion that no later
+    survivor divides, and the generators of ``rest`` that neither x^b nor
+    a survivor divides.  Nothing else can fail to be minimal:
+    - ``rest`` is minimal, and no element of it divides x^b, which lies
+      outside the source;
+    - a survivor is irreducible modulo ``rest``, the earlier survivors and
+      the binomial with lead x^b, so none of these divides it;
+    - a survivor x^s does not divide x^b either: deg s - deg b is the
+      degree of a monomial, so x^s | x^b would give deg s = deg b for a
+      pointed grading, hence s = b, which x^b would divide.
+    One sort by exponent tuple gives the canonical order.
     """
-    survivors = _wall_survivors(rest, pb, pa, guard_mask(n))
-    return ideal_from_packed([*rest, *survivors, pb], n, known)
+    guard = guard_mask(n)
+    survivors = []
+    for s in _wall_survivors(rest, pb, pa, guard):
+        survivors = [t for t in survivors if ((t | guard) - s) & guard != guard]
+        survivors.append(s)
+    lower = [pb, *survivors]
+    pairs = [(known[pb], pb)]
+    for p in rest:
+        q = p | guard
+        for pl in lower:
+            if (q - pl) & guard == guard:
+                break
+        else:
+            pairs.append((known[p], p))
+    pairs += [(unpack(s, n), s) for s in survivors]
+    pairs.sort()
+    return ideal_with_packed(tuple(g for g, _ in pairs), tuple(p for _, p in pairs))
 
 
 def neighbors(ideal, ctx, reverse=None):

@@ -49,13 +49,12 @@ def pivot(rows, r, c, den):
 def _gauss_jordan(rows, ncols):
     """Fraction-free Gauss-Jordan elimination on the first ncols columns.
 
-    Returns (rows, pivot columns, den, sign): the rows are den times the
-    reduced row echelon form and sign is the parity of the row swaps, so
-    sign * den is the determinant of a square matrix of full rank.
+    Returns (rows, pivot columns, den): the rows are den times the reduced
+    row echelon form.
     """
     m = integer_rows(rows)
     pivots = []
-    den, sign = 1, 1
+    den = 1
     for c in range(ncols):
         r = len(pivots)
         if r == len(m):
@@ -65,21 +64,14 @@ def _gauss_jordan(rows, ncols):
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
-            sign = -sign
         den = pivot(m, r, c, den)
         pivots.append(c)
-    return m, pivots, den, sign
+    return m, pivots, den
 
 
 def rank(rows):
     """Rank over the rationals."""
     return len(_gauss_jordan(rows, len(rows[0]) if rows else 0)[1])
-
-
-def det(rows):
-    """Determinant (exact), as a Fraction."""
-    _, pivots, den, sign = _gauss_jordan(rows, len(rows))
-    return Fraction(sign * den) if len(pivots) == len(rows) else Fraction(0)
 
 
 def clear_denominators(vec):
@@ -104,7 +96,7 @@ def solve_linear(rows, rhs):
 
     Oracle: the kernel-lattice tests solve for lattice coordinates with it.
     """
-    m, pivots, den, _ = _gauss_jordan([list(row) + [b] for row, b in zip(rows, rhs)], len(rows))
+    m, pivots, den = _gauss_jordan([list(row) + [b] for row, b in zip(rows, rhs)], len(rows))
     if len(pivots) != len(rows):
         raise InputError("singular system")
     return tuple(Fraction(row[-1], den) for row in m)
@@ -112,7 +104,7 @@ def solve_linear(rows, rhs):
 
 def rational_nullspace(rows, ncols):
     """Basis of the rational nullspace {x : rows . x = 0} in Q^ncols."""
-    m, pivots, den, _ = _gauss_jordan(rows, ncols)
+    m, pivots, den = _gauss_jordan(rows, ncols)
     basis = []
     for c in range(ncols):
         if c in pivots:

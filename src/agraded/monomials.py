@@ -408,7 +408,7 @@ def degree_code(matrix):
     return DegreeCode(matrix)
 
 
-def k_polynomial(ideal, matrix, memo=None):
+def k_polynomial(ideal, matrix, memo=None, codes=False):
     """Hilbert-series numerator of the quotient by a monomial ideal.
 
     Uses the exact generator recursion
@@ -420,7 +420,10 @@ def k_polynomial(ideal, matrix, memo=None):
     coefficient} dicts (see ``DegreeCode``), so a shift by t^{A.m} adds one
     integer to every key; degrees are decoded only for the KPolynomial
     returned.  ``memo`` maps sorted packed generator tuples to code dicts,
-    for every ideal the recursion meets below ``ideal``.
+    for every ideal the recursion meets below ``ideal``.  With ``codes``
+    the {degree code: coefficient} dict is returned undecoded, for an
+    exact comparison without building degree tuples; it may be shared
+    with ``memo``, so it must not be changed.
     The pivot m is the generator of largest certificate weight c.A.m, ties
     broken by the packed value; the result does not depend on the pivot.
     """
@@ -465,4 +468,6 @@ def k_polynomial(ideal, matrix, memo=None):
     # asked for once, and a repeat costs one colon over the entries kept
     top = tuple(sorted(ideal.packed))
     terms = rec(top)
+    if codes:
+        return terms
     return KPolynomial({degrees[k]: c for k, c in terms.items()})

@@ -110,7 +110,7 @@ def _interiors_meet(matrix, sigma, tau):
     d = matrix.d
     cols = matrix.columns
     block = [[cols[i][r] for i in sigma] + [cols[j][r] for j in tau] for r in range(d)]
-    m, pivots, den, _ = _gauss_jordan(block, d)
+    m, pivots, den = _gauss_jordan(block, d)
     certify(len(pivots) == d, "a facet of a triangulation must be independent")
     sign = 1 if den > 0 else -1
     rows = [tuple(sign * x for x in row[d:]) for row in m]

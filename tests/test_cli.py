@@ -5,8 +5,15 @@ import json
 import pytest
 
 from agraded.cli import main
-from agraded.fileio import FormatError, format_ideal, format_matrix, parse_ideal, parse_matrix
+from agraded.fileio import FormatError, format_ideal, parse_ideal, parse_matrix
 from agraded.monomials import minimalize
+
+
+def format_matrix(rows):
+    """The matrix file text that ``parse_matrix`` reads: a size line, then the rows."""
+    out = [f"{len(rows)} {len(rows[0])}"]
+    out += [" ".join(str(x) for x in row) for row in rows]
+    return "\n".join(out) + "\n"
 
 
 @pytest.fixture()
@@ -107,6 +114,40 @@ def test_cli_flipgraph_exports(matrix12, tmp_path, capsys):
     assert "x1^2 - x2" in dot.read_text()
     parsed = json.loads(doc.read_text())
     assert {v["id"] for v in parsed["vertices"]} == {0, 1}
+
+
+def test_cli_flipgraph_json_equals_to_json(tmp_path, capsys):
+    """The streamed ``--json`` file is byte for byte ``to_json`` of the graph."""
+    from agraded import AGradedContext, explore, to_json
+    from agraded.fixtures import named_matrix
+
+    matrix = named_matrix("g36-8-10-15")
+    path = tmp_path / "m.txt"
+    path.write_text(format_matrix(matrix.rows))
+    doc = tmp_path / "g.json"
+    assert main(["flipgraph", "--matrix", str(path), "--json", str(doc)]) == 0
+    capsys.readouterr()
+    assert doc.read_text(encoding="utf-8") == to_json(explore(AGradedContext(matrix)))
+
+
+def test_cli_not_flippable_edge_exits_2(tmp_path, capsys):
+    """An edge over a pair whose wall does not re-mark keeps the exit code and message."""
+    from agraded import curve_binomial_families, curve_monomial_ideal, curve_rows
+
+    matrix = tmp_path / "curve.txt"
+    matrix.write_text(format_matrix(curve_rows(1)))
+    blocked = curve_binomial_families(1)["p"][0]
+    vertex = {"coherent": None, "valency": 1}
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({
+        "vertices": [dict(vertex, id=0, generators=[list(g) for g in curve_monomial_ideal(1).gens]),
+                     dict(vertex, id=1, generators=[[1, 0, 0, 0, 0]])],
+        "edges": [{"u": 0, "v": 1, "label": [list(blocked.lead), list(blocked.trail)]}],
+        "start": 0,
+    }))
+    assert main(["triangulations", "--matrix", str(matrix), "--graph", str(graph)]) == 2
+    assert capsys.readouterr().err == (
+        "error: wall of (0, 0, 2, 0, 1) - (0, 0, 0, 3, 0) does not re-mark to the source\n")
 
 
 def test_cli_triangulations(matrix12, capsys):

@@ -8,8 +8,28 @@ from hypothesis import given, settings, strategies as st
 
 from agraded import InputError, lp, lp_strict_feasible
 from agraded.fixtures import named_matrix
-from agraded.linalg import det, rank, rational_nullspace, solve_linear
+from agraded.linalg import pivot, rank, rational_nullspace, solve_linear
 from agraded.triangulations import _interiors_meet
+
+
+def det(rows):
+    """Exact determinant of a square integer matrix, as a Fraction.
+
+    Fraction-free elimination with ``pivot``: after the last pivot the
+    common denominator is the determinant up to the sign of the row swaps
+    (Bareiss).  The package itself needs no determinant.
+    """
+    m = [list(row) for row in rows]
+    den = sign = 1
+    for c in range(len(m)):
+        piv = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        den = pivot(m, c, c, den)
+    return Fraction(sign * den)
 
 
 # -- oracles: the Fraction elimination loops the integer pivot replaced -------

@@ -167,6 +167,76 @@ def test_packed_forms_and_the_wall_kernels_on_g36_8_10_15():
         assert ideal.packed == tuple(map(pack, ideal.gens))
 
 
+def oracle_wall_initial_formula(rest, pa, pb, n, known):
+    """``wall_initial`` as it was before the merge: every survivor, one minimal sweep."""
+    from agraded.ideals import _wall_survivors
+    from agraded.monomials import guard_mask, ideal_from_packed
+
+    survivors = list(_wall_survivors(rest, pb, pa, guard_mask(n)))
+    return ideal_from_packed([*rest, *survivors, pb], n, known)
+
+
+@pytest.mark.parametrize("name, seed", [("g36-8-10-15", 0), ("g36-8-10-15", 1), ("veronese6", 2)])
+def test_seeded_random_flip_walks(name, seed):
+    """The merged wall ideal, the flips and the packed carry along random walks.
+
+    From the reference ideal, each step takes a random generator x^a and
+    the standard monomial x^b of its degree.  With both markings, the
+    merged ``wall_initial`` equals the sweep over every survivor, and it
+    keeps the packed form of its generators.  An accepted flip equals
+    ``definition_flip_ideal``; the walk moves to its target, where
+    ``carry`` stores only degrees whose standard monomial a fresh context
+    computes to the same value, with their packed forms.
+    """
+    import random
+
+    from agraded import AGradedContext, NotFlippable, flip
+    from agraded.fixtures import named_matrix
+    from agraded.ideals import definition_flip_ideal, wall_initial
+    from test_binomials import kernel_args
+
+    rng = random.Random(seed)
+    ctx = AGradedContext(named_matrix(name))
+    fresh = AGradedContext(ctx.A)
+    ideal = ctx.reference_ideal
+    accepted = rejected = carried = 0
+    for _ in range(150):
+        a = rng.choice(ideal.gens)
+        b = ctx.standard_monomial(ideal, ctx.A.degree(a))
+        rest, pa, pb, n, known = kernel_args(ideal, a, b)
+        merged = wall_initial(rest, pa, pb, n, known)
+        assert merged == oracle_wall_initial_formula(rest, pa, pb, n, known)
+        assert merged.packed == tuple(map(pack, merged.gens))
+        known[pa] = a
+        assert wall_initial(rest, pb, pa, n, known) == oracle_wall_initial_formula(
+            rest, pb, pa, n, known)
+        try:
+            move = flip(ideal, (a, b), ctx)
+        except NotFlippable:
+            rejected += 1
+            continue
+        accepted += 1
+        assert move.target == definition_flip_ideal(ideal, a, b, ctx.graver)
+        for g in ideal.gens:
+            ctx.standard_monomial(ideal, ctx.A.degree(g))
+        ctx._standard.pop(move.target, None)
+        ctx.carry(move)
+        for beta, c in ctx._standard.get(move.target, {}).items():
+            assert c == fresh.standard_monomial(move.target, beta)
+            assert ctx.pack(c) == pack(c)
+            carried += 1
+        ideal = move.target
+    assert accepted and rejected and carried
+
+
+def test_not_flippable_keeps_its_message():
+    from agraded import NotFlippable
+
+    exc = NotFlippable((0, 0, 2, 0, 1), (0, 0, 0, 3, 0))
+    assert str(exc) == "wall of (0, 0, 2, 0, 1) - (0, 0, 0, 3, 0) does not re-mark to the source"
+    assert exc.args == ((0, 0, 2, 0, 1), (0, 0, 0, 3, 0))
+
+
 @given(st.one_of(gensets3, wide_gensets3))
 def test_minimalize_keeps_the_packed_generators(gens):
     ideal = minimalize(gens)
