@@ -45,6 +45,7 @@ from .monomials import (
     guard_mask,
     minimalize,
     pack,
+    packed_colon,
     packed_nf,
     packed_step,
     support,
@@ -118,17 +119,22 @@ def buchberger(gens, order, matrix):
     """Reduced Groebner basis of monomial/binomial generators.
 
     Raises NonHomogeneousInput if a binomial pairs monomials of different
-    degree.  The basis is one list of packed (lead, trail, coeff) triples,
-    with trail None for a monomial; ``pmons`` and ``pbins`` split it for
-    ``packed_step``.  S-pairs of two monomials vanish; those of a monomial
-    with a binomial are monomials.  Pairs are processed by increasing
-    positivity weight of the lcm (the generators are homogeneous, so this
-    is a normal degree-by-degree selection even when the order's own weight
-    has negative entries), pruned with the Gebauer-Moeller criteria.  During
-    completion the largest term is rewritten one step at a time, ranking
-    again after each step, until it is irreducible; the two terms then
-    cancel where their rewrite paths meet.  ``_finalize`` turns the
-    Groebner basis into the reduced one, which is unique for the order.
+    degree.  Each element made is a packed (lead, trail, coeff) triple of
+    ``elements``, trail None for a monomial.  The Gebauer-Moeller update
+    (1988) keeps in ``active`` the elements whose lead no later lead
+    divides: a new element pairs only with these, then drops those whose
+    lead its lead divides from ``active`` and from ``pmons``/``pbins``, the
+    reducers of ``packed_step``; their queued pairs are still reduced, and
+    the chain criterion takes the true lcm with every partner.  S-pairs of
+    two monomials vanish; those of a monomial with a binomial are
+    monomials.  Pairs are processed by increasing positivity weight of the
+    lcm (the generators are homogeneous, so this is a normal
+    degree-by-degree selection even when the order's own weight has
+    negative entries).  During completion the largest term is rewritten
+    one step at a time, ranking again after each step, until it is
+    irreducible; the two terms then cancel where their rewrite paths meet.
+    ``_finalize`` turns the active elements, a Groebner basis, into the
+    reduced one, which is unique for the order.
     """
     weights = matrix.certificate_weights
     n = matrix.n
@@ -149,26 +155,28 @@ def buchberger(gens, order, matrix):
         else:
             pmons.append(pack(g))
     elements = [(p, None, None) for p in pmons] + pbins
+    active = []  # indices of the elements whose lead no later lead divides
     queue = []
     alive = {}
     counter = 0
 
     def push_pairs(k):
-        nonlocal counter
+        nonlocal counter, active, pmons, pbins
         plk, ptk, _ = elements[k]
         # lcm(x^lead_i, x^lead_k) = x^lead_k (x^lead_i : x^lead_k), with the
         # arithmetic of packed_colon in place: a call per partner costs more
-        lcms = [plk + (d & ((d & guard) >> (FIELD_BITS - 1)) * (FIELD_LIMIT - 1))
-                for d in [(pa | guard) - plk for pa, _, _ in elements[:k]]]
-        # drop superseded old pairs (chain criterion)
+        lcms = dict(zip(active, [plk + (d & ((d & guard) >> (FIELD_BITS - 1)) * (FIELD_LIMIT - 1))
+                                 for d in [(elements[i][0] | guard) - plk for i in active]]))
+        # drop superseded old pairs (chain criterion), partners no longer active included
         for ij in [ij for ij, plij in alive.items()
                    if ((plij | guard) - plk) & guard == guard
-                   and lcms[ij[0]] != plij and lcms[ij[1]] != plij]:
+                   and all(lcms.get(i, plk + packed_colon(elements[i][0], plk, guard)) != plij
+                           for i in ij)]:
             del alive[ij]
         # the lowest-index partner of each lcm (built in reverse, so it wins);
         # packed integer comparison is divisor-compatible, so ascending order
         # lets one sweep keep exactly the minimal lcms
-        first = {pl: i for i, pl in reversed(list(enumerate(lcms)))
+        first = {pl: i for i, pl in reversed(lcms.items())
                  if ptk is not None or elements[i][1] is not None}
         minimal = []
         for pl in sorted(first):
@@ -186,6 +194,10 @@ def buchberger(gens, order, matrix):
             counter += 1
             l = unpack(pl, n)
             heappush(queue, (dot(weights, l), pl, counter, i, k))
+        # drop the elements whose lead x^lead_k divides; their queued pairs stay
+        active = [i for i in active if lcms[i] != elements[i][0]] + [k]
+        pmons = [elements[i][0] for i in active if elements[i][1] is None]
+        pbins = [elements[i] for i in active if elements[i][1] is not None]
 
     for idx in range(len(elements)):
         push_pairs(idx)
@@ -226,13 +238,11 @@ def buchberger(gens, order, matrix):
             (v, cv), = work.items()
             k = Fraction(-cv, c)
             elements.append((u, v, k.numerator if k.denominator == 1 else k))
-            pbins.append(elements[-1])
         else:
             elements.append((u, None, None))
-            pmons.append(u)
         push_pairs(len(elements) - 1)
 
-    return _finalize(elements, order, n)
+    return _finalize([elements[i] for i in active], order, n)
 
 
 def _finalize(elements, order, n):

@@ -2,9 +2,9 @@
 
 A Graver element is an unordered pair {u, v} of disjointly supported
 exponent vectors with A.u = A.v such that no other kernel pair sits
-conformally below it.  The production route doubles the matrix into its
-Lawrence lifting, where every reduced Groebner basis of the toric ideal
-coincides with the Graver basis, and projects back.  The oracle enumerates
+conformally below it.  The production route reads the toric generators of
+the Lawrence lifting, among which every Graver element occurs, as kernel
+vectors and keeps the conformally minimal ones.  The oracle enumerates
 kernel pairs degree by degree and filters conformal minimality directly;
 it is complete up to its weight bound and validates the production route.
 """
@@ -16,8 +16,9 @@ from math import gcd
 from .errors import InputError, NonHomogeneousInput, certify
 from .grading import GradingMatrix, positive_combination
 from .linalg import rank
-from .monomials import TermOrder, support
-from .binomials import Binomial, buchberger, canonical_pair, toric_ideal
+from .monomials import exp_sub, guard_mask, pack, support
+# bound for censusbench/tracer.py until ROADMAP item 1 removes this binding
+from .binomials import Binomial, binomial_from_vector, buchberger, canonical_pair, toric_ideal
 
 
 @dataclass(frozen=True)
@@ -51,21 +52,30 @@ def lawrence_lifting(matrix):
 def graver_basis(matrix):
     """Complete Graver basis through the Lawrence lifting.
 
-    ``toric_ideal`` saturates the lifting by n of its 2n variables; its lex
-    reduced basis is the Graver basis as mirror pairs x^u y^v - x^v y^u.
+    Every binomial generating set of the lifting's toric ideal holds its
+    Graver binomials x^u y^v - x^v y^u up to sign: they are indispensable
+    (Sturmfels, GBCP Thm 7.1).  Each element x^a y^b - x^c y^d of
+    ``toric_ideal`` is read as the kernel vector w = a - c (b - d = -w is
+    certified), and every kernel vector lies conformally above a Graver
+    element, so the pairs (w+, w-) that no other pair lies conformally
+    below are the Graver basis.  A sweep by total degree keeps them, with
+    two packed tests, (u, v) and (v, u) below, per comparison.
     """
-    lifted = lawrence_lifting(matrix)
     n = matrix.n
-    order = TermOrder((0,) * (2 * n))  # pure lexicographic
-    gb = buchberger(toric_ideal(lifted), order, lifted)
-    certify(gb.monomials.is_zero(), "Lawrence basis contains a monomial")
     pairs = set()
-    for b in gb.binomials:
-        u, ytail = b.lead[:n], b.lead[n:]
-        v, yhead = b.trail[:n], b.trail[n:]
-        certify(ytail == v and yhead == u, "Lawrence element is not a mirror pair")
-        pairs.add(canonical_pair(u, v))
-    return GraverBasis(tuple(sorted(pairs)))
+    for b in toric_ideal(lawrence_lifting(matrix)):
+        w = exp_sub(b.lead[:n], b.trail[:n])
+        certify(exp_sub(b.trail[n:], b.lead[n:]) == w, "Lawrence element is not a kernel vector")
+        pairs.add(binomial_from_vector(w).pair())
+    guard = guard_mask(2 * n)
+    kept, below = [], []
+    for u, v in sorted(pairs, key=lambda p: (sum(p[0]) + sum(p[1]), p)):
+        q = pack(u + v) | guard
+        if not any((q - p) & guard == guard for p in below):
+            kept.append((u, v))
+            below += (pack(u + v), pack(v + u))
+    certify(all(matrix.degree(u) == matrix.degree(v) for u, v in kept), "Graver pair off the kernel")
+    return GraverBasis(tuple(sorted(kept)))
 
 
 def graver_oracle(matrix, bound):

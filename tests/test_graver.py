@@ -11,13 +11,39 @@ from agraded import (
     lawrence_lifting,
     validate_grading,
 )
-from agraded.binomials import canonical_pair
+from agraded.binomials import buchberger, canonical_pair, toric_ideal
 from agraded.fixtures import as_pairs, expected, named_matrix
 from agraded.grading import positive_combination
+from agraded.monomials import TermOrder
 
 
 def weight_of(matrix, pair):
     return positive_combination(matrix, matrix.degree(pair[0]))
+
+
+def lex_graver(matrix):
+    """The Graver basis read off the lex reduced basis of the Lawrence lifting.
+
+    Every reduced Groebner basis of the lifting's toric ideal is its Graver
+    basis as mirror pairs x^u y^v - x^v y^u (Sturmfels, GBCP Thm 7.1); this
+    route runs a full completion and so checks ``graver_basis`` independently.
+    """
+    lifted = lawrence_lifting(matrix)
+    n = matrix.n
+    gb = buchberger(toric_ideal(lifted), TermOrder((0,) * (2 * n)), lifted)
+    assert gb.monomials.is_zero()
+    pairs = set()
+    for b in gb.binomials:
+        u, v = b.lead[:n], b.trail[:n]
+        assert b.lead[n:] == v and b.trail[n:] == u  # a mirror pair
+        pairs.add(canonical_pair(u, v))
+    return tuple(sorted(pairs))
+
+
+@pytest.mark.parametrize("name", ["g137", "g134", "veronese6", "g36-8-10-15", "g345-13-14"])
+def test_graver_basis_matches_the_lex_route(name):
+    m = named_matrix(name)
+    assert graver_basis(m).elements == lex_graver(m)
 
 
 def test_corank_one_single_element():
@@ -61,8 +87,6 @@ def test_oracle_matches_basis_at_fixture_bounds(ctx_veronese, ctx_corank4):
 
 
 def test_conformal_minimality_pairwise(ctx137):
-    elements = ctx137.graver.elements
-
     def conformally_below(p, q):
         (u0, v0), (u1, v1) = p, q
         direct = all(x <= y for x, y in zip(u0, u1)) and all(
@@ -73,10 +97,11 @@ def test_conformal_minimality_pairwise(ctx137):
         )
         return direct or swapped
 
-    for p in elements:
-        for q in elements:
-            if p != q:
-                assert not conformally_below(p, q)
+    for basis in (ctx137.graver, graver_basis(named_matrix("g36-8-10-15"))):
+        for p in basis:
+            for q in basis:
+                if p != q:
+                    assert not conformally_below(p, q)
 
 
 def test_disjoint_supports_and_kernel(ctx345):
@@ -141,8 +166,13 @@ def test_all_circuits_lie_in_graver(ctx_veronese, ctx137):
 
 
 def _graver_of_permuted(matrix, perm):
-    """graver_basis of the matrix with columns ``perm``, mapped back."""
+    """graver_basis of the matrix with columns ``perm``, mapped back.
+
+    The permuted basis is first pinned to the lex route.
+    """
     permuted = validate_grading([[row[j] for j in perm] for row in matrix.rows])
+    basis = graver_basis(permuted).elements
+    assert basis == lex_graver(permuted)
 
     def back(w):
         u = [0] * matrix.n
@@ -150,7 +180,7 @@ def _graver_of_permuted(matrix, perm):
             u[j] = x
         return tuple(u)
 
-    return tuple(sorted(canonical_pair(back(u), back(v)) for u, v in graver_basis(permuted)))
+    return tuple(sorted(canonical_pair(back(u), back(v)) for u, v in basis))
 
 
 @pytest.mark.parametrize("name,perms", [

@@ -90,7 +90,7 @@ def test_carry_repeats_the_trade_where_one_lands_inside():
     from agraded.fixtures import named_matrix
 
     matrix = named_matrix("g36-8-10-15")
-    graph = explore(AGradedContext(matrix))
+    graph = explore(AGradedContext(matrix), guard=250)  # its vertex count
     fibers = {}
     cases = 0
     for i, j, label in graph.edges:
@@ -150,7 +150,7 @@ def test_packed_forms_and_the_wall_kernels_on_g36_8_10_15():
     ctx = AGradedContext(named_matrix("g36-8-10-15"))
     ideals = list(brute_force_enumerate(ctx))
     rejected = 0
-    for ideal in explore(ctx).vertices:
+    for ideal in explore(ctx, guard=250).vertices:  # its vertex count
         ideals.append(ideal)
         for a in ideal.gens:
             b = ctx.standard_monomial(ideal, ctx.A.degree(a))
@@ -395,6 +395,21 @@ def s_polynomials(gb):
             yield {v: c for v, c in s.items() if c}
 
 
+def assert_reduced_groebner_basis(gens, gb):
+    """Reduced, every generator reduces to zero, and Buchberger's criterion, on tuples."""
+    from agraded import Binomial
+
+    leads = [b.lead for b in gb.binomials] + list(gb.monomials.gens)
+    for i, g in enumerate(leads):
+        assert not any(divides(h, g) for j, h in enumerate(leads) if j != i)
+        assert not any(divides(g, b.trail) for b in gb.binomials)
+    for g in gens:
+        poly = {g.lead: 1, g.trail: -g.coeff} if isinstance(g, Binomial) else {g: 1}
+        assert tuple_remainder(poly, gb) == {}
+    for spoly in s_polynomials(gb):
+        assert tuple_remainder(spoly, gb) == {}
+
+
 nonzero_integers = st.integers(1, 4).flatmap(lambda a: st.sampled_from((a, -a)))
 nonzero_rationals = st.one_of(nonzero_integers,
                               st.builds(Fraction, nonzero_integers, st.integers(1, 4)))
@@ -428,11 +443,7 @@ def test_buchberger_mixed_generators(weights, order_weight, pairs, mons, rng):
     assert buchberger(gens, order, matrix) == gb
 
     assert all(type(b.coeff) is Fraction for b in gb.binomials)
-    leads = [b.lead for b in gb.binomials] + list(gb.monomials.gens)
-    for i, g in enumerate(leads):
-        assert not any(divides(h, g) for j, h in enumerate(leads) if j != i)
-        assert not any(divides(g, b.trail) for b in gb.binomials)
-
+    assert_reduced_groebner_basis(gens, gb)
     guard = guard_mask(3)
     pmons = [pack(m) for m in gb.monomials.gens]
     pbins = [(pack(b.lead), pack(b.trail), b.coeff) for b in gb.binomials]
@@ -441,6 +452,72 @@ def test_buchberger_mixed_generators(weights, order_weight, pairs, mons, rng):
                 == packed_nf(pack(b.trail), b.coeff, pmons, pbins, guard))
     for m in mons:
         assert packed_nf(pack(m), 1, pmons, pbins, guard) is None
-    # Buchberger's criterion: the result is a Groebner basis
-    for spoly in s_polynomials(gb):
-        assert tuple_remainder(spoly, gb) == {}
+
+
+@pytest.mark.parametrize("gens, binomials, monomials", [
+    ([((2, 1, 0), (0, 0, 3)), ((1, 1, 0), (0, 1, 1))],
+     [((0, 1, 2), (0, 0, 3)), ((1, 0, 3), (0, 0, 4)), ((1, 1, 0), (0, 1, 1))], []),
+    ([((1, 2, 0), (0, 0, 3)), (0, 2, 0)], [], [(0, 0, 3), (0, 2, 0)]),
+    ([((1, 2, 0), (0, 0, 3)), ((1, 2, 0), (0, 1, 2)), (1, 2, 0)],
+     [], [(0, 0, 3), (0, 1, 2), (1, 2, 0)]),
+])
+def test_buchberger_drops_a_superseded_input(gens, binomials, monomials):
+    """A later generator whose lead divides an earlier lead, properly or not, retires it.
+
+    Lex order on x + y + z-homogeneous generators: x y divides x^2 y, y^2
+    divides x y^2, and the last case repeats the lead x y^2 three times.
+    """
+    from agraded import Binomial, TermOrder, buchberger
+
+    matrix = validate_grading([[1, 1, 1]])
+    order = TermOrder((0, 0, 0))
+    gens = [Binomial(*g) if len(g) == 2 else g for g in gens]
+    gb = buchberger(gens, order, matrix)
+    assert [(b.lead, b.trail) for b in gb.binomials] == binomials
+    assert list(gb.monomials.gens) == monomials
+    assert buchberger(gens[::-1], order, matrix) == gb
+    assert_reduced_groebner_basis(gens, gb)
+
+
+def test_buchberger_chain_criterion_with_a_retired_partner():
+    """The chain criterion takes the true lcm with a partner that is no longer active.
+
+    x - z retires x z^2 - x y, whose pairs stay queued.  Taking the lcm
+    with a retired partner for different from every lcm drops a pair that
+    is needed and loses the monomials y z^2 and y^2 z.
+    """
+    from agraded import Binomial, TermOrder, buchberger
+
+    matrix = validate_grading([[1, 2, 1]])
+    order = TermOrder((1, 1, 1))
+    gens = [Binomial((1, 0, 2), (1, 1, 0)), Binomial((0, 0, 1), (1, 0, 0)), (2, 0, 2)]
+    gb = buchberger(gens, order, matrix)
+    assert [(b.lead, b.trail) for b in gb.binomials] == [((0, 0, 3), (0, 1, 1)),
+                                                          ((1, 0, 0), (0, 0, 1))]
+    assert gb.monomials.gens == ((0, 1, 2), (0, 2, 1))
+    assert_reduced_groebner_basis(gens, gb)
+
+
+def test_buchberger_every_lawrence_saturation_of_g36_8_10_15(monkeypatch):
+    """Each toric saturation of the Lawrence lifting is a reduced Groebner basis.
+
+    The lifting saturates by five of its ten variables; every ``buchberger``
+    call ``toric_ideal`` makes is recorded and checked on tuples, so the
+    basis pruning is tested on inputs where many leads are superseded.
+    """
+    from agraded import binomials, lawrence_lifting
+    from agraded.fixtures import named_matrix
+
+    calls = []
+    original = binomials.buchberger
+
+    def recorded(gens, order, matrix):
+        gb = original(gens, order, matrix)
+        calls.append((gens, gb))
+        return gb
+
+    monkeypatch.setattr(binomials, "buchberger", recorded)
+    binomials.toric_ideal.__wrapped__(lawrence_lifting(named_matrix("g36-8-10-15")))  # uncached
+    assert len(calls) == 5
+    for gens, gb in calls:
+        assert_reduced_groebner_basis(gens, gb)
