@@ -15,14 +15,14 @@ flip label is automatically a Graver pair: a conformal decomposition of
 of x^b.
 
 A flip step stays in packed integers from the candidate to the carried
-standard monomials.  ``flip`` checks every candidate, since pairs also come
-from files: lengths, x^a a minimal generator, x^b outside, equal degree
-codes, then the wall marked toward x^a.  ``wall_initial`` merges the
-target's minimal generators instead of sorting them out; this is exact
-because the source's other generators are minimal, each survivor of the
-completion is irreducible modulo everything found before it, and x^b lies
-outside the source.  ``AGradedContext.carry`` trades and tests membership
-on packed monomials.
+standard monomials, cached per ideal under the integer ``DegreeCode`` of their
+degree.  ``flip`` checks every candidate, since pairs also come from files:
+lengths, x^a a minimal generator, x^b outside and of equal degree code (known
+if x^b is cached as std(deg a): only such monomials are cached), then the wall
+marked toward x^a.  ``wall_initial`` merges the target's minimal generators
+instead of sorting them out; this is exact because the source's other
+generators are minimal, each survivor of the completion is irreducible modulo
+everything found before it, and x^b lies outside the source.
 """
 
 from dataclasses import dataclass
@@ -90,9 +90,9 @@ class AGradedContext:
         # ideal the K-polynomial recursion met below the ideals asked for;
         # brute_force_enumerate releases it when it returns
         self._kpoly_memo = {}
-        # ideal -> {degree: standard monomial}.  A matrix has few distinct
-        # degrees and standard monomials, shared across thousands of ideals,
-        # so both are interned: a cache entry costs a dict slot, not tuples.
+        # ideal -> {degree code: standard monomial}.  A matrix has few distinct
+        # degrees and standard monomials, shared across thousands of ideals, so
+        # both are interned: a cache entry costs a dict slot, not an int and tuple.
         self._standard = {}
         self._interned = {}
         # monomial -> its packed form, for the monomials flips trade
@@ -130,19 +130,19 @@ class AGradedContext:
     def standard_monomial(self, ideal, b):
         """The unique monomial of degree b outside an A-graded ideal.
 
-        Backtracks over exponents in lexicographic order; the last
-        coordinate is solved for, not searched.  A generator whose last
-        nonzero coordinate is j bounds coordinate j once the earlier
-        coordinates are decided: when its prefix divides the partial
-        exponent, every value from its own j-th entry on is divisible, so
-        each node tests each such generator once, on packed prefixes.
+        Cached under ``DegreeCode.encode(b)`` (BadLength unless b has d entries).
+        Backtracks over exponents in lexicographic order; the last coordinate
+        is solved for, not searched.  A generator whose last nonzero coordinate
+        is j bounds coordinate j once the earlier coordinates are decided: when
+        its prefix divides the partial exponent, every value from its own j-th
+        entry on is divisible, so each node tests each such generator once, on
+        packed prefixes.  An exponent of 2**31 or more raises ExponentOverflow.
         """
         b = tuple(b)
-        known = self._standard.get(ideal)
-        if known is not None:
-            cached = known.get(b)
-            if cached is not None:
-                return cached
+        code = degree_code(self.A).encode(b)
+        cached = self._standard.get(ideal, {}).get(code)
+        if cached is not None:
+            return cached
         n = self.A.n
         weights = self.A.certificate_weights
         budget = positive_combination(self.A, b)
@@ -192,16 +192,23 @@ class AGradedContext:
             raise NotAGraded(f"no standard monomial in degree {b}")
         intern = self._interned.setdefault
         found = tuple(u)
+        self.pack(found)  # the solved last coordinate may reach 2**31
         found = intern(found, found)
-        self._standard.setdefault(ideal, {})[intern(b, b)] = found
+        self._standard.setdefault(ideal, {})[intern(code, code)] = found
         return found
+
+    def generator_standards(self, ideal):
+        """std(deg g) for each minimal generator g, by its packed degree code."""
+        known = self._standard.setdefault(ideal, {})
+        return [known.get(self.degree_codes[p]) or self.standard_monomial(ideal, self.A.degree(g))
+                for g, p in zip(ideal.gens, ideal.packed)]
 
     def carry(self, move):
         """Seed the standard-monomial cache of a flip target from its source.
 
-        For the degree beta of each generator of M' = ``move.target`` that
-        M = ``move.source`` has cached as s = std_M(beta), the candidate c
-        is s with x^b traded for x^a for as long as x^b divides it; the
+        For the degree (code) beta of each generator of M' = ``move.target``
+        that M = ``move.source`` has cached as s = std_M(beta), the candidate
+        c is s with x^b traded for x^a for as long as x^b divides it; the
         loop ends because a Graver pair has disjoint supports.  c has
         degree beta, since deg a = deg b, and an A-graded M' has exactly
         one standard monomial in degree beta, so c is that monomial iff it
@@ -227,8 +234,8 @@ class AGradedContext:
         shift = self.pack(move.a) - pb
         known = self._standard.setdefault(target, {})
         intern = self._interned.setdefault
-        for g in target.gens:
-            beta = self.A.degree(g)
+        for p in target.packed:
+            beta = self.degree_codes[p]
             c = source.get(beta)
             if c is None or beta in known:
                 continue
@@ -285,8 +292,8 @@ def flip(ideal, pair, ctx):
     - BadLength unless both sides have n entries;
     - the pair is oriented so that x^a is a minimal generator, found by one
       scan of the generators (NotApplicable if neither side is one);
-    - NotApplicable if x^b lies in the ideal, and NonHomogeneousInput if
-      the degree codes of x^a and x^b differ;
+    - NotApplicable if x^b lies in the ideal, NonHomogeneousInput if the degree
+      codes differ; both pass, unchecked, for an x^b cached as std(deg a);
     - NotFlippable unless re-marking the wall ideal toward x^a reproduces
       the ideal, in which case the opposite marking is the A-graded target.
     x^b is packed once per context (``AGradedContext.pack``).  The two wall
@@ -310,11 +317,12 @@ def flip(ideal, pair, ctx):
         a, b = v, u
     packed = ideal.packed
     pa, pb = packed[i], ctx.pack(b)
-    if packed_member(pb, packed, guard_mask(n)):
-        raise NotApplicable(f"{b} lies in the ideal")
     codes = ctx.degree_codes
-    if codes[pa] != codes[pb]:
-        raise NonHomogeneousInput(f"{a} and {b} have different degrees")
+    if ctx._standard.get(ideal, {}).get(codes[pa]) != b:
+        if packed_member(pb, packed, guard_mask(n)):
+            raise NotApplicable(f"{b} lies in the ideal")
+        if codes[pa] != codes[pb]:
+            raise NonHomogeneousInput(f"{a} and {b} have different degrees")
     rest = packed[:i] + packed[i + 1:]
     if not wall_recovers_source(rest, pa, pb, n):
         raise NotFlippable(a, b)
@@ -323,12 +331,12 @@ def flip(ideal, pair, ctx):
     return FlipMove(ideal, a, b, wall_initial(rest, pa, pb, n, known))
 
 
-def _wall_survivors(rest, plead, ptrail, guard):
+def _wall_survivors(rest, plead, ptrail, guard, first=False):
     """Completion of the wall ideal <rest, x^lead - x^trail>, all packed.
 
     Only S-pairs of a monomial x^m with the binomial arise.  Each
-    S-monomial (x^m : x^lead) x^trail that survives reduction is yielded
-    as it is found, then joins the monomials and forms its own S-pair.
+    S-monomial (x^m : x^lead) x^trail that survives reduction joins the
+    monomials, forms its own S-pair and is returned (``first``: only one).
     Buchberger's product criterion skips an x^m coprime to x^lead unless
     m + trail leaves the packed field range: that S-monomial still goes to
     ``packed_nf``, which raises ExponentOverflow.
@@ -342,7 +350,9 @@ def _wall_survivors(rest, plead, ptrail, guard):
         nf = packed_nf(pc + ptrail, 1, packed, wall, guard)
         if nf is not None:
             packed.append(nf[0])
-            yield nf[0]
+            if first:
+                break
+    return packed[len(rest):]
 
 
 def wall_recovers_source(rest, pa, pb, n):
@@ -352,7 +362,7 @@ def wall_recovers_source(rest, pa, pb, n):
     pa, in n fields.  It does iff no S-monomial survives, so the test stops
     at the first survivor, the common case for rejected candidates.
     """
-    return next(_wall_survivors(rest, pa, pb, guard_mask(n)), None) is None
+    return not _wall_survivors(rest, pa, pb, guard_mask(n), first=True)
 
 
 def wall_initial(rest, pa, pb, n, known):
@@ -395,8 +405,9 @@ def neighbors(ideal, ctx, reverse=None):
     """All flips out of an A-graded monomial ideal, in generator order.
 
     Candidates pair each minimal generator with the unique standard
-    monomial of its degree; no other Graver pair can satisfy the flip
-    preconditions, and each candidate is itself a Graver pair.
+    monomial of its degree, looked up by degree code; no other Graver pair
+    can satisfy the flip preconditions, and each candidate is itself a
+    Graver pair.  ``flip`` validates each, finding x^b cached.
 
     ``reverse`` is for ``explore`` only: it maps generators of ``ideal`` to
     moves already known to leave through them, the reverses of flips into
@@ -405,8 +416,7 @@ def neighbors(ideal, ctx, reverse=None):
     every generator is still looked up, so the cache fills as without it.
     """
     moves = []
-    for a in ideal.gens:
-        b = ctx.standard_monomial(ideal, ctx.A.degree(a))
+    for a, b in zip(ideal.gens, ctx.generator_standards(ideal)):
         if reverse and a in reverse:
             moves.append(reverse[a])
             continue
@@ -427,11 +437,8 @@ def is_coherent(ideal, ctx):
     the ideal contain, hence equal, the corresponding initial ideal.  Any
     witness also splits every Graver pair toward its ideal side.
     """
-    rows = []
-    for g in ideal.gens:
-        std = ctx.standard_monomial(ideal, ctx.A.degree(g))
-        rows.append(exp_sub(g, std))
-    witness = lp_strict_feasible(sorted(set(rows)), nvars=ctx.A.n)
+    rows = {exp_sub(g, std) for g, std in zip(ideal.gens, ctx.generator_standards(ideal))}
+    witness = lp_strict_feasible(sorted(rows), nvars=ctx.A.n)
     return (witness is not None), witness
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import mul
 
-from .errors import ExponentOverflow
+from .errors import BadLength, ExponentOverflow
 from .grading import positive_combination
 from .linalg import dot
 
@@ -385,6 +385,14 @@ class DegreeCode:
         self.code = _Lazy(lambda p: sum(map(mul, columns, unpack(p, n))))
         self.rank = _Lazy(lambda p: sum(map(mul, weights, unpack(p, n))) << (FIELD_BITS * n) | p)
         self.degree = _Lazy(self._decode)
+
+    def encode(self, b):
+        """The code of a degree tuple b, inverse to ``degree``; ExponentOverflow if |b_k| > L_k."""
+        if len(b) != len(self.limits):
+            raise BadLength(f"degree {tuple(b)} needs {len(self.limits)} entries")
+        if any(abs(x) > limit for x, limit in zip(b, self.limits)):
+            raise ExponentOverflow(f"degree {tuple(b)} needs an exponent of 2**31 or more")
+        return sum(x << (self.bits * k) for k, x in enumerate(b))
 
     def _decode(self, code):
         half = 1 << (self.bits - 1)

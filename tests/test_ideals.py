@@ -10,6 +10,7 @@ from agraded import (
     AGradedContext,
     BadLength,
     Binomial,
+    ExponentOverflow,
     GuardExceeded,
     IncompleteInput,
     MonomialIdeal,
@@ -340,6 +341,71 @@ def test_parametric_family_rational_scalars(curve_ctx):
         ctx = curve_ctx[j]
         gb = buchberger(curve_parametric_family(j, mus), TermOrder((1, 1, 2, 0, 2)), ctx.A)
         assert gb.lead_ideal() == curve_monomial_ideal(j)
+
+
+def test_standard_monomial_rejects_bad_degrees(ctx345):
+    """A degree of the wrong length, or one that needs an exponent of 2**31, caches nothing."""
+    ctx = AGradedContext(ctx345.A)
+    ideal = ctx.reference_ideal
+    for b in [(13, 99), ()]:
+        with pytest.raises(BadLength):
+            ctx.standard_monomial(ideal, b)
+    # 2**40 is past the degree-code bound; 2**35 is inside it, but its
+    # standard monomial would end in the solved exponent 2454267017
+    for b in [(2**40,), (2**35,)]:
+        with pytest.raises(ExponentOverflow):
+            ctx.standard_monomial(ideal, b)
+    assert not ctx._standard.get(ideal)
+    assert ctx.standard_monomial(ideal, (13,)) == (0, 0, 0, 1, 0)
+
+
+def test_warm_cache_admits_no_bad_pair(ctx_corank4):
+    """After ``explore`` every vertex has its standard monomials cached, and
+    ``flip`` skips two checks for a cached x^b; it still rejects bad pairs.
+
+    At every vertex of g36-8-10-15 and for every generator x^a: the cache
+    holds the one fiber element outside the ideal, the first two and the
+    last fiber element inside raise NotApplicable, each cached standard
+    monomial of another degree raises NonHomogeneousInput, and
+    ``neighbors`` gives the moves that ``flip`` accepts on a cold context,
+    which match ``definition_flip_ideal``.
+    """
+    from agraded import fiber
+
+    ctx = AGradedContext(ctx_corank4.A)
+    graph = explore(ctx, guard=250)  # its vertex count
+    cold = AGradedContext(ctx.A)
+    codes = ctx.degree_codes
+    fibers = {}
+    inside = other = 0
+    for ideal in graph.vertices:
+        known = ctx._standard[ideal]
+        expected = []
+        for a, pa in zip(ideal.gens, ideal.packed):
+            if codes[pa] not in fibers:
+                fibers[codes[pa]] = fiber(ctx.A, ctx.A.degree(a))
+            fib = fibers[codes[pa]]
+            assert [u for u in fib if not ideal.contains(u)] == [known[codes[pa]]]
+            within = [u for u in fib if u != known[codes[pa]]]
+            for u in {*within[:2], *within[-1:]}:
+                inside += 1
+                with pytest.raises(NotApplicable):
+                    flip(ideal, (a, u), ctx)
+            for code, b in known.items():
+                if code != codes[pa]:
+                    other += 1
+                    with pytest.raises(NonHomogeneousInput):
+                        flip(ideal, (a, b), ctx)
+            try:
+                expected.append(flip(ideal, (a, known[codes[pa]]), cold))
+            except NotFlippable:
+                pass
+        moves = neighbors(ideal, ctx)
+        assert moves == tuple(expected)
+        for move in moves:
+            assert move.target == definition_flip_ideal(ideal, move.a, move.b, ctx.graver)
+    assert inside and other
+    assert not cold._standard
 
 
 def test_standard_monomial_unique(ctx123789, ideal_J):

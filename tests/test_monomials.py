@@ -17,6 +17,7 @@ from agraded.fixtures import named_ideal
 from agraded.linalg import dot
 from agraded.monomials import (
     FIELD_LIMIT,
+    BadLength,
     ExponentOverflow,
     degree_code,
     divides,
@@ -237,6 +238,24 @@ def test_degree_code_outside_the_bound_raises():
             code.degree[raw]
     with pytest.raises(ExponentOverflow):  # a digit past the last row
         code.degree[1 << (2 * code.bits)]
+
+
+def test_degree_code_encode_inverts_degree():
+    """``encode`` and ``degree`` are inverse on the box |b_k| <= L_k, and agree with ``code``."""
+    m = validate_grading(NEGATIVE_ENTRY)
+    code = degree_code(m)
+    top = FIELD_LIMIT - 1
+    assert code.limits == [3 * top, 2 * top]
+    for b in [(0, 0), (5, -7), (3 * top, 2 * top), (-3 * top, -2 * top), (3 * top, -2 * top)]:
+        assert code.degree[code.encode(b)] == b
+    for u in [(top, 0, 0), (0, 0, top), (top, top, top), (top, 5, 0), (1, 2, 3)]:
+        assert code.encode(m.degree(u)) == code.code[pack(u)]
+    for b in [(3 * top + 1, 0), (0, 2 * top + 1), (-1, -2 * top - 1)]:
+        with pytest.raises(ExponentOverflow):
+            code.encode(b)
+    for b in [(), (1,), (1, 2, 3)]:
+        with pytest.raises(BadLength):
+            code.encode(b)
 
 
 def test_packed_nf_multiplies_coefficients():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from agraded import MonomialIdeal, explore, fiber, k_polynomial, minimalize, validate_grading
-from agraded.monomials import FIELD_LIMIT, divides, pack, unpack
+from agraded.monomials import FIELD_LIMIT, degree_code, divides, pack, unpack
 from test_monomials import colon
 
 
@@ -91,6 +91,7 @@ def test_carry_repeats_the_trade_where_one_lands_inside():
 
     matrix = named_matrix("g36-8-10-15")
     graph = explore(AGradedContext(matrix), guard=250)  # its vertex count
+    degree = degree_code(matrix).degree
     fibers = {}
     cases = 0
     for i, j, label in graph.edges:
@@ -102,7 +103,7 @@ def test_carry_repeats_the_trade_where_one_lands_inside():
             for beta in cached:
                 ctx.standard_monomial(source, beta)
             ctx.carry(move)
-            carried = ctx._standard.get(target, {})
+            carried = {degree[k]: c for k, c in ctx._standard.get(target, {}).items()}
             for beta in {ctx.A.degree(g) for g in target.gens} & cached:
                 s = ctx.standard_monomial(source, beta)
                 if not divides(b, s):
@@ -221,8 +222,8 @@ def test_seeded_random_flip_walks(name, seed):
             ctx.standard_monomial(ideal, ctx.A.degree(g))
         ctx._standard.pop(move.target, None)
         ctx.carry(move)
-        for beta, c in ctx._standard.get(move.target, {}).items():
-            assert c == fresh.standard_monomial(move.target, beta)
+        for code, c in ctx._standard.get(move.target, {}).items():
+            assert c == fresh.standard_monomial(move.target, degree_code(ctx.A).degree[code])
             assert ctx.pack(c) == pack(c)
             carried += 1
         ideal = move.target
