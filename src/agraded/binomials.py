@@ -43,9 +43,9 @@ from .monomials import (
     cheapest_variable_order,
     exp_sub,
     guard_mask,
+    minimal_packed,
     minimalize,
     pack,
-    packed_colon,
     packed_nf,
     packed_step,
     support,
@@ -120,21 +120,23 @@ def buchberger(gens, order, matrix):
 
     Raises NonHomogeneousInput if a binomial pairs monomials of different
     degree.  Each element made is a packed (lead, trail, coeff) triple of
-    ``elements``, trail None for a monomial.  The Gebauer-Moeller update
-    (1988) keeps in ``active`` the elements whose lead no later lead
-    divides: a new element pairs only with these, then drops those whose
-    lead its lead divides from ``active`` and from ``pmons``/``pbins``, the
-    reducers of ``packed_step``; their queued pairs are still reduced, and
-    the chain criterion takes the true lcm with every partner.  S-pairs of
-    two monomials vanish; those of a monomial with a binomial are
-    monomials.  Pairs are processed by increasing positivity weight of the
-    lcm (the generators are homogeneous, so this is a normal
-    degree-by-degree selection even when the order's own weight has
-    negative entries).  During completion the largest term is rewritten
-    one step at a time, ranking again after each step, until it is
-    irreducible; the two terms then cancel where their rewrite paths meet.
-    ``_finalize`` turns the active elements, a Groebner basis, into the
-    reduced one, which is unique for the order.
+    ``elements``, trail None for a monomial.  Two criteria of Gebauer and
+    Moeller (1988) prune the pairs.  ``active`` keeps the elements whose
+    lead no later lead divides: a new element pairs only with these, then
+    drops those whose lead its lead divides from ``active`` and from
+    ``pmons``/``pbins``, the reducers of ``packed_step``; their queued
+    pairs are still reduced.  Of its new pairs only one per minimal lcm
+    (``minimal_packed``) is queued, unless the leads are coprime.  Queued
+    pairs are never dropped: a chain-criterion scan of the queue per new
+    lead cost more than the reductions it saved.  S-pairs of two monomials
+    vanish; those of a monomial with a binomial are monomials.  Pairs are
+    processed by increasing positivity weight of the lcm (the generators
+    are homogeneous, so this is a normal degree-by-degree selection even
+    when the order's own weight has negative entries).  During completion
+    the largest term is rewritten one step at a time, ranking again after
+    each step, until it is irreducible; the two terms then cancel where
+    their rewrite paths meet.  ``_finalize`` turns the active elements, a
+    Groebner basis, into the reduced one, which is unique for the order.
     """
     weights = matrix.certificate_weights
     n = matrix.n
@@ -157,7 +159,6 @@ def buchberger(gens, order, matrix):
     elements = [(p, None, None) for p in pmons] + pbins
     active = []  # indices of the elements whose lead no later lead divides
     queue = []
-    alive = {}
     counter = 0
 
     def push_pairs(k):
@@ -167,30 +168,14 @@ def buchberger(gens, order, matrix):
         # arithmetic of packed_colon in place: a call per partner costs more
         lcms = dict(zip(active, [plk + (d & ((d & guard) >> (FIELD_BITS - 1)) * (FIELD_LIMIT - 1))
                                  for d in [(elements[i][0] | guard) - plk for i in active]]))
-        # drop superseded old pairs (chain criterion), partners no longer active included
-        for ij in [ij for ij, plij in alive.items()
-                   if ((plij | guard) - plk) & guard == guard
-                   and all(lcms.get(i, plk + packed_colon(elements[i][0], plk, guard)) != plij
-                           for i in ij)]:
-            del alive[ij]
         # the lowest-index partner of each lcm (built in reverse, so it wins);
-        # packed integer comparison is divisor-compatible, so ascending order
-        # lets one sweep keep exactly the minimal lcms
+        # of the pairs with new element k only those with a minimal lcm are kept
         first = {pl: i for i, pl in reversed(lcms.items())
                  if ptk is not None or elements[i][1] is not None}
-        minimal = []
-        for pl in sorted(first):
-            gl = pl | guard
-            for pl2 in minimal:
-                if (gl - pl2) & guard == guard:
-                    break
-            else:
-                minimal.append(pl)
-        for pl in minimal:
+        for pl in minimal_packed(first, guard):
             i = first[pl]
             if pl == elements[i][0] + plk:
                 continue  # coprime leads
-            alive[(i, k)] = pl
             counter += 1
             l = unpack(pl, n)
             heappush(queue, (dot(weights, l), pl, counter, i, k))
@@ -204,8 +189,6 @@ def buchberger(gens, order, matrix):
 
     while queue:
         _, pl, _, i, j = heappop(queue)
-        if alive.pop((i, j), None) is None:
-            continue
         # S-pair: the x^l heads cancel; a monomial contributes nothing else,
         # and two trails that coincide may cancel too
         work = {}

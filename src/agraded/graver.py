@@ -16,7 +16,7 @@ from math import gcd
 from .errors import InputError, NonHomogeneousInput, certify
 from .grading import GradingMatrix, positive_combination
 from .linalg import rank
-from .monomials import exp_sub, guard_mask, pack, support
+from .monomials import exp_sub, fiber_walk, guard_mask, pack, support
 # bound for censusbench/tracer.py until ROADMAP item 1 removes this binding
 from .binomials import Binomial, binomial_from_vector, buchberger, canonical_pair, toric_ideal
 
@@ -81,33 +81,23 @@ def graver_basis(matrix):
 def graver_oracle(matrix, bound):
     """All Graver elements of certificate weight at most ``bound``.
 
-    Enumerates every monomial of weight <= bound, pairs same-degree
-    monomials, and keeps the conformally minimal pairs.  Because conformal
-    comparison never increases the weight, the result equals the weight
-    filter of the full Graver basis; it is the whole basis whenever bound
-    dominates the largest Graver weight.
+    Lists every monomial of weight <= bound with ``fiber_walk``, one fiber
+    of the 1 x n matrix c^T A per weight, pairs disjointly supported
+    monomials of the same degree under A, and keeps the conformally minimal
+    pairs.  Because conformal comparison never increases the weight, the
+    result equals the weight filter of the full Graver basis; it is the
+    whole basis whenever bound dominates the largest Graver weight.
     """
     if bound <= 0:
         raise InputError("bound must be positive")
-    n = matrix.n
-    weights = matrix.certificate_weights
+    line = GradingMatrix((matrix.certificate_weights,), (1,))
     by_degree = {}
-    u = [0] * n
-
-    def enumerate_monomials(j, budget):
-        if j == n:
-            mono = tuple(u)
+    for w in range(bound + 1):
+        for mono in fiber_walk(line, (w,)):
             by_degree.setdefault(matrix.degree(mono), []).append(mono)
-            return
-        for k in range(budget // weights[j] + 1):
-            u[j] = k
-            enumerate_monomials(j + 1, budget - k * weights[j])
-        u[j] = 0
-
-    enumerate_monomials(0, bound)
 
     candidates = set()
-    for degree, monos in by_degree.items():
+    for monos in by_degree.values():
         if len(monos) < 2:
             continue
         for i in range(len(monos)):

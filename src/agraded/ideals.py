@@ -46,11 +46,10 @@ from .grading import positive_combination
 from .graver import graver_basis
 from .lp import lp_strict_feasible
 from .monomials import (
-    FIELD_BITS,
-    FIELD_LIMIT,
     MonomialIdeal,
     degree_code,
     exp_sub,
+    fiber_walk,
     guard_mask,
     ideal_with_packed,
     k_polynomial,
@@ -130,69 +129,24 @@ class AGradedContext:
     def standard_monomial(self, ideal, b):
         """The unique monomial of degree b outside an A-graded ideal.
 
-        Cached under ``DegreeCode.encode(b)`` (BadLength unless b has d entries).
-        Backtracks over exponents in lexicographic order; the last coordinate
-        is solved for, not searched.  A generator whose last nonzero coordinate
-        is j bounds coordinate j once the earlier coordinates are decided: when
-        its prefix divides the partial exponent, every value from its own j-th
-        entry on is divisible, so each node tests each such generator once, on
-        packed prefixes.  An exponent of 2**31 or more raises ExponentOverflow.
+        The first monomial that ``fiber_walk`` yields outside the packed
+        generators, i.e. the lexicographically smallest; cached under
+        ``DegreeCode.encode(b)`` (BadLength unless b has d entries).  Raises
+        InputError when c.b < 0, NotAGraded when every monomial of degree b
+        lies in the ideal, and ExponentOverflow when the search reaches an
+        exponent of 2**31 or more.
         """
         b = tuple(b)
         code = degree_code(self.A).encode(b)
-        cached = self._standard.get(ideal, {}).get(code)
-        if cached is not None:
-            return cached
-        n = self.A.n
-        weights = self.A.certificate_weights
-        budget = positive_combination(self.A, b)
-        if budget < 0:
+        found = self._standard.get(ideal, {}).get(code)
+        if found is not None:
+            return found
+        if positive_combination(self.A, b) < 0:
             raise InputError(f"degree {b} is outside the monoid")
-        cols = self.A.columns
-        nonneg = self.A.nonnegative
-        guard = guard_mask(n)
-        steps = [1 << (FIELD_BITS * j) for j in range(n)]
-        # per level j: (packed g[:j], g[j]) of the generators with last nonzero j
-        buckets = [[] for _ in range(n)]
-        for p in ideal.packed:
-            top = max(p.bit_length() - 1, 0) // FIELD_BITS
-            buckets[top].append((p & (steps[top] - 1), p >> (FIELD_BITS * top)))
-        last = n - 1
-        u = [0] * n
-
-        def rec(j, pu, residual, budget):
-            if nonneg and any(x < 0 for x in residual):
-                return False
-            stop = budget // weights[j] + 1
-            q = pu | guard
-            for pg, e in buckets[j]:
-                if e < stop and (q - pg) & guard == guard:
-                    stop = e  # larger values stay divisible
-            col = cols[j]
-            if j == last:
-                # c.residual == budget, so only k = budget / w can leave residual 0
-                k = budget // weights[j]
-                if k < stop and all(r == k * c for r, c in zip(residual, col)):
-                    u[j] = k
-                    return True
-                return False
-            step = steps[j]
-            for k in range(min(stop, FIELD_LIMIT)):
-                u[j] = k
-                if rec(j + 1, pu + k * step,
-                       tuple(r - k * c for r, c in zip(residual, col)),
-                       budget - k * weights[j]):
-                    return True
-            u[j] = 0
-            if stop > FIELD_LIMIT:
-                raise ExponentOverflow(f"degree {b} needs an exponent of 2**31 or more")
-            return False
-
-        if not rec(0, 0, b, budget):
+        found = next(fiber_walk(self.A, b, ideal.packed), None)
+        if found is None:
             raise NotAGraded(f"no standard monomial in degree {b}")
         intern = self._interned.setdefault
-        found = tuple(u)
-        self.pack(found)  # the solved last coordinate may reach 2**31
         found = intern(found, found)
         self._standard.setdefault(ideal, {})[intern(code, code)] = found
         return found

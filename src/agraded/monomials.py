@@ -1,36 +1,34 @@
-"""Monomials as exponent vectors, term orders, monomial ideals, K-polynomials.
+"""Monomials, packed monomials, degree fibers, monomial ideals, K-polynomials.
 
 Monomials are plain integer tuples (the exponent of x^u).  Monomial ideals
 are kept in canonical form: the tuple of minimal generators, sorted, so two
-ideals are equal iff their representations are identical.  The K-polynomial
-of an ideal is the numerator of the multigraded Hilbert series of the
-quotient over the common denominator prod_i (1 - t^{deg x_i}); equality of
-K-polynomials is therefore equality of Hilbert functions.
+ideals are equal iff their representations are identical.  Term orders rank
+monomials by ``TermOrder.key``, applied to exponent tuples.
 
 Divisibility tests dominate the running time of every enumeration, so the
-hot loops (ideal membership, minimalization, wall ideals, standard
-monomials, Buchberger completion, the K-polynomial recursion and, through
-divisibility tables over the Graver sides, the brute-force search) mirror
-exponent vectors into packed integers, and this module holds the only
-definition of that representation.  Coordinate i occupies the 32-bit field
-starting at bit 32 i; its top bit is a guard bit, so each exponent must
-satisfy 0 <= e < 2**31, and ``pack`` raises ExponentOverflow otherwise.  With the
-guard bits G set on x^u, x^g divides x^u iff ((pack(u) | G) - pack(g)) & G
-== G: a field with g_i > u_i borrows its guard bit away, and the guard
-stops the borrow from reaching the next field.  A proper divisor packs to a
-smaller integer, so ascending integer order is a linear extension of
-divisibility.  Fields add and subtract independently while every entry
-stays in range, so a product or quotient of monomials is one integer
-operation.  The tuple function ``divides`` is the reference that the
-packed tests are checked against.  Each MonomialIdeal keeps its packed
-generators (``MonomialIdeal.packed``) once they are made, so no hot loop
-packs an ideal again; keeping them costs 1.3% more peak RSS on the
-flips-g123789 benchmark workload and 2.9% on census-g345 than a 32-entry
-cache of packed forms did (``BENCH_15.json``).  Term orders rank monomials by
-``TermOrder.key``, applied to exponent tuples.  The K-polynomial
-recursion also keys its terms by an additive integer code of the degree
-(``DegreeCode``), so that multiplying by t^{A.m} adds one integer to each
-key.
+hot loops mirror exponent vectors into packed integers, and this module
+holds the only definition of that representation.  Coordinate i occupies
+the 32-bit field starting at bit 32 i; its top bit is a guard bit, so each
+exponent must satisfy 0 <= e < 2**31, and ``pack`` raises ExponentOverflow
+otherwise.  With the guard bits G set on x^u, x^g divides x^u iff
+((pack(u) | G) - pack(g)) & G == G: a field with g_i > u_i borrows its
+guard bit away, and the guard stops the borrow from reaching the next
+field.  A proper divisor packs to a smaller integer, so ascending integer
+order is a linear extension of divisibility.  Fields add and subtract
+independently while every entry stays in range, so a product or quotient
+of monomials is one integer operation.  The tuple function ``divides`` is
+the reference that the packed tests are checked against.  Each
+MonomialIdeal keeps its packed generators (``MonomialIdeal.packed``).
+
+``fiber_walk`` is the one search over a degree fiber {u >= 0 : A.u = b}:
+``fiber`` lists a fiber, ``AGradedContext.standard_monomial`` takes the
+first element outside an ideal, and ``graver_oracle`` walks the fibers of
+the certificate weights.  The K-polynomial of an ideal is the numerator of
+the multigraded Hilbert series of the quotient over the common denominator
+prod_i (1 - t^{deg x_i}), so equal K-polynomials mean equal Hilbert
+functions; its recursion keys terms by an additive integer code of the
+degree (``DegreeCode``), so multiplying by t^{A.m} adds one integer to
+each key.
 """
 
 import struct
@@ -276,43 +274,72 @@ def minimalize(gens):
 
 # -- degree fibers -----------------------------------------------------------
 
-def fiber(matrix, b):
-    """All u >= 0 with A.u = b, sorted lexicographically.
+def fiber_walk(matrix, b, outside=()):
+    """The monomials x^u of degree A.u = b that no packed monomial of ``outside`` divides.
 
-    Backtracking bounded by the positivity certificate: c.(A u) = c.b caps
-    every coordinate.  Empty when b is not a nonnegative combination.
-
-    Oracle: the tests check ``AGradedContext.standard_monomial`` against
-    it; no enumeration calls it.
+    Yields exponent tuples in lexicographic order, by backtracking over the
+    coordinates; the last one is solved for, not searched.  c.(A u) = c.b
+    caps every coordinate (nothing when c.b < 0), and when A >= 0 a
+    negative residual ends a branch.  A monomial of ``outside`` whose last
+    nonzero coordinate is j caps coordinate j at its own j-th entry once
+    its prefix divides the partial exponent, so each node tests it once, on
+    packed prefixes.  Raises ExponentOverflow when the walk reaches a
+    coordinate of 2**31 or more.
     """
     b = tuple(b)
+    budget = positive_combination(matrix, b)
+    if budget < 0:
+        return
     n = matrix.n
     weights = matrix.certificate_weights
-    budget = positive_combination(matrix, b)
-    if budget < 0 or (budget == 0 and any(b)):
-        return ()
     cols = matrix.columns
     nonneg = matrix.nonnegative
-    out = []
+    guard = guard_mask(n)
+    steps = [1 << (FIELD_BITS * j) for j in range(n)]
+    # per level j: (packed g[:j], g[j]) of the monomials with last nonzero j
+    buckets = [[] for _ in range(n)]
+    for p in outside:
+        top = max(p.bit_length() - 1, 0) // FIELD_BITS
+        buckets[top].append((p & (steps[top] - 1), p >> (FIELD_BITS * top)))
     u = [0] * n
 
-    def rec(j, residual, budget):
-        if j == n:
-            if all(x == 0 for x in residual):
-                out.append(tuple(u))
-            return
+    def walk(j, pu, residual, budget):
         if nonneg and any(x < 0 for x in residual):
             return
+        stop = budget // weights[j] + 1
+        q = pu | guard
+        for pg, e in buckets[j]:
+            if e < stop and (q - pg) & guard == guard:
+                stop = e  # larger values stay divisible
         col = cols[j]
-        top = budget // weights[j]
-        for k in range(top + 1):
+        if j == n - 1:
+            # c.residual == budget, so only k = budget / w can leave residual 0
+            k = budget // weights[j]
+            if k < stop and all(r == k * c for r, c in zip(residual, col)):
+                if k >= FIELD_LIMIT:
+                    raise ExponentOverflow(f"degree {b} needs an exponent of 2**31 or more")
+                u[j] = k
+                yield tuple(u)
+            return
+        step = steps[j]
+        for k in range(min(stop, FIELD_LIMIT)):
             u[j] = k
-            rec(j + 1, tuple(r - k * c for r, c in zip(residual, col)),
-                budget - k * weights[j])
-        u[j] = 0
+            yield from walk(j + 1, pu + k * step,
+                            tuple(r - k * c for r, c in zip(residual, col)),
+                            budget - k * weights[j])
+        if stop > FIELD_LIMIT:
+            raise ExponentOverflow(f"degree {b} needs an exponent of 2**31 or more")
 
-    rec(0, b, budget)
-    return tuple(sorted(out))
+    yield from walk(0, 0, b, budget)
+
+
+def fiber(matrix, b):
+    """All u >= 0 with A.u = b in lexicographic order: the whole ``fiber_walk``.
+
+    Oracle: the tests check ``AGradedContext.standard_monomial`` against
+    it, and it against a box enumeration; no enumeration calls it.
+    """
+    return tuple(fiber_walk(matrix, b))
 
 
 # -- K-polynomials -----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Monomial ideals, term orders, fibers and K-polynomials."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -26,6 +27,14 @@ from agraded.monomials import (
     pack,
     packed_colon,
 )
+
+
+def box_fiber(matrix, b):
+    """The degree-b fiber by brute force, in lexicographic order: every u in the
+    box 0 <= u_j <= c.b / w_j with A.u = b.  Shares no code with ``fiber_walk``."""
+    cb = sum(c * x for c, x in zip(matrix.positive_certificate, b))
+    box = [range(cb // w + 1) for w in matrix.certificate_weights]
+    return tuple(u for u in product(*box) if matrix.degree(u) == tuple(b))
 
 
 def hilbert_value(numerator, matrix, b):
@@ -117,6 +126,24 @@ def test_fiber_small():
     m137 = validate_grading([[1, 3, 7]])
     assert fiber(m137, (7,)) == ((0, 0, 1), (1, 2, 0), (4, 1, 0), (7, 0, 0))
     assert fiber(m137, (-3,)) == ()
+
+
+@pytest.mark.parametrize("rows,degrees", [
+    ([[1, 2]], [(b,) for b in range(-2, 12)]),
+    ([[1, 3, 7]], [(b,) for b in range(-3, 30)]),
+    ([[1, 1, 1], [0, 1, -1]], [(b1, b2) for b1 in range(-1, 7) for b2 in range(-7, 8)]),
+], ids=["g12", "g137", "negative-entry"])
+def test_fiber_matches_the_box(rows, degrees):
+    m = validate_grading(rows)
+    for b in degrees:
+        assert fiber(m, b) == box_fiber(m, b)
+
+
+def test_fiber_raises_at_once_on_an_exponent_of_2_31():
+    with pytest.raises(ExponentOverflow):
+        fiber(validate_grading([[1]]), (FIELD_LIMIT,))
+    with pytest.raises(ExponentOverflow):
+        fiber(validate_grading([[1, 1]]), (FIELD_LIMIT,))
 
 
 def test_fiber_matches_degree():

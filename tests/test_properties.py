@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from agraded import MonomialIdeal, explore, fiber, k_polynomial, minimalize, validate_grading
-from agraded.monomials import FIELD_LIMIT, degree_code, divides, pack, unpack
-from test_monomials import colon
+from agraded.monomials import FIELD_LIMIT, degree_code, divides, fiber_walk, pack, unpack
+from test_monomials import box_fiber, colon
 
 
 exponents3 = st.tuples(
@@ -44,6 +44,19 @@ def test_packed_contains_matches_divides(gens, u):
 @given(st.one_of(gensets3, wide_gensets3))
 def test_packed_minimalize_matches_tuple_sweep(gens):
     assert minimalize(gens) == tuple_minimalize(gens)
+
+
+walk_matrices = [validate_grading(rows) for rows in
+                 ([[1, 3, 7]], [[1, 1, 1], [0, 1, -1]], [[1, 1, 1], [0, 1, 3]])]
+
+
+@given(st.sampled_from(walk_matrices), gensets3, exponents3)
+def test_fiber_walk_outside_an_ideal_matches_the_box(matrix, gens, u):
+    """The walk yields, in order, the box elements of deg u that no generator divides."""
+    ideal = minimalize(gens)
+    b = matrix.degree(u)
+    expected = [v for v in box_fiber(matrix, b) if not any(divides(g, v) for g in ideal.gens)]
+    assert list(fiber_walk(matrix, b, ideal.packed)) == expected
 
 
 def outside_in_fiber(ideal, matrix, b, fibers):
@@ -481,11 +494,11 @@ def test_buchberger_drops_a_superseded_input(gens, binomials, monomials):
 
 
 def test_buchberger_chain_criterion_with_a_retired_partner():
-    """The chain criterion takes the true lcm with a partner that is no longer active.
+    """Pairs of a partner that is no longer active are still reduced.
 
-    x - z retires x z^2 - x y, whose pairs stay queued.  Taking the lcm
-    with a retired partner for different from every lcm drops a pair that
-    is needed and loses the monomials y z^2 and y^2 z.
+    x - z retires x z^2 - x y, whose pairs stay queued.  Dropping such a
+    pair, as a chain criterion that misreads the lcm with a retired partner
+    would, loses the monomials y z^2 and y^2 z.
     """
     from agraded import Binomial, TermOrder, buchberger
 

@@ -6,10 +6,12 @@ Run from the root of a checkout whose working tree holds the change:
     python3 tools/bench_pairs.py --pr 14 --description "..." \\
         --pairs graver=10 --pairs graver:1=3 --pairs flips-g123789=5 --trace graver
 
-The parent (``--parent REV``, default HEAD) is extracted with ``git
-archive`` into a temporary directory, so it runs from its committed files
-as the benchmark itself does; the change runs from the working tree.  Each
-run is ``python3 censusbench/run.py --workload W --seed S --seconds T
+Both sides run from fresh copies in one temporary directory, as the
+benchmark itself runs each side from a new checkout: the parent
+(``--parent REV``, default HEAD) from its committed files, extracted with
+``git archive``, and the change from the working tree's files that git
+lists, tracked or untracked but not ignored (a deleted file is skipped).
+Each run is ``python3 censusbench/run.py --workload W --seed S --seconds T
 --trace 0`` in that side's directory, one run at a time, with T the
 ``run_seconds`` of BENCHMARK.json.  ``--pairs W[:S]=N`` asks for
 N pairs on workload W with seed S (default 0); odd pairs run the parent
@@ -27,6 +29,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -64,6 +67,17 @@ def extract(rev, dest):
     archive.stdout.close()
     if archive.wait():
         raise SystemExit(f"error: git archive {rev} failed")
+
+
+def copy_worktree(dest):
+    """The working tree's files that git lists, tracked or untracked but not ignored, under dest."""
+    names = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                           cwd=ROOT, check=True, stdout=subprocess.PIPE).stdout
+    for name in filter(None, names.decode().split("\0")):
+        source = ROOT / name
+        if source.is_file():  # a deleted tracked file is still listed
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
 
 
 def run(checkout, workload, seed, seconds, trace, name):
@@ -122,8 +136,11 @@ def main(argv=None):
     parent = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT, check=True,
                             stdout=subprocess.PIPE, text=True).stdout.strip()
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        checkouts = {"parent": Path(tmp), "change": ROOT}
+        checkouts = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        for checkout in checkouts.values():
+            checkout.mkdir()
         extract(args.parent, checkouts["parent"])
+        copy_worktree(checkouts["change"])
         runs = []
         for workload, seed, count in plan:
             for pair in range(1, count + 1):
