@@ -233,8 +233,9 @@ def _finalize(elements, order, n):
 
     One sweep in ascending order of packed leads, a linear extension of
     divisibility, keeps each element whose lead no kept lead divides; among
-    equal leads a monomial (trail None) comes first.  Which of several
-    binomials with one lead survives does not matter, because the result
+    equal leads a monomial (trail None) comes first, and the binomials come
+    out sorted by lead.  Which of several binomials with one lead survives
+    does not matter, because the result
     is the reduced basis, which is unique: the kept elements still form a
     Groebner basis, so normal forms modulo them are unique, and each trail
     is replaced by its normal form.  A binomial whose trail reduces to zero
@@ -259,11 +260,7 @@ def _finalize(elements, order, n):
             mons.append(unpack(plead, n))
         else:
             bins.append(Binomial(unpack(plead, n), unpack(nf[0], n), nf[1]))
-    return MarkedGB(
-        tuple(sorted(bins, key=lambda b: (b.lead, b.trail))),
-        minimalize(mons),
-        order,
-    )
+    return MarkedGB(tuple(bins), minimalize(mons), order)
 
 
 @lru_cache(maxsize=None)

@@ -2,9 +2,9 @@
 
 Vertices are monomial A-graded ideals in canonical form; edges carry the
 unordered pair of monomials that was flipped.  Exploration is a
-breadth-first closure under flips with canonical deduplication; vertices
-are renumbered by sorted canonical form before the graph is returned.  It
-is incremental: a flip M -> M' hands M' its standard monomials, carried
+breadth-first closure under flips that works on BFS numbers; vertices are
+renumbered by sorted canonical form, once, before the graph is returned.
+It is incremental: a flip M -> M' hands M' its standard monomials, carried
 over from M, and the reverse move M' -> M, so each undirected edge pays
 for its wall-ideal tests once.
 """
@@ -61,11 +61,14 @@ def explore(ctx, start=None, guard=None):
     reference initial ideal.  ``guard`` bounds the vertex count: more than
     ``guard`` vertices seen raises GuardExceeded at once.
 
-    Each flip M -> M' over (a, b) found before M' is expanded does two
-    things for M'.  ``ctx.carry`` seeds the standard monomials of M' from
-    those of M, and the reverse move M' -> M over (b, a) is recorded, so
-    expanding M' reuses it instead of testing the wall ideal again.  The
-    returned graph is the same as without either.
+    Vertices are numbered as found and expanded in that order.  Each flip
+    M -> M' over (a, b) into a later number does two things for M'.
+    ``ctx.carry`` seeds the standard monomials of M' from those of M, and
+    the reverse move M' -> M over (b, a) is recorded, so expanding M'
+    reuses it instead of testing the wall ideal again.  The returned graph
+    is the same as without either.  Flips are symmetric, so each edge is
+    kept once, from its lower number; one sort by canonical form renumbers
+    the graph at the end.
     """
     if start is None:
         starts = [ctx.reference_ideal]
@@ -75,45 +78,30 @@ def explore(ctx, start=None, guard=None):
         starts = sorted(set(start))
     if not starts:
         raise InputError("explore needs at least one start ideal")
-    # vertex -> its first instance, reused for equal flip targets so edges keep no copies
-    seen = {s: s for s in starts}
-    if guard is not None and len(seen) > guard:
+    found = list(starts)  # BFS number -> vertex, grown while it is walked
+    number = {s: i for i, s in enumerate(found)}
+    if guard is not None and len(found) > guard:
         raise GuardExceeded(f"more than {guard} vertices")
-    frontier = sorted(seen)
-    edges = set()
-    done = set()
-    reverse = {}  # vertex not yet expanded -> {generator b: move back over (b, a)}
-    while frontier:
-        nxt = []
-        for ideal in frontier:
-            done.add(ideal)
-            for move in neighbors(ideal, ctx, reverse.pop(ideal, None)):
-                target = seen.get(move.target, move.target)
-                edges.add(canonical_edge(ideal, target, move.label))
-                if target in done:
-                    continue
+    edges = []  # (i, j, label) with i < j, found when i is expanded
+    reverse = {}  # BFS number not yet expanded -> {generator b: move back over (b, a)}
+    for i, ideal in enumerate(found):
+        for move in neighbors(ideal, ctx, reverse.pop(i, None)):
+            j = number.get(move.target)
+            if j is None:
+                j = number[move.target] = len(found)
+                found.append(move.target)
+                if guard is not None and len(found) > guard:
+                    raise GuardExceeded(f"more than {guard} vertices")
+            if j > i:
+                edges.append((i, j, move.label))
                 ctx.carry(move)
-                reverse.setdefault(target, {})[move.b] = FlipMove(target, move.b, move.a, ideal)
-                if target not in seen:
-                    seen[target] = target
-                    nxt.append(target)
-                    if guard is not None and len(seen) > guard:
-                        raise GuardExceeded(f"more than {guard} vertices")
-        frontier = sorted(nxt)
+                reverse.setdefault(j, {})[move.b] = FlipMove(found[j], move.b, move.a, ideal)
 
-    vertices = tuple(sorted(seen))
-    index = {v: i for i, v in enumerate(vertices)}
-    numbered = tuple(
-        sorted(
-            (min(index[a], index[b]), max(index[a], index[b]), label)
-            for a, b, label in edges
-        )
-    )
-    return FlipGraph(vertices, numbered, index[starts[0]])
-
-
-def canonical_edge(a, b, label):
-    return (a, b, label) if a <= b else (b, a, label)
+    order = sorted(range(len(found)), key=lambda i: found[i].gens)
+    new = {i: k for k, i in enumerate(order)}
+    numbered = tuple(sorted((min(new[i], new[j]), max(new[i], new[j]), label)
+                            for i, j, label in edges))
+    return FlipGraph(tuple(found[i] for i in order), numbered, new[0])
 
 
 def with_coherence(graph, ctx):
@@ -212,7 +200,10 @@ def to_json(graph):
 
 
 def from_json(text):
-    """The graph of a to_json document; FormatError if it is malformed."""
+    """The graph of a to_json document; FormatError if it is malformed.
+
+    A vertex or an edge listed twice is malformed: to_json writes neither.
+    """
     try:
         doc = json.loads(text)
         records = sorted(doc["vertices"], key=lambda r: r["id"])
@@ -229,6 +220,10 @@ def from_json(text):
         raise FormatError(f"the vertex ids are not 0, 1, ..., {len(records) - 1}")
     if dangling:
         raise FormatError("a graph edge does not join two listed vertices in order")
+    if len(set(vertices)) < len(vertices):
+        raise FormatError("a graph vertex is listed twice")
+    if len(set(edges)) < len(edges):
+        raise FormatError("a graph edge is listed twice")
     if not (type(start) is int and 0 <= start < len(vertices)):
         raise FormatError(f"start {start!r} is not the id of a listed vertex")
     coherent = None if any(f is None for f in flags) else tuple(flags)

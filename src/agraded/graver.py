@@ -11,12 +11,13 @@ it is complete up to its weight bound and validates the production route.
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import combinations
 from math import gcd
 
 from .errors import InputError, NonHomogeneousInput, certify
 from .grading import GradingMatrix, positive_combination
 from .linalg import rank
-from .monomials import exp_sub, fiber_walk, guard_mask, pack, support
+from .monomials import FIELD_LIMIT, divides, exp_sub, fiber_walk, guard_mask, pack, support
 # bound for censusbench/tracer.py until ROADMAP item 1 removes this binding
 from .binomials import Binomial, binomial_from_vector, buchberger, canonical_pair, toric_ideal
 
@@ -81,46 +82,37 @@ def graver_basis(matrix):
 def graver_oracle(matrix, bound):
     """All Graver elements of certificate weight at most ``bound``.
 
-    Lists every monomial of weight <= bound with ``fiber_walk``, one fiber
-    of the 1 x n matrix c^T A per weight, pairs disjointly supported
-    monomials of the same degree under A, and keeps the conformally minimal
-    pairs.  Because conformal comparison never increases the weight, the
-    result equals the weight filter of the full Graver basis; it is the
-    whole basis whenever bound dominates the largest Graver weight.
+    Lists every monomial of weight <= bound as one ``fiber_walk``, of
+    degree (bound,) under c^T A with a slack column of weight 1 appended;
+    the slack, the last coordinate, is solved for and dropped.  It pairs
+    disjointly supported monomials of the same degree under A and keeps
+    the conformally minimal pairs.  Because conformal comparison never
+    increases the weight, the result equals the weight filter of the full
+    Graver basis; it is the whole basis whenever bound dominates the
+    largest Graver weight.  InputError unless 0 < bound < 2**31.
     """
     if bound <= 0:
         raise InputError("bound must be positive")
-    line = GradingMatrix((matrix.certificate_weights,), (1,))
+    if bound >= FIELD_LIMIT:
+        raise InputError("bound must be below 2**31")
+    line = GradingMatrix((matrix.certificate_weights + (1,),), (1,))
     by_degree = {}
-    for w in range(bound + 1):
-        for mono in fiber_walk(line, (w,)):
-            by_degree.setdefault(matrix.degree(mono), []).append(mono)
+    for mono in fiber_walk(line, (bound,)):
+        mono = mono[:-1]
+        by_degree.setdefault(matrix.degree(mono), []).append(mono)
 
-    candidates = set()
-    for monos in by_degree.values():
-        if len(monos) < 2:
-            continue
-        for i in range(len(monos)):
-            for j in range(i + 1, len(monos)):
-                a, b = monos[i], monos[j]
-                if all(x == 0 or y == 0 for x, y in zip(a, b)):
-                    candidates.add(canonical_pair(a, b))
+    candidates = {canonical_pair(a, b) for monos in by_degree.values()
+                  for a, b in combinations(monos, 2)
+                  if all(x == 0 or y == 0 for x, y in zip(a, b))}
 
     def weight_of(pair):
         return positive_combination(matrix, matrix.degree(pair[0]))
 
     minimal = []
-    for pair in sorted(candidates, key=lambda p: (weight_of(p), p)):
-        u1, v1 = pair
-        reducible = False
-        for u0, v0 in minimal:
-            if (all(x <= y for x, y in zip(u0, u1)) and all(x <= y for x, y in zip(v0, v1))) or (
-                all(x <= y for x, y in zip(v0, u1)) and all(x <= y for x, y in zip(u0, v1))
-            ):
-                reducible = True
-                break
-        if not reducible:
-            minimal.append(pair)
+    for u1, v1 in sorted(candidates, key=lambda p: (weight_of(p), p)):
+        if not any(divides(u0, u1) and divides(v0, v1) or divides(v0, u1) and divides(u0, v1)
+                   for u0, v0 in minimal):
+            minimal.append((u1, v1))
     return GraverBasis(tuple(sorted(minimal)))
 
 

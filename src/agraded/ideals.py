@@ -323,10 +323,10 @@ def wall_initial(rest, pa, pb, n, known):
     """The flip target: the wall ideal <rest, x^a - x^b> with x^b marked.
 
     ``known`` maps pb and the packed ``rest`` to the exponent tuples that
-    the result reuses.  Its minimal generators are merged, not sorted out
-    of everything: x^b, the survivors of the completion that no later
-    survivor divides, and the generators of ``rest`` that neither x^b nor
-    a survivor divides.  Nothing else can fail to be minimal:
+    the result reuses.  Its packed minimal generators are collected, not
+    sorted out of everything: x^b, the survivors of the completion that no
+    later survivor divides, and the generators of ``rest`` that neither x^b
+    nor a survivor divides.  Nothing else can fail to be minimal:
     - ``rest`` is minimal, and no element of it divides x^b, which lies
       outside the source;
     - a survivor is irreducible modulo ``rest``, the earlier survivors and
@@ -334,7 +334,8 @@ def wall_initial(rest, pa, pb, n, known):
     - a survivor x^s does not divide x^b either: deg s - deg b is the
       degree of a monomial, so x^s | x^b would give deg s = deg b for a
       pointed grading, hence s = b, which x^b would divide.
-    One sort by exponent tuple gives the canonical order.
+    One sort of the integers gives the canonical order; only the survivors
+    are unpacked.
     """
     guard = guard_mask(n)
     survivors = []
@@ -342,17 +343,17 @@ def wall_initial(rest, pa, pb, n, known):
         survivors = [t for t in survivors if ((t | guard) - s) & guard != guard]
         survivors.append(s)
     lower = [pb, *survivors]
-    pairs = [(known[pb], pb)]
+    packed = list(lower)
     for p in rest:
         q = p | guard
         for pl in lower:
             if (q - pl) & guard == guard:
                 break
         else:
-            pairs.append((known[p], p))
-    pairs += [(unpack(s, n), s) for s in survivors]
-    pairs.sort()
-    return ideal_with_packed(tuple(g for g, _ in pairs), tuple(p for _, p in pairs))
+            packed.append(p)
+    packed.sort()
+    gens = [known[p] if p in known else unpack(p, n) for p in packed]
+    return ideal_with_packed(tuple(gens), tuple(packed))
 
 
 def neighbors(ideal, ctx, reverse=None):

@@ -7,14 +7,16 @@ monomials by ``TermOrder.key``, applied to exponent tuples.
 
 Divisibility tests dominate the running time of every enumeration, so the
 hot loops mirror exponent vectors into packed integers, and this module
-holds the only definition of that representation.  Coordinate i occupies
-the 32-bit field starting at bit 32 i; its top bit is a guard bit, so each
-exponent must satisfy 0 <= e < 2**31, and ``pack`` raises ExponentOverflow
-otherwise.  With the guard bits G set on x^u, x^g divides x^u iff
-((pack(u) | G) - pack(g)) & G == G: a field with g_i > u_i borrows its
-guard bit away, and the guard stops the borrow from reaching the next
-field.  A proper divisor packs to a smaller integer, so ascending integer
-order is a linear extension of divisibility.  Fields add and subtract
+holds the only definition of that representation.  Of n variables, x_i
+takes the 32-bit field at bit 32 (n - i), so x1 is the most significant;
+a field's top bit is a guard bit, so each exponent must satisfy
+0 <= e < 2**31, and ``pack`` raises ExponentOverflow otherwise.  Ascending
+integer order is then lexicographic order of exponent tuples: the
+canonical generator order of a MonomialIdeal, the tie-break x1 > x2 > ...
+of ``TermOrder``, and a linear extension of divisibility.  With the guard
+bits G set on x^u, x^g divides x^u iff ((pack(u) | G) - pack(g)) & G == G:
+a field with g_i > u_i borrows its guard bit away, and the guard stops the
+borrow from reaching the next field.  Fields add and subtract
 independently while every entry stays in range, so a product or quotient
 of monomials is one integer operation.  The tuple function ``divides`` is
 the reference that the packed tests are checked against.  Each
@@ -68,11 +70,11 @@ FIELD_LIMIT = 1 << 31
 
 @lru_cache(maxsize=None)
 def _layout(n):
-    """(struct of n little-endian 32-bit fields, guard mask of n fields)."""
+    """(struct of n big-endian 32-bit fields, guard mask of n fields)."""
     guard = 0
     for i in range(n):
         guard |= FIELD_LIMIT << (FIELD_BITS * i)
-    return struct.Struct(f"<{n}I"), guard
+    return struct.Struct(f">{n}I"), guard
 
 
 def guard_mask(n):
@@ -81,13 +83,14 @@ def guard_mask(n):
 
 
 def pack(u):
-    """An exponent vector as one integer, coordinate i at bit 32 i.
+    """An exponent vector as one integer, x1 in the most significant field.
 
-    Raises ExponentOverflow unless every entry satisfies 0 <= e < 2**31.
+    Integers compare as the tuples do.  Raises ExponentOverflow unless
+    every entry satisfies 0 <= e < 2**31.
     """
     layout, guard = _layout(len(u))
     try:
-        p = int.from_bytes(layout.pack(*u), "little")
+        p = int.from_bytes(layout.pack(*u), "big")
         if not p & guard:
             return p
     except struct.error:  # an entry is negative or at least 2**32
@@ -96,8 +99,8 @@ def pack(u):
 
 
 def unpack(p, n):
-    """The exponent tuple of a packed vector with n fields and clear guard bits."""
-    return _layout(n)[0].unpack(p.to_bytes(4 * n, "little"))
+    """The exponent tuple of a packed vector with n fields and clear guard bits, x1 first."""
+    return _layout(n)[0].unpack(p.to_bytes(4 * n, "big"))
 
 
 def packed_colon(pm, pl, guard):
@@ -172,23 +175,13 @@ def minimal_packed(packed, guard):
 
     One sweep in ascending integer order keeps exactly the minimal elements,
     since every proper divisor comes first; duplicates fall out as divisors.
+    The result is in canonical generator order.
     """
     keep = []
     for p in sorted(packed):
         if not packed_member(p, keep, guard):
             keep.append(p)
     return tuple(keep)
-
-
-def ideal_from_packed(packed, n, known):
-    """Canonical MonomialIdeal spanned by packed monomials with n fields.
-
-    ``known`` maps packed integers to exponent tuples to reuse; the other
-    minimal elements are unpacked.
-    """
-    pairs = sorted((known[p] if p in known else unpack(p, n), p)
-                   for p in minimal_packed(packed, guard_mask(n)))
-    return ideal_with_packed(tuple(g for g, _ in pairs), tuple(p for _, p in pairs))
 
 
 def ideal_with_packed(gens, packed):
@@ -240,7 +233,7 @@ class MonomialIdeal:
 
     @cached_property
     def packed(self):
-        """The packed minimal generators, in generator order, made on first use."""
+        """The packed minimal generators, ascending (canonical order), made on first use."""
         return tuple(map(pack, self.gens))
 
     def contains(self, u):
@@ -264,12 +257,14 @@ class MonomialIdeal:
 def minimalize(gens):
     """Canonical MonomialIdeal spanned by the given generators.
 
-    Generators passed as tuples are kept as the same objects, not copies.
+    ``minimal_packed`` gives the canonical order; generators passed as
+    tuples are kept as the same objects, not copies.
     """
     known = {}
     for g in map(tuple, gens):
         known[pack(g)] = g
-    return ideal_from_packed(known, len(g) if known else 0, known)
+    keep = minimal_packed(known, guard_mask(len(g) if known else 0))
+    return ideal_with_packed(tuple(known[p] for p in keep), keep)
 
 
 # -- degree fibers -----------------------------------------------------------
@@ -295,12 +290,14 @@ def fiber_walk(matrix, b, outside=()):
     cols = matrix.columns
     nonneg = matrix.nonnegative
     guard = guard_mask(n)
-    steps = [1 << (FIELD_BITS * j) for j in range(n)]
-    # per level j: (packed g[:j], g[j]) of the monomials with last nonzero j
+    steps = [1 << (FIELD_BITS * (n - 1 - j)) for j in range(n)]
+    # per level j: (packed g[:j], g[j]) of the monomials with last nonzero j,
+    # the lowest nonzero field (the unit ideal's zero lands at n - 1, cap 0)
     buckets = [[] for _ in range(n)]
     for p in outside:
-        top = max(p.bit_length() - 1, 0) // FIELD_BITS
-        buckets[top].append((p & (steps[top] - 1), p >> (FIELD_BITS * top)))
+        low = max((p & -p).bit_length() - 1, 0) // FIELD_BITS
+        e = p >> (FIELD_BITS * low) & (2 * FIELD_LIMIT - 1)
+        buckets[n - 1 - low].append((p - e * steps[n - 1 - low], e))
     u = [0] * n
 
     def walk(j, pu, residual, budget):
@@ -450,8 +447,9 @@ def k_polynomial(ideal, matrix, memo=None, codes=False):
         N(<G, m>) = N(<G>) - t^{A.m} N(<G> : m)
     with base cases N(<>) = 1 and N(<1>) = 0 (Bayer-Stillman; Bigatti,
     "Computation of Hilbert-Poincare series", JPAA 1997).  It runs on
-    sorted tuples of packed minimal generators: a colon is ``packed_colon``
-    of each generator plus one minimal sweep.  Terms are {degree code:
+    ascending tuples of packed minimal generators, ``MonomialIdeal.packed``
+    at the top: a colon is ``packed_colon`` of each generator plus one
+    minimal sweep.  Terms are {degree code:
     coefficient} dicts (see ``DegreeCode``), so a shift by t^{A.m} adds one
     integer to every key; degrees are decoded only for the KPolynomial
     returned.  ``memo`` maps sorted packed generator tuples to code dicts,
@@ -501,7 +499,7 @@ def k_polynomial(ideal, matrix, memo=None, codes=False):
 
     # the ideal itself is left out of the memo: each brute-force leaf is
     # asked for once, and a repeat costs one colon over the entries kept
-    top = tuple(sorted(ideal.packed))
+    top = ideal.packed
     terms = rec(top)
     if codes:
         return terms

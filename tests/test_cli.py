@@ -233,6 +233,27 @@ def test_cli_malformed_input_exits_2(matrix12, tmp_path, capsys, case):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("repeat", ["vertex", "edge"])
+def test_cli_graph_with_a_repeat_exits_2(matrix137, tmp_path, capsys, repeat):
+    from agraded import AGradedContext, explore, to_json
+    from agraded.fixtures import named_matrix
+
+    doc = json.loads(to_json(explore(AGradedContext(named_matrix("g137")))))
+    if repeat == "vertex":
+        doc["vertices"][1]["generators"] = doc["vertices"][0]["generators"]
+    else:
+        doc["edges"].append(dict(doc["edges"][0]))
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    assert main(["triangulations", "--matrix", matrix137, "--graph", str(path)]) == 2
+    assert f"{repeat} is listed twice" in capsys.readouterr().err
+
+
+def test_cli_graver_bound_of_2_31_exits_2(matrix137, capsys):
+    assert main(["graver", "--matrix", matrix137, "--bound", str(2 ** 31)]) == 2
+    assert capsys.readouterr().err == "error: bound must be below 2**31\n"
+
+
 @pytest.mark.parametrize("flag", ["--matrix", "--ideal", "--graph"])
 def test_cli_file_that_is_not_utf8_exits_2(matrix12, tmp_path, capsys, flag):
     path = tmp_path / "latin1.txt"

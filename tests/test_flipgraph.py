@@ -21,7 +21,11 @@ from agraded import (
 from agraded import flipgraph
 from agraded.fixtures import as_pairs, expected, named_matrix
 from agraded.errors import FormatError, InputError
-from agraded.flipgraph import FlipGraph, GuardExceeded, IncompleteGraph, canonical_edge
+from agraded.flipgraph import FlipGraph, GuardExceeded, IncompleteGraph
+
+
+def canonical_edge(a, b, label):
+    return (a, b, label) if a <= b else (b, a, label)
 
 
 def plain_explore(ctx, start=None):
@@ -232,6 +236,20 @@ def test_json_edge_ends_must_be_vertex_ids(ctx12, end):
     doc = json.loads(to_json(explore(ctx12)))
     doc["edges"][0][end] = bool(doc["edges"][0][end])
     with pytest.raises(FormatError, match="edge"):
+        from_json(json.dumps(doc))
+
+
+def test_json_repeated_edge_is_malformed(ctx137):
+    doc = json.loads(to_json(explore(ctx137)))
+    doc["edges"].append(dict(doc["edges"][0]))
+    with pytest.raises(FormatError, match="edge is listed twice"):
+        from_json(json.dumps(doc))
+
+
+def test_json_repeated_vertex_is_malformed(ctx137):
+    doc = json.loads(to_json(explore(ctx137)))
+    doc["vertices"][1]["generators"] = doc["vertices"][0]["generators"]
+    with pytest.raises(FormatError, match="vertex is listed twice"):
         from_json(json.dumps(doc))
 
 

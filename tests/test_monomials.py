@@ -23,9 +23,9 @@ from agraded.monomials import (
     degree_code,
     divides,
     guard_mask,
-    ideal_from_packed,
     pack,
     packed_colon,
+    unpack,
 )
 
 
@@ -88,7 +88,7 @@ def colon(ideal, m):
     n = len(m)
     guard = guard_mask(n)
     pm = pack(m)
-    return ideal_from_packed([packed_colon(pack(g), pm, guard) for g in ideal.gens], n, {})
+    return minimalize(unpack(packed_colon(pack(g), pm, guard), n) for g in ideal.gens)
 
 
 def test_colon():

@@ -35,6 +35,15 @@ def test_pack_roundtrip(u):
     assert unpack(pack(u), 3) == u
 
 
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    *[st.tuples(*[st.integers(0, FIELD_LIMIT - 1)] * n)] * 2)))
+def test_packed_order_is_lexicographic_order(pair):
+    """Ascending packed integers are lexicographic exponent tuples."""
+    u, v = pair
+    assert (pack(u) < pack(v)) == (u < v)
+    assert (pack(u) == pack(v)) == (u == v)
+
+
 @given(wide_gensets3, wide3)
 def test_packed_contains_matches_divides(gens, u):
     ideal = MonomialIdeal(tuple(gens))
@@ -57,6 +66,28 @@ def test_fiber_walk_outside_an_ideal_matches_the_box(matrix, gens, u):
     b = matrix.degree(u)
     expected = [v for v in box_fiber(matrix, b) if not any(divides(g, v) for g in ideal.gens)]
     assert list(fiber_walk(matrix, b, ideal.packed)) == expected
+
+
+@pytest.mark.parametrize("gen", [(2, 0, 0), (1, 0, 0), (0, 0, 1), (1, 1, 2), (3, 0, 1)],
+                         ids=["first-2", "first-1", "last-1", "last-2", "first-and-last"])
+@pytest.mark.parametrize("matrix", walk_matrices, ids=["g137", "signed", "twisted-cubic"])
+def test_fiber_walk_buckets_by_the_last_nonzero_coordinate(matrix, gen):
+    """A generator whose last nonzero coordinate is the first or the last one
+    caps that coordinate, and the walk still matches the box."""
+    for u in [(4, 0, 0), (0, 0, 4), (2, 3, 5), (5, 1, 3)]:
+        b = matrix.degree(u)
+        expected = [v for v in box_fiber(matrix, b) if not divides(gen, v)]
+        assert list(fiber_walk(matrix, b, (pack(gen),))) == expected
+
+
+def test_standard_monomial_on_the_unit_ideal_raises():
+    from agraded import AGradedContext, NotAGraded
+
+    ctx = AGradedContext(walk_matrices[0])
+    unit = minimalize([(0, 0, 0)])
+    assert list(fiber_walk(ctx.A, (7,), unit.packed)) == []
+    with pytest.raises(NotAGraded):
+        ctx.standard_monomial(unit, (7,))
 
 
 def outside_in_fiber(ideal, matrix, b, fibers):
@@ -181,13 +212,13 @@ def test_packed_forms_and_the_wall_kernels_on_g36_8_10_15():
         assert ideal.packed == tuple(map(pack, ideal.gens))
 
 
-def oracle_wall_initial_formula(rest, pa, pb, n, known):
+def oracle_wall_initial_formula(rest, pa, pb, n):
     """``wall_initial`` as it was before the merge: every survivor, one minimal sweep."""
     from agraded.ideals import _wall_survivors
-    from agraded.monomials import guard_mask, ideal_from_packed
+    from agraded.monomials import guard_mask
 
     survivors = list(_wall_survivors(rest, pb, pa, guard_mask(n)))
-    return ideal_from_packed([*rest, *survivors, pb], n, known)
+    return minimalize(unpack(p, n) for p in [*rest, *survivors, pb])
 
 
 @pytest.mark.parametrize("name, seed", [("g36-8-10-15", 0), ("g36-8-10-15", 1), ("veronese6", 2)])
@@ -197,10 +228,10 @@ def test_seeded_random_flip_walks(name, seed):
     From the reference ideal, each step takes a random generator x^a and
     the standard monomial x^b of its degree.  With both markings, the
     merged ``wall_initial`` equals the sweep over every survivor, and it
-    keeps the packed form of its generators.  An accepted flip equals
-    ``definition_flip_ideal``; the walk moves to its target, where
-    ``carry`` stores only degrees whose standard monomial a fresh context
-    computes to the same value, with their packed forms.
+    keeps the packed form of its generators, in ascending order.  An
+    accepted flip equals ``definition_flip_ideal``; the walk moves to its
+    target, where ``carry`` stores only degrees whose standard monomial a
+    fresh context computes to the same value, with their packed forms.
     """
     import random
 
@@ -219,11 +250,13 @@ def test_seeded_random_flip_walks(name, seed):
         b = ctx.standard_monomial(ideal, ctx.A.degree(a))
         rest, pa, pb, n, known = kernel_args(ideal, a, b)
         merged = wall_initial(rest, pa, pb, n, known)
-        assert merged == oracle_wall_initial_formula(rest, pa, pb, n, known)
+        assert merged == oracle_wall_initial_formula(rest, pa, pb, n)
         assert merged.packed == tuple(map(pack, merged.gens))
+        assert all(p < q for p, q in zip(merged.packed, merged.packed[1:]))
         known[pa] = a
-        assert wall_initial(rest, pb, pa, n, known) == oracle_wall_initial_formula(
-            rest, pb, pa, n, known)
+        back = wall_initial(rest, pb, pa, n, known)
+        assert back == oracle_wall_initial_formula(rest, pb, pa, n)
+        assert all(p < q for p, q in zip(back.packed, back.packed[1:]))
         try:
             move = flip(ideal, (a, b), ctx)
         except NotFlippable:
@@ -253,8 +286,10 @@ def test_not_flippable_keeps_its_message():
 
 @given(st.one_of(gensets3, wide_gensets3))
 def test_minimalize_keeps_the_packed_generators(gens):
+    """The packed generators are packed afresh and strictly ascending."""
     ideal = minimalize(gens)
     assert ideal.packed == tuple(map(pack, ideal.gens))
+    assert all(p < q for p, q in zip(ideal.packed, ideal.packed[1:]))
 
 
 @given(gensets3)

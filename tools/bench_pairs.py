@@ -22,7 +22,11 @@ stops the script with an error naming the run, before anything is
 summarised or written.  The summary gives, per workload and seed and per
 end-to-end metric, each side's median and inclusive quartiles, the
 relative change of the median and the number of pairs in which the change
-read lower.  Standard library only.
+read lower.  After writing the file, one line per workload, seed and
+end-to-end metric of BENCHMARK.json goes to stderr with the same figures,
+marked ``over bound`` when the change's median is worse than the parent's
+by more than the metric's bound, the benchmark's rule for refusing a
+change.  Standard library only.
 """
 
 import argparse
@@ -129,10 +133,27 @@ def summarize(runs):
     return summary
 
 
+def verdicts(summary, end_to_end):
+    """One line per workload (and seed) and end-to-end metric, ``over bound`` if worse than its bound."""
+    lines = []
+    for key, metrics in summary.items():
+        for metric in end_to_end:
+            s = metrics.get(metric["name"])
+            if s is None:
+                continue
+            worse = s["change_vs_parent"] if metric["better"] == "lower" else -s["change_vs_parent"]
+            lines.append(f"{key} {metric['name']}: parent {s['parent_median']:g}, "
+                         f"change {s['change_median']:g} ({s['change_vs_parent']:+.1%}), "
+                         f"change lower in {s['change_lower_in']} of {s['pairs']} pairs"
+                         + (", over bound" if worse > metric["bound"] else ""))
+    return lines
+
+
 def main(argv=None):
     args = parse_args(argv)
     plan = [parse_pairs(spec) for spec in args.pairs]
-    seconds = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = benchmark["run_seconds"]
     parent = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT, check=True,
                             stdout=subprocess.PIPE, text=True).stdout.strip()
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -183,6 +204,8 @@ def main(argv=None):
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
+    for line in verdicts(report["summary"], benchmark["end_to_end"]):
+        print(line, file=sys.stderr)
     return 0
 
 
