@@ -8,7 +8,10 @@ Exit codes, and the branch of ``errors.py`` that each failure comes from:
   that is not A-graded where one is required (``NotAGraded``), an edge
   label that does not flip its vertex, and exponents of 2**31 or more,
   which the packed monomial representation cannot hold.  A tripped
-  --guard (``GuardExceeded``) also exits 2.
+  --guard (``GuardExceeded``) also exits 2.  The one number of --guard
+  bounds the BFS vertices of the flip graph, the leaves the brute force
+  visits, and both under ``flipgraph --census``, where the brute force
+  may trip it after the whole graph fitted.
 * 3: ``flipgraph`` found the flip graph disconnected.  This is a verdict,
   not an exception.
 * 4: a result failed its check: a certificate that failed its exact
@@ -40,7 +43,7 @@ from .fileio import (
     read_text,
     variable_names,
 )
-from .flipgraph import census, explore, from_json, json_document, to_dot, with_coherence
+from .flipgraph import census, explore, from_json, json_chunks, to_dot, with_coherence
 from .grading import validate_grading
 from .graver import graver_basis, graver_oracle
 from .ideals import (
@@ -187,7 +190,7 @@ def cmd_flipgraph(args):
             fh.write(to_dot(graph))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(json_document(graph), fh, indent=1, sort_keys=True)
+            fh.writelines(json_chunks(graph))
     brute_count = None
     if args.census:
         brute_count = len(brute_force_enumerate(ctx, guard=args.guard))
@@ -285,7 +288,9 @@ def build_parser():
     p = add("enumerate", cmd_enumerate, help="enumerate the monomial ideals")
     p.add_argument("--matrix", required=True)
     p.add_argument("--mode", choices=("brute", "flip"), default="brute")
-    p.add_argument("--guard", type=int, default=None)
+    p.add_argument("--guard", type=int, default=None,
+                   help="exit 2 past this many BFS vertices (flip) or brute-force "
+                   "leaves visited (brute)")
     p.add_argument("--list", action="store_true")
 
     p = add("flipgraph", cmd_flipgraph, help="explore the flip graph")
@@ -296,7 +301,9 @@ def build_parser():
     p.add_argument("--census", action="store_true",
                    help="cross-check against the brute-force enumeration")
     p.add_argument("--coherence", action="store_true")
-    p.add_argument("--guard", type=int, default=None)
+    p.add_argument("--guard", type=int, default=None,
+                   help="exit 2 past this many BFS vertices; with --census the "
+                   "same number also bounds the brute-force leaves visited")
 
     p = add("triangulations", cmd_triangulations,
             help="facet lists and flip transitions")

@@ -189,6 +189,16 @@ def test_cli_flip_guard(matrix137, argv, capsys):
     assert "guard: more than 1 vertices" in capsys.readouterr().err
 
 
+def test_cli_census_guard_also_bounds_the_brute_force_leaves(tmp_path, capsys):
+    """All 1479 vertices of g345-13-14 fit in 2000, its 9446 brute-force leaves do not."""
+    matrix = tmp_path / "g345.txt"
+    matrix.write_text(format_matrix([[3, 4, 5, 13, 14]]))
+    assert main(["flipgraph", "--matrix", str(matrix), "--guard", "2000", "--census"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "guard: more than 2000 leaves\n"
+    assert captured.out == ""
+
+
 def test_cli_exponent_beyond_packed_field(matrix12, tmp_path, capsys):
     ideal_path = tmp_path / "ideal.txt"
     ideal_path.write_text(f"{2 ** 31} 0\n")
@@ -247,6 +257,26 @@ def test_cli_graph_with_a_repeat_exits_2(matrix137, tmp_path, capsys, repeat):
     path.write_text(json.dumps(doc))
     assert main(["triangulations", "--matrix", matrix137, "--graph", str(path)]) == 2
     assert f"{repeat} is listed twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["flag-2", "flag-yes", "exponent-true", "short-label"])
+def test_cli_graph_with_values_to_json_never_writes_exits_2(matrix137, tmp_path, capsys, case):
+    from agraded import AGradedContext, explore, to_json
+    from agraded.fixtures import named_matrix
+
+    doc = json.loads(to_json(explore(AGradedContext(named_matrix("g137")))))
+    for record in doc["vertices"]:
+        record["coherent"] = {"flag-2": 2, "flag-yes": "yes"}.get(case)
+    if case == "exponent-true":
+        generator = doc["vertices"][0]["generators"][0]
+        generator[generator.index(1)] = True
+    if case == "short-label":
+        doc["edges"][0]["label"] = [[1, 0, 0], [0, 1]]
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    assert main(["triangulations", "--matrix", matrix137, "--graph", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_cli_graver_bound_of_2_31_exits_2(matrix137, capsys):

@@ -1,6 +1,7 @@
 """Flip-graph exploration, classification, census, serialisation."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -203,6 +204,74 @@ def test_curve_vertices_exceed_bound(curve_ctx):
         assert len(neighbors(curve_monomial_ideal(j), ctx)) == 2 * j + 4 > ctx.A.n - ctx.A.d
 
 
+def json_document(graph):
+    """The JSON document of a flip graph as plain lists and dicts, the writer's oracle."""
+    vals = graph.valencies()
+    return {
+        "vertices": [
+            {
+                "id": i,
+                "generators": [list(g) for g in v.gens],
+                "coherent": None if graph.coherent is None else graph.coherent[i],
+                "valency": vals[i],
+            }
+            for i, v in enumerate(graph.vertices)
+        ],
+        "edges": [
+            {"u": i, "v": j, "label": [list(label[0]), list(label[1])]}
+            for i, j, label in graph.edges
+        ],
+        "start": graph.start,
+    }
+
+
+WRITER_CONTEXTS = ["ctx12", "ctx137", "ctx_veronese", "ctx_corank4", "ctx345"]
+
+
+@pytest.mark.parametrize("flagged", [False, True], ids=["unflagged", "flagged"])
+@pytest.mark.parametrize("context", WRITER_CONTEXTS)
+def test_to_json_is_the_stdlib_indent_encoding(request, context, flagged):
+    ctx = request.getfixturevalue(context)
+    graph = explore(ctx)
+    if flagged:
+        graph = with_coherence(graph, ctx)
+    assert to_json(graph) == json.dumps(json_document(graph), indent=1, sort_keys=True)
+
+
+@pytest.mark.parametrize("graph", [
+    FlipGraph((minimalize(()),), (), 0),
+    FlipGraph((minimalize(()),), (), 0, (True,)),
+    FlipGraph((), (), 0),
+    FlipGraph((minimalize([()]),), (), 0),
+], ids=["zero-ideal", "zero-ideal-flagged", "no-vertices", "no-variables"])
+def test_to_json_of_empty_lists(graph):
+    text = to_json(graph)
+    assert text == json.dumps(json_document(graph), indent=1, sort_keys=True)
+    assert '"edges": []' in text
+
+
+def test_to_json_with_mixed_flags(ctx137):
+    graph = explore(ctx137)
+    graph = FlipGraph(graph.vertices, graph.edges, graph.start,
+                      tuple(i % 3 != 1 for i in range(len(graph.vertices))))
+    text = to_json(graph)
+    assert text == json.dumps(json_document(graph), indent=1, sort_keys=True)
+    assert '"coherent": true' in text and '"coherent": false' in text
+    assert from_json(text) == graph
+
+
+def test_to_json_peak_memory_is_a_small_multiple_of_the_text(ctx_corank4):
+    """The writer holds one block at a time, not one string per token."""
+    graph = with_coherence(explore(ctx_corank4), ctx_corank4)
+    tracemalloc.start()
+    try:
+        text = to_json(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(text)
+
+
 def test_json_roundtrip(ctx12):
     graph = with_coherence(explore(ctx12), ctx12)
     assert from_json(to_json(graph)) == graph
@@ -250,6 +319,38 @@ def test_json_repeated_vertex_is_malformed(ctx137):
     doc = json.loads(to_json(explore(ctx137)))
     doc["vertices"][1]["generators"] = doc["vertices"][0]["generators"]
     with pytest.raises(FormatError, match="vertex is listed twice"):
+        from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("flag", [2, "yes", 1.0, [True]])
+def test_json_coherence_flag_must_be_a_boolean_or_null(ctx137, flag):
+    doc = json.loads(to_json(with_coherence(explore(ctx137), ctx137)))
+    for record in doc["vertices"]:
+        record["coherent"] = flag
+    with pytest.raises(FormatError, match="coherence flag"):
+        from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("where", ["generator", "label"])
+@pytest.mark.parametrize("entry", [True, 1.0, -1])
+def test_json_exponents_must_be_integers(ctx137, where, entry):
+    doc = json.loads(to_json(explore(ctx137)))
+    row = doc["vertices"][0]["generators"][0] if where == "generator" else doc["edges"][0]["label"][1]
+    row[row.index(1) if 1 in row else 0] = entry
+    with pytest.raises(FormatError, match="not a non-negative integer"):
+        from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("label", [
+    [[1, 0, 0], [0, 1]],
+    [[1, 0, 0, 0], [0, 1, 0, 0]],
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[1, 0, 0]],
+])
+def test_json_label_has_two_sides_as_long_as_the_generators(ctx137, label):
+    doc = json.loads(to_json(explore(ctx137)))
+    doc["edges"][0]["label"] = label
+    with pytest.raises(FormatError, match="same length|malformed"):
         from_json(json.dumps(doc))
 
 
