@@ -13,9 +13,11 @@ integer test independent of the number of variables.  Exponents that leave
 the field range raise ExponentOverflow instead of spilling into the guard
 bits.  ``buchberger`` keeps every basis element as a packed (lead, trail,
 coeff) triple, trail None for a monomial, from the moment it packs its
-input until ``_finalize`` unpacks the reduced basis into Binomials: an
-S-polynomial term is the one integer l - lead + trail, and terms are
-ranked by ``TermOrder.key`` of their unpacked exponents.  Coefficients
+input until ``_finalize`` unpacks the reduced basis into Binomials.  Its
+binomial terms are ranked integers (``monomials.weight_rank``): the weight
+of the term above the packed monomial in one integer, so terms compare as
+``TermOrder.key`` ranks them, and an S-polynomial term is the one integer
+rank(l) - lead + trail.  Coefficients
 are ints until a division needs a Fraction.  One kernel,
 ``monomials.packed_step``, rewrites a packed monomial once by packed
 monomials and binomials: completion rewrites the largest term of each
@@ -46,10 +48,12 @@ from .monomials import (
     minimal_packed,
     minimalize,
     pack,
+    packed_member,
     packed_nf,
     packed_step,
     support,
     unpack,
+    weight_rank,
 )
 
 
@@ -119,92 +123,114 @@ def buchberger(gens, order, matrix):
     """Reduced Groebner basis of monomial/binomial generators.
 
     Raises NonHomogeneousInput if a binomial pairs monomials of different
-    degree.  Each element made is a packed (lead, trail, coeff) triple of
-    ``elements``, trail None for a monomial.  Two criteria of Gebauer and
-    Moeller (1988) prune the pairs.  ``active`` keeps the elements whose
-    lead no later lead divides: a new element pairs only with these, then
-    drops those whose lead its lead divides from ``active`` and from
-    ``pmons``/``pbins``, the reducers of ``packed_step``; their queued
-    pairs are still reduced.  Of its new pairs only one per minimal lcm
-    (``minimal_packed``) is queued, unless the leads are coprime.  Queued
-    pairs are never dropped: a chain-criterion scan of the queue per new
-    lead cost more than the reductions it saved.  S-pairs of two monomials
-    vanish; those of a monomial with a binomial are monomials.  Pairs are
-    processed by increasing positivity weight of the lcm (the generators
-    are homogeneous, so this is a normal degree-by-degree selection even
-    when the order's own weight has negative entries).  During completion
-    the largest term is rewritten one step at a time, ranking again after
-    each step, until it is irreducible; the two terms then cancel where
-    their rewrite paths meet.  ``_finalize`` turns the active elements, a
-    Groebner basis, into the reduced one, which is unique for the order.
+    degree.  Each element made is a (lead, trail, coeff) triple of
+    ``elements``, trail None for a monomial, whose binomial terms are the
+    ranked integers of ``weight_rank`` under the order: comparing two of
+    them compares the terms, and their low bits are the packed monomials,
+    so the S-polynomial term rank(l) - lead + trail and every rewrite of
+    ``packed_step`` stay ranked.  ``leads`` keeps the plain packed leads for
+    the pair criteria.  Two criteria of Gebauer and Moeller (1988) prune
+    the pairs.  ``active`` keeps the elements whose lead no later lead
+    divides: a new element pairs only with these, then drops those whose
+    lead its lead divides from ``active`` and from ``pmons``/``pbins``, the
+    reducers of ``packed_step`` (plain packed monomials and ranked
+    binomials), which are rebuilt only then and otherwise extended; their
+    queued pairs are still reduced.  Of its new pairs only one per minimal
+    lcm (``minimal_packed``) is queued, unless the leads are coprime.
+    Queued pairs are never dropped: a chain-criterion scan of the queue per
+    new lead cost more than the reductions it saved.  S-pairs of two
+    monomials vanish; those of a monomial with a binomial are monomials.
+    Pairs are processed by increasing positivity weight of the lcm (the
+    generators are homogeneous, so this is a normal degree-by-degree
+    selection even when the order's own weight has negative entries).
+    During completion the largest term is rewritten one step at a time,
+    taking the largest again after each step, until it is irreducible; the
+    two terms then cancel where their rewrite paths meet.  ``_finalize``
+    turns the active elements, a Groebner basis, into the reduced one,
+    which is unique for the order.
     """
     weights = matrix.certificate_weights
     n = matrix.n
     guard = guard_mask(n)
+    shift = FIELD_BITS * n
+    mask = (1 << shift) - 1
+    rank = weight_rank(order.weight, n)
 
-    def rank(p):
-        return order.key(unpack(p, n))
-
-    pmons = []
-    pbins = []
+    elements = []
+    bins = []
     for g in gens:
         if isinstance(g, Binomial):
             if matrix.degree(g.lead) != matrix.degree(g.trail):
                 raise NonHomogeneousInput(f"{g} is not homogeneous")
             g = g.oriented(order)
             c = g.coeff
-            pbins.append((pack(g.lead), pack(g.trail), c.numerator if c.denominator == 1 else c))
+            bins.append((rank(pack(g.lead)), rank(pack(g.trail)),
+                         c.numerator if c.denominator == 1 else c))
         else:
-            pmons.append(pack(g))
-    elements = [(p, None, None) for p in pmons] + pbins
+            elements.append((pack(g), None, None))
+    elements += bins
+    leads = [e[0] & mask for e in elements]
     active = []  # indices of the elements whose lead no later lead divides
+    pmons = []
+    pbins = []
     queue = []
     counter = 0
 
     def push_pairs(k):
         nonlocal counter, active, pmons, pbins
-        plk, ptk, _ = elements[k]
+        plk = leads[k]
+        ptk = elements[k][1]
         # lcm(x^lead_i, x^lead_k) = x^lead_k (x^lead_i : x^lead_k), with the
         # arithmetic of packed_colon in place: a call per partner costs more
         lcms = dict(zip(active, [plk + (d & ((d & guard) >> (FIELD_BITS - 1)) * (FIELD_LIMIT - 1))
-                                 for d in [(elements[i][0] | guard) - plk for i in active]]))
+                                 for d in [(leads[i] | guard) - plk for i in active]]))
         # the lowest-index partner of each lcm (built in reverse, so it wins);
         # of the pairs with new element k only those with a minimal lcm are kept
         first = {pl: i for i, pl in reversed(lcms.items())
                  if ptk is not None or elements[i][1] is not None}
         for pl in minimal_packed(first, guard):
             i = first[pl]
-            if pl == elements[i][0] + plk:
+            if pl == leads[i] + plk:
                 continue  # coprime leads
             counter += 1
             l = unpack(pl, n)
-            heappush(queue, (dot(weights, l), pl, counter, i, k))
+            # the heap weight and the ranked lcm (weight_rank) from one unpack
+            heappush(queue, (dot(weights, l), pl, counter, i, k,
+                             dot(order.weight, l) << shift | pl))
         # drop the elements whose lead x^lead_k divides; their queued pairs stay
-        active = [i for i in active if lcms[i] != elements[i][0]] + [k]
-        pmons = [elements[i][0] for i in active if elements[i][1] is None]
-        pbins = [elements[i] for i in active if elements[i][1] is not None]
+        kept = [i for i in active if lcms[i] != leads[i]]
+        if len(kept) < len(active):
+            active = kept + [k]
+            pmons = [leads[i] for i in active if elements[i][1] is None]
+            pbins = [elements[i] for i in active if elements[i][1] is not None]
+        else:
+            active.append(k)
+            if ptk is None:
+                pmons.append(plk)
+            else:
+                pbins.append(elements[k])
 
     for idx in range(len(elements)):
         push_pairs(idx)
 
     while queue:
-        _, pl, _, i, j = heappop(queue)
+        _, _, _, i, j, kl = heappop(queue)
         # S-pair: the x^l heads cancel; a monomial contributes nothing else,
         # and two trails that coincide may cancel too
         work = {}
         for (plead, ptrail, coeff), sign in ((elements[i], 1), (elements[j], -1)):
             if ptrail is not None:
-                t = pl - plead + ptrail
+                t = kl - plead + ptrail
                 if t & guard:
                     raise ExponentOverflow("an S-polynomial exponent reached 2**31")
                 c = work.pop(t, 0) + sign * coeff
                 if c:
                     work[t] = c
-        # rewrite the largest term one step at a time, ranking again after
-        # each step, until the largest term is irreducible or the polynomial
-        # vanishes; rewrite paths that meet merge, and may cancel, there
+        # rewrite the largest term one step at a time, until the largest
+        # term is irreducible or the polynomial vanishes; rewrite paths that
+        # meet merge, and may cancel, there
         while work:
-            u = max(work, key=rank)
+            u = max(work)
             step = packed_step(u, pmons, pbins, guard)
             if step is IRREDUCIBLE:
                 break
@@ -217,25 +243,30 @@ def buchberger(gens, order, matrix):
         else:
             continue  # reduced to zero
         c = work.pop(u)
+        leads.append(u & mask)
         if work:
             (v, cv), = work.items()
             k = Fraction(-cv, c)
             elements.append((u, v, k.numerator if k.denominator == 1 else k))
         else:
-            elements.append((u, None, None))
+            elements.append((leads[-1], None, None))
         push_pairs(len(elements) - 1)
 
-    return _finalize([elements[i] for i in active], order, n)
+    basis = []
+    for i in active:
+        _, ptrail, coeff = elements[i]
+        basis.append((leads[i], ptrail if ptrail is None else ptrail & mask, coeff))
+    return _finalize(basis, order, n)
 
 
 def _finalize(elements, order, n):
     """The reduced basis from a Groebner basis of packed (lead, trail, coeff) triples.
 
     One sweep in ascending order of packed leads, a linear extension of
-    divisibility, keeps each element whose lead no kept lead divides; among
-    equal leads a monomial (trail None) comes first, and the binomials come
-    out sorted by lead.  Which of several binomials with one lead survives
-    does not matter, because the result
+    divisibility, keeps each element whose lead no kept lead divides
+    (``packed_member``); among equal leads a monomial (trail None) comes
+    first, and the binomials come out sorted by lead.  Which of several
+    binomials with one lead survives does not matter, because the result
     is the reduced basis, which is unique: the kept elements still form a
     Groebner basis, so normal forms modulo them are unique, and each trail
     is replaced by its normal form.  A binomial whose trail reduces to zero
@@ -246,10 +277,11 @@ def _finalize(elements, order, n):
     """
     guard = guard_mask(n)
     keep = []
+    kept_leads = []
     for e in sorted(elements, key=lambda e: (e[0], e[1] is not None)):
-        q = e[0] | guard
-        if not any((q - h) & guard == guard for h, _, _ in keep):
+        if not packed_member(e[0], kept_leads, guard):
             keep.append(e)
+            kept_leads.append(e[0])
     pmons = [p for p, ptrail, _ in keep if ptrail is None]
     pbins = [e for e in keep if e[1] is not None]
     mons = [unpack(p, n) for p in pmons]

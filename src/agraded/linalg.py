@@ -10,12 +10,13 @@ on it, and results become Fractions only when they are returned.
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import InputError
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def mat_vec(rows, v):

@@ -3,7 +3,8 @@
 Monomials are plain integer tuples (the exponent of x^u).  Monomial ideals
 are kept in canonical form: the tuple of minimal generators, sorted, so two
 ideals are equal iff their representations are identical.  Term orders rank
-monomials by ``TermOrder.key``, applied to exponent tuples.
+exponent tuples by ``TermOrder.key`` and packed monomials by the one integer
+of ``weight_rank``, which compares as that key does.
 
 Divisibility tests dominate the running time of every enumeration, so the
 hot loops mirror exponent vectors into packed integers, and this module
@@ -103,6 +104,19 @@ def unpack(p, n):
     return _layout(n)[0].unpack(p.to_bytes(4 * n, "big"))
 
 
+def weight_rank(weights, n):
+    """The ranked integer p -> (weights . x^p) 2**(32 n) + p of packed monomials.
+
+    Its low 32 n bits are p, also when it is negative, so the packed
+    divisibility tests, ``packed_step`` and the guard-bit overflow test read
+    a ranked integer as they read p.  Ranked integers compare as the pairs
+    (weights . u, u) do, and they are additive: the rank of x^(u - a + b)
+    is rank(u) - rank(a) + rank(b) while every field stays in range.
+    """
+    shift = FIELD_BITS * n
+    return lambda p: sum(map(mul, weights, unpack(p, n))) << shift | p
+
+
 def packed_colon(pm, pl, guard):
     """The quotient x^m : x^l on packed vectors, i.e. fieldwise max(m - l, 0).
 
@@ -197,7 +211,8 @@ class TermOrder:
 
     ``key(u) = (weight . u, u)`` ranks monomials: x^u is the larger term iff
     its key is.  The order is total, the weight may have negative entries,
-    and ties are broken with x1 > x2 > ... > xn.
+    and ties are broken with x1 > x2 > ... > xn.  On packed monomials
+    ``weight_rank(weight, n)`` is the same order as one integer per term.
     """
 
     weight: tuple
@@ -394,9 +409,9 @@ class DegreeCode:
     is decoded.
 
     Three lazy dicts are kept per matrix: ``code`` (packed monomial -> its
-    degree code), ``rank`` (packed monomial -> (c.A.m) 2**(32 n) + packed
-    value, which orders by certificate weight, then by packed value) and
-    ``degree`` (degree code -> degree tuple).
+    degree code), ``rank`` (packed monomial -> its ``weight_rank`` under the
+    certificate weights c.A, which orders by c.A.m, then by packed value)
+    and ``degree`` (degree code -> degree tuple).
     """
 
     def __init__(self, matrix):
@@ -405,9 +420,8 @@ class DegreeCode:
         self.bits = max(self.limits).bit_length() + 1
         columns = [sum(a << (self.bits * k) for k, a in enumerate(col))
                    for col in matrix.columns]
-        weights = matrix.certificate_weights
         self.code = _Lazy(lambda p: sum(map(mul, columns, unpack(p, n))))
-        self.rank = _Lazy(lambda p: sum(map(mul, weights, unpack(p, n))) << (FIELD_BITS * n) | p)
+        self.rank = _Lazy(weight_rank(matrix.certificate_weights, n))
         self.degree = _Lazy(self._decode)
 
     def encode(self, b):

@@ -1,0 +1,55 @@
+"""The verdict lines of tools/bench_pairs.py on hand-made summaries."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_path = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _path)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+LOWER = [{"name": "total_s", "better": "lower", "bound": 0.15}]
+HIGHER = [{"name": "total_s", "better": "higher", "bound": 0.15}]
+
+
+def summary(parent, quartiles, change, lower, higher, pairs=10):
+    return {"graver": {"total_s": {
+        "parent_median": parent, "parent_quartiles": quartiles,
+        "change_median": change, "change_quartiles": [change, change],
+        "change_vs_parent": round(change / parent - 1, 4), "pairs": pairs,
+        "change_lower_in": lower, "change_higher_in": higher,
+    }}}
+
+
+@pytest.mark.parametrize("metrics, s, marks", [
+    # 9 of 10 lower, median gap 0.3 wider than the parent's quartile distance 0.1
+    (LOWER, summary(2.0, [1.95, 2.05], 1.7, 9, 1), ", gain shown"),
+    # 8 of 10 lower: too few wins
+    (LOWER, summary(2.0, [1.95, 2.05], 1.7, 8, 2), ""),
+    # 9 wins and a tie, but the gap 0.05 is inside the parent's spread 0.1
+    (LOWER, summary(2.0, [1.95, 2.05], 1.95, 9, 0), ""),
+    # 5 of 5 lower: fewer than ten pairs claim nothing
+    (LOWER, summary(2.0, [1.95, 2.05], 1.7, 5, 0, pairs=5), ""),
+    # worse by 20% against a bound of 15%
+    (LOWER, summary(2.0, [1.95, 2.05], 2.4, 0, 10), ", over bound"),
+    # where higher is better, the same numbers read the other way
+    (HIGHER, summary(2.0, [1.95, 2.05], 2.4, 0, 10), ", gain shown"),
+    (HIGHER, summary(2.0, [1.95, 2.05], 1.6, 9, 1), ", over bound"),
+], ids=["gain", "few-wins", "narrow-gap", "few-pairs", "over-bound",
+        "higher-gain", "higher-over-bound"])
+def test_verdicts_mark_bound_and_gain(metrics, s, marks):
+    line, = bench_pairs.verdicts(s, metrics)
+    assert line.startswith("graver total_s: parent 2, change ")
+    assert line.endswith(f"pairs{marks}")
+
+
+def test_summarize_counts_wins_both_ways():
+    runs = [{"workload": "graver", "seed": 0, "pair": pair, "side": side,
+             "metrics": {"total_s": {"value": value}}}
+            for pair, (before, after) in enumerate([(2.0, 1.8), (2.0, 2.0), (1.9, 2.1)], 1)
+            for side, value in (("parent", before), ("change", after))]
+    s = bench_pairs.summarize(runs)["graver"]["total_s"]
+    assert (s["pairs"], s["change_lower_in"], s["change_higher_in"]) == (3, 1, 1)
+    assert s["parent_median"] == 2.0 and s["change_median"] == 2.0

@@ -171,17 +171,25 @@ def test_toric_ideal_beyond_the_packed_field_raises():
             toric_ideal(validate_grading(rows))
 
 
-def test_s_polynomial_beyond_the_packed_field_raises():
+# On x + y + z-graded inputs both weights give lex order, but under the
+# second every ranked term of completion is a negative integer
+overflow_orders = pytest.mark.parametrize("weight", [(0, 0, 0), (-1, -1, -1)],
+                                          ids=["zero", "negative"])
+
+
+@overflow_orders
+def test_s_polynomial_beyond_the_packed_field_raises(weight):
     from agraded.monomials import ExponentOverflow
 
     # every input fits, but the S-polynomial of the two has the trail z^(2**31)
     N = 2 ** 31 - 1
     gens = [Binomial((N, 0, 0), (0, 0, N)), Binomial((1, 0, 1), (0, 2, 0))]
-    with pytest.raises(ExponentOverflow):
-        buchberger(gens, TermOrder((0, 0, 0)), validate_grading([[1, 1, 1]]))
+    with pytest.raises(ExponentOverflow, match="S-polynomial"):
+        buchberger(gens, TermOrder(weight), validate_grading([[1, 1, 1]]))
 
 
-def test_rewrite_beyond_the_packed_field_raises_during_completion():
+@overflow_orders
+def test_rewrite_beyond_the_packed_field_raises_during_completion(weight):
     from agraded.monomials import ExponentOverflow
 
     # the S-pair of x z^N with x - y is the term y z^N, which fits; its
@@ -189,7 +197,7 @@ def test_rewrite_beyond_the_packed_field_raises_during_completion():
     N = 2 ** 31 - 1
     gens = [Binomial((1, 0, 0), (0, 1, 0)), Binomial((0, 1, 0), (0, 0, 1)), (1, 0, N)]
     with pytest.raises(ExponentOverflow, match="rewritten") as raised:
-        buchberger(gens, TermOrder((0, 0, 0)), validate_grading([[1, 1, 1]]))
+        buchberger(gens, TermOrder(weight), validate_grading([[1, 1, 1]]))
     assert [entry.name for entry in raised.traceback[-2:]] == ["buchberger", "packed_step"]
 
 

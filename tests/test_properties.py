@@ -44,6 +44,43 @@ def test_packed_order_is_lexicographic_order(pair):
     assert (pack(u) == pack(v)) == (u == v)
 
 
+@st.composite
+def ranked_cases(draw):
+    """(weights, u, v, a, b): a divides u; u - a + b may leave the field range."""
+    n = draw(st.integers(1, 6))
+    entries = st.one_of(st.integers(0, 5), st.integers(0, FIELD_LIMIT - 1))
+    vectors = st.tuples(*[entries] * n)
+    weights = draw(st.tuples(*[st.integers(-5, 5)] * n))
+    u, v, a, b = (draw(vectors) for _ in range(4))
+    return weights, u, v, tuple(map(min, a, u)), b
+
+
+@given(ranked_cases())
+def test_ranked_integers_order_and_rewrite_as_the_term_order(case):
+    """weight_rank compares as TermOrder.key, keeps pack(u) in its low bits
+    and is additive, so packed_step on ranked reducers returns ranked rewrites."""
+    from agraded import TermOrder
+    from agraded.monomials import (
+        FIELD_BITS, ExponentOverflow, guard_mask, packed_step, weight_rank,
+    )
+
+    weights, u, v, a, b = case
+    n = len(u)
+    K = weight_rank(weights, n)
+    key = TermOrder(weights).key
+    assert (K(pack(u)) < K(pack(v))) == (key(u) < key(v))
+    assert K(pack(u)) & ((1 << FIELD_BITS * n) - 1) == pack(u)
+    w = tuple(x - y + z for x, y, z in zip(u, a, b))
+    guard = guard_mask(n)
+    reducers = [(K(pack(a)), K(pack(b)), 3)]
+    if max(w) < FIELD_LIMIT:
+        assert K(pack(u)) - K(pack(a)) + K(pack(b)) == K(pack(w))
+        assert packed_step(K(pack(u)), [], reducers, guard) == (K(pack(w)), 3)
+    else:
+        with pytest.raises(ExponentOverflow):
+            packed_step(K(pack(u)), [], reducers, guard)
+
+
 @given(wide_gensets3, wide3)
 def test_packed_contains_matches_divides(gens, u):
     ideal = MonomialIdeal(tuple(gens))

@@ -21,12 +21,16 @@ first, even pairs the change first.  ``--trace W`` adds one traced run
 stops the script with an error naming the run, before anything is
 summarised or written.  The summary gives, per workload and seed and per
 end-to-end metric, each side's median and inclusive quartiles, the
-relative change of the median and the number of pairs in which the change
-read lower.  After writing the file, one line per workload, seed and
-end-to-end metric of BENCHMARK.json goes to stderr with the same figures,
-marked ``over bound`` when the change's median is worse than the parent's
-by more than the metric's bound, the benchmark's rule for refusing a
-change.  Standard library only.
+relative change of the median and the numbers of pairs in which the
+change read lower and higher.  After writing the file, one line per
+workload, seed and end-to-end metric of BENCHMARK.json goes to stderr with
+the same figures, marked ``over bound`` when the change's median is worse
+than the parent's by more than the metric's bound, the benchmark's rule
+for refusing a change, and ``gain shown`` when the rule for claiming a
+gain holds: at least ten pairs, the change better (lower or higher, as the
+metric's ``better`` says) in at least nine tenths of them, ties counting
+for neither, and its median better than the parent's by more than the
+distance between the parent's quartiles.  Standard library only.
 """
 
 import argparse
@@ -129,23 +133,34 @@ def summarize(runs):
                 "change_vs_parent": round(cm / pm - 1, 4),
                 "pairs": len(sides),
                 "change_lower_in": sum(a < b for a, b in zip(after, before)),
+                "change_higher_in": sum(a > b for a, b in zip(after, before)),
             }
     return summary
 
 
 def verdicts(summary, end_to_end):
-    """One line per workload (and seed) and end-to-end metric, ``over bound`` if worse than its bound."""
+    """One line per workload (and seed) and end-to-end metric.
+
+    Marked ``over bound`` if worse than its bound, ``gain shown`` if the
+    gain rule of the module docstring holds.
+    """
     lines = []
     for key, metrics in summary.items():
         for metric in end_to_end:
             s = metrics.get(metric["name"])
             if s is None:
                 continue
-            worse = s["change_vs_parent"] if metric["better"] == "lower" else -s["change_vs_parent"]
+            sign = 1 if metric["better"] == "lower" else -1
+            worse = sign * s["change_vs_parent"]
+            better_in = s["change_lower_in"] if sign == 1 else s["change_higher_in"]
+            low, high = s["parent_quartiles"]
+            gain = (s["pairs"] >= 10 and 10 * better_in >= 9 * s["pairs"]
+                    and sign * (s["parent_median"] - s["change_median"]) > high - low)
             lines.append(f"{key} {metric['name']}: parent {s['parent_median']:g}, "
                          f"change {s['change_median']:g} ({s['change_vs_parent']:+.1%}), "
                          f"change lower in {s['change_lower_in']} of {s['pairs']} pairs"
-                         + (", over bound" if worse > metric["bound"] else ""))
+                         + (", over bound" if worse > metric["bound"] else "")
+                         + (", gain shown" if gain else ""))
     return lines
 
 
