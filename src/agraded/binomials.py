@@ -11,17 +11,19 @@ the packed integers of ``monomials`` (one 32-bit field per coordinate with
 a guard bit, exponents below 2**31), where "divides" is a three-operation
 integer test independent of the number of variables.  Exponents that leave
 the field range raise ExponentOverflow instead of spilling into the guard
-bits.  ``buchberger`` keeps every basis element as a packed (lead, trail,
-coeff) triple, trail None for a monomial, from the moment it packs its
-input until ``_finalize`` unpacks the reduced basis into Binomials.  Its
-binomial terms are ranked integers (``monomials.weight_rank``): the weight
-of the term above the packed monomial in one integer, so terms compare as
-``TermOrder.key`` ranks them, and an S-polynomial term is the one integer
-rank(l) - lead + trail.  Coefficients
-are ints until a division needs a Fraction.  One kernel,
+bits.  ``buchberger`` has one entrance: each input generator, like each
+S-polynomial, is a dict {ranked term: coefficient} whose largest term is
+reduced before what is left joins the basis, so the leads of the active
+elements form an antichain throughout.  Basis elements are packed (lead,
+trail, coeff) triples, trail None for a monomial, until the reduced basis
+is unpacked into Binomials.  Binomial terms are ranked integers
+(``monomials.weight_rank``): the weight of the term above the packed
+monomial in one integer, so terms compare as ``TermOrder.key`` ranks them,
+and an S-polynomial term is the one integer rank(l) - lead + trail.
+Coefficients are ints until a division needs a Fraction.  One kernel,
 ``monomials.packed_step``, rewrites a packed monomial once by packed
 monomials and binomials: completion rewrites the largest term of each
-S-polynomial one step at a time, and the reduced-basis sweep brings each
+polynomial one step at a time, and the end of ``buchberger`` brings each
 trail to normal form with ``packed_nf``, a loop over that kernel.  The wall
 ideals of flips, whose only binomial is x^a - x^b, are completed by the
 flip itself in ``ideals``.
@@ -33,7 +35,7 @@ from functools import lru_cache
 from heapq import heappush, heappop
 from numbers import Rational
 
-from .errors import ExponentOverflow, InputError, NonHomogeneousInput, certify
+from .errors import BadLength, ExponentOverflow, InputError, NonHomogeneousInput, certify
 from .grading import kernel_lattice
 from .linalg import dot
 from .monomials import (
@@ -48,7 +50,6 @@ from .monomials import (
     minimal_packed,
     minimalize,
     pack,
-    packed_member,
     packed_nf,
     packed_step,
     support,
@@ -78,12 +79,6 @@ class Binomial:
             raise InputError("binomial needs two distinct monomials")
         if self.coeff == 0:
             raise InputError("zero coefficient; use a bare exponent instead")
-
-    def oriented(self, order):
-        """Re-mark so that the lead is the larger term under the order."""
-        if order.key(self.lead) > order.key(self.trail):
-            return self
-        return Binomial(self.trail, self.lead, 1 / self.coeff)
 
     def pair(self):
         """Coefficient-free unordered pair, lexicographically larger side first."""
@@ -122,54 +117,72 @@ class MarkedGB:
 def buchberger(gens, order, matrix):
     """Reduced Groebner basis of monomial/binomial generators.
 
-    Raises NonHomogeneousInput if a binomial pairs monomials of different
-    degree.  Each element made is a (lead, trail, coeff) triple of
-    ``elements``, trail None for a monomial, whose binomial terms are the
-    ranked integers of ``weight_rank`` under the order: comparing two of
-    them compares the terms, and their low bits are the packed monomials,
-    so the S-polynomial term rank(l) - lead + trail and every rewrite of
-    ``packed_step`` stay ranked.  ``leads`` keeps the plain packed leads for
-    the pair criteria.  Two criteria of Gebauer and Moeller (1988) prune
-    the pairs.  ``active`` keeps the elements whose lead no later lead
-    divides: a new element pairs only with these, then drops those whose
+    Raises BadLength unless the order's weight and every generator have
+    ``matrix.n`` entries, and NonHomogeneousInput if a binomial pairs
+    monomials of different degree.
+
+    Every polynomial is a dict {ranked term: coefficient} of at most two
+    terms, the ranked integers of ``weight_rank`` under the order: comparing
+    two compares the terms, and their low bits are the packed monomials, so
+    the S-polynomial term rank(l) - lead + trail and every rewrite of
+    ``packed_step`` stay ranked.  There is one entrance: the input
+    generators, in input order, then the S-polynomials of the queued pairs.
+    Each has its largest term rewritten one step at a time, taking the
+    largest again after each step, until that term is irreducible; the two
+    terms cancel where their rewrite paths meet.  What is left joins
+    ``elements`` as a (lead, trail, coeff) triple, trail None for a
+    monomial, and ``leads`` keeps its plain packed lead.  No active lead
+    divides the new lead, so the leads of ``active``, the elements whose
+    lead no later lead divides, form an antichain at all times.
+
+    A new element pairs only with the active ones, then drops those whose
     lead its lead divides from ``active`` and from ``pmons``/``pbins``, the
     reducers of ``packed_step`` (plain packed monomials and ranked
     binomials), which are rebuilt only then and otherwise extended; their
-    queued pairs are still reduced.  Of its new pairs only one per minimal
-    lcm (``minimal_packed``) is queued, unless the leads are coprime.
-    Queued pairs are never dropped: a chain-criterion scan of the queue per
-    new lead cost more than the reductions it saved.  S-pairs of two
-    monomials vanish; those of a monomial with a binomial are monomials.
-    Pairs are processed by increasing positivity weight of the lcm (the
-    generators are homogeneous, so this is a normal degree-by-degree
-    selection even when the order's own weight has negative entries).
-    During completion the largest term is rewritten one step at a time,
-    taking the largest again after each step, until it is irreducible; the
-    two terms then cancel where their rewrite paths meet.  ``_finalize``
-    turns the active elements, a Groebner basis, into the reduced one,
-    which is unique for the order.
+    queued pairs are still reduced.  Two criteria of Gebauer and Moeller
+    (1988) prune the pairs: of its new pairs only one per minimal lcm
+    (``minimal_packed``) is queued, unless the leads are coprime.  Queued
+    pairs are never dropped: a chain-criterion scan of the queue per new
+    lead cost more than the reductions it saved.  S-pairs of two monomials
+    vanish; those of a monomial with a binomial are monomials.  Pairs are
+    processed by increasing positivity weight of the lcm (the generators
+    are homogeneous, so this is a normal degree-by-degree selection even
+    when the order's own weight has negative entries).
+
+    The active elements end as a minimal Groebner basis.  Bringing each
+    trail to normal form with ``packed_nf`` makes it the reduced basis,
+    which is unique for the order; a binomial whose trail reduces to zero
+    becomes its lead monomial.  No element has to be left out of the
+    reducers: the trail and its rewrites have the degree of the lead, so
+    under a pointed grading the lead divides one of them only if equal to
+    it, and they all lie below the lead in the order.
     """
-    weights = matrix.certificate_weights
     n = matrix.n
+    if len(order.weight) != n:
+        raise BadLength(f"weight {order.weight} needs {n} entries")
+    weights = matrix.certificate_weights
     guard = guard_mask(n)
     shift = FIELD_BITS * n
     mask = (1 << shift) - 1
     rank = weight_rank(order.weight, n)
 
-    elements = []
-    bins = []
+    pending = []
     for g in gens:
         if isinstance(g, Binomial):
+            if len(g.lead) != n or len(g.trail) != n:
+                raise BadLength(f"{g} needs {n} entries on each side")
             if matrix.degree(g.lead) != matrix.degree(g.trail):
                 raise NonHomogeneousInput(f"{g} is not homogeneous")
-            g = g.oriented(order)
             c = g.coeff
-            bins.append((rank(pack(g.lead)), rank(pack(g.trail)),
-                         c.numerator if c.denominator == 1 else c))
+            pending.append({rank(pack(g.lead)): 1,
+                            rank(pack(g.trail)): -c.numerator if c.denominator == 1 else -c})
+        elif len(g) != n:
+            raise BadLength(f"monomial {tuple(g)} needs {n} entries")
         else:
-            elements.append((pack(g), None, None))
-    elements += bins
-    leads = [e[0] & mask for e in elements]
+            pending.append({rank(pack(g)): 1})
+    pending.reverse()  # popped from the end, in input order
+    elements = []
+    leads = []
     active = []  # indices of the elements whose lead no later lead divides
     pmons = []
     pbins = []
@@ -210,22 +223,22 @@ def buchberger(gens, order, matrix):
             else:
                 pbins.append(elements[k])
 
-    for idx in range(len(elements)):
-        push_pairs(idx)
-
-    while queue:
-        _, _, _, i, j, kl = heappop(queue)
-        # S-pair: the x^l heads cancel; a monomial contributes nothing else,
-        # and two trails that coincide may cancel too
-        work = {}
-        for (plead, ptrail, coeff), sign in ((elements[i], 1), (elements[j], -1)):
-            if ptrail is not None:
-                t = kl - plead + ptrail
-                if t & guard:
-                    raise ExponentOverflow("an S-polynomial exponent reached 2**31")
-                c = work.pop(t, 0) + sign * coeff
-                if c:
-                    work[t] = c
+    while pending or queue:
+        if pending:
+            work = pending.pop()
+        else:
+            _, _, _, i, j, kl = heappop(queue)
+            # S-pair: the x^l heads cancel; a monomial contributes nothing
+            # else, and two trails that coincide may cancel too
+            work = {}
+            for (plead, ptrail, coeff), sign in ((elements[i], 1), (elements[j], -1)):
+                if ptrail is not None:
+                    t = kl - plead + ptrail
+                    if t & guard:
+                        raise ExponentOverflow("an S-polynomial exponent reached 2**31")
+                    c = work.pop(t, 0) + sign * coeff
+                    if c:
+                        work[t] = c
         # rewrite the largest term one step at a time, until the largest
         # term is irreducible or the polynomial vanishes; rewrite paths that
         # meet merge, and may cancel, there
@@ -252,46 +265,14 @@ def buchberger(gens, order, matrix):
             elements.append((leads[-1], None, None))
         push_pairs(len(elements) - 1)
 
-    basis = []
-    for i in active:
-        _, ptrail, coeff = elements[i]
-        basis.append((leads[i], ptrail if ptrail is None else ptrail & mask, coeff))
-    return _finalize(basis, order, n)
-
-
-def _finalize(elements, order, n):
-    """The reduced basis from a Groebner basis of packed (lead, trail, coeff) triples.
-
-    One sweep in ascending order of packed leads, a linear extension of
-    divisibility, keeps each element whose lead no kept lead divides
-    (``packed_member``); among equal leads a monomial (trail None) comes
-    first, and the binomials come out sorted by lead.  Which of several
-    binomials with one lead survives does not matter, because the result
-    is the reduced basis, which is unique: the kept elements still form a
-    Groebner basis, so normal forms modulo them are unique, and each trail
-    is replaced by its normal form.  A binomial whose trail reduces to zero
-    becomes its lead monomial.  No element has to be left out of the reducers: the
-    trail and its rewrites have the degree of the lead, so under a pointed
-    grading the lead divides one of them only if equal to it, and they all
-    lie below the lead in the order.
-    """
-    guard = guard_mask(n)
-    keep = []
-    kept_leads = []
-    for e in sorted(elements, key=lambda e: (e[0], e[1] is not None)):
-        if not packed_member(e[0], kept_leads, guard):
-            keep.append(e)
-            kept_leads.append(e[0])
-    pmons = [p for p, ptrail, _ in keep if ptrail is None]
-    pbins = [e for e in keep if e[1] is not None]
     mons = [unpack(p, n) for p in pmons]
     bins = []
-    for plead, ptrail, coeff in pbins:
+    for plead, ptrail, coeff in sorted(pbins, key=lambda e: e[0] & mask):
         nf = packed_nf(ptrail, coeff, pmons, pbins, guard)
         if nf is None:
-            mons.append(unpack(plead, n))
+            mons.append(unpack(plead & mask, n))
         else:
-            bins.append(Binomial(unpack(plead, n), unpack(nf[0], n), nf[1]))
+            bins.append(Binomial(unpack(plead & mask, n), unpack(nf[0] & mask, n), nf[1]))
     return MarkedGB(tuple(bins), minimalize(mons), order)
 
 

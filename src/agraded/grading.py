@@ -45,17 +45,9 @@ class GradingMatrix:
     def nonnegative(self):
         return all(all(x >= 0 for x in row) for row in self.rows)
 
-    @cached_property
-    def _degrees(self):
-        return {}
-
     def degree(self, u):
-        """A . u as a length-d integer tuple, memoised per matrix."""
-        u = tuple(u)
-        deg = self._degrees.get(u)
-        if deg is None:
-            deg = self._degrees[u] = mat_vec(self.rows, u)
-        return deg
+        """A . u as a length-d integer tuple."""
+        return mat_vec(self.rows, u)
 
     def __repr__(self):
         return f"GradingMatrix({list(map(list, self.rows))})"

@@ -17,7 +17,9 @@ from math import gcd
 from .errors import InputError, NonHomogeneousInput, certify
 from .grading import GradingMatrix, positive_combination
 from .linalg import rank
-from .monomials import FIELD_LIMIT, divides, exp_sub, fiber_walk, guard_mask, pack, support
+from .monomials import (
+    FIELD_LIMIT, divides, exp_sub, fiber_walk, guard_mask, minimal_packed, pack, support, unpack,
+)
 # bound for censusbench/tracer.py until ROADMAP item 1 removes this binding
 from .binomials import Binomial, binomial_from_vector, buchberger, canonical_pair, toric_ideal
 
@@ -59,22 +61,20 @@ def graver_basis(matrix):
     ``toric_ideal`` is read as the kernel vector w = a - c (b - d = -w is
     certified), and every kernel vector lies conformally above a Graver
     element, so the pairs (w+, w-) that no other pair lies conformally
-    below are the Graver basis.  A sweep by total degree keeps them, with
-    two packed tests, (u, v) and (v, u) below, per comparison.
+    below are the Graver basis.  Conformally below means below in one of
+    the two orientations, so ``minimal_packed`` keeps them from the packed
+    vectors (w+, w-) and (w-, w+) of every w, each minimal pair in both
+    orientations.
     """
     n = matrix.n
-    pairs = set()
+    packed = set()
     for b in toric_ideal(lawrence_lifting(matrix)):
         w = exp_sub(b.lead[:n], b.trail[:n])
         certify(exp_sub(b.trail[n:], b.lead[n:]) == w, "Lawrence element is not a kernel vector")
-        pairs.add(binomial_from_vector(w).pair())
-    guard = guard_mask(2 * n)
-    kept, below = [], []
-    for u, v in sorted(pairs, key=lambda p: (sum(p[0]) + sum(p[1]), p)):
-        q = pack(u + v) | guard
-        if not any((q - p) & guard == guard for p in below):
-            kept.append((u, v))
-            below += (pack(u + v), pack(v + u))
+        g = binomial_from_vector(w)
+        packed |= {pack(g.lead + g.trail), pack(g.trail + g.lead)}
+    kept = {canonical_pair(uv[:n], uv[n:])
+            for uv in (unpack(p, 2 * n) for p in minimal_packed(packed, guard_mask(2 * n)))}
     certify(all(matrix.degree(u) == matrix.degree(v) for u, v in kept), "Graver pair off the kernel")
     return GraverBasis(tuple(sorted(kept)))
 

@@ -24,8 +24,14 @@ def mat_vec(rows, v):
 
 
 def integer_rows(rows):
-    """The rows as lists of ints; InputError on any other entry, which ``//`` would floor."""
+    """The rows as lists of ints of one length.
+
+    InputError on rows of unequal length, which ``zip`` would cut, and on
+    any entry other than an int, which ``//`` would floor.
+    """
     rows = [list(row) for row in rows]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise InputError("exact elimination needs rows of one length")
     if not all(isinstance(x, int) for row in rows for x in row):
         raise InputError("exact elimination needs integer entries")
     return rows

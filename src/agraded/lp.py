@@ -69,14 +69,17 @@ def _phase1(columns, rhs):
 def lp_strict_feasible(rows, nvars=None):
     """Witness w with row . w >= 1 for every row, or None if infeasible.
 
-    The rows must have integer entries.  The empty system is feasible with
-    w = 0 (nvars then required).
+    The rows must have integer entries, nvars of them each (InputError
+    otherwise).  The empty system is feasible with w = 0 (nvars then
+    required).
     """
     rows = [tuple(row) for row in integer_rows(rows)]
     if nvars is None:
         if not rows:
             raise InputError("empty system needs an explicit dimension")
         nvars = len(rows[0])
+    elif rows and len(rows[0]) != nvars:
+        raise InputError(f"rows of {len(rows[0])} entries for {nvars} variables")
     if not rows:
         return tuple(Fraction(0) for _ in range(nvars))
     columns = [row + (1,) for row in rows]  # dual variable per row

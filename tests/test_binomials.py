@@ -49,7 +49,9 @@ def test_coefficients_stay_exact():
         gens = [Binomial((1, 0, 0), (0, 1, 0), c2), Binomial((1, 0, 0), (0, 0, 1), c3)]
         assert buchberger(gens, TermOrder((0, 0, 0)), m).binomials == (
             Binomial((0, 1, 0), (0, 0, 1), want_y), Binomial((1, 0, 0), (0, 0, 1), want_x))
-    flipped = Binomial((1, 0), (0, 1), 2).oriented(TermOrder((0, 1)))
+    # an input whose trail is the larger term enters re-marked
+    flipped, = buchberger([Binomial((1, 0), (0, 1), 2)], TermOrder((0, 1)),
+                          validate_grading([[1, 1]])).binomials
     assert flipped == Binomial((0, 1), (1, 0), Fraction(1, 2))
     assert type(flipped.coeff) is Fraction
     for bad in (0.5, "2"):
@@ -61,6 +63,20 @@ def test_non_homogeneous_rejected():
     m = validate_grading([[1, 2]])
     with pytest.raises(NonHomogeneousInput):
         buchberger([Binomial((1, 0), (0, 1))], TermOrder((1, 0)), m)
+
+
+def test_generators_and_weights_of_another_length_rejected():
+    m = validate_grading([[1, 1, 1]])
+    lex = TermOrder((0, 0, 0))
+    for gens in ([Binomial((1, 0), (0, 1))], [(1, 0)], [Binomial((1, 0, 0, 0), (0, 1, 0, 0))]):
+        with pytest.raises(BadLength):
+            buchberger(gens, lex, m)
+    with pytest.raises(BadLength):
+        buchberger([Binomial((1, 0, 0), (0, 1, 0))], TermOrder((0, 0)), m)
+    g137 = named_matrix("g137")
+    for weight in [(1,), (1, 0, 0, 99)]:
+        with pytest.raises(BadLength):
+            initial_ideal(g137, weight)
 
 
 def test_curve_families_are_fixed_points():
@@ -192,8 +208,8 @@ def test_s_polynomial_beyond_the_packed_field_raises(weight):
 def test_rewrite_beyond_the_packed_field_raises_during_completion(weight):
     from agraded.monomials import ExponentOverflow
 
-    # the S-pair of x z^N with x - y is the term y z^N, which fits; its
-    # rewrite by y -> z is z^(2**31)
+    # x z^N is reduced on entry: x -> y rewrites it to y z^N, which fits,
+    # and y -> z to z^(2**31)
     N = 2 ** 31 - 1
     gens = [Binomial((1, 0, 0), (0, 1, 0)), Binomial((0, 1, 0), (0, 0, 1)), (1, 0, N)]
     with pytest.raises(ExponentOverflow, match="rewritten") as raised:

@@ -226,3 +226,16 @@ def test_interiors_meet_matches_plane_geometry():
     assert len(answers) == 289
     assert sum(oracle for _, oracle in answers) == 217
     assert all(got == oracle for got, oracle in answers)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lp_strict_feasible([(1, 2, 3)], nvars=2),
+    lambda: lp_strict_feasible([(1, 2), (1,)]),
+    lambda: rank([[1, 2], [3]]),
+    lambda: solve_linear([[1, 2], [3]], [1, 2]),
+], ids=["lp-rows-longer-than-nvars", "lp-ragged", "rank-ragged", "solve-ragged"])
+def test_rows_of_the_wrong_length_rejected(call):
+    # zip used to cut such rows: the first returned the witness (6, -1),
+    # which fails the row, and the last (0, 1)
+    with pytest.raises(InputError):
+        call()

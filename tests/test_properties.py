@@ -546,12 +546,19 @@ def test_buchberger_mixed_generators(weights, order_weight, pairs, mons, rng):
     ([((1, 2, 0), (0, 0, 3)), (0, 2, 0)], [], [(0, 0, 3), (0, 2, 0)]),
     ([((1, 2, 0), (0, 0, 3)), ((1, 2, 0), (0, 1, 2)), (1, 2, 0)],
      [], [(0, 0, 3), (0, 1, 2), (1, 2, 0)]),
+    ([((2, 1, 0), (0, 0, 3)), ((1, 1, 0), (0, 1, 1)), ((2, 1, 0), (0, 0, 3))],
+     [((0, 1, 2), (0, 0, 3)), ((1, 0, 3), (0, 0, 4)), ((1, 1, 0), (0, 1, 1))], []),
+    ([((1, 0, 0), (0, 1, 0)), ((0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 0, 1))],
+     [((0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 0, 1))], []),
 ])
 def test_buchberger_drops_a_superseded_input(gens, binomials, monomials):
     """A later generator whose lead divides an earlier lead, properly or not, retires it.
 
     Lex order on x + y + z-homogeneous generators: x y divides x^2 y, y^2
-    divides x y^2, and the last case repeats the lead x y^2 three times.
+    divides x y^2, and the third case repeats the lead x y^2 three times.
+    In the fourth a generator is listed twice, and in the last x - z
+    reduces to zero on entry, after x - y and y - z (in reverse order x - y
+    does).
     """
     from agraded import Binomial, TermOrder, buchberger
 
