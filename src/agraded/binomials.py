@@ -289,10 +289,14 @@ def toric_ideal(matrix):
     x^{k u+} - x^{k u-} is a multiple of x^{u+} - x^{u-}, x_D^N x^{k u-} f
     lies in J'; x^{k u-} uses only D, for which J' is saturated, so f does.
 
-    u is the greedy sum of the basis vectors b, each added as k b with the
-    smallest k in 1..n+1 that keeps the most coordinates nonzero (each
-    coordinate forbids at most one k), negated if that makes fewer entries
-    negative; a Lawrence lifting thus saturates by n of its 2n variables.
+    The lattice basis is the LLL-reduced ``kernel_lattice``, in the order
+    the reduction leaves it.  u is the greedy sum of the basis vectors b in
+    that order, each added as k b with the smallest k in 1..n+1 that keeps
+    the most coordinates nonzero (each coordinate forbids at most one k),
+    negated if that makes fewer entries negative; a Lawrence lifting thus
+    saturates by n of its 2n variables.  So u, the saturated set D and the
+    cost of the saturations follow the basis and its order, and so does
+    the generating set returned, one of many that generate I_L.
     Saturating by x_i: a Groebner basis under an order making x_i cheapest
     (weight -e_i), then strip each element's common x_i power; x_i divides a
     lead only if it divides the whole binomial, so the stripping is exact.

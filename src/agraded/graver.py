@@ -4,11 +4,14 @@ A Graver element is an unordered pair {u, v} of disjointly supported
 exponent vectors with A.u = A.v such that no other kernel pair sits
 conformally below it.  The production route reads the toric generators of
 the Lawrence lifting, among which every Graver element occurs, as kernel
-vectors and keeps the conformally minimal ones.  The oracle enumerates
-kernel pairs degree by degree and filters conformal minimality directly;
-it is complete up to its weight bound and validates the production route.
+vectors and keeps the conformally minimal ones, in one sweep by 1-norm that
+compares a candidate only with kept elements of at most half its norm.  The
+oracle enumerates kernel pairs degree by degree and filters conformal
+minimality directly; it is complete up to its weight bound and validates
+the production route.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations
@@ -18,7 +21,8 @@ from .errors import InputError, NonHomogeneousInput, certify
 from .grading import GradingMatrix, positive_combination
 from .linalg import rank
 from .monomials import (
-    FIELD_LIMIT, divides, exp_sub, fiber_walk, guard_mask, minimal_packed, pack, support, unpack,
+    FIELD_BITS, FIELD_LIMIT, divides, exp_sub, fiber_walk, guard_mask, pack, packed_member, support,
+    unpack,
 )
 # bound for censusbench/tracer.py until ROADMAP item 1 removes this binding
 from .binomials import Binomial, binomial_from_vector, buchberger, canonical_pair, toric_ideal
@@ -60,23 +64,39 @@ def graver_basis(matrix):
     (Sturmfels, GBCP Thm 7.1).  Each element x^a y^b - x^c y^d of
     ``toric_ideal`` is read as the kernel vector w = a - c (b - d = -w is
     certified), and every kernel vector lies conformally above a Graver
-    element, so the pairs (w+, w-) that no other pair lies conformally
-    below are the Graver basis.  Conformally below means below in one of
-    the two orientations, so ``minimal_packed`` keeps them from the packed
-    vectors (w+, w-) and (w-, w+) of every w, each minimal pair in both
-    orientations.
+    element, so the w that no other element lies conformally below, up to
+    sign, are the Graver basis.
+
+    One sweep in ascending (1-norm, packed pair) order keeps them, each w
+    as its canonical pair (w+, w-) or (w-, w+), larger side first, and
+    tests a candidate w only against the kept elements g of 1-norm at most
+    |w|_1 // 2, in both orientations.  That is exact: a w that is not
+    minimal is a conformal sum g + (w - g) of two nonzero parts whose
+    1-norms add up to |w|_1, so one part has at most half of it; that part
+    lies conformally above a Graver element, which is in the generating set
+    up to sign and is kept before w.  Conversely a w above a kept element
+    of smaller norm is not minimal.
     """
     n = matrix.n
-    packed = set()
+    shift = FIELD_BITS * n
+    guard = guard_mask(2 * n)
+    candidates = set()
     for b in toric_ideal(lawrence_lifting(matrix)):
         w = exp_sub(b.lead[:n], b.trail[:n])
         certify(exp_sub(b.trail[n:], b.lead[n:]) == w, "Lawrence element is not a kernel vector")
         g = binomial_from_vector(w)
-        packed |= {pack(g.lead + g.trail), pack(g.trail + g.lead)}
-    kept = {canonical_pair(uv[:n], uv[n:])
-            for uv in (unpack(p, 2 * n) for p in minimal_packed(packed, guard_mask(2 * n)))}
-    certify(all(matrix.degree(u) == matrix.degree(v) for u, v in kept), "Graver pair off the kernel")
-    return GraverBasis(tuple(sorted(kept)))
+        u, v = canonical_pair(g.lead, g.trail)
+        candidates.add((sum(map(abs, w)), pack(u + v)))
+    kept, norms = [], []
+    for norm, p in sorted(candidates):
+        below = kept[:bisect_right(norms, norm // 2)]
+        mirror = p >> shift | (p & ((1 << shift) - 1)) << shift
+        if not (packed_member(p, below, guard) or packed_member(mirror, below, guard)):
+            kept.append(p)
+            norms.append(norm)
+    pairs = [(uv[:n], uv[n:]) for uv in (unpack(p, 2 * n) for p in sorted(kept))]
+    certify(all(matrix.degree(u) == matrix.degree(v) for u, v in pairs), "Graver pair off the kernel")
+    return GraverBasis(tuple(pairs))
 
 
 def graver_oracle(matrix, bound):

@@ -124,6 +124,83 @@ def rational_nullspace(rows, ncols):
     return basis
 
 
+def gram_determinant(vectors):
+    """det(B B^T) of the rows B, by fraction-free elimination.
+
+    A Gram matrix of independent rows is positive definite, so every
+    leading minor is positive, no row swap is needed and the last pivot is
+    the determinant; 0 for dependent rows, 1 for none.
+    """
+    gram = [[dot(u, v) for v in vectors] for u in vectors]
+    den = 1
+    for r in range(len(gram)):
+        if not gram[r][r]:
+            return 0
+        den = pivot(gram, r, r, den)
+    return den
+
+
+def lll_reduce(vectors):
+    """LLL reduction (delta = 3/4) of linearly independent integer vectors.
+
+    Cohen's integral LLL (A Course in Computational Algebraic Number
+    Theory, Alg. 2.6.7): Gram-Schmidt data are kept as integers, d[i] the
+    Gram determinant of the first i vectors and lam[k][j] = d[j+1] mu[k][j],
+    updated on each size reduction and swap with exact divisions.  The
+    vectors come back in the order the reduction leaves them.
+    """
+    b = [list(v) for v in vectors]
+    n = len(b)
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+
+    def reduce(k, l):
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = round(Fraction(lam[k][l], d[l + 1]))  # nearest, ties to even
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swap(k):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        mu = lam[k][k - 1]
+        new = (d[k - 1] * d[k + 1] + mu * mu) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - mu * t) // d[k]
+            lam[i][k - 1] = (new * t + mu * lam[i][k]) // d[k + 1]
+        d[k] = new
+
+    k, kmax = 1, 0
+    if n:
+        d[1] = dot(b[0], b[0])
+    while k < n:
+        if k > kmax:  # Gram-Schmidt data of the new vector b[k]
+            kmax = k
+            for j in range(k + 1):
+                u = dot(b[k], b[j])
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    d[k + 1] = u
+            if not d[k + 1]:
+                raise InputError("LLL needs linearly independent vectors")
+        reduce(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swap(k)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    return [tuple(v) for v in b]
+
+
 def integer_kernel_basis(rows, ncols):
     """Z-basis of the saturated integer kernel lattice of a row matrix.
 

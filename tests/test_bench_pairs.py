@@ -53,3 +53,14 @@ def test_summarize_counts_wins_both_ways():
     s = bench_pairs.summarize(runs)["graver"]["total_s"]
     assert (s["pairs"], s["change_lower_in"], s["change_higher_in"]) == (3, 1, 1)
     assert s["parent_median"] == 2.0 and s["change_median"] == 2.0
+
+
+def test_a_failed_run_is_reported_with_its_output(tmp_path):
+    (tmp_path / "censusbench").mkdir()
+    (tmp_path / "censusbench" / "run.py").write_text(
+        "import sys\nprint('graver pass 1')\nprint('mismatch in pass 2')\nsys.exit(1)\n")
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.run(tmp_path, "graver", 0, 1, 0, "graver seed 0 pair 2 change")
+    message = str(stop.value.code)
+    assert message.startswith("error: graver seed 0 pair 2 change: exit code 1")
+    assert message.endswith("\n  graver pass 1\n  mismatch in pass 2\nnothing written")

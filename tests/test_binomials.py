@@ -120,12 +120,16 @@ def test_toric_ideal_12():
 # -- oracle: the toric saturation by every variable
 
 def oracle_toric_ideal(matrix):
-    """Generators of the toric ideal, saturating by x_1, ..., x_n in turn."""
-    from agraded import kernel_lattice
+    """Generators of the toric ideal, saturating by x_1, ..., x_n in turn.
+
+    Starts from the unreduced ``integer_kernel_basis``, so it shares no code
+    with the LLL-reduced ``kernel_lattice`` of the production route.
+    """
     from agraded.binomials import binomial_from_vector
+    from agraded.linalg import integer_kernel_basis
     from agraded.monomials import cheapest_variable_order, exp_sub
 
-    gens = tuple(binomial_from_vector(v) for v in kernel_lattice(matrix).vectors)
+    gens = tuple(binomial_from_vector(v) for v in integer_kernel_basis(matrix.rows, matrix.n))
     n = matrix.n
     for i in range(n):
         gb = buchberger(gens, cheapest_variable_order(n, i), matrix)

@@ -3,17 +3,21 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from agraded import (
+    BadLength,
     GradingError,
     NotPointed,
     RankDeficient,
     kernel_lattice,
+    lawrence_lifting,
     lp_strict_feasible,
     validate_grading,
 )
+from agraded.fixtures import named_matrix
 from agraded.ideals import graver_split_rows
-from agraded.linalg import dot, mat_vec
+from agraded.linalg import dot, integer_kernel_basis, lll_reduce, mat_vec, rank, solve_linear
 
 
 def test_positive_row_certificate():
@@ -34,6 +38,11 @@ def test_derived_fields_are_cached_outside_hash_and_equality():
     assert m.degree([1, 2, 0]) == m.degree((1, 2, 0)) == (7,)
     assert m.degree((0, 0, -1)) == (-7,)
     assert m == fresh and hash(m) == hash(fresh)
+
+
+def test_degree_of_a_vector_of_the_wrong_length_raises():
+    with pytest.raises(BadLength):
+        named_matrix("g137").degree((1, 0, 0, 5))
 
 
 def test_not_pointed_rejected():
@@ -133,6 +142,78 @@ def test_kernel_curve1_saturated():
     for v in basis:
         assert m.degree(v) == (0, 0)
     _kernel_window_oracle(m, basis, 10)
+
+
+def assert_lll_reduced(basis):
+    """Size-reduced (|mu| <= 1/2) and Lovasz (delta = 3/4) in the given order, by Fractions."""
+    def norm(v):
+        return sum(x * x for x in v)
+
+    star = []
+    for b in basis:
+        v = [Fraction(x) for x in b]
+        mu = []
+        for s in star:
+            mu.append(sum(Fraction(x) * y for x, y in zip(b, s)) / norm(s))
+            v = [x - mu[-1] * y for x, y in zip(v, s)]
+        assert all(abs(m) <= Fraction(1, 2) for m in mu)
+        if star:
+            assert norm(v) >= (Fraction(3, 4) - mu[-1] ** 2) * norm(star[-1])
+        star.append(v)
+
+
+def integer_coordinates(basis, vec):
+    """The integer coordinates of vec in the lattice basis, or None.
+
+    Solves on coordinates where the basis has full rank with ``solve_linear``
+    and checks the solution on every coordinate.
+    """
+    chosen = []
+    for r in range(len(vec)):
+        if rank([[b[i] for i in chosen + [r]] for b in basis]) > len(chosen):
+            chosen.append(r)
+    if len(chosen) < len(basis):
+        return None
+    square = [[b[r] for b in basis] for r in chosen]
+    coords = solve_linear(square, [vec[r] for r in chosen]) if basis else ()
+    if any(c.denominator != 1 for c in coords):
+        return None
+    if any(sum(c * b[r] for c, b in zip(coords, basis)) != vec[r] for r in range(len(vec))):
+        return None
+    return coords
+
+
+@pytest.mark.parametrize("lifted", [False, True], ids=["g123789", "lawrence-g123789"])
+def test_kernel_lattice_is_lll_reduced_in_the_order_returned(lifted):
+    # toric_ideal builds its saturation vector in basis order, so the order is pinned
+    m = named_matrix("g123789")
+    basis = kernel_lattice(lawrence_lifting(m) if lifted else m).vectors
+    assert len(basis) == 5
+    assert_lll_reduced(basis)
+
+
+@st.composite
+def small_matrices(draw):
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(d, 6))
+    return [draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)) for _ in range(d)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices())
+@example([[1, 2]])  # corank 1
+@example([[1, 0], [0, 1]])  # corank 0
+@example([[2, 3, 0], [0, 1, 1]])  # corank 1, two rows
+def test_lll_basis_and_the_saturated_basis_generate_each_other(rows):
+    n = len(rows[0])
+    saturated = integer_kernel_basis(rows, n)
+    reduced = lll_reduce(saturated)
+    assert len(reduced) == len(saturated) == n - rank(rows)
+    assert_lll_reduced(reduced)
+    for vec in reduced:
+        assert integer_coordinates(saturated, vec) is not None
+    for vec in saturated:
+        assert integer_coordinates(reduced, vec) is not None
 
 
 def test_lp_empty_and_contradictory():

@@ -1,10 +1,12 @@
 """Graver bases: production route, oracle, circuits."""
 
+import random
 from itertools import permutations
 
 import pytest
 
 from agraded import (
+    BadLength,
     graver_basis,
     graver_oracle,
     is_circuit,
@@ -14,7 +16,7 @@ from agraded import (
 from agraded.binomials import buchberger, canonical_pair, toric_ideal
 from agraded.fixtures import as_pairs, expected, named_matrix
 from agraded.grading import positive_combination
-from agraded.monomials import TermOrder
+from agraded.monomials import TermOrder, exp_sub, guard_mask, minimal_packed, pack, unpack
 
 
 def weight_of(matrix, pair):
@@ -40,10 +42,34 @@ def lex_graver(matrix):
     return tuple(sorted(pairs))
 
 
+def two_orientation_graver(matrix):
+    """The minimal pairs of the Lawrence generators by one sweep over both orientations.
+
+    Oracle of the half-norm sweep of ``graver_basis``: both packed
+    orientations (w+, w-) and (w-, w+) of every generator go into one
+    ``minimal_packed`` sweep, which compares each with all smaller ones.
+    """
+    n = matrix.n
+    packed = set()
+    for b in toric_ideal(lawrence_lifting(matrix)):
+        w = exp_sub(b.lead[:n], b.trail[:n])
+        plus = tuple(max(x, 0) for x in w)
+        minus = tuple(max(-x, 0) for x in w)
+        packed |= {pack(plus + minus), pack(minus + plus)}
+    return tuple(sorted({canonical_pair(uv[:n], uv[n:]) for uv in
+                         (unpack(p, 2 * n) for p in minimal_packed(packed, guard_mask(2 * n)))}))
+
+
 @pytest.mark.parametrize("name", ["g137", "g134", "veronese6", "g36-8-10-15", "g345-13-14"])
 def test_graver_basis_matches_the_lex_route(name):
     m = named_matrix(name)
     assert graver_basis(m).elements == lex_graver(m)
+
+
+@pytest.mark.parametrize("name", ["g137", "g134", "veronese6", "g36-8-10-15", "g345-13-14"])
+def test_half_norm_sweep_matches_the_two_orientation_sweep(name):
+    m = named_matrix(name)
+    assert graver_basis(m).elements == two_orientation_graver(m)
 
 
 def test_corank_one_single_element():
@@ -132,6 +158,16 @@ def test_circuits_137():
     assert is_circuit(m, ((2, 0, 1), (0, 3, 0))) is None
 
 
+def test_is_circuit_rejects_a_short_pair():
+    with pytest.raises(BadLength):
+        is_circuit(named_matrix("g137"), ((3, 0), (0, 1)))
+
+
+def test_is_circuit_rejects_a_long_pair():
+    with pytest.raises(BadLength):
+        is_circuit(named_matrix("g137"), ((3, 0, 0, 1), (0, 1, 0, 1)))
+
+
 def test_all_circuits_lie_in_graver(ctx_veronese, ctx137):
     """Independent circuit enumeration from the matrix columns alone."""
     from itertools import combinations
@@ -165,14 +201,14 @@ def test_all_circuits_lie_in_graver(ctx_veronese, ctx137):
         assert found > 0
 
 
-def _graver_of_permuted(matrix, perm):
+def _graver_of_permuted(matrix, perm, oracle=lex_graver):
     """graver_basis of the matrix with columns ``perm``, mapped back.
 
-    The permuted basis is first pinned to the lex route.
+    The permuted basis is first pinned to the oracle, by default the lex route.
     """
     permuted = validate_grading([[row[j] for j in perm] for row in matrix.rows])
     basis = graver_basis(permuted).elements
-    assert basis == lex_graver(permuted)
+    assert basis == oracle(permuted)
 
     def back(w):
         u = [0] * matrix.n
@@ -192,3 +228,11 @@ def test_graver_basis_is_column_order_free(name, perms):
     m = named_matrix(name)
     for perm in perms:
         assert _graver_of_permuted(m, perm) == graver_basis(m).elements
+
+
+@pytest.mark.parametrize("name", ["g36-8-10-15", "g345-13-14"])
+@pytest.mark.parametrize("seed", range(5))
+def test_half_norm_sweep_on_permuted_columns(name, seed):
+    m = named_matrix(name)
+    perm = random.Random(seed).sample(range(m.n), m.n)
+    assert _graver_of_permuted(m, perm, two_orientation_graver) == graver_basis(m).elements

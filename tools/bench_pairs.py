@@ -17,9 +17,10 @@ Each run is ``python3 censusbench/run.py --workload W --seed S --seconds T
 N pairs on workload W with seed S (default 0); odd pairs run the parent
 first, even pairs the change first.  ``--trace W`` adds one traced run
 (``--trace 1``, seed 0) per side, whose per-layer metrics are kept under
-``traced``.  A run that fails its known-answer gate (``correct`` false)
-stops the script with an error naming the run, before anything is
-summarised or written.  The summary gives, per workload and seed and per
+``traced``.  A run that fails its known-answer gate (``correct`` false),
+exits non-zero or ends without a result line stops the script with an
+error naming the run (with its exit code and last 20 lines of stdout if it
+printed no result), before anything is summarised or written.  The summary gives, per workload and seed and per
 end-to-end metric, each side's median and inclusive quartiles, the
 relative change of the median and the numbers of pairs in which the
 change read lower and higher.  After writing the file, one line per
@@ -91,12 +92,22 @@ def copy_worktree(dest):
 def run(checkout, workload, seed, seconds, trace, name):
     """The result object that one run of the benchmark prints last.
 
-    Exits with an error naming the run (``name``) if it is not correct.
+    Exits with an error naming the run (``name``) if it is not correct.  If
+    the run exits non-zero or its last line is no JSON object, the error
+    also gives its exit code and the last 20 lines of its stdout.
     """
     cmd = [sys.executable, "censusbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    out = subprocess.run(cmd, cwd=checkout, check=True, stdout=subprocess.PIPE, text=True).stdout
-    result = json.loads(out.strip().splitlines()[-1])
+    proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1]) if lines and not proc.returncode else None
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict):
+        tail = "".join(f"\n  {line}" for line in lines[-20:])
+        raise SystemExit(f"error: {name}: exit code {proc.returncode}, no result line; "
+                         f"last {min(len(lines), 20)} lines of stdout:{tail}\nnothing written")
     if not result["correct"]:
         raise SystemExit(f"error: {name}: {result['failed']} of {result['attempted']} "
                          "operations failed the known-answer gate; nothing written")
