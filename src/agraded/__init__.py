@@ -11,7 +11,6 @@ from .errors import (
     BadLength,
     CertificateError,
     ExponentOverflow,
-    FixtureMismatch,
     FormatError,
     GradingError,
     GuardExceeded,
@@ -27,12 +26,10 @@ from .errors import (
     RankDeficient,
     UnknownName,
 )
-from .grading import GradingMatrix, KernelBasis, kernel_lattice, validate_grading
+from .grading import GradingMatrix, kernel_lattice, validate_grading
 from .lp import lp_strict_feasible
 from .monomials import (
-    KPolynomial,
     MonomialIdeal,
-    TermOrder,
     fiber,
     k_polynomial,
     minimalize,
@@ -85,6 +82,6 @@ from .triangulations import (
     edge_transition,
     is_triangulation,
 )
-from .verify import verify_all, verify_paper
+from .verify import verify_all
 
 __version__ = "0.1.0"

@@ -18,8 +18,9 @@ elements form an antichain throughout.  Basis elements are packed (lead,
 trail, coeff) triples, trail None for a monomial, until the reduced basis
 is unpacked into Binomials.  Binomial terms are ranked integers
 (``monomials.weight_rank``): the weight of the term above the packed
-monomial in one integer, so terms compare as ``TermOrder.key`` ranks them,
-and an S-polynomial term is the one integer rank(l) - lead + trail.
+monomial in one integer, so terms compare by (w.u, then lex, x1 first)
+under the weight w, and an S-polynomial term is the one integer
+rank(l) - lead + trail.
 Coefficients are ints until a division needs a Fraction.  One kernel,
 ``monomials.packed_step``, rewrites a packed monomial once by packed
 monomials and binomials: completion rewrites the largest term of each
@@ -43,8 +44,6 @@ from .monomials import (
     FIELD_LIMIT,
     IRREDUCIBLE,
     MonomialIdeal,
-    TermOrder,
-    cheapest_variable_order,
     exp_sub,
     guard_mask,
     minimal_packed,
@@ -108,21 +107,22 @@ class MarkedGB:
 
     binomials: tuple
     monomials: MonomialIdeal
-    order: TermOrder
 
     def lead_ideal(self):
         return minimalize(tuple(b.lead for b in self.binomials) + self.monomials.gens)
 
 
-def buchberger(gens, order, matrix):
+def buchberger(gens, weight, matrix):
     """Reduced Groebner basis of monomial/binomial generators.
 
-    Raises BadLength unless the order's weight and every generator have
-    ``matrix.n`` entries, and NonHomogeneousInput if a binomial pairs
-    monomials of different degree.
+    The term order is the weight tuple refined by lex, x1 first: x^u is
+    the larger term iff (weight.u, u) is.  Raises InputError unless every
+    weight entry is an int (bools count), BadLength unless the weight and
+    every generator have ``matrix.n`` entries, and NonHomogeneousInput if
+    a binomial pairs monomials of different degree.
 
     Every polynomial is a dict {ranked term: coefficient} of at most two
-    terms, the ranked integers of ``weight_rank`` under the order: comparing
+    terms, the ranked integers of ``weight_rank`` under the weight: comparing
     two compares the terms, and their low bits are the packed monomials, so
     the S-polynomial term rank(l) - lead + trail and every rewrite of
     ``packed_step`` stay ranked.  There is one entrance: the input
@@ -147,7 +147,7 @@ def buchberger(gens, order, matrix):
     vanish; those of a monomial with a binomial are monomials.  Pairs are
     processed by increasing positivity weight of the lcm (the generators
     are homogeneous, so this is a normal degree-by-degree selection even
-    when the order's own weight has negative entries).
+    when the weight has negative entries).
 
     The active elements end as a minimal Groebner basis.  Bringing each
     trail to normal form with ``packed_nf`` makes it the reduced basis,
@@ -158,13 +158,16 @@ def buchberger(gens, order, matrix):
     it, and they all lie below the lead in the order.
     """
     n = matrix.n
-    if len(order.weight) != n:
-        raise BadLength(f"weight {order.weight} needs {n} entries")
+    weight = tuple(weight)
+    if not all(isinstance(x, int) for x in weight):
+        raise InputError(f"weight {weight} needs integer entries")
+    if len(weight) != n:
+        raise BadLength(f"weight {weight} needs {n} entries")
     weights = matrix.certificate_weights
     guard = guard_mask(n)
     shift = FIELD_BITS * n
     mask = (1 << shift) - 1
-    rank = weight_rank(order.weight, n)
+    rank = weight_rank(weight, n)
 
     pending = []
     for g in gens:
@@ -209,7 +212,7 @@ def buchberger(gens, order, matrix):
             l = unpack(pl, n)
             # the heap weight and the ranked lcm (weight_rank) from one unpack
             heappush(queue, (dot(weights, l), pl, counter, i, k,
-                             dot(order.weight, l) << shift | pl))
+                             dot(weight, l) << shift | pl))
         # drop the elements whose lead x^lead_k divides; their queued pairs stay
         kept = [i for i in active if lcms[i] != leads[i]]
         if len(kept) < len(active):
@@ -273,7 +276,7 @@ def buchberger(gens, order, matrix):
             mons.append(unpack(plead & mask, n))
         else:
             bins.append(Binomial(unpack(plead & mask, n), unpack(nf[0] & mask, n), nf[1]))
-    return MarkedGB(tuple(bins), minimalize(mons), order)
+    return MarkedGB(tuple(bins), minimalize(mons))
 
 
 @lru_cache(maxsize=None)
@@ -301,7 +304,7 @@ def toric_ideal(matrix):
     (weight -e_i), then strip each element's common x_i power; x_i divides a
     lead only if it divides the whole binomial, so the stripping is exact.
     """
-    basis = kernel_lattice(matrix).vectors
+    basis = kernel_lattice(matrix)
     n = matrix.n
     u = (0,) * n
     for b in basis:
@@ -315,8 +318,7 @@ def toric_ideal(matrix):
     if len(basis) > 1:  # in corank one u is +-b, already a generator
         gens += (binomial_from_vector(u),)
     for i in (i for i in range(n) if u[i] < 0):
-        order = cheapest_variable_order(n, i)
-        gb = buchberger(gens, order, matrix)
+        gb = buchberger(gens, tuple(-1 if j == i else 0 for j in range(n)), matrix)
         certify(gb.monomials.is_zero(), "toric saturation stays binomial")
         new = []
         for b in gb.binomials:
@@ -334,9 +336,8 @@ def initial_ideal(matrix, weight):
     """Monomial initial ideal of the toric ideal for a weight vector.
 
     Non-generic weights are refined by the lexicographic tie-break, so the
-    result is always a monomial ideal.
+    result is always a monomial ideal.  The weight must have n int entries
+    (InputError, BadLength), as for ``buchberger``.
     """
-    order = TermOrder(tuple(weight))
-    gb = buchberger(toric_ideal(matrix), order, matrix)
-    return gb.lead_ideal()
+    return buchberger(toric_ideal(matrix), weight, matrix).lead_ideal()
 

@@ -54,7 +54,6 @@ from .ideals import (
     is_coherent,
     neighbors,
 )
-from .monomials import TermOrder
 from .triangulations import complex_of_radical, edge_transition, is_triangulation
 from .verify import REGISTRY, run, verify_all
 
@@ -106,9 +105,7 @@ def cmd_toric_gb(args):
     matrix = load_matrix(args.matrix)
     gens = toric_ideal(matrix)
     if args.weight:
-        order = TermOrder(_weight(args.weight, matrix.n))
-        gb = buchberger(gens, order, matrix)
-        gens = gb.binomials
+        gens = buchberger(gens, _weight(args.weight, matrix.n), matrix).binomials
     names = variable_names(matrix.n)
     for b in gens:
         print(" ".join(map(str, b.lead)), "|", str(b.coeff), "|",

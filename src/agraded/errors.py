@@ -7,10 +7,11 @@ one exit code:
   option or a caller.  It is a ValueError.
 * ``GuardExceeded`` (exit 2): an enumeration visited more vertices or
   leaves than its guard allows.  It is a RuntimeError.
-* ``CertificateError`` (exit 4): a computed certificate failed its exact
-  re-check, or a known-answer example gave another answer.  It is an
-  AssertionError, but ``certify`` raises it explicitly, so the checks also
-  run under ``python -O``.
+* ``CertificateError`` (exit 4): a computed certificate or an internal
+  invariant failed its exact re-check.  It is an AssertionError, but
+  ``certify`` raises it explicitly, so the checks also run under
+  ``python -O``.  A known-answer example that gives another answer is a
+  report, not an exception; ``agraded verify-paper`` exits 4 on it.
 
 The modules that raise a class import it from here, so each class can
 also be imported from the module that raises it.
@@ -98,14 +99,6 @@ class GuardExceeded(AgradedError, RuntimeError):
 
 class CertificateError(AgradedError, AssertionError):
     """A certificate or an internal invariant failed its exact re-check."""
-
-
-class FixtureMismatch(CertificateError):
-    """A known-answer example gave another answer; carries the report."""
-
-    def __init__(self, report):
-        super().__init__(f"{report['example']}: expected {report['expected']}, got {report['actual']}")
-        self.report = report
 
 
 def certify(ok, message):

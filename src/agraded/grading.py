@@ -89,20 +89,12 @@ def validate_grading(entries):
     return matrix
 
 
-@dataclass(frozen=True)
-class KernelBasis:
-    """LLL-reduced Z-basis of the saturated kernel lattice ker(A) in Z^n.
-
-    The vectors are in the order the reduction leaves them, not sorted.
-    """
-
-    vectors: tuple
-
-
 @lru_cache(maxsize=None)
 def kernel_lattice(matrix):
     """LLL-reduced basis (delta = 3/4) of the integer kernel of a GradingMatrix.
 
+    A tuple of n - d integer vectors, a Z-basis of the saturated lattice
+    ker(A) in Z^n, in the order the reduction leaves them, not sorted.
     ``linalg.lll_reduce`` reduces the saturated basis of
     ``integer_kernel_basis``.  Short, nearly orthogonal vectors make a
     cheaper start for ``binomials.toric_ideal``: its Lawrence saturations
@@ -121,7 +113,7 @@ def kernel_lattice(matrix):
     certify(len(basis) == matrix.n - matrix.d, "kernel basis of the wrong rank")
     certify(gram_determinant(basis) == gram_determinant(saturated) > 0,
             "reduced kernel basis spans another lattice")
-    return KernelBasis(tuple(basis))
+    return tuple(basis)
 
 
 def positive_combination(matrix, vec):

@@ -25,7 +25,7 @@ from .monomials import (
     unpack,
 )
 # bound for censusbench/tracer.py until ROADMAP item 1 removes this binding
-from .binomials import Binomial, binomial_from_vector, buchberger, canonical_pair, toric_ideal
+from .binomials import binomial_from_vector, buchberger, canonical_pair, toric_ideal
 
 
 @dataclass(frozen=True)
@@ -146,15 +146,12 @@ class Circuit:
 
 
 def is_circuit(matrix, pair):
-    """Circuit certificate for a kernel pair, or None.
+    """Circuit certificate for a kernel pair (u, v) of exponent tuples, or None.
 
     The support columns must be dependent with every proper subset
     independent, and the difference vector primitive.
     """
-    if isinstance(pair, Binomial):
-        u, v = pair.lead, pair.trail
-    else:
-        u, v = pair
+    u, v = pair
     if matrix.degree(u) != matrix.degree(v):
         raise NonHomogeneousInput(f"{u} and {v} have different degrees")
     t = tuple(a - b for a, b in zip(u, v))

@@ -115,8 +115,14 @@ class AGradedContext:
         """Packed monomial -> additive code of its degree (``DegreeCode.code``)."""
         return degree_code(self.A).code
 
+    def check_length(self, ideal):
+        """BadLength unless the generators of an ideal have n entries."""
+        if ideal.gens and len(ideal.gens[0]) != self.A.n:
+            raise BadLength(f"generator {ideal.gens[0]} needs {self.A.n} entries")
+
     def k_codes(self, ideal):
         """The K-polynomial of an ideal as a {degree code: coefficient} dict."""
+        self.check_length(ideal)
         return k_polynomial(ideal, self.A, memo=self._kpoly_memo, codes=True)
 
     def pack(self, u):
@@ -153,6 +159,7 @@ class AGradedContext:
 
     def generator_standards(self, ideal):
         """std(deg g) for each minimal generator g, by its packed degree code."""
+        self.check_length(ideal)
         known = self._standard.setdefault(ideal, {})
         return [known.get(self.degree_codes[p]) or self.standard_monomial(ideal, self.A.degree(g))
                 for g, p in zip(ideal.gens, ideal.packed)]
@@ -240,7 +247,7 @@ def definition_flip_ideal(ideal, a, b, graver):
 
 
 def flip(ideal, pair, ctx):
-    """Flip an ideal over a Graver pair, or raise.
+    """Flip an ideal over a Graver pair of two exponent tuples, or raise.
 
     The checks, in order; those after the orientation run on packed integers:
     - BadLength unless both sides have n entries;
@@ -253,10 +260,7 @@ def flip(ideal, pair, ctx):
     x^b is packed once per context (``AGradedContext.pack``).  The two wall
     kernels below take these checks as given.
     """
-    if isinstance(pair, Binomial):
-        u, v = pair.lead, pair.trail
-    else:
-        u, v = map(tuple, pair)
+    u, v = map(tuple, pair)
     n = ctx.A.n
     if not len(u) == len(v) == n:
         raise BadLength(f"{u} and {v} need {n} entries each")

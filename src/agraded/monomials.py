@@ -2,9 +2,9 @@
 
 Monomials are plain integer tuples (the exponent of x^u).  Monomial ideals
 are kept in canonical form: the tuple of minimal generators, sorted, so two
-ideals are equal iff their representations are identical.  Term orders rank
-exponent tuples by ``TermOrder.key`` and packed monomials by the one integer
-of ``weight_rank``, which compares as that key does.
+ideals are equal iff their representations are identical.  A term order
+is a weight tuple w: terms compare by (w.u, then lex, x1 first), and
+``weight_rank`` ranks a packed monomial by that order as one integer.
 
 Divisibility tests dominate the running time of every enumeration, so the
 hot loops mirror exponent vectors into packed integers, and this module
@@ -14,7 +14,7 @@ a field's top bit is a guard bit, so each exponent must satisfy
 0 <= e < 2**31, and ``pack`` raises ExponentOverflow otherwise.  Ascending
 integer order is then lexicographic order of exponent tuples: the
 canonical generator order of a MonomialIdeal, the tie-break x1 > x2 > ...
-of ``TermOrder``, and a linear extension of divisibility.  With the guard
+of the term orders, and a linear extension of divisibility.  With the guard
 bits G set on x^u, x^g divides x^u iff ((pack(u) | G) - pack(g)) & G == G:
 a field with g_i > u_i borrows its guard bit away, and the guard stops the
 borrow from reaching the next field.  Fields add and subtract
@@ -41,7 +41,6 @@ from operator import mul
 
 from .errors import BadLength, ExponentOverflow
 from .grading import positive_combination
-from .linalg import dot
 
 
 # -- exponent vector helpers -------------------------------------------------
@@ -205,28 +204,6 @@ def ideal_with_packed(gens, packed):
     return ideal
 
 
-@dataclass(frozen=True)
-class TermOrder:
-    """Weight vector refined by lexicographic tie-break.
-
-    ``key(u) = (weight . u, u)`` ranks monomials: x^u is the larger term iff
-    its key is.  The order is total, the weight may have negative entries,
-    and ties are broken with x1 > x2 > ... > xn.  On packed monomials
-    ``weight_rank(weight, n)`` is the same order as one integer per term.
-    """
-
-    weight: tuple
-
-    def key(self, u):
-        """The sort key (weight . u, u) of the monomial x^u."""
-        return dot(self.weight, u), tuple(u)
-
-
-def cheapest_variable_order(n, i):
-    """Order making x_i as cheap as possible: weight -e_i, lex tie-break."""
-    return TermOrder(tuple(-1 if j == i else 0 for j in range(n)))
-
-
 # -- monomial ideals ---------------------------------------------------------
 
 @dataclass(frozen=True, order=True)
@@ -252,7 +229,12 @@ class MonomialIdeal:
         return tuple(map(pack, self.gens))
 
     def contains(self, u):
-        """Whether x^u lies in the ideal, by the packed divisibility test."""
+        """Whether x^u lies in the ideal, by the packed divisibility test.
+
+        BadLength unless u has as many entries as the generators.
+        """
+        if self.gens and len(u) != len(self.gens[0]):
+            raise BadLength(f"{tuple(u)} needs {len(self.gens[0])} entries")
         return packed_member(pack(u), self.packed, guard_mask(len(u)))
 
     def is_zero(self):
@@ -356,34 +338,6 @@ def fiber(matrix, b):
 
 # -- K-polynomials -----------------------------------------------------------
 
-class KPolynomial:
-    """Sparse integer-coefficient function on Z^d degrees."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        self.terms = {k: v for k, v in dict(terms).items() if v}
-
-    @classmethod
-    def one(cls, d):
-        return cls({(0,) * d: 1})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, KPolynomial) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def items(self):
-        return sorted(self.terms.items())
-
-    def __repr__(self):
-        return f"KPolynomial({self.items()})"
-
-
 class _Lazy(dict):
     """A dict that computes and keeps the value of a missing key."""
 
@@ -457,6 +411,7 @@ def degree_code(matrix):
 def k_polynomial(ideal, matrix, memo=None, codes=False):
     """Hilbert-series numerator of the quotient by a monomial ideal.
 
+    Returned as a {degree tuple: coefficient} dict of its nonzero terms.
     Uses the exact generator recursion
         N(<G, m>) = N(<G>) - t^{A.m} N(<G> : m)
     with base cases N(<>) = 1 and N(<1>) = 0 (Bayer-Stillman; Bigatti,
@@ -465,7 +420,7 @@ def k_polynomial(ideal, matrix, memo=None, codes=False):
     at the top: a colon is ``packed_colon`` of each generator plus one
     minimal sweep.  Terms are {degree code:
     coefficient} dicts (see ``DegreeCode``), so a shift by t^{A.m} adds one
-    integer to every key; degrees are decoded only for the KPolynomial
+    integer to every key; degrees are decoded only for the dict
     returned.  ``memo`` maps sorted packed generator tuples to code dicts,
     for every ideal the recursion meets below ``ideal``.  With ``codes``
     the {degree code: coefficient} dict is returned undecoded, for an
@@ -517,4 +472,4 @@ def k_polynomial(ideal, matrix, memo=None, codes=False):
     terms = rec(top)
     if codes:
         return terms
-    return KPolynomial({degrees[k]: c for k, c in terms.items()})
+    return {degrees[k]: c for k, c in terms.items()}

@@ -124,7 +124,6 @@ def _interiors_meet(matrix, sigma, tau):
 class CircuitFlipSpec:
     """The two one-sided triangulations of a circuit's support."""
 
-    circuit: object
     c_plus: tuple   # maximal simplices {T - i : i in T+}
     c_minus: tuple  # maximal simplices {T - i : i in T-}
 
@@ -134,7 +133,7 @@ def circuit_flip_spec(circuit):
     supp = tuple(sorted(t_plus + t_minus))
     c_plus = tuple(sorted(tuple(i for i in supp if i != p) for p in t_plus))
     c_minus = tuple(sorted(tuple(i for i in supp if i != m) for m in t_minus))
-    return CircuitFlipSpec(circuit, c_plus, c_minus)
+    return CircuitFlipSpec(c_plus, c_minus)
 
 
 def _common_link(cplx, maximal_simplices):

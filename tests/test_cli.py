@@ -346,18 +346,18 @@ def _printed_binomials(out):
 def test_cli_toric_gb(matrix137, capsys):
     from test_binomials import oracle_toric_ideal
 
-    from agraded import TermOrder, buchberger
+    from agraded import buchberger
     from agraded.fileio import load_matrix
 
     m = load_matrix(matrix137)
-    order = TermOrder((1, 0, 0))
+    weight = (1, 0, 0)
     assert main(["toric-gb", "--matrix", matrix137]) == 0
     # without a weight: some generating set of the toric ideal
     gens = _printed_binomials(capsys.readouterr().out)
-    assert buchberger(gens, order, m) == buchberger(oracle_toric_ideal(m), order, m)
+    assert buchberger(gens, weight, m) == buchberger(oracle_toric_ideal(m), weight, m)
     # with a weight: the reduced basis
     assert main(["toric-gb", "--matrix", matrix137, "--weight", "1,0,0"]) == 0
     printed = _printed_binomials(capsys.readouterr().out)
-    assert tuple(printed) == buchberger(oracle_toric_ideal(m), order, m).binomials
+    assert tuple(printed) == buchberger(oracle_toric_ideal(m), weight, m).binomials
     assert main(["toric-gb", "--matrix", matrix137, "--weight", "1,0"]) == 2
     assert "weight needs 3 entries" in capsys.readouterr().err

@@ -122,13 +122,13 @@ def _kernel_window_oracle(matrix, basis, window):
 
 def test_kernel_12():
     m = validate_grading([[1, 2]])
-    basis = kernel_lattice(m).vectors
+    basis = kernel_lattice(m)
     assert basis == ((2, -1),)
 
 
 def test_kernel_137_saturated():
     m = validate_grading([[1, 3, 7]])
-    basis = kernel_lattice(m).vectors
+    basis = kernel_lattice(m)
     assert len(basis) == 2
     for v in basis:
         assert m.degree(v) == (0,)
@@ -137,7 +137,7 @@ def test_kernel_137_saturated():
 
 def test_kernel_curve1_saturated():
     m = validate_grading([[1, 1, 1, 1, 1], [0, 1, 6, 7, 9]])
-    basis = kernel_lattice(m).vectors
+    basis = kernel_lattice(m)
     assert len(basis) == 3
     for v in basis:
         assert m.degree(v) == (0, 0)
@@ -187,7 +187,7 @@ def integer_coordinates(basis, vec):
 def test_kernel_lattice_is_lll_reduced_in_the_order_returned(lifted):
     # toric_ideal builds its saturation vector in basis order, so the order is pinned
     m = named_matrix("g123789")
-    basis = kernel_lattice(lawrence_lifting(m) if lifted else m).vectors
+    basis = kernel_lattice(lawrence_lifting(m) if lifted else m)
     assert len(basis) == 5
     assert_lll_reduced(basis)
 

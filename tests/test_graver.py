@@ -16,7 +16,7 @@ from agraded import (
 from agraded.binomials import buchberger, canonical_pair, toric_ideal
 from agraded.fixtures import as_pairs, expected, named_matrix
 from agraded.grading import positive_combination
-from agraded.monomials import TermOrder, exp_sub, guard_mask, minimal_packed, pack, unpack
+from agraded.monomials import exp_sub, guard_mask, minimal_packed, pack, unpack
 
 
 def weight_of(matrix, pair):
@@ -32,7 +32,7 @@ def lex_graver(matrix):
     """
     lifted = lawrence_lifting(matrix)
     n = matrix.n
-    gb = buchberger(toric_ideal(lifted), TermOrder((0,) * (2 * n)), lifted)
+    gb = buchberger(toric_ideal(lifted), (0,) * (2 * n), lifted)
     assert gb.monomials.is_zero()
     pairs = set()
     for b in gb.binomials:

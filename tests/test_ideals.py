@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 from agraded import (
     AGradedContext,
     BadLength,
-    Binomial,
     ExponentOverflow,
     GuardExceeded,
     IncompleteInput,
@@ -93,7 +92,6 @@ def test_flip_orients_the_pair(ctx_veronese):
     for ideal in graph.vertices[:20]:
         for move in neighbors(ideal, ctx_veronese):
             assert flip(ideal, (move.b, move.a), ctx_veronese) == move
-            assert flip(ideal, Binomial(move.b, move.a), ctx_veronese) == move
             assert flip(ideal, [list(move.b), list(move.a)], ctx_veronese) == move
 
 
@@ -325,21 +323,21 @@ def test_parametric_family_bad_length():
 
 
 def test_parametric_family_zero_scalars(curve_ctx):
-    from agraded import TermOrder, buchberger
+    from agraded import buchberger
 
     ctx = curve_ctx[1]
     gens = curve_parametric_family(1, [0])
     assert all(not hasattr(g, "coeff") for g in gens)  # degenerates to monomials
-    gb = buchberger(gens, TermOrder((1, 1, 2, 0, 2)), ctx.A)
+    gb = buchberger(gens, (1, 1, 2, 0, 2), ctx.A)
     assert gb.lead_ideal() == curve_monomial_ideal(1)
 
 
 def test_parametric_family_rational_scalars(curve_ctx):
-    from agraded import TermOrder, buchberger
+    from agraded import buchberger
 
     for j, mus in ((1, [Fraction(1)]), (2, [Fraction(3, 7), Fraction(-2)])):
         ctx = curve_ctx[j]
-        gb = buchberger(curve_parametric_family(j, mus), TermOrder((1, 1, 2, 0, 2)), ctx.A)
+        gb = buchberger(curve_parametric_family(j, mus), (1, 1, 2, 0, 2), ctx.A)
         assert gb.lead_ideal() == curve_monomial_ideal(j)
 
 
@@ -357,6 +355,25 @@ def test_standard_monomial_rejects_bad_degrees(ctx345):
             ctx.standard_monomial(ideal, b)
     assert not ctx._standard.get(ideal)
     assert ctx.standard_monomial(ideal, (13,)) == (0, 0, 0, 1, 0)
+
+
+FIVE_VARIABLES = minimalize([(1, 0, 0, 0, 0)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx: is_weakly_agraded(FIVE_VARIABLES, ctx),
+    lambda ctx: is_agraded(FIVE_VARIABLES, ctx),
+    lambda ctx: is_coherent(FIVE_VARIABLES, ctx),
+    lambda ctx: neighbors(FIVE_VARIABLES, ctx),
+    lambda ctx: is_agraded(minimalize([(1, 0)]), ctx),
+    lambda ctx: is_agraded(minimalize([(0, 0, 0, 1)]), ctx),
+    lambda ctx: FIVE_VARIABLES.contains((0, 0, 1)),
+], ids=["weakly-agraded-5", "agraded-5", "coherent-5", "neighbors-5", "agraded-2", "agraded-4",
+        "contains-3-in-5"])
+def test_an_ideal_in_another_number_of_variables_is_rejected(ctx137, call):
+    """A = (1 3 7) has three variables: an ideal in 2, 4 or 5 raises, it is not answered."""
+    with pytest.raises(BadLength):
+        call(ctx137)
 
 
 def test_warm_cache_admits_no_bad_pair(ctx_corank4):

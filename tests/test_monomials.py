@@ -6,9 +6,7 @@ from itertools import product
 import pytest
 
 from agraded import (
-    KPolynomial,
     MonomialIdeal,
-    TermOrder,
     fiber,
     k_polynomial,
     minimalize,
@@ -26,6 +24,7 @@ from agraded.monomials import (
     pack,
     packed_colon,
     unpack,
+    weight_rank,
 )
 
 
@@ -59,20 +58,26 @@ def test_ideal_hash_is_cached_and_follows_the_generators():
     assert {ideal: 1}[twin] == 1
 
 
+def ranker(weight):
+    """The term order of a weight on exponent tuples, through ``weight_rank``."""
+    rank = weight_rank(weight, len(weight))
+    return lambda u: rank(pack(u))
+
+
 def test_compare_basics():
-    order = TermOrder((1, 1, 2, 0, 2))
-    assert order.key((1, 2, 0, 0, 1)) == order.key([1, 2, 0, 0, 1])
+    key = ranker((1, 1, 2, 0, 2))
+    assert key((1, 2, 0, 0, 1)) == key([1, 2, 0, 0, 1])
     # c^2 e beats d^3 under this weight
-    assert order.key((0, 0, 2, 0, 1)) > order.key((0, 0, 0, 3, 0))
-    mask = TermOrder((0, 0, 1, 20, 22))
+    assert key((0, 0, 2, 0, 1)) > key((0, 0, 0, 3, 0))
+    mask = ranker((0, 0, 1, 20, 22))
     # a e^2 beats c d^2 under the masking weight
-    assert mask.key((1, 0, 0, 0, 2)) > mask.key((0, 0, 1, 2, 0))
+    assert mask((1, 0, 0, 0, 2)) > mask((0, 0, 1, 2, 0))
 
 
 def test_compare_is_total_with_lex_ties():
-    order = TermOrder((1, 1))
-    assert order.key((2, 0)) > order.key((1, 1))  # tie broken by x1 priority
-    assert max([(1, 1), (2, 0)], key=order.key) == (2, 0)
+    key = ranker((1, 1))
+    assert key((2, 0)) > key((1, 1))  # tie broken by x1 priority
+    assert max([(1, 1), (2, 0)], key=key) == (2, 0)
 
 
 def test_minimalize():
@@ -155,16 +160,15 @@ def test_fiber_matches_degree():
 
 def test_kpolynomial_basics():
     m12 = validate_grading([[1, 2]])
-    one = KPolynomial.one(1)
-    assert k_polynomial(minimalize([]), m12) == one
+    assert k_polynomial(minimalize([]), m12) == {(0,): 1}
     left = k_polynomial(minimalize([(2, 0)]), m12)
     right = k_polynomial(minimalize([(0, 1)]), m12)
-    assert left == right == KPolynomial({(0,): 1, (2,): -1})
+    assert left == right == {(0,): 1, (2,): -1}
 
 
 def test_kpolynomial_of_unit_ideal():
     m12 = validate_grading([[1, 2]])
-    assert k_polynomial(minimalize([(0, 0)]), m12).is_zero()
+    assert k_polynomial(minimalize([(0, 0)]), m12) == {}
 
 
 def test_kpolynomial_counts_standard_monomials():
@@ -236,7 +240,7 @@ def k_polynomial_oracle(ideal, matrix, memo=None):
             memo[gens] = kpoly_sub(rec(rest), kpoly_shift(rec(colon), matrix.degree(m)))
         return memo[gens]
 
-    return KPolynomial(rec(ideal.gens))
+    return rec(ideal.gens)
 
 
 NEGATIVE_ENTRY = [[1, 1, 1], [-1, 0, 1]]
@@ -249,7 +253,7 @@ def test_kpolynomial_at_the_field_limit_decodes_exactly():
         ideal = minimalize(gens)
         numerator = k_polynomial(ideal, m)
         assert numerator == k_polynomial_oracle(ideal, m)
-    assert k_polynomial(minimalize([(top, 0, 0)]), m) == KPolynomial({(0, 0): 1, (top, -top): -1})
+    assert k_polynomial(minimalize([(top, 0, 0)]), m) == {(0, 0): 1, (top, -top): -1}
 
 
 def test_degree_code_outside_the_bound_raises():

@@ -2,8 +2,8 @@
 
 import pytest
 
-from agraded import FixtureMismatch, UnknownName, verify
-from agraded.verify import HEAVY, REGISTRY, run, verify_all, verify_paper
+from agraded import UnknownName, verify
+from agraded.verify import HEAVY, REGISTRY, run, verify_all
 
 # light entries that take seconds each; the CI catalogue step runs them
 SLOW = {"graver-345-13-14", "triangulation-transitions"}
@@ -17,15 +17,11 @@ def test_light_entry_passes(name):
     assert report["example"] == name and report["status"] == "pass"
 
 
-def test_failed_entry_is_reported_then_raised(monkeypatch):
+def test_failed_entry_is_reported(monkeypatch):
     monkeypatch.setitem(REGISTRY, "coherence-mask", lambda: ({"coherent": False}, {"coherent": True}))
     report = run("coherence-mask")
     assert report["status"] == "fail"
     assert (report["expected"], report["actual"]) == ({"coherent": False}, {"coherent": True})
-    with pytest.raises(FixtureMismatch) as info:
-        verify_paper("coherence-mask")
-    raised = info.value.report
-    assert raised == dict(report, seconds=raised["seconds"])
 
 
 def test_verify_all_reports_failures_and_skips_heavy(monkeypatch):
