@@ -9,9 +9,10 @@ Exit codes, and the branch of ``errors.py`` that each failure comes from:
   label that does not flip its vertex, and exponents of 2**31 or more,
   which the packed monomial representation cannot hold.  A tripped
   --guard (``GuardExceeded``) also exits 2.  The one number of --guard
-  bounds the BFS vertices of the flip graph, the leaves the brute force
-  visits, and both under ``flipgraph --census``, where the brute force
-  may trip it after the whole graph fitted.
+  bounds the BFS vertices of the flip graph, the K-polynomial tests of the
+  brute force (the leaves it visits and the prefixes it prunes by), and
+  both under ``flipgraph --census``, where the brute force may trip it
+  after the whole graph fitted.
 * 3: ``flipgraph`` found the flip graph disconnected.  This is a verdict,
   not an exception.
 * 4: a result failed its check: a certificate that failed its exact
@@ -287,7 +288,7 @@ def build_parser():
     p.add_argument("--mode", choices=("brute", "flip"), default="brute")
     p.add_argument("--guard", type=int, default=None,
                    help="exit 2 past this many BFS vertices (flip) or brute-force "
-                   "leaves visited (brute)")
+                   "K-polynomial tests, leaves and prefixes (brute)")
     p.add_argument("--list", action="store_true")
 
     p = add("flipgraph", cmd_flipgraph, help="explore the flip graph")
@@ -300,7 +301,7 @@ def build_parser():
     p.add_argument("--coherence", action="store_true")
     p.add_argument("--guard", type=int, default=None,
                    help="exit 2 past this many BFS vertices; with --census the "
-                   "same number also bounds the brute-force leaves visited")
+                   "same number also bounds the brute-force K-polynomial tests")
 
     p = add("triangulations", cmd_triangulations,
             help="facet lists and flip transitions")

@@ -5,8 +5,8 @@ one exit code:
 
 * ``InputError`` (exit 2): malformed or unsupported input, from a file, an
   option or a caller.  It is a ValueError.
-* ``GuardExceeded`` (exit 2): an enumeration visited more vertices or
-  leaves than its guard allows.  It is a RuntimeError.
+* ``GuardExceeded`` (exit 2): an enumeration visited more vertices or ran
+  more K-polynomial tests than its guard allows.  It is a RuntimeError.
 * ``CertificateError`` (exit 4): a computed certificate or an internal
   invariant failed its exact re-check.  It is an AssertionError, but
   ``certify`` raises it explicitly, so the checks also run under
@@ -94,7 +94,7 @@ class NotFlippableComplex(InputError):
 
 
 class GuardExceeded(AgradedError, RuntimeError):
-    """An enumeration visited more vertices or leaves than its guard allows."""
+    """An enumeration visited more vertices or ran more K-polynomial tests than its guard allows."""
 
 
 class CertificateError(AgradedError, AssertionError):

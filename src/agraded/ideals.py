@@ -47,6 +47,7 @@ from .graver import graver_basis
 from .lp import lp_strict_feasible
 from .monomials import (
     MonomialIdeal,
+    _Lazy,
     degree_code,
     exp_sub,
     fiber_walk,
@@ -460,7 +461,25 @@ def brute_force_enumerate(ctx, guard=None):
     remains.  Every leaf is kept only if it passes ``is_agraded``, the exact
     K-polynomial test, as it is found.  No ideal is found twice: at each
     branch x^u is a generator in one subtree and standard in the other.
-    ``guard`` bounds the number of leaves visited.
+
+    Branch and bound.  The K-polynomial of a monomial ideal is the
+    inclusion-exclusion sum over subsets S of its generators of
+    (-1)^|S| t^{A.lcm S} (the Taylor resolution; Bayer-Stillman; Bigatti,
+    "Computation of Hilbert-Poincare series", JPAA 1997).  lcm S is
+    divisible by every member of S and c.A is positive, so a subset with a
+    generator of certificate weight >= W adds only terms of weight >= W:
+    the terms below W depend only on the generators below W.  Pairs come in
+    increasing weight, so on reaching a branch at a pair of weight W the
+    chosen sides of weight < W, the prefix, are the generators below W of
+    every leaf underneath.  An A-graded leaf has the reference K-polynomial,
+    so when the prefix's K-polynomial, truncated below W, differs from the
+    reference's truncated the same way, no leaf underneath is A-graded, and
+    the path is dropped with the sibling it would push.  The prune is exact:
+    the leaves left still pass ``is_agraded``, and the result is unchanged.
+    The prefix changes only with W, so a path tests each weight once, and
+    the prefix's K-polynomial is kept in the memo, where every leaf below
+    meets it on its own recursion chain.  ``guard`` bounds the K-polynomial
+    tests, leaves and prefixes together.
 
     The distinct sides are numbered in tuple order, and the chosen sides and
     the degrees with a standard side are bitmasks.  Divisibility among the
@@ -475,51 +494,83 @@ def brute_force_enumerate(ctx, guard=None):
     would have passed over (u, v)).  The K-polynomial memo is released when
     the enumeration returns.
 
-    Oracle: it finds every ideal without flips, so the census and the
+    Oracle: it finds every ideal without flips, and the prune reads only
+    K-polynomials, so it stays flip-free, and the census and the
     verify-paper entries check the flip graph against it.
     """
-    pairs = sorted(
-        ctx.graver,
-        key=lambda p: (positive_combination(ctx.A, ctx.A.degree(p[0])), p),
-    )
+    A = ctx.A
+
+    def weight(u):
+        return positive_combination(A, A.degree(u))
+
+    pairs = sorted(ctx.graver, key=lambda p: (weight(p[0]), p))
     sides = sorted({side for pair in pairs for side in pair})
     index = {side: i for i, side in enumerate(sides)}
     packed = [pack(side) for side in sides]
-    mask = guard_mask(ctx.A.n)
+    mask = guard_mask(A.n)
     below = [sum(1 << j for j, pj in enumerate(packed) if ((pi | mask) - pj) & mask == mask)
              for pi in packed]
+    side_weights = [weight(side) for side in sides]
+    lighter = _Lazy(lambda w: sum(1 << j for j, x in enumerate(side_weights) if x < w))
     degree_ids = {}
-    steps = [(index[u], index[v], 1 << degree_ids.setdefault(ctx.A.degree(u), len(degree_ids)))
-             for u, v in pairs]
+    steps = [(index[u], index[v], 1 << degree_ids.setdefault(A.degree(u), len(degree_ids)),
+              weight(u)) for u, v in pairs]
 
-    leaves = 0
+    degrees = degree_code(A).degree
+    code_weight = _Lazy(lambda k: positive_combination(A, degrees[k]))
+    reference = ctx.reference_codes
+    reference_below = _Lazy(lambda w: {k: c for k, c in reference.items() if code_weight[k] < w})
+    memo = ctx._kpoly_memo
+
+    def ideal_of(chosen):
+        bits = []
+        while chosen:
+            low = chosen & -chosen
+            bits.append(low.bit_length() - 1)
+            chosen ^= low
+        return ideal_with_packed(tuple(sides[j] for j in bits), tuple(packed[j] for j in bits))
+
+    def prefix_agrees(chosen, w):
+        prefix = ideal_of(chosen & lighter[w])
+        codes = memo[prefix.packed] = ctx.k_codes(prefix)
+        return {k: c for k, c in codes.items() if code_weight[k] < w} == reference_below[w]
+
+    tests = 0
+
+    def count_test():
+        nonlocal tests
+        tests += 1
+        if guard is not None and tests > guard:
+            raise GuardExceeded(f"more than {guard} K-polynomial tests")
+
     found = []
-    # frames: (next pair, chosen sides, degrees whose standard side is fixed)
-    stack = [(0, 0, 0)]
+    # frames: (next pair, chosen sides, degrees whose standard side is fixed,
+    # weight of the last prefix test on the path); nothing lies below the
+    # lowest weight, so the first test is at the next one
+    stack = [(0, 0, 0, steps[0][3] if steps else 0)]
     try:
         while stack:
-            start, chosen, fixed = stack.pop()
+            start, chosen, fixed, tested = stack.pop()
             for idx in range(start, len(steps)):
-                iu, iv, deg = steps[idx]
+                iu, iv, deg, w = steps[idx]
                 if chosen & (below[iu] | below[iv]):
                     continue
+                if w != tested:
+                    count_test()
+                    if not prefix_agrees(chosen, w):
+                        break  # drops this path and the sibling it would push
+                    tested = w
                 # branch: u in the ideal, or u standard and v in
                 if not fixed & deg:
-                    stack.append((idx + 1, chosen | 1 << iv, fixed | deg))
+                    stack.append((idx + 1, chosen | 1 << iv, fixed | deg, tested))
                 chosen |= 1 << iu
-            leaves += 1
-            if guard is not None and leaves > guard:
-                raise GuardExceeded(f"more than {guard} leaves")
-            bits = []
-            while chosen:
-                low = chosen & -chosen
-                bits.append(low.bit_length() - 1)
-                chosen ^= low
-            ideal = ideal_with_packed(tuple(sides[j] for j in bits), tuple(packed[j] for j in bits))
-            if is_agraded(ideal, ctx):
-                found.append(ideal)
+            else:
+                count_test()
+                ideal = ideal_of(chosen)
+                if is_agraded(ideal, ctx):
+                    found.append(ideal)
     finally:
-        ctx._kpoly_memo.clear()
+        memo.clear()
     return tuple(sorted(found))
 
 

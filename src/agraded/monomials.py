@@ -255,12 +255,18 @@ def minimalize(gens):
     """Canonical MonomialIdeal spanned by the given generators.
 
     ``minimal_packed`` gives the canonical order; generators passed as
-    tuples are kept as the same objects, not copies.
+    tuples are kept as the same objects, not copies.  BadLength unless all
+    generators have one length: packed fields of two widths would collide.
     """
     known = {}
+    n = None
     for g in map(tuple, gens):
+        if n is None:
+            n = len(g)
+        elif len(g) != n:
+            raise BadLength(f"generator {g} needs {n} entries")
         known[pack(g)] = g
-    keep = minimal_packed(known, guard_mask(len(g) if known else 0))
+    keep = minimal_packed(known, guard_mask(n or 0))
     return ideal_with_packed(tuple(known[p] for p in keep), keep)
 
 

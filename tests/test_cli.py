@@ -190,12 +190,13 @@ def test_cli_flip_guard(matrix137, argv, capsys):
 
 
 def test_cli_census_guard_also_bounds_the_brute_force_leaves(tmp_path, capsys):
-    """All 1479 vertices of g345-13-14 fit in 2000, its 9446 brute-force leaves do not."""
+    """All 1479 vertices of g345-13-14 fit in 2000; its 4142 brute-force
+    K-polynomial tests (1658 leaves, 2484 prefixes) do not."""
     matrix = tmp_path / "g345.txt"
     matrix.write_text(format_matrix([[3, 4, 5, 13, 14]]))
     assert main(["flipgraph", "--matrix", str(matrix), "--guard", "2000", "--census"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "guard: more than 2000 leaves\n"
+    assert captured.err == "guard: more than 2000 K-polynomial tests\n"
     assert captured.out == ""
 
 

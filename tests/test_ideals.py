@@ -221,12 +221,11 @@ def test_brute_force_counts(ctx12, ctx_veronese):
 
 
 def test_brute_force_guard(ctx_veronese):
-    with pytest.raises(GuardExceeded):
-        brute_force_enumerate(ctx_veronese, guard=3)
-    # the guard counts leaves (76 here), not the 29 ideals that pass
-    with pytest.raises(GuardExceeded):
-        brute_force_enumerate(ctx_veronese, guard=29)
-    assert len(brute_force_enumerate(ctx_veronese, guard=76)) == 29
+    # the guard counts K-polynomial tests: 76 leaves and 11 prefixes here,
+    # not the 29 ideals that pass
+    with pytest.raises(GuardExceeded, match="more than 86 K-polynomial tests"):
+        brute_force_enumerate(ctx_veronese, guard=86)
+    assert len(brute_force_enumerate(ctx_veronese, guard=87)) == 29
 
 
 def oracle_brute_force_leaves(ctx):
@@ -272,12 +271,31 @@ def oracle_brute_force_leaves(ctx):
     return leaves
 
 
-@pytest.mark.parametrize("name", ["g137", "veronese6", "g36-8-10-15"])
-def test_bitset_dfs_matches_the_tuple_dfs(name, monkeypatch):
+def skipped_oracle_leaves(visited, leaves):
+    """The oracle leaves missing from ``visited``, asserting that ``visited``
+    is an in-order subsequence of ``leaves``."""
+    skipped = []
+    rest = iter(leaves)
+    for ideal in visited:
+        for leaf in rest:
+            if leaf == ideal:
+                break
+            skipped.append(leaf)
+        else:
+            raise AssertionError(f"{ideal} is not a later oracle leaf")
+    skipped.extend(rest)
+    return skipped
+
+
+def check_pruned_dfs_against_the_tuple_dfs(ctx):
+    """Run ``brute_force_enumerate`` recording its leaf tests, and check it
+    against the unpruned tuple DFS: its leaves are an in-order subsequence
+    of the oracle leaves, each verdict and each skipped leaf agrees with
+    ``k_polynomial_oracle``, and both keep the same ideals.  Returns the
+    number of leaves visited and the oracle leaves skipped."""
     from agraded import ideals
     from test_monomials import k_polynomial_oracle
 
-    ctx = AGradedContext(named_matrix(name))
     visited = []
     real = ideals.is_agraded
 
@@ -286,35 +304,73 @@ def test_bitset_dfs_matches_the_tuple_dfs(name, monkeypatch):
         visited.append((ideal, verdict))
         return verdict
 
-    monkeypatch.setattr(ideals, "is_agraded", recording)
-    found = brute_force_enumerate(ctx)
+    ideals.is_agraded = recording
+    try:
+        found = brute_force_enumerate(ctx)
+    finally:
+        ideals.is_agraded = real
     leaves = oracle_brute_force_leaves(ctx)
-    assert [ideal for ideal, _ in visited] == leaves
+    skipped = skipped_oracle_leaves([ideal for ideal, _ in visited], leaves)
     memo = {}
     reference = k_polynomial_oracle(ctx.reference_ideal, ctx.A, memo)
-    assert [verdict for _, verdict in visited] == [
-        k_polynomial_oracle(leaf, ctx.A, memo) == reference for leaf in leaves]
-    assert found == tuple(sorted(ideal for ideal, verdict in visited if verdict))
+
+    def agraded(leaf):
+        return k_polynomial_oracle(leaf, ctx.A, memo) == reference
+
+    assert [verdict for _, verdict in visited] == [agraded(ideal) for ideal, _ in visited]
+    assert not any(agraded(leaf) for leaf in skipped)
+    assert found == tuple(sorted(leaf for leaf in leaves if agraded(leaf)))
     assert not ctx._kpoly_memo  # released when the enumeration returns
+    return len(visited), skipped
+
+
+# leaves visited and oracle leaves skipped
+PRUNED_DFS_COUNTS = {"g137": (7, 0), "veronese6": (76, 0), "g36-8-10-15": (283, 518)}
+
+
+@pytest.mark.parametrize("name", PRUNED_DFS_COUNTS)
+def test_bitset_dfs_matches_the_tuple_dfs(name):
+    count, skipped = check_pruned_dfs_against_the_tuple_dfs(AGradedContext(named_matrix(name)))
+    assert (count, len(skipped)) == PRUNED_DFS_COUNTS[name]
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(1, 12), min_size=3, max_size=4, unique=True), st.booleans())
 def test_bitset_dfs_matches_the_tuple_dfs_on_small_matrices(entries, homogenize):
-    from agraded import ideals
-
     assume(homogenize or math.gcd(*entries) == 1)
     entries = sorted(entries)
     rows = [[1] * len(entries), entries] if homogenize else [entries]
-    ctx = AGradedContext(validate_grading(rows))
-    visited = []
-    real = ideals.is_agraded
-    ideals.is_agraded = lambda ideal, ctx: visited.append(ideal) or real(ideal, ctx)
-    try:
-        brute_force_enumerate(ctx)
-    finally:
-        ideals.is_agraded = real
-    assert visited == oracle_brute_force_leaves(ctx)
+    check_pruned_dfs_against_the_tuple_dfs(AGradedContext(validate_grading(rows)))
+
+
+def test_the_prune_fires_on_g36_8_10_15():
+    """Each oracle leaf the prune skips has a pair weight W at which its
+    generators of weight < W, truncated below W, already differ from the
+    reference, and the leaf's own K-polynomial agrees with them below W."""
+    from test_monomials import k_polynomial_oracle
+
+    ctx = AGradedContext(named_matrix("g36-8-10-15"))
+    _, skipped = check_pruned_dfs_against_the_tuple_dfs(ctx)
+    memo = {}
+    reference = k_polynomial_oracle(ctx.reference_ideal, ctx.A, memo)
+
+    def weight(u):
+        return positive_combination(ctx.A, ctx.A.degree(u))
+
+    def below(numerator, w):
+        return {k: c for k, c in numerator.items() if positive_combination(ctx.A, k) < w}
+
+    pair_weights = sorted({weight(u) for u, _ in ctx.graver})
+    for leaf in skipped[::25]:
+        numerator = k_polynomial_oracle(leaf, ctx.A, memo)
+        for w in pair_weights:
+            prefix = MonomialIdeal(tuple(g for g in leaf.gens if weight(g) < w))
+            truncated = below(k_polynomial_oracle(prefix, ctx.A, memo), w)
+            assert truncated == below(numerator, w)
+            if truncated != below(reference, w):
+                break
+        else:
+            raise AssertionError(f"no prefix of {leaf} disagrees with the reference")
 
 
 def test_parametric_family_bad_length():

@@ -88,6 +88,16 @@ def test_minimalize():
     assert minimalize(J.gens) == J
 
 
+@pytest.mark.parametrize("gens", [
+    [(1, 0, 0), (0, 0, 0, 0, 1)],
+    [(0, 1), (0, 0, 1)],  # both pack to 1
+    [(1, 1), (2, 0), (1,)],
+])
+def test_minimalize_rejects_generators_of_two_lengths(gens):
+    with pytest.raises(BadLength):
+        minimalize(gens)
+
+
 def colon(ideal, m):
     """(ideal : x^m), by ``packed_colon`` of each generator."""
     n = len(m)

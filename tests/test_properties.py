@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from agraded import MonomialIdeal, explore, fiber, k_polynomial, minimalize, validate_grading
+from agraded.grading import positive_combination
 from agraded.monomials import FIELD_LIMIT, degree_code, divides, fiber_walk, pack, unpack
 from test_monomials import box_fiber, colon
 
@@ -393,6 +394,28 @@ def test_packed_kpolynomial_matches_the_tuple_oracle(rows, gens):
     matrix = validate_grading(rows)
     ideal = minimalize(gens)
     assert k_polynomial(ideal, matrix) == k_polynomial_oracle(ideal, matrix)
+
+
+@pytest.mark.parametrize("rows", list(KPOLY_MATRICES.values()), ids=list(KPOLY_MATRICES))
+@settings(max_examples=40, deadline=None)
+@given(gensets3, st.integers(0, 70))
+def test_kpolynomial_below_a_weight_needs_only_the_generators_below_it(rows, gens, w):
+    """The lemma behind the prune of ``brute_force_enumerate``: the terms of
+    certificate weight < W of the K-polynomial depend only on the minimal
+    generators of weight < W."""
+    from test_monomials import k_polynomial_oracle
+
+    matrix = validate_grading(rows)
+
+    def weight(b):
+        return positive_combination(matrix, b)
+
+    def below(numerator):
+        return {k: c for k, c in numerator.items() if weight(k) < w}
+
+    ideal = minimalize(gens)
+    lighter = MonomialIdeal(tuple(g for g in ideal.gens if weight(matrix.degree(g)) < w))
+    assert below(k_polynomial_oracle(ideal, matrix)) == below(k_polynomial_oracle(lighter, matrix))
 
 
 @settings(max_examples=20, deadline=None)
