@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .binomials import canonical_pair
 from .errors import FormatError, GuardExceeded, IncompleteGraph, InputError, certify
 from .ideals import FlipMove, is_coherent, neighbors
-from .monomials import MonomialIdeal, minimalize
+from .monomials import MonomialIdeal, exp_sub, minimalize
 
 
 @dataclass(frozen=True)
@@ -113,11 +113,44 @@ def explore(ctx, start=None, guard=None):
 
 
 def with_coherence(graph, ctx):
-    """The graph with per-vertex coherence flags; flags it carries are kept."""
+    """The graph with per-vertex coherence flags; flags it carries are kept.
+
+    Coherent vertices are the chambers of the Groebner fan, and the two
+    ends of a flip over (a, b) share the wall w.(a - b) = 0, so a decided
+    neighbour's certificate often decides a vertex without the simplex
+    (facet crossing: Fukuda, Jensen and Thomas, "Computing Groebner fans",
+    Math. Comp. 2007).  Each component is walked breadth-first, from
+    ``graph.start`` and then from the lowest-numbered vertex not yet
+    reached.  ``is_coherent`` gets each vertex with the certificates of its
+    decided neighbours, in edge order, tries them with the exact checkers
+    of ``lp`` and runs the simplex only if none passes.  Flags do not
+    depend on the walk; the certificates are dropped once they are made.
+    """
     if graph.coherent is not None:
         return graph
-    flags = tuple(is_coherent(v, ctx)[0] for v in graph.vertices)
-    return FlipGraph(graph.vertices, graph.edges, graph.start, flags)
+    n = len(graph.vertices)
+    adjacent = [[] for _ in range(n)]
+    for i, j, (a, b) in graph.edges:
+        d = exp_sub(a, b)
+        adjacent[i].append((j, d))
+        adjacent[j].append((i, d))
+    flags = [None] * n
+    certificates = [None] * n
+    reached = [False] * n
+    for root in (graph.start, *range(n)) if n else ():
+        if reached[root]:
+            continue
+        reached[root] = True
+        queue = [root]
+        for k in queue:  # grows while it is walked
+            inherited = [(certificates[j], d) for j, d in adjacent[k]
+                         if certificates[j] is not None]
+            flags[k], certificates[k] = is_coherent(graph.vertices[k], ctx, inherited)
+            for j, _ in adjacent[k]:
+                if not reached[j]:
+                    reached[j] = True
+                    queue.append(j)
+    return FlipGraph(graph.vertices, graph.edges, graph.start, tuple(flags))
 
 
 def classify_labels(graph, ctx, expected_total=None):

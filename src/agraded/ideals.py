@@ -44,7 +44,8 @@ from .errors import (
 )
 from .grading import positive_combination
 from .graver import graver_basis
-from .lp import lp_strict_feasible
+from .linalg import primitive
+from .lp import inherited_answer, lp_strict_feasible
 from .monomials import (
     MonomialIdeal,
     _Lazy,
@@ -387,7 +388,7 @@ def neighbors(ideal, ctx, reverse=None):
     return tuple(moves)
 
 
-def is_coherent(ideal, ctx):
+def is_coherent(ideal, ctx, inherited=None):
     """Initial-ideal test by exact LP.  Returns (flag, witness-or-None).
 
     A monomial A-graded ideal is an initial ideal of the toric ideal iff
@@ -396,10 +397,28 @@ def is_coherent(ideal, ctx):
     monomial of its degree is marked consistently by such a w, which makes
     the ideal contain, hence equal, the corresponding initial ideal.  Any
     witness also splits every Graver pair toward its ideal side.
+
+    ``inherited`` is for ``with_coherence``: the certificates of decided
+    flip neighbours, each as (certificate, a - b) for the flip label
+    (a, b) of the shared edge.  With it the result is (flag, certificate),
+    a primitive integer witness or Gordan multipliers {row: y}.  The
+    certificates are tried in order before the simplex, by
+    ``lp.inherited_answer`` with the simplex's own checks: a neighbour's
+    witness moved across the shared wall must mark every row of this
+    ideal, and a neighbour's multipliers must sum rows of this ideal to 0.
+    A certificate that fails is passed over; if none holds, the simplex
+    decides, as without ``inherited``.
     """
     rows = {exp_sub(g, std) for g, std in zip(ideal.gens, ctx.generator_standards(ideal))}
-    witness = lp_strict_feasible(sorted(rows), nvars=ctx.A.n)
-    return (witness is not None), witness
+    if inherited is None:
+        witness = lp_strict_feasible(sorted(rows), nvars=ctx.A.n)
+        return (witness is not None), witness
+    answer = inherited_answer(rows, inherited)
+    if answer is not None:
+        return answer
+    farkas = {}
+    witness = lp_strict_feasible(sorted(rows), nvars=ctx.A.n, farkas=farkas)
+    return (True, primitive(witness)) if witness is not None else (False, farkas)
 
 
 def graver_split_rows(ideal, ctx):
@@ -486,13 +505,16 @@ def brute_force_enumerate(ctx, guard=None):
     sides is tested once, with packed integers, into ``below[i]`` (the sides
     that divide side i), so a step of the search is a few AND operations.
     Weights are positive, so no side divides another of no larger weight:
-    the chosen sides stay minimal, and a leaf's set bits, read in ascending
-    order, are its sorted minimal generators.  A standard side x^u need not
-    be recorded.  A later pair (w, u) takes x^w by the degree rule, and a
-    later pair (u, y) has y > v, so y - v, or a conformal piece of it of
-    smaller weight, is an earlier pair, which put x^y inside (x^v inside
-    would have passed over (u, v)).  The K-polynomial memo is released when
-    the enumeration returns.
+    the chosen sides stay minimal, and their numbers, sorted, are the sorted
+    minimal generators.  Each path also keeps those numbers as a list in the
+    order chosen, so an ideal is built without decoding the mask.  A path
+    chooses sides in increasing weight and tests weight W before it chooses
+    a side of weight W, so at a test the list is the prefix.  A standard
+    side x^u need not be recorded.  A later pair (w, u) takes x^w by the
+    degree rule, and a later pair (u, y) has y > v, so y - v, or a conformal
+    piece of it of smaller weight, is an earlier pair, which put x^y inside
+    (x^v inside would have passed over (u, v)).  The K-polynomial memo is
+    released when the enumeration returns.
 
     Oracle: it finds every ideal without flips, and the prune reads only
     K-polynomials, so it stays flip-free, and the census and the
@@ -510,8 +532,6 @@ def brute_force_enumerate(ctx, guard=None):
     mask = guard_mask(A.n)
     below = [sum(1 << j for j, pj in enumerate(packed) if ((pi | mask) - pj) & mask == mask)
              for pi in packed]
-    side_weights = [weight(side) for side in sides]
-    lighter = _Lazy(lambda w: sum(1 << j for j, x in enumerate(side_weights) if x < w))
     degree_ids = {}
     steps = [(index[u], index[v], 1 << degree_ids.setdefault(A.degree(u), len(degree_ids)),
               weight(u)) for u, v in pairs]
@@ -522,16 +542,13 @@ def brute_force_enumerate(ctx, guard=None):
     reference_below = _Lazy(lambda w: {k: c for k, c in reference.items() if code_weight[k] < w})
     memo = ctx._kpoly_memo
 
-    def ideal_of(chosen):
-        bits = []
-        while chosen:
-            low = chosen & -chosen
-            bits.append(low.bit_length() - 1)
-            chosen ^= low
-        return ideal_with_packed(tuple(sides[j] for j in bits), tuple(packed[j] for j in bits))
+    def ideal_of(path):
+        path = sorted(path)
+        return ideal_with_packed(tuple(map(sides.__getitem__, path)),
+                                 tuple(map(packed.__getitem__, path)))
 
-    def prefix_agrees(chosen, w):
-        prefix = ideal_of(chosen & lighter[w])
+    def prefix_agrees(path, w):
+        prefix = ideal_of(path)
         codes = memo[prefix.packed] = ctx.k_codes(prefix)
         return {k: c for k, c in codes.items() if code_weight[k] < w} == reference_below[w]
 
@@ -544,29 +561,31 @@ def brute_force_enumerate(ctx, guard=None):
             raise GuardExceeded(f"more than {guard} K-polynomial tests")
 
     found = []
-    # frames: (next pair, chosen sides, degrees whose standard side is fixed,
-    # weight of the last prefix test on the path); nothing lies below the
-    # lowest weight, so the first test is at the next one
-    stack = [(0, 0, 0, steps[0][3] if steps else 0)]
+    # frames: (next pair, chosen sides as a mask and as a list in the order
+    # chosen, degrees whose standard side is fixed, weight of the last
+    # prefix test on the path); nothing lies below the lowest weight, so the
+    # first test is at the next one
+    stack = [(0, 0, [], 0, steps[0][3] if steps else 0)]
     try:
         while stack:
-            start, chosen, fixed, tested = stack.pop()
+            start, chosen, path, fixed, tested = stack.pop()
             for idx in range(start, len(steps)):
                 iu, iv, deg, w = steps[idx]
                 if chosen & (below[iu] | below[iv]):
                     continue
                 if w != tested:
                     count_test()
-                    if not prefix_agrees(chosen, w):
+                    if not prefix_agrees(path, w):
                         break  # drops this path and the sibling it would push
                     tested = w
                 # branch: u in the ideal, or u standard and v in
                 if not fixed & deg:
-                    stack.append((idx + 1, chosen | 1 << iv, fixed | deg, tested))
+                    stack.append((idx + 1, chosen | 1 << iv, path + [iv], fixed | deg, tested))
                 chosen |= 1 << iu
+                path.append(iu)
             else:
                 count_test()
-                ideal = ideal_of(chosen)
+                ideal = ideal_of(path)
                 if is_agraded(ideal, ctx):
                     found.append(ideal)
     finally:

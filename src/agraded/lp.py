@@ -10,11 +10,24 @@ infeasibility.  Both answers are re-checked in integers, once their
 denominators are cleared, and one that fails its check raises
 CertificateError.
 
+There is one checker per kind of certificate, and it returns a bool, so a
+caller may also test a certificate it did not get from the simplex:
+``is_witness`` (row . w >= scale for every row, with w and scale integers)
+and ``is_farkas`` (Gordan multipliers {row: y}: a nonempty dict of rows of
+the system with positive integer y and sum y * row = 0).  The simplex
+passes its own answers through them under ``certify``, so they run under
+``python -O``; ``lp_strict_feasible`` hands back the checked multipliers
+through its ``farkas`` dict.  ``inherited_answer`` tries certificates
+of neighbouring systems with the same two checkers, a witness once moved
+across the wall of the row whose sign differs (``moved_witness``);
+``ideals.is_coherent`` runs the simplex only when none of them holds.
+
 The tableau is integer: ``linalg.pivot`` keeps it over one common positive
 denominator, and Bland's rule makes the simplex terminate.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import InputError, certify
 from .linalg import clear_denominators, dot, integer_rows, pivot
@@ -66,12 +79,69 @@ def _phase1(columns, rhs):
     return optimum, tuple(y), pi
 
 
-def lp_strict_feasible(rows, nvars=None):
+def is_witness(rows, ints, scale=1):
+    """Whether row . ints >= scale for every row, so ints / scale is a witness.
+
+    For an integer vector and scale 1 this is row . ints > 0 on every row.
+    """
+    return all(dot(row, ints) >= scale for row in rows)
+
+
+def is_farkas(rows, multipliers):
+    """Whether {row: y} proves that no w has row . w > 0 on every row.
+
+    Gordan: it does iff the dict is nonempty, each of its rows is in
+    ``rows`` (best a set), each y is a positive integer and sum y * row = 0.
+    """
+    if not (multipliers and all(type(y) is int and y > 0 for y in multipliers.values())
+            and all(row in rows for row in multipliers)):
+        return False
+    weighted = [[y * x for x in row] for row, y in multipliers.items()]
+    return not any(map(sum, zip(*weighted)))
+
+
+def moved_witness(w, d):
+    """A witness w moved across the wall of its row v = +-d, for the row -v.
+
+    v is the sign of d with w . v > 0.  The result is
+    (v . v) w - (w . v + 1) v divided by the gcd of its entries, the
+    projection of w onto the wall v . w = 0 pushed a little past it:
+    its product with -v is v . v / gcd > 0.  It is a candidate only.
+    """
+    v = d if dot(w, d) > 0 else tuple(-x for x in d)
+    vv, wv = dot(v, v), dot(w, v) + 1
+    moved = [vv * x - wv * y for x, y in zip(w, v)]
+    g = gcd(*moved) or 1
+    return tuple(x // g for x in moved)
+
+
+def inherited_answer(rows, inherited):
+    """(flag, certificate) from the first certificate that holds for the rows, or None.
+
+    ``inherited`` lists (certificate, d), each from a system that shares
+    the rows of ``rows`` (a set) up to the sign of its row +-d and other
+    rows: an integer witness w, tried as ``moved_witness(w, d)`` with
+    ``is_witness``, or multipliers {row: y}, tried as they are with
+    ``is_farkas``.  A certificate that fails is passed over.
+    """
+    for certificate, d in inherited:
+        if isinstance(certificate, dict):
+            if is_farkas(rows, certificate):
+                return False, certificate
+            continue
+        moved = moved_witness(certificate, d)
+        if is_witness(rows, moved):
+            return True, moved
+    return None
+
+
+def lp_strict_feasible(rows, nvars=None, farkas=None):
     """Witness w with row . w >= 1 for every row, or None if infeasible.
 
     The rows must have integer entries, nvars of them each (InputError
     otherwise).  The empty system is feasible with w = 0 (nvars then
-    required).
+    required).  If the system is infeasible and ``farkas`` is a dict, the
+    checked multipliers {row: y} of ``is_farkas`` are added to it.
     """
     rows = [tuple(row) for row in integer_rows(rows)]
     if nvars is None:
@@ -86,13 +156,16 @@ def lp_strict_feasible(rows, nvars=None):
     rhs = [0] * nvars + [1]
     optimum, y, pi = _phase1(columns, rhs)
     if optimum == 0:
-        ys, scale = clear_denominators(y)
-        certify(all(x >= 0 for x in ys) and sum(ys) == scale
-                and not any(sum(x * row[i] for x, row in zip(ys, rows)) for i in range(nvars)),
-                "infeasibility certificate is not a convex combination giving 0")
+        multipliers = {}
+        for x, row in zip(clear_denominators(y)[0], rows):
+            if x:
+                multipliers[row] = multipliers.get(row, 0) + x
+        certify(is_farkas(set(rows), multipliers),
+                "infeasibility certificate is not a positive combination giving 0")
+        if farkas is not None:
+            farkas.update(multipliers)
         return None
     witness = tuple(-pi[i] / optimum for i in range(nvars))
-    ints, scale = clear_denominators(witness)
-    certify(all(dot(row, ints) >= scale for row in rows),
+    certify(is_witness(rows, *clear_denominators(witness)),
             "strict-feasibility witness fails a row")
     return witness

@@ -1,4 +1,4 @@
-"""The verdict lines of tools/bench_pairs.py on hand-made summaries."""
+"""The verdict lines and the run schedule of tools/bench_pairs.py."""
 
 import importlib.util
 from pathlib import Path
@@ -64,3 +64,17 @@ def test_a_failed_run_is_reported_with_its_output(tmp_path):
     message = str(stop.value.code)
     assert message.startswith("error: graver seed 0 pair 2 change: exit code 1")
     assert message.endswith("\n  graver pass 1\n  mismatch in pass 2\nnothing written")
+
+
+def test_pairs_run_round_robin_over_the_workloads():
+    plan = [("census-g345", 0, 3), ("graver", 0, 1), ("flips-g123789", 2, 2)]
+    runs = [(w, s, pair, order[0]) for w, s, pair, order in bench_pairs.schedule(plan)]
+    assert runs == [
+        ("census-g345", 0, 1, "parent"), ("graver", 0, 1, "parent"),
+        ("flips-g123789", 2, 1, "parent"),
+        ("census-g345", 0, 2, "change"), ("flips-g123789", 2, 2, "change"),
+        ("census-g345", 0, 3, "parent"),
+    ]
+    assert all(sorted(order) == ["change", "parent"]
+               for *_, order in bench_pairs.schedule(plan))
+    assert bench_pairs.schedule([]) == []

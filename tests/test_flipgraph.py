@@ -19,7 +19,7 @@ from agraded import (
     to_json,
     with_coherence,
 )
-from agraded import flipgraph
+from agraded import flipgraph, ideals
 from agraded.fixtures import as_pairs, expected, named_matrix
 from agraded.errors import FormatError, InputError
 from agraded.flipgraph import FlipGraph, GuardExceeded, IncompleteGraph
@@ -185,6 +185,60 @@ def test_coherent_vertices_meet_valency_bound(ctx_veronese, ctx345):
         for flag, valency in zip(graph.coherent, graph.valencies()):
             if flag:
                 assert valency >= bound
+
+
+def simplex_counted(monkeypatch):
+    """A list that grows by one per run of the simplex behind is_coherent."""
+    runs = []
+    solve = ideals.lp_strict_feasible
+
+    def counted(*args, **kwargs):
+        runs.append(len(args[0]))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ideals, "lp_strict_feasible", counted)
+    return runs
+
+
+WALK_CONTEXTS = ["ctx12", "ctx134", "ctx137", "ctx_veronese", "ctx_corank4", "ctx345"]
+
+
+@pytest.mark.parametrize("context", WALK_CONTEXTS)
+def test_walk_flags_match_the_per_vertex_lp(request, monkeypatch, context):
+    """Inherited certificates decide most vertices, and never another flag."""
+    ctx = request.getfixturevalue(context)
+    graph = explore(ctx, start=brute_force_enumerate(ctx))
+    per_vertex = tuple(ideals.is_coherent(v, ctx)[0] for v in graph.vertices)
+    runs = simplex_counted(monkeypatch)
+    assert with_coherence(graph, ctx).coherent == per_vertex
+    assert len(runs) < len(graph.vertices)
+
+
+def test_walk_reaches_every_component(monkeypatch, ctx_corank4):
+    """Every component is walked, the start's first, and each vertex is decided once."""
+    graph = explore(ctx_corank4)
+    per_vertex = tuple(ideals.is_coherent(v, ctx_corank4)[0] for v in graph.vertices)
+    # cut two vertices off, one of each flag, and start from the last vertex
+    cut = {per_vertex.index(True), per_vertex.index(False)}
+    edges = tuple(e for e in graph.edges if not cut & {e[0], e[1]})
+    start = len(graph.vertices) - 1
+    cut_graph = from_json(to_json(FlipGraph(graph.vertices, edges, start)))
+    assert cut_graph.components() > len(cut)
+    decided = []
+    walk = flipgraph.is_coherent
+
+    def recording(ideal, ctx, inherited=None):
+        decided.append((ideal, inherited))
+        return walk(ideal, ctx, inherited)
+
+    monkeypatch.setattr(flipgraph, "is_coherent", recording)
+    runs = simplex_counted(monkeypatch)
+    assert with_coherence(cut_graph, ctx_corank4).coherent == per_vertex
+    assert decided[0][0] == graph.vertices[start]
+    assert sorted(v for v, _ in decided) == list(graph.vertices)
+    for k in cut:
+        assert dict(decided)[graph.vertices[k]] == []
+    assert len(runs) < len(graph.vertices)
 
 
 def test_edge_symmetry(ctx_veronese):

@@ -1,8 +1,10 @@
 """Whole outputs pinned byte for byte by their sha256 digests.
 
 The digests were recorded at commit 521af21, before packed monomials put
-x1 in the most significant field; a change of representation or of
-search order must leave every one of them as it is.
+x1 in the most significant field, and those of g345-13-14, whose graph
+has 387 non-coherent vertices, at c481d3b, before coherence inherited
+certificates across flip edges; a change of representation or of search
+order must leave every one of them as it is.
 """
 
 import hashlib
@@ -34,6 +36,12 @@ GOLDEN = {
         "graver": "bbd44b13c9732dc5dd9270e236646fb79782092264c7d31c217cb4df57bdd840",
         (0, 0, 0, 0, 0): "c66eff76c800778b1b3fe3cbdcbeeb9c1e83e1d17dc3bb7b3a702965bd8b1b90",
         (5, 4, 3, 2, 1): "4bee0d8e0cf094f9b91c8403ec0856d7d0d23d7a477ebd37bb5eb66f5913cf9f",
+    },
+    "g345-13-14": {
+        "graph": "dc0a9f7a5e91507a4c4335a2950da93c98f7220108a5c4c662426f0144d117ee",
+        "graver": "a307d4f4081bd740083f8cca2583249795bc0ad21f0ff47d7179c8e4048f986b",
+        (0, 0, 0, 0, 0): "43ca3b031bcc475c062ff70b4c4096ab3dee52c16c3e1d44dc5b4dcaa4419b5b",
+        (5, 4, 3, 2, 1): "c8b0fe8a135166a8d3c57de4a98c3e1d96c9ec283402d2e10c7bfda4ede2cd14",
     },
 }
 

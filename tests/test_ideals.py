@@ -133,6 +133,55 @@ def test_masked_ideal_flips(ctx345, ideal_masked):
     assert not coherent and witness is None
 
 
+def coherence_rows(ideal, ctx):
+    return {tuple(a - b for a, b in zip(g, std))
+            for g, std in zip(ideal.gens, ctx.generator_standards(ideal))}
+
+
+def bad_farkas(kind, farkas, rows):
+    """The multipliers with one defect; every other check still holds."""
+    bad = dict(farkas)
+    if kind == "foreign-row":  # a canceling pair of rows outside the system
+        bad[(1, 0, 0, 0, 0)] = bad[(-1, 0, 0, 0, 0)] = 1
+    elif kind == "zero-y":
+        bad[min(rows - set(farkas))] = 0
+    elif kind == "negative-y":
+        bad = {row: -y for row, y in farkas.items()}
+    else:  # nonzero sum
+        row = min(farkas)
+        bad[row] += 1
+    return bad
+
+
+@pytest.mark.parametrize("kind", ["witness", "foreign-row", "zero-y", "negative-y", "nonzero-sum"])
+def test_a_bad_inherited_certificate_is_refused(monkeypatch, ctx345, ideal_masked, kind):
+    """The simplex decides after a certificate that fails its check, and only then."""
+    from agraded import ideals
+
+    runs = []
+    solve = ideals.lp_strict_feasible
+    monkeypatch.setattr(ideals, "lp_strict_feasible",
+                        lambda *args, **kwargs: runs.append(1) or solve(*args, **kwargs))
+    if kind == "witness":
+        ideal = ctx345.reference_ideal
+        flag, witness = is_coherent(ideal, ctx345, [])
+        assert flag and all(type(x) is int for x in witness)
+        # moved across the wall of its own row r, the witness fails r
+        row = min(coherence_rows(ideal, ctx345))
+        inherited = [(witness, row)]
+    else:
+        ideal = ideal_masked
+        flag, farkas = is_coherent(ideal, ctx345, [])
+        assert not flag
+        assert is_coherent(ideal, ctx345, [(farkas, None)]) == (False, farkas)
+        inherited = [(bad_farkas(kind, farkas, coherence_rows(ideal, ctx345)), None)]
+        assert len(runs) == 1
+    runs.clear()
+    assert is_coherent(ideal, ctx345, inherited)[0] is flag
+    assert len(runs) == 1
+    assert is_coherent(ideal, ctx345)[0] is flag
+
+
 def test_coherent_reference_everywhere(ctx137, ctx345, ctx_veronese):
     for ctx in (ctx137, ctx345, ctx_veronese):
         coherent, witness = is_coherent(ctx.reference_ideal, ctx)

@@ -1,5 +1,7 @@
 """Fraction-free elimination and the integer simplex against Fraction oracles."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from agraded import InputError, lp, lp_strict_feasible
 from agraded.fixtures import named_matrix
-from agraded.linalg import pivot, rank, rational_nullspace, solve_linear
+from agraded.linalg import pivot, primitive, rank, rational_nullspace, solve_linear
 from agraded.triangulations import _interiors_meet
 
 
@@ -186,6 +188,74 @@ def test_det_and_solve_match_fraction_oracle(rows, rhs):
 def test_phase1_matches_fraction_tableau(system):
     columns, rhs = system
     assert same(lp._phase1(columns, rhs), fraction_phase1(columns, rhs))
+
+
+def certificate(rows, nvars):
+    """The simplex's certificate as is_coherent hands it on: integer witness or multipliers."""
+    farkas = {}
+    witness = lp_strict_feasible(sorted(rows), nvars, farkas)
+    return farkas if witness is None else primitive(witness)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_inherited_certificates_never_change_a_flag(seed):
+    """A neighbour shares rows and the row d with the other sign, plus noise.
+
+    The flag from the first inherited certificate that holds, else from
+    the simplex, is the simplex's flag; a stranger's certificate and the
+    wrong sign of d are tried too.
+    """
+    rng = random.Random(seed)
+    decided = Counter()
+    for _ in range(200):
+        n = rng.randint(2, 4)
+
+        def row():
+            return tuple(rng.randint(-3, 3) for _ in range(n))
+
+        shared = {row() for _ in range(rng.randint(1, 6))}
+        d = row()
+        neighbour = shared | {d}
+        rows = ({r for r in shared if rng.random() < 0.8} | {row() for _ in range(rng.randint(0, 2))}
+                | {tuple(-x for x in d)})
+        stranger = {row() for _ in range(rng.randint(1, 5))}
+        inherited = [(certificate(stranger, n), row()),
+                     (certificate(neighbour, n), rng.choice([d, tuple(-x for x in d)]))]
+        rng.shuffle(inherited)
+        simplex = lp_strict_feasible(sorted(rows), n) is not None
+        answer = lp.inherited_answer(rows, inherited)
+        flag = simplex if answer is None else answer[0]
+        assert flag is simplex
+        if answer is not None:
+            decided[flag] += 1
+            check = lp.is_witness if flag else lp.is_farkas
+            assert check(rows, answer[1])
+    assert decided[True] >= 10 and decided[False] >= 10
+
+
+@pytest.mark.parametrize("certificate, holds", [
+    ({(1, 0): 1, (-1, 0): 1}, True),
+    ({(1, 0): 2, (-1, 0): 2}, True),
+    ({}, False),                                   # empty: sums to 0 but proves nothing
+    ({(1, 0): 1, (-1, 0): 2}, False),              # the weighted sum is (-1, 0)
+    ({(1, 0): 0, (-1, 0): 0}, False),              # zero multipliers
+    ({(1, 0): -1, (-1, 0): -1}, False),            # negative multipliers
+    ({(1, 0): 1, (-1, 0): 1, (0, 1): 0}, False),   # a zero multiplier beside good ones
+    ({(2, 0): 1, (-2, 0): 1}, False),              # rows the system lacks
+    ({(1, 0): Fraction(1), (-1, 0): 1}, False),    # not an integer
+], ids=["unit", "scaled", "empty", "nonzero-sum", "zero", "negative", "one-zero",
+        "foreign-rows", "fraction"])
+def test_farkas_check(certificate, holds):
+    assert lp.is_farkas({(1, 0), (-1, 0), (0, 1)}, certificate) is holds
+
+
+def test_witness_check():
+    rows = [(1, 0), (1, 1)]
+    assert lp.is_witness(rows, (1, 0))
+    assert not lp.is_witness(rows, (1, -1))      # fails the row (1, 1) only
+    assert not lp.is_witness(rows, (2, 1), scale=3)
+    # moved across the wall of (1, 0), the witness (1, 0) marks (-1, 0)
+    assert lp.moved_witness((1, 0), (1, 0)) == lp.moved_witness((1, 0), (-1, 0)) == (-1, 0)
 
 
 def test_non_integer_entries_rejected():

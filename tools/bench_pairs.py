@@ -13,25 +13,28 @@ benchmark itself runs each side from a new checkout: the parent
 lists, tracked or untracked but not ignored (a deleted file is skipped).
 Each run is ``python3 censusbench/run.py --workload W --seed S --seconds T
 --trace 0`` in that side's directory, one run at a time, with T the
-``run_seconds`` of BENCHMARK.json.  ``--pairs W[:S]=N`` asks for
-N pairs on workload W with seed S (default 0); odd pairs run the parent
-first, even pairs the change first.  ``--trace W`` adds one traced run
-(``--trace 1``, seed 0) per side, whose per-layer metrics are kept under
-``traced``.  A run that fails its known-answer gate (``correct`` false),
-exits non-zero or ends without a result line stops the script with an
-error naming the run (with its exit code and last 20 lines of stdout if it
-printed no result), before anything is summarised or written.  The summary gives, per workload and seed and per
-end-to-end metric, each side's median and inclusive quartiles, the
-relative change of the median and the numbers of pairs in which the
-change read lower and higher.  After writing the file, one line per
-workload, seed and end-to-end metric of BENCHMARK.json goes to stderr with
-the same figures, marked ``over bound`` when the change's median is worse
-than the parent's by more than the metric's bound, the benchmark's rule
-for refusing a change, and ``gain shown`` when the rule for claiming a
-gain holds: at least ten pairs, the change better (lower or higher, as the
-metric's ``better`` says) in at least nine tenths of them, ties counting
-for neither, and its median better than the parent's by more than the
-distance between the parent's quartiles.  Standard library only.
+``run_seconds`` of BENCHMARK.json.  ``--pairs W[:S]=N`` asks for N pairs on
+workload W with seed S (default 0); odd pairs run the parent first, even
+pairs the change first.  The pairs run round-robin: round k runs pair k of
+every ``--pairs`` entry that asks for k pairs or more, in the order given,
+so a drift of the host's speed is spread over all workloads instead of
+falling on the last ones.  ``--trace W`` adds one traced run (``--trace 1``,
+seed 0) per side, whose per-layer metrics are kept under ``traced``.  A run
+that fails its known-answer gate (``correct`` false), exits non-zero or ends
+without a result line stops the script with an error naming the run (with
+its exit code and last 20 lines of stdout if it printed no result), before
+anything is summarised or written.  The summary gives, per workload and seed
+and per end-to-end metric, each side's median and inclusive quartiles, the
+relative change of the median and the numbers of pairs in which the change
+read lower and higher.  After writing the file, one line per workload, seed
+and end-to-end metric of BENCHMARK.json goes to stderr with the same
+figures, marked ``over bound`` when the change's median is worse than the
+parent's by more than the metric's bound, the benchmark's rule for refusing
+a change, and ``gain shown`` when the rule for claiming a gain holds: at
+least ten pairs, the change better (lower or higher, as the metric's
+``better`` says) in at least nine tenths of them, ties counting for neither,
+and its median better than the parent's by more than the distance between
+the parent's quartiles.  Standard library only.
 """
 
 import argparse
@@ -66,6 +69,14 @@ def parse_pairs(spec):
     if not count.isdigit() or (seed and not seed.isdigit()):
         raise SystemExit(f"error: --pairs {spec!r} is not W[:S]=N")
     return workload, int(seed or 0), int(count)
+
+
+def schedule(plan):
+    """(workload, seed, pair, sides in run order) of every pair, round-robin over the plan."""
+    rounds = max((count for _, _, count in plan), default=0)
+    return [(workload, seed, pair, ("parent", "change") if pair % 2 else ("change", "parent"))
+            for pair in range(1, rounds + 1)
+            for workload, seed, count in plan if pair <= count]
 
 
 def extract(rev, dest):
@@ -189,21 +200,19 @@ def main(argv=None):
         extract(args.parent, checkouts["parent"])
         copy_worktree(checkouts["change"])
         runs = []
-        for workload, seed, count in plan:
-            for pair in range(1, count + 1):
-                order = ("parent", "change") if pair % 2 else ("change", "parent")
-                for side in order:
-                    result = run(checkouts[side], workload, seed, seconds, 0,
-                                 f"{workload} seed {seed} pair {pair} {side}")
-                    metrics = result["metrics"]
-                    print(f"{workload} seed {seed} pair {pair} {side}: "
-                          f"total_s {metrics['total_s']['value']:.4f}", file=sys.stderr)
-                    runs.append({
-                        "workload": workload, "seed": seed, "pair": pair, "side": side,
-                        "first_in_pair": side == order[0],
-                        "attempted": result["attempted"], "correct": result["correct"],
-                        "failed": result["failed"], "metrics": metrics,
-                    })
+        for workload, seed, pair, order in schedule(plan):
+            for side in order:
+                result = run(checkouts[side], workload, seed, seconds, 0,
+                             f"{workload} seed {seed} pair {pair} {side}")
+                metrics = result["metrics"]
+                print(f"{workload} seed {seed} pair {pair} {side}: "
+                      f"total_s {metrics['total_s']['value']:.4f}", file=sys.stderr)
+                runs.append({
+                    "workload": workload, "seed": seed, "pair": pair, "side": side,
+                    "first_in_pair": side == order[0],
+                    "attempted": result["attempted"], "correct": result["correct"],
+                    "failed": result["failed"], "metrics": metrics,
+                })
         traced = {}
         for workload in args.trace:
             traced[workload] = {
@@ -220,8 +229,8 @@ def main(argv=None):
         "parent": parent,
         "change": "this commit",
         "host": f"{os.cpu_count()}-core {platform.system()} host, Python "
-                f"{platform.python_version()}; runs one at a time; odd pairs run the parent "
-                "first, even pairs the change first",
+                f"{platform.python_version()}; runs one at a time; pairs round-robin over the "
+                "workloads; odd pairs run the parent first, even pairs the change first",
         "plan": {f"{w}, seed {s}": f"{n} pairs" for w, s, n in plan},
         "summary": summarize(runs),
         "traced": traced,
