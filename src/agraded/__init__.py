@@ -42,7 +42,7 @@ from .binomials import (
     initial_ideal,
     toric_ideal,
 )
-from .graver import Circuit, GraverBasis, graver_basis, graver_oracle, is_circuit, lawrence_lifting
+from .graver import GraverBasis, graver_basis, graver_oracle, is_circuit, lawrence_lifting
 from .ideals import (
     AGradedContext,
     FlipMove,
@@ -73,7 +73,6 @@ from .triangulations import (
     BISTELLAR,
     SAME_RADICAL,
     VIOLATION,
-    CircuitFlipSpec,
     SimplicialComplex,
     baues_image,
     bistellar_flip,

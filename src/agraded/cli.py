@@ -84,7 +84,7 @@ def _ideal_record(ideal, ctx):
     if record["agraded"]:
         coherent, witness = is_coherent(ideal, ctx)
         record["coherent"] = coherent
-        if witness is not None:
+        if coherent:
             record["witness"] = [str(x) for x in witness]
         record["valency"] = len(neighbors(ideal, ctx))
     else:
@@ -155,7 +155,7 @@ def cmd_coherent(args):
     ideal = _agraded_ideal(args.ideal, ctx)
     coherent, witness = is_coherent(ideal, ctx)
     doc = {"coherent": coherent}
-    if witness is not None:
+    if coherent:
         doc["witness"] = [str(x) for x in witness]
     print(json.dumps(doc, indent=1, sort_keys=True))
     return OK

@@ -136,25 +136,17 @@ def graver_oracle(matrix, bound):
     return GraverBasis(tuple(sorted(minimal)))
 
 
-@dataclass(frozen=True)
-class Circuit:
-    """Primitive kernel vector with minimally dependent support."""
-
-    t: tuple
-    t_plus: tuple
-    t_minus: tuple
-
-
 def is_circuit(matrix, pair):
-    """Circuit certificate for a kernel pair (u, v) of exponent tuples, or None.
+    """The primitive vector t = u - v of a kernel pair (u, v) if it is a circuit, else None.
 
-    The support columns must be dependent with every proper subset
-    independent, and the difference vector primitive.
+    A circuit's support columns are dependent with every proper subset
+    independent, and t is primitive.  Its positive entries mark the
+    support of u, its negative entries that of v.
     """
     u, v = pair
     if matrix.degree(u) != matrix.degree(v):
         raise NonHomogeneousInput(f"{u} and {v} have different degrees")
-    t = tuple(a - b for a, b in zip(u, v))
+    t = exp_sub(u, v)
     supp = support(t)
     if not supp:
         return None
@@ -166,10 +158,4 @@ def is_circuit(matrix, pair):
         subset = [sub[i] for i in range(len(sub)) if i != leave_out]
         if subset and rank(subset) != len(subset):
             return None
-    if reduce(gcd, t, 0) != 1:
-        return None
-    return Circuit(
-        t,
-        tuple(i for i in supp if t[i] > 0),
-        tuple(i for i in supp if t[i] < 0),
-    )
+    return t if reduce(gcd, t, 0) == 1 else None

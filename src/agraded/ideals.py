@@ -388,36 +388,33 @@ def neighbors(ideal, ctx, reverse=None):
     return tuple(moves)
 
 
-def is_coherent(ideal, ctx, inherited=None):
-    """Initial-ideal test by exact LP.  Returns (flag, witness-or-None).
+def is_coherent(ideal, ctx, inherited=()):
+    """Initial-ideal test by exact LP.  Returns (flag, certificate).
 
     A monomial A-graded ideal is an initial ideal of the toric ideal iff
     some w satisfies w.(g - std(deg g)) >= 1 over its minimal generators:
     the candidate reduced basis pairing each generator with the standard
     monomial of its degree is marked consistently by such a w, which makes
     the ideal contain, hence equal, the corresponding initial ideal.  Any
-    witness also splits every Graver pair toward its ideal side.
+    witness also splits every Graver pair toward its ideal side.  The
+    certificate is a primitive integer witness w if the flag is true, and
+    Gordan multipliers {row: y} if it is false.
 
     ``inherited`` is for ``with_coherence``: the certificates of decided
     flip neighbours, each as (certificate, a - b) for the flip label
-    (a, b) of the shared edge.  With it the result is (flag, certificate),
-    a primitive integer witness or Gordan multipliers {row: y}.  The
-    certificates are tried in order before the simplex, by
-    ``lp.inherited_answer`` with the simplex's own checks: a neighbour's
-    witness moved across the shared wall must mark every row of this
-    ideal, and a neighbour's multipliers must sum rows of this ideal to 0.
-    A certificate that fails is passed over; if none holds, the simplex
-    decides, as without ``inherited``.
+    (a, b) of the shared edge.  They are tried in order before the
+    simplex, by ``lp.inherited_answer`` with the simplex's own checks: a
+    neighbour's witness moved across the shared wall must mark every row
+    of this ideal, and a neighbour's multipliers must sum rows of this
+    ideal to 0.  A certificate that fails is passed over; if none holds,
+    the simplex decides.
     """
     rows = {exp_sub(g, std) for g, std in zip(ideal.gens, ctx.generator_standards(ideal))}
-    if inherited is None:
-        witness = lp_strict_feasible(sorted(rows), nvars=ctx.A.n)
-        return (witness is not None), witness
     answer = inherited_answer(rows, inherited)
     if answer is not None:
         return answer
     farkas = {}
-    witness = lp_strict_feasible(sorted(rows), nvars=ctx.A.n, farkas=farkas)
+    witness = lp_strict_feasible(sorted(rows), ctx.A.n, farkas=farkas)
     return (True, primitive(witness)) if witness is not None else (False, farkas)
 
 

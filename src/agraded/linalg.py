@@ -6,6 +6,9 @@ is the one row-elimination step: a fraction-free (Edmonds/Bareiss) pivot
 that keeps every row over one common denominator with exact integer
 division.  Gauss-Jordan elimination here and the simplex of ``lp`` both run
 on it, and results become Fractions only when they are returned.
+``integer_kernel_basis`` is the one kernel routine: a Z-basis of the
+saturated kernel lattice, so a kernel line comes back as one primitive
+vector spanning it.
 """
 
 from fractions import Fraction
@@ -107,21 +110,6 @@ def solve_linear(rows, rhs):
     if len(pivots) != len(rows):
         raise InputError("singular system")
     return tuple(Fraction(row[-1], den) for row in m)
-
-
-def rational_nullspace(rows, ncols):
-    """Basis of the rational nullspace {x : rows . x = 0} in Q^ncols."""
-    m, pivots, den = _gauss_jordan(rows, ncols)
-    basis = []
-    for c in range(ncols):
-        if c in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[c] = Fraction(1)
-        for i, p in enumerate(pivots):
-            vec[p] = Fraction(-m[i][c], den)
-        basis.append(tuple(vec))
-    return basis
 
 
 def gram_determinant(vectors):

@@ -135,20 +135,16 @@ def inherited_answer(rows, inherited):
     return None
 
 
-def lp_strict_feasible(rows, nvars=None, farkas=None):
+def lp_strict_feasible(rows, nvars, farkas=None):
     """Witness w with row . w >= 1 for every row, or None if infeasible.
 
     The rows must have integer entries, nvars of them each (InputError
-    otherwise).  The empty system is feasible with w = 0 (nvars then
-    required).  If the system is infeasible and ``farkas`` is a dict, the
+    otherwise).  The empty system is feasible with w = 0 in nvars
+    variables.  If the system is infeasible and ``farkas`` is a dict, the
     checked multipliers {row: y} of ``is_farkas`` are added to it.
     """
     rows = [tuple(row) for row in integer_rows(rows)]
-    if nvars is None:
-        if not rows:
-            raise InputError("empty system needs an explicit dimension")
-        nvars = len(rows[0])
-    elif rows and len(rows[0]) != nvars:
+    if rows and len(rows[0]) != nvars:
         raise InputError(f"rows of {len(rows[0])} entries for {nvars} variables")
     if not rows:
         return tuple(Fraction(0) for _ in range(nvars))

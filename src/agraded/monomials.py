@@ -37,7 +37,7 @@ each key.
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import mul
+from operator import mul, sub
 
 from .errors import BadLength, ExponentOverflow
 from .grading import positive_combination
@@ -50,10 +50,10 @@ def divides(g, u):
     return all(a <= b for a, b in zip(g, u))
 
 def exp_lcm(u, v):
-    return tuple(max(a, b) for a, b in zip(u, v))
+    return tuple(map(max, u, v))
 
 def exp_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 def support(u):
     return tuple(i for i, a in enumerate(u) if a)

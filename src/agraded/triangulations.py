@@ -5,7 +5,9 @@ matrix.  Triangulations are read as simplicial fans of the cone spanned by
 the columns, so the columns need not be coplanar.  ``is_triangulation``
 certifies one by local, exact tests: independent facets, a supporting
 hyperplane under every ridge that only one facet has, and open facet cones
-that pairwise do not meet.
+that pairwise do not meet.  Flips use plain values: a circuit is its
+primitive vector t (``graver.is_circuit``), and its flip spec is the pair
+(c_plus, c_minus) of its two one-sided triangulations.
 """
 
 from collections import Counter
@@ -15,7 +17,7 @@ from itertools import combinations
 
 from .errors import NotFlippableComplex, certify
 from .graver import is_circuit
-from .linalg import _gauss_jordan, dot, rank, rational_nullspace
+from .linalg import _gauss_jordan, dot, integer_kernel_basis, rank
 from .lp import lp_strict_feasible
 from .monomials import support
 
@@ -90,11 +92,11 @@ def is_triangulation(cplx, matrix):
 def _supporting(matrix, ridge):
     """Whether the hyperplane spanned by d - 1 independent columns supports the cone.
 
-    It does iff all columns lie weakly on one side of it.  For d = 1 the
-    ridge is empty, its hyperplane is the origin, and that supports the
-    pointed cone.
+    It does iff all columns lie weakly on one side of it, so the sign and
+    scale of its normal do not matter.  For d = 1 the ridge is empty, its
+    hyperplane is the origin, and that supports the pointed cone.
     """
-    (normal,) = rational_nullspace([matrix.columns[i] for i in ridge], matrix.d)
+    (normal,) = integer_kernel_basis([matrix.columns[i] for i in ridge], matrix.d)
     sides = [dot(normal, col) for col in matrix.columns]
     return all(x >= 0 for x in sides) or all(x <= 0 for x in sides)
 
@@ -120,20 +122,16 @@ def _interiors_meet(matrix, sigma, tau):
 
 # -- bistellar flips ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class CircuitFlipSpec:
-    """The two one-sided triangulations of a circuit's support."""
+def circuit_flip_spec(t):
+    """The pair (c_plus, c_minus) of one-sided triangulations of a circuit t.
 
-    c_plus: tuple   # maximal simplices {T - i : i in T+}
-    c_minus: tuple  # maximal simplices {T - i : i in T-}
-
-
-def circuit_flip_spec(circuit):
-    t_plus, t_minus = circuit.t_plus, circuit.t_minus
-    supp = tuple(sorted(t_plus + t_minus))
-    c_plus = tuple(sorted(tuple(i for i in supp if i != p) for p in t_plus))
-    c_minus = tuple(sorted(tuple(i for i in supp if i != m) for m in t_minus))
-    return CircuitFlipSpec(c_plus, c_minus)
+    With T the support of t, c_plus is the sorted tuple of the maximal
+    simplices T - i with t_i > 0, and c_minus that of those with t_i < 0.
+    """
+    supp = support(t)
+    c_plus = tuple(sorted(tuple(i for i in supp if i != p) for p in supp if t[p] > 0))
+    c_minus = tuple(sorted(tuple(i for i in supp if i != m) for m in supp if t[m] < 0))
+    return c_plus, c_minus
 
 
 def _common_link(cplx, maximal_simplices):
@@ -166,14 +164,15 @@ def _replace(cplx, from_max, to_max):
 
 
 def bistellar_flip(cplx, spec):
-    """Exchange the two circuit triangulations inside a complex.
+    """Exchange the two circuit triangulations (c_plus, c_minus) inside a complex.
 
     The side currently present as a subcomplex (with all its maximal cells
     sharing one link, automatic in the full-dimensional case) is replaced
     by the other side; raises NotFlippableComplex when neither side
     qualifies.
     """
-    for source, target in ((spec.c_plus, spec.c_minus), (spec.c_minus, spec.c_plus)):
+    c_plus, c_minus = spec
+    for source, target in ((c_plus, c_minus), (c_minus, c_plus)):
         if all(cplx.has_face(s) for s in source):
             if _common_link(cplx, source) is None:
                 continue
@@ -203,15 +202,16 @@ def edge_transition(move, ctx):
         incoming = tuple(1 if x else 0 for x in move.b)
         certify(rad_source.contains(incoming), "incoming monomial outside the shared radical")
         return SAME_RADICAL
-    circuit = is_circuit(ctx.A, (move.a, move.b))
-    certify(circuit is not None, "radical-changing flip label must be a circuit")
-    certify(set(circuit.t_plus) == set(support(move.a)), "circuit sides do not match the flip")
-    spec = circuit_flip_spec(circuit)
+    t = is_circuit(ctx.A, (move.a, move.b))
+    certify(t is not None, "radical-changing flip label must be a circuit")
+    certify(support(move.a) == tuple(i for i in support(t) if t[i] > 0),
+            "circuit sides do not match the flip")
+    c_plus, c_minus = circuit_flip_spec(t)
     source_cplx = complex_of_radical(move.source, n)
     target_cplx = complex_of_radical(move.target, n)
-    certify(all(source_cplx.has_face(s) for s in spec.c_plus),
+    certify(all(source_cplx.has_face(s) for s in c_plus),
             "positive side must be a subcomplex of the source triangulation")
-    flipped = _replace(source_cplx, spec.c_plus, spec.c_minus)
+    flipped = _replace(source_cplx, c_plus, c_minus)
     return BISTELLAR if flipped == target_cplx else VIOLATION
 
 

@@ -1,6 +1,7 @@
 """The verdict lines and the run schedule of tools/bench_pairs.py."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -59,11 +60,47 @@ def test_a_failed_run_is_reported_with_its_output(tmp_path):
     (tmp_path / "censusbench").mkdir()
     (tmp_path / "censusbench" / "run.py").write_text(
         "import sys\nprint('graver pass 1')\nprint('mismatch in pass 2')\nsys.exit(1)\n")
-    with pytest.raises(SystemExit) as stop:
+    with pytest.raises(bench_pairs.RunFailed) as stop:
         bench_pairs.run(tmp_path, "graver", 0, 1, 0, "graver seed 0 pair 2 change")
-    message = str(stop.value.code)
-    assert message.startswith("error: graver seed 0 pair 2 change: exit code 1")
-    assert message.endswith("\n  graver pass 1\n  mismatch in pass 2\nnothing written")
+    message = str(stop.value)
+    assert message.startswith("graver seed 0 pair 2 change: exit code 1")
+    assert message.endswith("\n  graver pass 1\n  mismatch in pass 2")
+
+
+# a benchmark whose first run in a checkout succeeds and every later one dies
+FIRST_RUN_ONLY = """import json, pathlib, sys
+count = pathlib.Path("runs")
+done = int(count.read_text()) if count.exists() else 0
+count.write_text(str(done + 1))
+if done:
+    sys.exit("killed by SIGALRM")
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {"total_s": {"value": 1.0}}}))
+"""
+
+
+def test_a_failure_after_one_pair_leaves_a_partial_file_with_that_pair(tmp_path):
+    checkouts = {side: tmp_path / side for side in ("parent", "change")}
+    for checkout in checkouts.values():
+        (checkout / "censusbench").mkdir(parents=True)
+        (checkout / "censusbench" / "run.py").write_text(FIRST_RUN_ONLY)
+    runs, traced, incomplete = bench_pairs.collect(checkouts, [("graver", 0, 2)], ["graver"], 1)
+    assert [(r["pair"], r["side"]) for r in runs] == [(1, "parent"), (1, "change")]
+    assert traced == {}
+    assert incomplete.startswith("graver seed 0 pair 2 change: exit code 1, no result line")
+    report = {"summary": bench_pairs.summarize(runs), "runs": runs, "incomplete": incomplete}
+    out = bench_pairs.write(report, tmp_path, "7")
+    assert out.name == "BENCH_7.partial.json" and not (tmp_path / "BENCH_7.json").exists()
+    doc = json.loads(out.read_text())
+    assert doc["runs"] == runs and doc["incomplete"] == incomplete
+    assert doc["summary"]["graver"]["total_s"]["pairs"] == 1
+
+
+def test_summarize_skips_a_workload_without_a_complete_pair():
+    runs = [{"workload": w, "seed": 0, "pair": 1, "side": side, "metrics": {"total_s": {"value": 1}}}
+            for w, sides in (("graver", ("parent", "change")), ("census-g345", ("change",)))
+            for side in sides]
+    assert list(bench_pairs.summarize(runs)) == ["graver"]
 
 
 def test_pairs_run_round_robin_over_the_workloads():

@@ -56,6 +56,10 @@ def test_coefficients_stay_exact():
     for bad in (0.5, "2"):
         with pytest.raises(InputError):
             Binomial((1, 0), (0, 1), bad)
+    # one monomial twice, and a zero coefficient
+    for bad in (((1, 0), (1, 0)), ((1, 0), (0, 1), 0)):
+        with pytest.raises(InputError):
+            Binomial(*bad)
 
 
 def test_non_homogeneous_rejected():

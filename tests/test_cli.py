@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from agraded import lp
 from agraded.cli import main
 from agraded.fileio import FormatError, format_ideal, parse_ideal, parse_matrix
 from agraded.monomials import minimalize
@@ -91,6 +92,20 @@ def test_cli_coherent(matrix12, tmp_path, capsys):
     assert main(["coherent", "--matrix", matrix12, "--ideal", str(ideal_path)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["coherent"] is True
+
+
+@pytest.mark.parametrize("command", ["check", "coherent"])
+def test_cli_witness_marks_every_row(command, ctx345, tmp_path, capsys):
+    """The printed witness is an integer w with w.(g - std(deg g)) > 0 on every generator g."""
+    ideal = ctx345.reference_ideal
+    paths = tmp_path / "m.txt", tmp_path / "ideal.txt"
+    paths[0].write_text(format_matrix(ctx345.A.rows))
+    paths[1].write_text(format_ideal(ideal))
+    assert main([command, "--matrix", str(paths[0]), "--ideal", str(paths[1])]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    rows = [tuple(a - b for a, b in zip(g, std))
+            for g, std in zip(ideal.gens, ctx345.generator_standards(ideal))]
+    assert doc["coherent"] is True and lp.is_witness(rows, [int(x) for x in doc["witness"]])
 
 
 def test_cli_enumerate(matrix12, capsys):
@@ -207,13 +222,16 @@ def test_cli_exponent_beyond_packed_field(matrix12, tmp_path, capsys):
     assert "2**31" in capsys.readouterr().err
 
 
-def _graph_doc(v, label):
-    """A one-edge graph document on the two ideals of A = (1 2) and <x1>."""
+def _graph_doc(v, label, pad=()):
+    """A one-edge graph document on the two ideals of A = (1 2) and <x1>.
+
+    ``pad`` appends exponents to every generator, for ideals in more variables.
+    """
     vertex = {"coherent": None, "valency": 1}
     return json.dumps({
-        "vertices": [dict(vertex, id=0, generators=[[0, 1]]),
-                     dict(vertex, id=1, generators=[[2, 0]]),
-                     dict(vertex, id=2, generators=[[1, 0]])],
+        "vertices": [dict(vertex, id=0, generators=[[0, 1, *pad]]),
+                     dict(vertex, id=1, generators=[[2, 0, *pad]]),
+                     dict(vertex, id=2, generators=[[1, 0, *pad]])],
         "edges": [{"u": 0, "v": v, "label": label}],
         "start": 0,
     })
@@ -221,23 +239,34 @@ def _graph_doc(v, label):
 
 @pytest.mark.parametrize("case", [
     "matrix-token", "ideal-token", "weight-token", "matrix-directory", "graph-json",
-    "graph-label", "graph-target",
+    "graph-label", "graph-target", "matrix-empty", "matrix-header", "matrix-row-count",
+    "ideal-length", "graph-variables",
 ])
 def test_cli_malformed_input_exits_2(matrix12, tmp_path, capsys, case):
     path = tmp_path / "input.txt"
     graph = ["triangulations", "--matrix", matrix12, "--graph", str(path)]
+    ideal = ["check", "--matrix", matrix12, "--ideal", str(path)]
     argv = {
         "matrix-token": ["graver", "--matrix", str(path)],
-        "ideal-token": ["check", "--matrix", matrix12, "--ideal", str(path)],
+        "matrix-empty": ["graver", "--matrix", str(path)],
+        "matrix-header": ["graver", "--matrix", str(path)],
+        "matrix-row-count": ["graver", "--matrix", str(path)],
+        "ideal-token": ideal,
+        "ideal-length": ideal,
         "weight-token": ["initial", "--matrix", matrix12, "--weight", "1,x"],
         "matrix-directory": ["graver", "--matrix", str(tmp_path)],
     }.get(case, graph)
     path.write_text({
         "matrix-token": "1 2\n1 two\n",
+        "matrix-empty": "# no header\n",
+        "matrix-header": "1 2 3\n1 2 3\n",  # the header is not "d n"
+        "matrix-row-count": "2 2\n1 2\n",
         "ideal-token": "2 x\n",
+        "ideal-length": "2 0 1\n",
         "graph-json": "{not json",
         "graph-label": _graph_doc(1, [[3, 0], [1, 1]]),  # x1^3 - x1 x2 does not flip <x2>
         "graph-target": _graph_doc(2, [[2, 0], [0, 1]]),  # the flip of <x2> is <x1^2>, not <x1>
+        "graph-variables": _graph_doc(1, [[2, 0, 0], [0, 1, 0]], pad=[0]),
     }.get(case, ""))
     assert main(argv) == 2
     err = capsys.readouterr().err

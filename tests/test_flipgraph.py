@@ -65,12 +65,19 @@ def complete(request):
     return matrix, brute_force_enumerate(AGradedContext(matrix))
 
 
-@pytest.mark.parametrize("multi", [False, True], ids=["reference", "all-ideals"])
-def test_explore_matches_plain_bfs(complete, multi):
+@pytest.mark.parametrize("case", ["reference", "all-ideals", "one-ideal"])
+def test_explore_matches_plain_bfs(complete, case):
     matrix, ideals = complete
-    start = ideals if multi else None
+    # one MonomialIdeal, as flipgraph --start passes it; the last brute-force
+    # ideal is the reference ideal on every oracle fixture, so take the first
+    ideal = ideals[0]
+    assert ideal != AGradedContext(matrix).reference_ideal
+    start, oracle_start = {"reference": (None, None), "all-ideals": (ideals, ideals),
+                           "one-ideal": (ideal, [ideal])}[case]
     graph = explore(AGradedContext(matrix), start=start)
-    assert to_json(graph) == to_json(plain_explore(AGradedContext(matrix), start=start))
+    assert to_json(graph) == to_json(plain_explore(AGradedContext(matrix), start=oracle_start))
+    if case == "one-ideal":
+        assert graph.vertices[graph.start] == ideal
 
 
 @pytest.mark.parametrize("multi", [False, True], ids=["reference", "all-ideals"])
@@ -227,7 +234,7 @@ def test_walk_reaches_every_component(monkeypatch, ctx_corank4):
     decided = []
     walk = flipgraph.is_coherent
 
-    def recording(ideal, ctx, inherited=None):
+    def recording(ideal, ctx, inherited=()):
         decided.append((ideal, inherited))
         return walk(ideal, ctx, inherited)
 

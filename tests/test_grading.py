@@ -218,12 +218,12 @@ def test_lll_basis_and_the_saturated_basis_generate_each_other(rows):
 
 def test_lp_empty_and_contradictory():
     assert lp_strict_feasible([], nvars=3) == (0, 0, 0)
-    assert lp_strict_feasible([(1,), (-1,)]) is None
+    assert lp_strict_feasible([(1,), (-1,)], nvars=1) is None
 
 
 def test_lp_witness_exact():
     rows = [(1, 0), (0, 1), (1, 1), (2, -1)]
-    w = lp_strict_feasible(rows)
+    w = lp_strict_feasible(rows, nvars=2)
     assert w is not None
     for row in rows:
         value = sum(Fraction(a) * x for a, x in zip(row, w))
@@ -256,7 +256,7 @@ def test_lp_witness_recheck_raises(monkeypatch):
     for fake in (_wrong_dual, _wrong_primal, _half_dual):
         monkeypatch.setattr(lp, "_phase1", fake)
         with pytest.raises(CertificateError):
-            lp_strict_feasible([(1, 0), (0, 1)])
+            lp_strict_feasible([(1, 0), (0, 1)], nvars=2)
 
 
 def test_lp_witness_recheck_runs_under_optimize():
@@ -271,7 +271,7 @@ def test_lp_witness_recheck_runs_under_optimize():
         "from agraded import CertificateError, lp\n"
         "lp._phase1 = lambda columns, rhs: (1, (), (0,) * len(rhs))\n"
         "try:\n"
-        "    lp.lp_strict_feasible([(1, 0), (0, 1)])\n"
+        "    lp.lp_strict_feasible([(1, 0), (0, 1)], nvars=2)\n"
         "except CertificateError:\n"
         "    print('raised', sys.flags.optimize)\n"
     )

@@ -145,9 +145,7 @@ def test_lawrence_certificate():
 
 def test_is_circuit_12():
     m = validate_grading([[1, 2]])
-    circ = is_circuit(m, ((2, 0), (0, 1)))
-    assert circ is not None
-    assert circ.t == (2, -1) and circ.t_plus == (0,) and circ.t_minus == (1,)
+    assert is_circuit(m, ((2, 0), (0, 1))) == (2, -1)
 
 
 def test_circuits_137():
@@ -173,7 +171,8 @@ def test_all_circuits_lie_in_graver(ctx_veronese, ctx137):
     from itertools import combinations
 
     from agraded.binomials import canonical_pair
-    from agraded.linalg import primitive, rank, rational_nullspace
+    from agraded.linalg import primitive, rank
+    from test_linalg import oracle_nullspace
 
     for ctx in (ctx_veronese, ctx137):
         m = ctx.A
@@ -187,7 +186,7 @@ def test_all_circuits_lie_in_graver(ctx_veronese, ctx137):
                     continue
                 if any(rank(sub[:k] + sub[k + 1:]) != size - 1 for k in range(size)):
                     continue
-                null = rational_nullspace(list(zip(*sub)), size)
+                null = oracle_nullspace(list(zip(*sub)), size)
                 assert len(null) == 1
                 t = primitive(null[0])
                 vec = [0] * m.n

@@ -25,6 +25,7 @@ from agraded import (
     is_agraded,
     is_coherent,
     is_weakly_agraded,
+    lp,
     minimalize,
     neighbors,
     special_ideals,
@@ -129,8 +130,8 @@ def test_masked_ideal_flips(ctx345, ideal_masked):
     moves = neighbors(ideal_masked, ctx345)
     assert_definition_flips(moves, ctx345)
     assert {m.label for m in moves} == as_pairs(expected("coherence-mask")["flips"])
-    coherent, witness = is_coherent(ideal_masked, ctx345)
-    assert not coherent and witness is None
+    coherent, farkas = is_coherent(ideal_masked, ctx345)
+    assert not coherent and lp.is_farkas(coherence_rows(ideal_masked, ctx345), farkas)
 
 
 def coherence_rows(ideal, ctx):

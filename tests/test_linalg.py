@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from agraded import InputError, lp, lp_strict_feasible
 from agraded.fixtures import named_matrix
-from agraded.linalg import pivot, primitive, rank, rational_nullspace, solve_linear
+from agraded.linalg import integer_kernel_basis, mat_vec, pivot, primitive, rank, solve_linear
 from agraded.triangulations import _interiors_meet
 
 
@@ -165,7 +165,10 @@ def matrices(draw, square=False):
 def test_rank_and_nullspace_match_fraction_oracle(rows):
     ncols = len(rows[0])
     assert same(rank(rows), oracle_rank(rows))
-    assert same(rational_nullspace(rows, ncols), oracle_nullspace(rows, ncols))
+    kernel, oracle = integer_kernel_basis(rows, ncols), oracle_nullspace(rows, ncols)
+    assert len(kernel) == len(oracle)
+    assert all(not any(mat_vec(rows, vec)) for vec in kernel)
+    assert oracle_rank(kernel + oracle) == len(oracle)  # one span
 
 
 @settings(max_examples=300, deadline=None)
@@ -260,7 +263,7 @@ def test_witness_check():
 
 def test_non_integer_entries_rejected():
     with pytest.raises(InputError):
-        lp_strict_feasible([(Fraction(1, 2), 0)])
+        lp_strict_feasible([(Fraction(1, 2), 0)], nvars=2)
     with pytest.raises(InputError):
         rank([(Fraction(1, 2), 0)])
 
@@ -300,7 +303,7 @@ def test_interiors_meet_matches_plane_geometry():
 
 @pytest.mark.parametrize("call", [
     lambda: lp_strict_feasible([(1, 2, 3)], nvars=2),
-    lambda: lp_strict_feasible([(1, 2), (1,)]),
+    lambda: lp_strict_feasible([(1, 2), (1,)], nvars=2),
     lambda: rank([[1, 2], [3]]),
     lambda: solve_linear([[1, 2], [3]], [1, 2]),
 ], ids=["lp-rows-longer-than-nvars", "lp-ragged", "rank-ragged", "solve-ragged"])

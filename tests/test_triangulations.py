@@ -25,9 +25,10 @@ from agraded import (
     validate_grading,
 )
 from agraded.fixtures import named_matrix
-from agraded.linalg import dot, rank, rational_nullspace
+from agraded.linalg import dot, rank
+from agraded.monomials import support
 from agraded.triangulations import _interiors_meet, make_complex
-from test_linalg import det
+from test_linalg import det, oracle_nullspace
 
 
 # -- oracle: the volume check the local ridge test replaced -------------------
@@ -62,7 +63,7 @@ def reference_facets(matrix):
         for ridge, apexes in ridges.items():
             if len(apexes) != 1:
                 continue  # interior ridge
-            basis = rational_nullspace([cols[i] for i in ridge], d)
+            basis = oracle_nullspace([cols[i] for i in ridge], d)
             assert len(basis) == 1
             h = basis[0]
             inward = dot(h, cols[apexes[0]])
@@ -234,7 +235,7 @@ def test_degenerate_flip_link_condition(ctx_veronese):
         circ = is_circuit(m, label)
         if circ is None:
             continue
-        if len(circ.t_plus) + len(circ.t_minus) <= m.d:
+        if len(support(circ)) <= m.d:
             move = flip(graph.vertices[i], label, ctx_veronese)
             if edge_transition(move, ctx_veronese) == BISTELLAR:
                 moved += 1

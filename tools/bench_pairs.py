@@ -21,20 +21,23 @@ so a drift of the host's speed is spread over all workloads instead of
 falling on the last ones.  ``--trace W`` adds one traced run (``--trace 1``,
 seed 0) per side, whose per-layer metrics are kept under ``traced``.  A run
 that fails its known-answer gate (``correct`` false), exits non-zero or ends
-without a result line stops the script with an error naming the run (with
-its exit code and last 20 lines of stdout if it printed no result), before
-anything is summarised or written.  The summary gives, per workload and seed
-and per end-to-end metric, each side's median and inclusive quartiles, the
-relative change of the median and the numbers of pairs in which the change
-read lower and higher.  After writing the file, one line per workload, seed
-and end-to-end metric of BENCHMARK.json goes to stderr with the same
-figures, marked ``over bound`` when the change's median is worse than the
-parent's by more than the metric's bound, the benchmark's rule for refusing
-a change, and ``gain shown`` when the rule for claiming a gain holds: at
-least ten pairs, the change better (lower or higher, as the metric's
-``better`` says) in at least nine tenths of them, ties counting for neither,
-and its median better than the parent's by more than the distance between
-the parent's quartiles.  Standard library only.
+without a result line stops the plan: the runs completed before it go to
+``BENCH_<pr>.partial.json``, whose ``incomplete`` field names the failed run
+and says why (with its exit code and last 20 lines of stdout if it printed
+no result), ``BENCH_<pr>.json`` is not written, and the script exits with
+that error.  The summary gives, per workload and seed with at least one
+complete pair and per end-to-end metric, each side's median and inclusive
+quartiles, the relative change of the median and the numbers of pairs in
+which the change read lower and higher.  After writing a complete file,
+one line per workload, seed and end-to-end metric of BENCHMARK.json goes
+to stderr with the same figures, marked ``over bound`` when the change's
+median is worse than the parent's by more than the metric's bound, the
+benchmark's rule for refusing a change, and ``gain shown`` when the rule
+for claiming a gain holds: at least ten pairs, the change better (lower or
+higher, as the metric's ``better`` says) in at least nine tenths of them,
+ties counting for neither, and its median better than the parent's by
+more than the distance between the parent's quartiles.  Standard library
+only.
 """
 
 import argparse
@@ -100,11 +103,15 @@ def copy_worktree(dest):
             shutil.copy2(source, dest / name)
 
 
+class RunFailed(Exception):
+    """A run without a correct result; the message names the run and says why."""
+
+
 def run(checkout, workload, seed, seconds, trace, name):
     """The result object that one run of the benchmark prints last.
 
-    Exits with an error naming the run (``name``) if it is not correct.  If
-    the run exits non-zero or its last line is no JSON object, the error
+    Raises RunFailed naming the run (``name``) if it is not correct.  If
+    the run exits non-zero or its last line is no JSON object, the message
     also gives its exit code and the last 20 lines of its stdout.
     """
     cmd = [sys.executable, "censusbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -117,11 +124,11 @@ def run(checkout, workload, seed, seconds, trace, name):
         result = None
     if not isinstance(result, dict):
         tail = "".join(f"\n  {line}" for line in lines[-20:])
-        raise SystemExit(f"error: {name}: exit code {proc.returncode}, no result line; "
-                         f"last {min(len(lines), 20)} lines of stdout:{tail}\nnothing written")
+        raise RunFailed(f"{name}: exit code {proc.returncode}, no result line; "
+                        f"last {min(len(lines), 20)} lines of stdout:{tail}")
     if not result["correct"]:
-        raise SystemExit(f"error: {name}: {result['failed']} of {result['attempted']} "
-                         "operations failed the known-answer gate; nothing written")
+        raise RunFailed(f"{name}: {result['failed']} of {result['attempted']} "
+                        "operations failed the known-answer gate")
     return result
 
 
@@ -134,7 +141,10 @@ def spread(values):
 
 
 def summarize(runs):
-    """Per workload (and seed, when not 0) and metric: medians, quartiles, wins."""
+    """Per workload (and seed, when not 0) and metric: medians, quartiles, wins.
+
+    A workload without a complete pair is left out.
+    """
     groups = {}
     for r in runs:
         key = r["workload"] if r["seed"] == 0 else f"{r['workload']}, seed {r['seed']}"
@@ -142,6 +152,8 @@ def summarize(runs):
     summary = {}
     for key, pairs in groups.items():
         sides = [p for p in pairs.values() if len(p) == 2]
+        if not sides:
+            continue
         summary[key] = {}
         for name in sides[0]["parent"]:
             before = [p["parent"][name]["value"] for p in sides]
@@ -186,20 +198,14 @@ def verdicts(summary, end_to_end):
     return lines
 
 
-def main(argv=None):
-    args = parse_args(argv)
-    plan = [parse_pairs(spec) for spec in args.pairs]
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = benchmark["run_seconds"]
-    parent = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT, check=True,
-                            stdout=subprocess.PIPE, text=True).stdout.strip()
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        checkouts = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
-        for checkout in checkouts.values():
-            checkout.mkdir()
-        extract(args.parent, checkouts["parent"])
-        copy_worktree(checkouts["change"])
-        runs = []
+def collect(checkouts, plan, trace, seconds):
+    """(runs, traced, incomplete): the pairs of the plan, then the traced runs.
+
+    ``incomplete`` is None, or the message of the first run that failed;
+    the runs and traced runs then hold only what completed before it.
+    """
+    runs, traced = [], {}
+    try:
         for workload, seed, pair, order in schedule(plan):
             for side in order:
                 result = run(checkouts[side], workload, seed, seconds, 0,
@@ -213,8 +219,7 @@ def main(argv=None):
                     "attempted": result["attempted"], "correct": result["correct"],
                     "failed": result["failed"], "metrics": metrics,
                 })
-        traced = {}
-        for workload in args.trace:
+        for workload in trace:
             traced[workload] = {
                 "command": f"python3 censusbench/run.py --workload {workload} --seed 0 --trace 1",
                 "note": "one traced pass per side, wall seconds",
@@ -223,6 +228,33 @@ def main(argv=None):
                 metrics = run(checkouts[side], workload, 0, seconds, 1,
                               f"{workload} seed 0 traced {side}")["metrics"]
                 traced[workload][side] = {k: round(v["value"], 4) for k, v in metrics.items()}
+    except RunFailed as failure:
+        return runs, traced, str(failure)
+    return runs, traced, None
+
+
+def write(report, directory, pr):
+    """Write the report as BENCH_<pr>.json, or BENCH_<pr>.partial.json if incomplete."""
+    suffix = ".partial.json" if "incomplete" in report else ".json"
+    out = Path(directory) / f"BENCH_{pr}{suffix}"
+    out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    return out
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    plan = [parse_pairs(spec) for spec in args.pairs]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = benchmark["run_seconds"]
+    parent = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT, check=True,
+                            stdout=subprocess.PIPE, text=True).stdout.strip()
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        checkouts = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        for checkout in checkouts.values():
+            checkout.mkdir()
+        extract(args.parent, checkouts["parent"])
+        copy_worktree(checkouts["change"])
+        runs, traced, incomplete = collect(checkouts, plan, args.trace, seconds)
     report = {
         "description": args.description,
         "command": COMMAND.format(seconds=f"{seconds:g}"),
@@ -236,8 +268,11 @@ def main(argv=None):
         "traced": traced,
         "runs": runs,
     }
-    out = ROOT / f"BENCH_{args.pr}.json"
-    out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    if incomplete:
+        report["incomplete"] = incomplete
+    out = write(report, ROOT, args.pr)
+    if incomplete:
+        raise SystemExit(f"error: {incomplete}\nwrote the {len(runs)} completed runs to {out}")
     print(f"wrote {out}", file=sys.stderr)
     for line in verdicts(report["summary"], benchmark["end_to_end"]):
         print(line, file=sys.stderr)
