@@ -24,7 +24,8 @@ from .monomials import (
     FIELD_BITS, FIELD_LIMIT, divides, exp_sub, fiber_walk, guard_mask, pack, packed_member, support,
     unpack,
 )
-# bound for censusbench/tracer.py until ROADMAP item 1 removes this binding
+# censusbench/tracer.py rebinds buchberger and toric_ideal in this namespace;
+# buchberger is imported for that alone
 from .binomials import binomial_from_vector, buchberger, canonical_pair, toric_ideal
 
 

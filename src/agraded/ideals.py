@@ -23,6 +23,16 @@ marked toward x^a.  ``wall_initial`` merges the target's minimal generators
 instead of sorting them out; this is exact because the source's other
 generators are minimal, each survivor of the completion is irreducible modulo
 everything found before it, and x^b lies outside the source.
+
+Wall tests repeat across ideals: a census meets few oriented walls (lead,
+trail), and most of its S-monomials (x^m : x^lead) x^trail again and again.
+So the context keeps a certificate per wall and generator m: the monomial
+x^d that divided the S-monomial when it was last computed, or m itself
+when the product criterion skipped it.  That is a fact about four
+integers, true for every ideal; when d is a generator of the ideal at hand,
+the reduction is known to give zero and x^m costs one dict probe
+(``_wall_survivors`` says why the skip is exact).  Verdicts, targets and
+every ExponentOverflow are those of the certificate-free kernels.
 """
 
 from dataclasses import dataclass
@@ -47,6 +57,7 @@ from .graver import graver_basis
 from .linalg import primitive
 from .lp import inherited_answer, lp_strict_feasible
 from .monomials import (
+    IRREDUCIBLE,
     MonomialIdeal,
     _Lazy,
     degree_code,
@@ -58,8 +69,10 @@ from .monomials import (
     minimalize,
     pack,
     packed_colon,
+    packed_divisor,
     packed_member,
     packed_nf,
+    packed_step,
     unpack,
 )
 
@@ -98,6 +111,15 @@ class AGradedContext:
         self._interned = {}
         # monomial -> its packed form, for the monomials flips trade
         self._packed = {}
+        # oriented wall (packed lead, packed trail) -> {packed m: packed d}, the
+        # certificates of ``_wall_survivors``: when m was last reduced on that
+        # wall, x^d divided (x^m : x^lead) x^trail, or d = m and the product
+        # criterion skipped x^m.  Both are facts about (lead, trail, m, d), so
+        # they hold for every ideal with that wall.
+        self._walls = {}
+        # (ideal, set of its packed generators) for the ideal asked last;
+        # ``neighbors`` flips one ideal many times in a row
+        self._last_generators = (None, frozenset())
 
     @cached_property
     def graver(self):
@@ -133,6 +155,21 @@ class AGradedContext:
         if p is None:
             p = self._packed[u] = pack(u)
         return p
+
+    def _generator_set(self, ideal):
+        """The packed generators of an ideal as a set, kept for the last ideal asked."""
+        held, members = self._last_generators
+        if held is not ideal:
+            members = frozenset(ideal.packed)
+            self._last_generators = (ideal, members)
+        return members
+
+    def _wall_certificates(self, ideal, plead, ptrail):
+        """The ``certificates`` of the wall kernels for the oriented wall (lead, trail) of ``ideal``."""
+        certs = self._walls.get((plead, ptrail))
+        if certs is None:
+            certs = self._walls[plead, ptrail] = {}
+        return certs, self._generator_set(ideal)
 
     def standard_monomial(self, ideal, b):
         """The unique monomial of degree b outside an A-graded ideal.
@@ -177,9 +214,11 @@ class AGradedContext:
         one standard monomial in degree beta, so c is that monomial iff it
         lies outside M'.  One packed membership test decides, and c is
         stored only then; otherwise, or when M has not cached beta, the
-        degree is left to ``standard_monomial``.  The trades and the test
-        run on packed integers; c is unpacked, and its packed form kept,
-        only when a trade happened.
+        degree is left to ``standard_monomial``.  When no trade happened, c
+        is s, which lies outside M, so no generator that M' shares with M
+        divides it: c is tested against the generators of M' that M lacks
+        alone.  The trades and the test run on packed integers; c is
+        unpacked, and its packed form kept, only when a trade happened.
 
         For a flip the test always passes.  Modulo the wall ideal, the
         monomials of degree beta that trades of x^a and x^b join to s form
@@ -197,6 +236,8 @@ class AGradedContext:
         shift = self.pack(move.a) - pb
         known = self._standard.setdefault(target, {})
         intern = self._interned.setdefault
+        source_gens = self._generator_set(move.source)
+        lacking = [p for p in target.packed if p not in source_gens]
         for p in target.packed:
             beta = self.degree_codes[p]
             c = source.get(beta)
@@ -207,7 +248,7 @@ class AGradedContext:
                 pc += shift
                 if pc & guard:
                     raise ExponentOverflow(f"a trade of {move.b} for {move.a} reached 2**31")
-            if packed_member(pc, target.packed, guard):
+            if packed_member(pc, lacking if pc == start else target.packed, guard):
                 continue
             if pc != start:
                 c = unpack(pc, n)
@@ -242,9 +283,9 @@ def definition_flip_ideal(ideal, a, b, graver):
     a, b = tuple(a), tuple(b)
     gens = [b]
     for u, v in graver:
-        for side, partner in ((u, v), (v, u)):
-            if side != a and ideal.contains(side) and not ideal.contains(partner):
-                gens.append(side)
+        in_u, in_v = ideal.contains(u), ideal.contains(v)
+        if in_u != in_v and (side := u if in_u else v) != a:
+            gens.append(side)
     return minimalize(gens)
 
 
@@ -260,7 +301,11 @@ def flip(ideal, pair, ctx):
     - NotFlippable unless re-marking the wall ideal toward x^a reproduces
       the ideal, in which case the opposite marking is the A-graded target.
     x^b is packed once per context (``AGradedContext.pack``).  The two wall
-    kernels below take these checks as given.
+    kernels below take these checks as given.  Both read and extend the
+    context's certificates of their oriented wall (``_wall_survivors``), so
+    a generator whose S-monomial was divisible, on an earlier ideal, by a
+    generator of this ideal costs one dict probe; the verdict and the target
+    are those of the certificate-free kernels.
     """
     u, v = map(tuple, pair)
     n = ctx.A.n
@@ -284,14 +329,15 @@ def flip(ideal, pair, ctx):
         if codes[pa] != codes[pb]:
             raise NonHomogeneousInput(f"{a} and {b} have different degrees")
     rest = packed[:i] + packed[i + 1:]
-    if not wall_recovers_source(rest, pa, pb, n):
+    if not wall_recovers_source(rest, pa, pb, n, ctx._wall_certificates(ideal, pa, pb)):
         raise NotFlippable(a, b)
     known = dict(zip(packed, gens))
     known[pb] = b
-    return FlipMove(ideal, a, b, wall_initial(rest, pa, pb, n, known))
+    return FlipMove(ideal, a, b, wall_initial(rest, pa, pb, n, known,
+                                              ctx._wall_certificates(ideal, pb, pa)))
 
 
-def _wall_survivors(rest, plead, ptrail, guard, first=False):
+def _wall_survivors(rest, plead, ptrail, guard, first=False, certificates=None):
     """Completion of the wall ideal <rest, x^lead - x^trail>, all packed.
 
     Only S-pairs of a monomial x^m with the binomial arise.  Each
@@ -300,14 +346,43 @@ def _wall_survivors(rest, plead, ptrail, guard, first=False):
     Buchberger's product criterion skips an x^m coprime to x^lead unless
     m + trail leaves the packed field range: that S-monomial still goes to
     ``packed_nf``, which raises ExponentOverflow.
+
+    Certificates.  ``certificates`` is None (none are read or kept) or the
+    pair (certs, generators) of ``AGradedContext._wall_certificates``: the
+    dict of this oriented wall, shared by every ideal, and the set of packed
+    generators of the ideal at hand.  certs maps m to d when, as m was last
+    reduced here, x^d was the first monomial to divide the S-monomial
+    (x^m : x^lead) x^trail, or d = m and the product criterion skipped x^m
+    (kept only when m + trail stays in range).  Both facts depend on (lead,
+    trail, m, d) alone.  An x^m whose d is a generator of the ideal is
+    skipped after one dict probe, and the skip is exact.  d was a monomial
+    reduced by, a member of ``rest`` or a survivor, and neither is x^lead or
+    x^trail: by ``flip``'s checks one of them is the generator the wall
+    replaces and the other lies outside the ideal, so ``rest`` holds
+    neither; x^lead divides no survivor; and a survivor has the degree of an
+    S-monomial, above deg trail, since no x^m divides x^lead.  So a d among
+    the generators lies in ``rest``, divides the S-monomial, and
+    ``packed_nf`` would return None.  Survivors, their order and every
+    ExponentOverflow are unchanged.  Any other x^m is reduced as without
+    certificates, and the divisor found, if any, becomes its certificate.
     """
     packed = list(rest)
     wall = ((plead, ptrail, 1),)
+    certs, generators = certificates if certificates is not None else ({}, ())
     for pm in packed:  # survivors are appended, and visited in turn
-        pc = packed_colon(pm, plead, guard)
-        if pc == pm and not (pm + ptrail) & guard:
+        if certs.get(pm) in generators:
             continue
-        nf = packed_nf(pc + ptrail, 1, packed, wall, guard)
+        pc = packed_colon(pm, plead, guard)
+        pu = pc + ptrail
+        if pu & guard:  # packed_nf raises ExponentOverflow
+            nf = packed_nf(pu, 1, packed, wall, guard)
+        elif (d := pm if pc == pm else packed_divisor(pu, packed, guard)) is not None:
+            certs[pm] = d
+            continue
+        else:
+            # no monomial divides x^pu, so the binomial makes its first rewrite
+            step = packed_step(pu, (), wall, guard)
+            nf = (pu, 1) if step is IRREDUCIBLE else packed_nf(step[0], 1, packed, wall, guard)
         if nf is not None:
             packed.append(nf[0])
             if first:
@@ -315,17 +390,20 @@ def _wall_survivors(rest, plead, ptrail, guard, first=False):
     return packed[len(rest):]
 
 
-def wall_recovers_source(rest, pa, pb, n):
+def wall_recovers_source(rest, pa, pb, n, certificates=None):
     """Whether marking x^a in the wall ideal <rest, x^a - x^b> gives the source.
 
     ``rest`` holds the packed minimal generators of the source other than
     pa, in n fields.  It does iff no S-monomial survives, so the test stops
     at the first survivor, the common case for rejected candidates.
+    ``certificates``, as ``flip`` passes them for the wall (pa, pb), are
+    read and extended as ``_wall_survivors`` says; without them the test
+    runs certificate-free.
     """
-    return not _wall_survivors(rest, pa, pb, guard_mask(n), first=True)
+    return not _wall_survivors(rest, pa, pb, guard_mask(n), True, certificates)
 
 
-def wall_initial(rest, pa, pb, n, known):
+def wall_initial(rest, pa, pb, n, known, certificates=None):
     """The flip target: the wall ideal <rest, x^a - x^b> with x^b marked.
 
     ``known`` maps pb and the packed ``rest`` to the exponent tuples that
@@ -341,11 +419,13 @@ def wall_initial(rest, pa, pb, n, known):
       degree of a monomial, so x^s | x^b would give deg s = deg b for a
       pointed grading, hence s = b, which x^b would divide.
     One sort of the integers gives the canonical order; only the survivors
-    are unpacked.
+    are unpacked.  ``certificates``, as ``flip`` passes them for the wall
+    (pb, pa), are read and extended as ``_wall_survivors`` says; without
+    them the completion runs certificate-free.
     """
     guard = guard_mask(n)
     survivors = []
-    for s in _wall_survivors(rest, pb, pa, guard):
+    for s in _wall_survivors(rest, pb, pa, guard, certificates=certificates):
         survivors = [t for t in survivors if ((t | guard) - s) & guard != guard]
         survivors.append(s)
     lower = [pb, *survivors]

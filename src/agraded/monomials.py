@@ -174,13 +174,22 @@ def packed_nf(pu, c, pmons, pbins, guard):
     return pu, c
 
 
-def packed_member(pu, packed, guard):
-    """Whether some packed monomial in ``packed`` divides the packed x^u."""
+def packed_divisor(pu, packed, guard):
+    """The first packed monomial in ``packed`` that divides the packed x^u, or None.
+
+    Packed 0 is the monomial 1, a divisor like any other: test the result
+    with ``is not None``.
+    """
     q = pu | guard
     for p in packed:
         if (q - p) & guard == guard:
-            return True
-    return False
+            return p
+    return None
+
+
+def packed_member(pu, packed, guard):
+    """Whether some packed monomial in ``packed`` divides the packed x^u."""
+    return packed_divisor(pu, packed, guard) is not None
 
 
 def minimal_packed(packed, guard):
@@ -192,7 +201,7 @@ def minimal_packed(packed, guard):
     """
     keep = []
     for p in sorted(packed):
-        if not packed_member(p, keep, guard):
+        if packed_divisor(p, keep, guard) is None:
             keep.append(p)
     return tuple(keep)
 

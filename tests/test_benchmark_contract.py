@@ -42,3 +42,35 @@ def test_a_traced_cold_start_from_a_seeded_weight_restores_every_binding():
     assert len(per["toric_ideal"]["durs"]) == 1 and len(per["buchberger"]["durs"]) >= 2
     assert trace.basis_elements > 0
     assert is_agraded(start, AGradedContext(named_matrix("g123789")))
+
+
+def test_neighbors_reaches_flip_through_the_module_once_per_untested_candidate(monkeypatch):
+    """``flip.tried`` counts the calls of ``ideals.flip`` that ``neighbors`` makes.
+
+    The tracer rebinds ``ideals.flip``, so ``neighbors`` must call it through
+    the module namespace, once per candidate that no reverse move serves,
+    and a rejected candidate must still raise ``NotFlippable`` there.
+    """
+    from agraded import FlipMove, NotFlippable, ideals
+
+    ctx = AGradedContext(named_matrix("g36-8-10-15"))
+    source = ctx.reference_ideal
+    move = ideals.neighbors(source, ctx)[0]
+    target = move.target
+    reverse = {move.b: FlipMove(target, move.b, move.a, source)}
+    expected = ideals.neighbors(target, ctx)
+    calls, rejected = [], []
+    flip = ideals.flip
+
+    def counted(ideal, pair, context):
+        calls.append(pair)
+        try:
+            return flip(ideal, pair, context)
+        except NotFlippable:
+            rejected.append(pair)
+            raise
+
+    monkeypatch.setattr(ideals, "flip", counted)
+    assert ideals.neighbors(target, ctx, reverse) == expected
+    assert len(calls) == len(target.gens) - 1 and move.b not in {a for a, _ in calls}
+    assert rejected

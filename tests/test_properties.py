@@ -313,6 +313,49 @@ def test_seeded_random_flip_walks(name, seed):
     assert accepted and rejected and carried
 
 
+@pytest.mark.parametrize("name", ["g36-8-10-15", "g345-13-14"])
+def test_wall_certificates_never_change_an_answer(name):
+    """Certificates made on unrelated ideals change no verdict and no target.
+
+    One shared context visits every ``explore`` vertex and every
+    brute-force ideal in a seeded shuffled order, so the certificates a
+    wall test reads come from ideals far from the one at hand.  For each
+    generator x^a and the standard monomial x^b of its degree, ``flip``
+    agrees with the certificate-free ``wall_recovers_source`` and
+    ``wall_initial``, and an accepted target equals
+    ``definition_flip_ideal``.  Some visits meet a stale certificate, one
+    whose divisor is not a generator of the ideal at hand.
+    """
+    import random
+
+    from agraded import AGradedContext, NotFlippable, brute_force_enumerate, flip
+    from agraded.fixtures import named_matrix
+    from agraded.ideals import definition_flip_ideal, wall_initial, wall_recovers_source
+    from test_binomials import kernel_args
+
+    census = AGradedContext(named_matrix(name))
+    ideals = sorted(set(explore(census).vertices) | set(brute_force_enumerate(census)))
+    random.Random(0).shuffle(ideals)
+    ctx = AGradedContext(census.A)
+    accepted = rejected = stale = 0
+    for ideal in ideals:
+        members = set(ideal.packed)
+        for a, b in zip(ideal.gens, census.generator_standards(ideal)):
+            rest, pa, pb, n, known = kernel_args(ideal, a, b)
+            certs = ctx._walls.get((pa, pb), {})
+            stale += sum(certs[m] not in members for m in rest if m in certs)
+            if not wall_recovers_source(rest, pa, pb, n):
+                with pytest.raises(NotFlippable):
+                    flip(ideal, (a, b), ctx)
+                rejected += 1
+                continue
+            target = flip(ideal, (a, b), ctx).target
+            assert target == wall_initial(rest, pa, pb, n, known)
+            assert target == definition_flip_ideal(ideal, a, b, census.graver)
+            accepted += 1
+    assert accepted and rejected and stale
+
+
 def test_not_flippable_keeps_its_message():
     from agraded import NotFlippable
 
