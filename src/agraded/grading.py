@@ -1,7 +1,7 @@
 """Grading matrices with positivity certificates and kernel lattices.
 
 A grading matrix is a d x n integer matrix A of rank d whose kernel meets
-the nonnegative orthant only in 0.  That is witnessed by a rational vector
+the nonnegative orthant only in 0.  That is witnessed by an integer vector
 c with c^T A strictly positive, found by exact LP.  The certificate makes
 every degree fiber finite, which is what all completions and enumerations
 in this package rely on.
@@ -12,7 +12,7 @@ from functools import cached_property, lru_cache
 
 from .errors import BadLength, GradingError, NotPointed, RankDeficient, certify
 from .linalg import (
-    dot, gram_determinant, integer_kernel_basis, lll_reduce, mat_vec, primitive, rank,
+    dot, gram_determinant, integer_kernel_basis, lll_reduce, mat_vec, rank,
 )
 from .lp import lp_strict_feasible
 
@@ -71,8 +71,8 @@ def _freeze(entries):
 def validate_grading(entries):
     """Build a GradingMatrix, or raise RankDeficient / NotPointed.
 
-    The positivity certificate c is found by solving (c^T A)_i >= 1 for all
-    columns i exactly, then scaled to a primitive integer vector.
+    The positivity certificate c is the primitive integer vector that
+    ``lp_strict_feasible`` returns for (c^T A)_i >= 1 over all columns i.
     """
     rows = _freeze(entries)
     d = len(rows)
@@ -82,8 +82,7 @@ def validate_grading(entries):
     witness = lp_strict_feasible(columns, nvars=d)
     if witness is None:
         raise NotPointed("kernel meets the nonnegative orthant nontrivially")
-    cert = primitive(witness)
-    matrix = GradingMatrix(rows, cert)
+    matrix = GradingMatrix(rows, witness)
     certify(all(w > 0 for w in matrix.certificate_weights),
             "positivity certificate is not strictly positive")
     return matrix

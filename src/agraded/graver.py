@@ -13,7 +13,7 @@ the production route.
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from math import gcd
 
@@ -37,6 +37,11 @@ class GraverBasis:
 
     def __iter__(self):
         return iter(self.elements)
+
+    @cached_property
+    def packed(self):
+        """The pairs with both sides packed, in the order of ``elements``, made on first use."""
+        return tuple((pack(u), pack(v)) for u, v in self.elements)
 
     def __len__(self):
         return len(self.elements)

@@ -54,7 +54,6 @@ from .errors import (
 )
 from .grading import positive_combination
 from .graver import graver_basis
-from .linalg import primitive
 from .lp import inherited_answer, lp_strict_feasible
 from .monomials import (
     IRREDUCIBLE,
@@ -265,11 +264,26 @@ def is_agraded(ideal, ctx):
     return ctx.k_codes(ideal) == ctx.reference_codes
 
 
+def _graver_sides_in(ideal, graver):
+    """(u, v, whether x^u, whether x^v lies in the ideal) for each Graver pair {u, v}.
+
+    Plain packed divisibility, with the sides packed once per Graver basis
+    (``GraverBasis.packed``).  BadLength unless the generators of the ideal
+    have as many entries as the sides.
+    """
+    if not graver.elements:
+        return
+    n = len(graver.elements[0][0])
+    if ideal.gens and len(ideal.gens[0]) != n:
+        raise BadLength(f"generator {ideal.gens[0]} needs {n} entries")
+    packed, guard = ideal.packed, guard_mask(n)
+    for (u, v), (pu, pv) in zip(graver, graver.packed):
+        yield u, v, packed_member(pu, packed, guard), packed_member(pv, packed, guard)
+
+
 def is_weakly_agraded(ideal, ctx):
     """Whether every Graver pair has at least one side in the ideal."""
-    return all(
-        ideal.contains(u) or ideal.contains(v) for u, v in ctx.graver
-    )
+    return all(in_u or in_v for _, _, in_u, in_v in _graver_sides_in(ideal, ctx.graver))
 
 
 def definition_flip_ideal(ideal, a, b, graver):
@@ -282,8 +296,7 @@ def definition_flip_ideal(ideal, a, b, graver):
     """
     a, b = tuple(a), tuple(b)
     gens = [b]
-    for u, v in graver:
-        in_u, in_v = ideal.contains(u), ideal.contains(v)
+    for u, v, in_u, in_v in _graver_sides_in(ideal, graver):
         if in_u != in_v and (side := u if in_u else v) != a:
             gens.append(side)
     return minimalize(gens)
@@ -343,9 +356,9 @@ def _wall_survivors(rest, plead, ptrail, guard, first=False, certificates=None):
     Only S-pairs of a monomial x^m with the binomial arise.  Each
     S-monomial (x^m : x^lead) x^trail that survives reduction joins the
     monomials, forms its own S-pair and is returned (``first``: only one).
-    Buchberger's product criterion skips an x^m coprime to x^lead unless
-    m + trail leaves the packed field range: that S-monomial still goes to
-    ``packed_nf``, which raises ExponentOverflow.
+    An S-monomial that leaves the packed field range raises
+    ExponentOverflow, also for an x^m coprime to x^lead, which Buchberger's
+    product criterion would skip.
 
     Certificates.  ``certificates`` is None (none are read or kept) or the
     pair (certs, generators) of ``AGradedContext._wall_certificates``: the
@@ -374,15 +387,14 @@ def _wall_survivors(rest, plead, ptrail, guard, first=False, certificates=None):
             continue
         pc = packed_colon(pm, plead, guard)
         pu = pc + ptrail
-        if pu & guard:  # packed_nf raises ExponentOverflow
-            nf = packed_nf(pu, 1, packed, wall, guard)
-        elif (d := pm if pc == pm else packed_divisor(pu, packed, guard)) is not None:
+        if pu & guard:
+            raise ExponentOverflow("a rewritten exponent reached 2**31")
+        if (d := pm if pc == pm else packed_divisor(pu, packed, guard)) is not None:
             certs[pm] = d
             continue
-        else:
-            # no monomial divides x^pu, so the binomial makes its first rewrite
-            step = packed_step(pu, (), wall, guard)
-            nf = (pu, 1) if step is IRREDUCIBLE else packed_nf(step[0], 1, packed, wall, guard)
+        # no monomial divides x^pu, so the binomial makes its first rewrite
+        step = packed_step(pu, (), wall, guard)
+        nf = (pu, 1) if step is IRREDUCIBLE else packed_nf(step[0], 1, packed, wall, guard)
         if nf is not None:
             packed.append(nf[0])
             if first:
@@ -429,14 +441,7 @@ def wall_initial(rest, pa, pb, n, known, certificates=None):
         survivors = [t for t in survivors if ((t | guard) - s) & guard != guard]
         survivors.append(s)
     lower = [pb, *survivors]
-    packed = list(lower)
-    for p in rest:
-        q = p | guard
-        for pl in lower:
-            if (q - pl) & guard == guard:
-                break
-        else:
-            packed.append(p)
+    packed = lower + [p for p in rest if packed_divisor(p, lower, guard) is None]
     packed.sort()
     gens = [known[p] if p in known else unpack(p, n) for p in packed]
     return ideal_with_packed(tuple(gens), tuple(packed))
@@ -495,7 +500,7 @@ def is_coherent(ideal, ctx, inherited=()):
         return answer
     farkas = {}
     witness = lp_strict_feasible(sorted(rows), ctx.A.n, farkas=farkas)
-    return (True, primitive(witness)) if witness is not None else (False, farkas)
+    return (True, witness) if witness is not None else (False, farkas)
 
 
 def graver_split_rows(ideal, ctx):
@@ -509,9 +514,7 @@ def graver_split_rows(ideal, ctx):
     is_coherent.
     """
     rows = []
-    for u, v in ctx.graver:
-        in_u = ideal.contains(u)
-        in_v = ideal.contains(v)
+    for u, v, in_u, in_v in _graver_sides_in(ideal, ctx.graver):
         if in_u and not in_v:
             rows.append(exp_sub(u, v))
         elif in_v and not in_u:

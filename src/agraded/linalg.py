@@ -5,14 +5,14 @@ sequences; no floating point is used anywhere in this package.  ``pivot``
 is the one row-elimination step: a fraction-free (Edmonds/Bareiss) pivot
 that keeps every row over one common denominator with exact integer
 division.  Gauss-Jordan elimination here and the simplex of ``lp`` both run
-on it, and results become Fractions only when they are returned.
+on it and hand back integer numerators over that denominator; only the
+oracle ``solve_linear`` turns them into Fractions.
 ``integer_kernel_basis`` is the one kernel routine: a Z-basis of the
 saturated kernel lattice, so a kernel line comes back as one primitive
 vector spanning it.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
 from operator import mul
 
 from .errors import InputError
@@ -82,23 +82,6 @@ def _gauss_jordan(rows, ncols):
 def rank(rows):
     """Rank over the rationals."""
     return len(_gauss_jordan(rows, len(rows[0]) if rows else 0)[1])
-
-
-def clear_denominators(vec):
-    """(ints, scale): the least scale > 0 that makes scale * vec an integer vector."""
-    fracs = [Fraction(x) for x in vec]
-    scale = lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (scale // f.denominator) for f in fracs], scale
-
-
-def primitive(vec):
-    """Scale a rational vector by a positive factor to a primitive integer vector.
-
-    The result has coprime entries and the signs of ``vec``.
-    """
-    ints, _ = clear_denominators(vec)
-    g = gcd(*ints) or 1
-    return tuple(x // g for x in ints)
 
 
 def solve_linear(rows, rhs):

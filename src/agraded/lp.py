@@ -1,4 +1,4 @@
-"""Exact rational linear feasibility: one phase-one simplex.
+"""Exact linear feasibility in integers: one phase-one simplex.
 
 ``lp_strict_feasible`` decides row . w >= 1 for all rows of an integer
 system with few variables and many rows.  By Gordan duality this holds iff
@@ -6,14 +6,16 @@ the origin is outside the convex hull of the rows, so the simplex runs on
 the tiny dual system {sum y_j r_j = 0, sum y_j = 1, y >= 0}.  The dual
 prices of the phase-one optimum, read off its final cost row, yield an
 exact primal witness; a zero optimum leaves a y that certifies
-infeasibility.  Both answers are re-checked in integers, once their
-denominators are cleared, and one that fails its check raises
-CertificateError.
+infeasibility.  The tableau is integer throughout, so both answers come
+out as integer numerators over its one denominator; divided by the gcd of
+their entries they are the primitive integer certificates the simplex
+returns.  Both are re-checked in integers, and one that fails its check
+raises CertificateError.
 
 There is one checker per kind of certificate, and it returns a bool, so a
 caller may also test a certificate it did not get from the simplex:
-``is_witness`` (row . w >= scale for every row, with w and scale integers)
-and ``is_farkas`` (Gordan multipliers {row: y}: a nonempty dict of rows of
+``is_witness`` (row . w > 0 for every row, with w an integer vector) and
+``is_farkas`` (Gordan multipliers {row: y}: a nonempty dict of rows of
 the system with positive integer y and sum y * row = 0).  The simplex
 passes its own answers through them under ``certify``, so they run under
 ``python -O``; ``lp_strict_feasible`` hands back the checked multipliers
@@ -22,24 +24,24 @@ of neighbouring systems with the same two checkers, a witness once moved
 across the wall of the row whose sign differs (``moved_witness``);
 ``ideals.is_coherent`` runs the simplex only when none of them holds.
 
-The tableau is integer: ``linalg.pivot`` keeps it over one common positive
-denominator, and Bland's rule makes the simplex terminate.
+``linalg.pivot`` keeps the tableau over one common positive denominator,
+and Bland's rule makes the simplex terminate.
 """
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import InputError, certify
-from .linalg import clear_denominators, dot, integer_rows, pivot
+from .linalg import dot, integer_rows, pivot
 
 
 def _phase1(columns, rhs):
     """Minimise the artificial sum for {A y = b, y >= 0}.
 
     ``columns`` lists the integer columns of A; ``rhs`` must be
-    componentwise nonnegative.  Returns (optimum, y, pi) as Fractions, where
-    y is the final basic solution over the original variables and pi the
-    dual price vector.
+    componentwise nonnegative.  Returns (den, optimum, y, pi): the final
+    tableau's positive common denominator and, as integer numerators over
+    it, the optimum, the final basic solution y over the original variables
+    and the dual price vector pi.
     """
     m = len(rhs)
     nvars = len(columns)
@@ -68,23 +70,25 @@ def _phase1(columns, rhs):
         den = pivot(tableau, leave, enter, den)
         basis[leave] = enter
 
-    optimum = Fraction(-cost[-1], den)
-    y = [Fraction(0)] * nvars
+    y = [0] * nvars
     for i, b in enumerate(basis):
         if b < nvars:
-            y[b] = Fraction(tableau[i][-1], den)
+            y[b] = tableau[i][-1]
     # dual prices: the cost row holds the reduced costs c_j - pi . A_j, and
     # artificial column k has cost 1 and column e_k
-    pi = tuple(1 - Fraction(cost[nvars + k], den) for k in range(m))
-    return optimum, tuple(y), pi
+    pi = tuple(den - cost[nvars + k] for k in range(m))
+    return den, -cost[-1], tuple(y), pi
 
 
-def is_witness(rows, ints, scale=1):
-    """Whether row . ints >= scale for every row, so ints / scale is a witness.
+def _primitive(ints):
+    """An integer vector divided by the gcd of its entries (0 stays 0)."""
+    g = gcd(*ints) or 1
+    return tuple(x // g for x in ints)
 
-    For an integer vector and scale 1 this is row . ints > 0 on every row.
-    """
-    return all(dot(row, ints) >= scale for row in rows)
+
+def is_witness(rows, w):
+    """Whether row . w >= 1 for every row, w an integer vector: row . w > 0."""
+    return all(dot(row, w) >= 1 for row in rows)
 
 
 def is_farkas(rows, multipliers):
@@ -110,9 +114,7 @@ def moved_witness(w, d):
     """
     v = d if dot(w, d) > 0 else tuple(-x for x in d)
     vv, wv = dot(v, v), dot(w, v) + 1
-    moved = [vv * x - wv * y for x, y in zip(w, v)]
-    g = gcd(*moved) or 1
-    return tuple(x // g for x in moved)
+    return _primitive([vv * x - wv * y for x, y in zip(w, v)])
 
 
 def inherited_answer(rows, inherited):
@@ -136,24 +138,27 @@ def inherited_answer(rows, inherited):
 
 
 def lp_strict_feasible(rows, nvars, farkas=None):
-    """Witness w with row . w >= 1 for every row, or None if infeasible.
+    """Primitive integer w with row . w >= 1 for every row, or None if infeasible.
 
     The rows must have integer entries, nvars of them each (InputError
-    otherwise).  The empty system is feasible with w = 0 in nvars
+    otherwise).  w is -pi / optimum of the phase-one dual prices, scaled to
+    coprime integers; an integer w with row . w > 0 meets every integer row
+    at 1 or more.  The empty system is feasible with w = 0 in nvars
     variables.  If the system is infeasible and ``farkas`` is a dict, the
-    checked multipliers {row: y} of ``is_farkas`` are added to it.
+    checked multipliers {row: y} of ``is_farkas`` are added to it: the
+    phase-one y scaled to coprime integers, summed over repeated rows.
     """
     rows = [tuple(row) for row in integer_rows(rows)]
     if rows and len(rows[0]) != nvars:
         raise InputError(f"rows of {len(rows[0])} entries for {nvars} variables")
     if not rows:
-        return tuple(Fraction(0) for _ in range(nvars))
+        return (0,) * nvars
     columns = [row + (1,) for row in rows]  # dual variable per row
     rhs = [0] * nvars + [1]
-    optimum, y, pi = _phase1(columns, rhs)
+    _, optimum, y, pi = _phase1(columns, rhs)
     if optimum == 0:
         multipliers = {}
-        for x, row in zip(clear_denominators(y)[0], rows):
+        for x, row in zip(_primitive(y), rows):
             if x:
                 multipliers[row] = multipliers.get(row, 0) + x
         certify(is_farkas(set(rows), multipliers),
@@ -161,7 +166,7 @@ def lp_strict_feasible(rows, nvars, farkas=None):
         if farkas is not None:
             farkas.update(multipliers)
         return None
-    witness = tuple(-pi[i] / optimum for i in range(nvars))
-    certify(is_witness(rows, *clear_denominators(witness)),
-            "strict-feasibility witness fails a row")
+    # the optimum is positive and over the same denominator as pi
+    witness = _primitive([-p for p in pi[:nvars]])
+    certify(is_witness(rows, witness), "strict-feasibility witness fails a row")
     return witness

@@ -355,7 +355,7 @@ def test_cli_exit_4_on_a_failed_check(matrix12, monkeypatch, capsys):
     assert main(["verify-paper", "--example", "coherence-mask"]) == 4
     assert "coherence-mask: fail" in capsys.readouterr().out
     # a certificate that fails its re-check: the LP returns a zero dual
-    monkeypatch.setattr(lp, "_phase1", lambda columns, rhs: (1, (), (0,) * len(rhs)))
+    monkeypatch.setattr(lp, "_phase1", lambda columns, rhs: (1, 1, (), (0,) * len(rhs)))
     assert main(["graver", "--matrix", matrix12]) == 4
     assert capsys.readouterr().err.startswith("check failed: ")
 

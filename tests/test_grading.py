@@ -45,6 +45,31 @@ def test_degree_of_a_vector_of_the_wrong_length_raises():
         named_matrix("g137").degree((1, 0, 0, 5))
 
 
+CATALOGUE_CERTIFICATES = {
+    "g12": (1,), "g137": (1,), "g134": (1,), "g345-13-14": (1,), "veronese6": (1, 1, 1),
+    "g123789": (1,), "g123789-10": (1,), "g123789-10-11": (1,), "g36-8-10-15": (1,),
+}
+
+
+def test_catalogue_positive_certificates():
+    """Every matrix of matrices.json keeps its recorded positivity certificate."""
+    from agraded.fixtures import _load
+
+    assert {name: named_matrix(name).positive_certificate
+            for name in _load("matrices")} == CATALOGUE_CERTIFICATES
+
+
+@pytest.mark.parametrize("rows, certificate", [
+    ([[1, 1, 1, 1], [0, 1, -1, 3]], (4, -1)),
+    ([[2, -1, 3], [1, 1, 0]], (1, 4)),
+    ([[1, 0, -1, 2], [0, 1, 3, -1]], (1, 1)),
+    ([[3, -2, 1, 0], [1, 1, -1, 2], [0, 2, 1, 1]], (3, 1, 7)),
+    ([[-1, -2, -3]], (-1,)),
+])
+def test_positive_certificate_is_the_primitive_simplex_witness(rows, certificate):
+    assert validate_grading(rows).positive_certificate == certificate
+
+
 def test_not_pointed_rejected():
     with pytest.raises(NotPointed):
         validate_grading([[1, -1]])
@@ -235,25 +260,27 @@ def test_masked_marking_system_infeasible(ctx345, ideal_masked):
     assert lp_strict_feasible(rows, nvars=5) is None
 
 
+# fake phase-one results (den, optimum, y, pi), integer numerators over den
+
 def _wrong_dual(columns, rhs):
     """A phase-one result whose zero dual prices certify nothing."""
-    return 1, (), (0,) * len(rhs)
+    return 1, 1, (), (0,) * len(rhs)
 
 
 def _wrong_primal(columns, rhs):
     """An optimum of 0 whose y >= 0 sums to 1 but does not combine the rows to 0."""
-    return 0, (1,) + (0,) * (len(columns) - 1), (0,) * len(rhs)
+    return 1, 0, (1,) + (0,) * (len(columns) - 1), (0,) * len(rhs)
 
 
-def _half_dual(columns, rhs):
-    """Dual prices whose witness (1/2, 1/2) meets every row at 1/2 only."""
-    return Fraction(1), (), (Fraction(-1, 2),) * (len(rhs) - 1) + (Fraction(0),)
+def _failing_dual(columns, rhs):
+    """Dual prices whose witness (-1, 1) meets the row (1, 0) at -1."""
+    return 1, 1, (), (1, -1, 0)
 
 
 def test_lp_witness_recheck_raises(monkeypatch):
     from agraded import CertificateError, lp
 
-    for fake in (_wrong_dual, _wrong_primal, _half_dual):
+    for fake in (_wrong_dual, _wrong_primal, _failing_dual):
         monkeypatch.setattr(lp, "_phase1", fake)
         with pytest.raises(CertificateError):
             lp_strict_feasible([(1, 0), (0, 1)], nvars=2)
@@ -269,7 +296,7 @@ def test_lp_witness_recheck_runs_under_optimize():
     script = (
         "import sys\n"
         "from agraded import CertificateError, lp\n"
-        "lp._phase1 = lambda columns, rhs: (1, (), (0,) * len(rhs))\n"
+        "lp._phase1 = lambda columns, rhs: (1, 1, (), (0,) * len(rhs))\n"
         "try:\n"
         "    lp.lp_strict_feasible([(1, 0), (0, 1)], nvars=2)\n"
         "except CertificateError:\n"

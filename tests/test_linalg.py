@@ -4,13 +4,14 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from agraded import InputError, lp, lp_strict_feasible
 from agraded.fixtures import named_matrix
-from agraded.linalg import integer_kernel_basis, mat_vec, pivot, primitive, rank, solve_linear
+from agraded.linalg import integer_kernel_basis, mat_vec, pivot, rank, solve_linear
 from agraded.triangulations import _interiors_meet
 
 
@@ -141,6 +142,15 @@ def fraction_phase1(columns, rhs):
     return -cost[-1], tuple(y), pi
 
 
+def oracle_primitive(vec):
+    """A rational vector scaled by a positive factor to coprime integers; 0 stays 0."""
+    fracs = [Fraction(x) for x in vec]
+    scale = lcm(*(f.denominator for f in fracs))
+    ints = [int(f * scale) for f in fracs]
+    g = gcd(*ints) or 1
+    return tuple(x // g for x in ints)
+
+
 def same(a, b):
     """Equal values of equal types, through nested tuples and lists."""
     if isinstance(a, (tuple, list)):
@@ -190,14 +200,41 @@ def test_det_and_solve_match_fraction_oracle(rows, rhs):
     st.lists(st.integers(0, 3), min_size=m, max_size=m))))
 def test_phase1_matches_fraction_tableau(system):
     columns, rhs = system
-    assert same(lp._phase1(columns, rhs), fraction_phase1(columns, rhs))
+    den, optimum, y, pi = lp._phase1(columns, rhs)
+    assert type(den) is int and den > 0
+    assert all(type(x) is int for x in (optimum, *y, *pi))
+    over = [Fraction(optimum, den), tuple(Fraction(x, den) for x in y),
+            tuple(Fraction(x, den) for x in pi)]
+    assert same(tuple(over), fraction_phase1(columns, rhs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=6))))
+@example((1, [(1,), (-1,)]))
+@example((2, [(1, 0), (1, 0), (-1, 0)]))  # a repeated row sums its multipliers
+def test_certificates_are_the_primitive_fraction_answers(system):
+    """The witness is the primitive multiple of -pi / optimum, the multipliers that of y."""
+    nvars, rows = system
+    optimum, y, pi = fraction_phase1([row + (1,) for row in rows], [0] * nvars + [1])
+    farkas = {}
+    witness = lp_strict_feasible(rows, nvars, farkas)
+    if optimum:
+        assert same(witness, oracle_primitive([-p / optimum for p in pi[:nvars]]))
+        assert not farkas
+    else:
+        multipliers = Counter()
+        for x, row in zip(oracle_primitive(y), rows):
+            if x:
+                multipliers[row] += x
+        assert witness is None and farkas == multipliers
 
 
 def certificate(rows, nvars):
     """The simplex's certificate as is_coherent hands it on: integer witness or multipliers."""
     farkas = {}
     witness = lp_strict_feasible(sorted(rows), nvars, farkas)
-    return farkas if witness is None else primitive(witness)
+    return farkas if witness is None else witness
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -256,7 +293,6 @@ def test_witness_check():
     rows = [(1, 0), (1, 1)]
     assert lp.is_witness(rows, (1, 0))
     assert not lp.is_witness(rows, (1, -1))      # fails the row (1, 1) only
-    assert not lp.is_witness(rows, (2, 1), scale=3)
     # moved across the wall of (1, 0), the witness (1, 0) marks (-1, 0)
     assert lp.moved_witness((1, 0), (1, 0)) == lp.moved_witness((1, 0), (-1, 0)) == (-1, 0)
 
