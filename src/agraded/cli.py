@@ -212,9 +212,9 @@ def cmd_triangulations(args):
     else:
         graph = explore(ctx)
     for i, vertex in enumerate(graph.vertices):
-        cplx = complex_of_radical(vertex, matrix.n)
-        print(f"vertex {i}: facets {[list(f) for f in cplx.facets]} "
-              f"triangulation={is_triangulation(cplx, matrix)}")
+        facets = complex_of_radical(vertex, matrix.n)
+        print(f"vertex {i}: facets {[list(f) for f in facets]} "
+              f"triangulation={is_triangulation(facets, matrix)}")
     verdicts = {}
     for i, j, label in graph.edges:
         move = flip(graph.vertices[i], label, ctx)

@@ -147,7 +147,11 @@ def is_circuit(matrix, pair):
 
     A circuit's support columns are dependent with every proper subset
     independent, and t is primitive.  Its positive entries mark the
-    support of u, its negative entries that of v.
+    support of u, its negative entries that of v.  One rank test decides
+    the minimal dependence: t is a kernel vector with full support on its
+    support columns, so when they have rank |supp| - 1 their
+    one-dimensional kernel is spanned by t, and a dependent proper subset
+    would give a kernel vector without full support.
     """
     u, v = pair
     if matrix.degree(u) != matrix.degree(v):
@@ -160,8 +164,4 @@ def is_circuit(matrix, pair):
     sub = [cols[i] for i in supp]  # rank is transpose-invariant
     if rank(sub) != len(supp) - 1:
         return None
-    for leave_out in range(len(supp)):
-        subset = [sub[i] for i in range(len(sub)) if i != leave_out]
-        if subset and rank(subset) != len(subset):
-            return None
     return t if reduce(gcd, t, 0) == 1 else None

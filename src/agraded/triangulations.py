@@ -1,17 +1,19 @@
 """Simplicial complexes of radicals, exact triangulation checks, bistellar flips.
 
-Complexes are stored by their facets over the column indices of the grading
-matrix.  Triangulations are read as simplicial fans of the cone spanned by
+A complex on the column indices of the grading matrix is a plain value:
+the sorted tuple of its facets, each a sorted tuple of indices, with no
+facet inside another (``make_complex``), so equal complexes are equal
+tuples.  Triangulations are read as simplicial fans of the cone spanned by
 the columns, so the columns need not be coplanar.  ``is_triangulation``
 certifies one by local, exact tests: independent facets, a supporting
 hyperplane under every ridge that only one facet has, and open facet cones
-that pairwise do not meet.  Flips use plain values: a circuit is its
-primitive vector t (``graver.is_circuit``), and its flip spec is the pair
-(c_plus, c_minus) of its two one-sided triangulations.
+that pairwise do not meet.  A circuit is its primitive vector t
+(``graver.is_circuit``), and its flip spec is the pair (c_plus, c_minus)
+of its two one-sided triangulations.  One routine, ``_exchange``, swaps
+one side for the other over their shared link.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -22,49 +24,32 @@ from .lp import lp_strict_feasible
 from .monomials import support
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """Facet-listed complex on the vertex set {0, ..., n-1}."""
+def make_complex(facets):
+    """The complex spanned by the given faces: the sorted tuple of its sorted facets.
 
-    n: int
-    facets: tuple  # sorted tuples of indices forming an antichain
-
-    def has_face(self, sigma):
-        sigma = set(sigma)
-        return any(sigma.issubset(f) for f in self.facets)
-
-    def link(self, sigma):
-        """Maximal faces of the link of a face, as a sorted tuple."""
-        sigma = set(sigma)
-        out = {
-            tuple(sorted(set(f) - sigma))
-            for f in self.facets
-            if sigma.issubset(f)
-        }
-        return tuple(sorted(out))
-
-    def __repr__(self):
-        return f"SimplicialComplex(n={self.n}, facets={list(self.facets)})"
-
-
-def make_complex(n, facets):
-    """Canonicalize a facet list (drop faces contained in other faces)."""
+    Repeated faces and faces inside other faces are dropped, so the facets
+    form an antichain and equal complexes compare equal.
+    """
     sets = sorted({tuple(sorted(set(f))) for f in facets}, key=lambda f: (-len(f), f))
     keep = []
     for f in sets:
         if not any(set(f) <= set(g) for g in keep):
             keep.append(f)
-    return SimplicialComplex(n, tuple(sorted(keep)))
+    return tuple(sorted(keep))
 
 
 def complex_of_radical(ideal, n):
-    """Complex whose minimal non-faces are the generator supports of rad(I)."""
+    """The facets of the complex whose minimal non-faces are the generator supports of rad(I).
+
+    Scans all subsets of the n variables and keeps those that contain no
+    generator support.
+    """
     nonfaces = [frozenset(support(g)) for g in ideal.radical().gens]
     faces = ([i for i in range(n) if mask >> i & 1] for mask in range(1 << n))
-    return make_complex(n, [f for f in faces if not any(nf.issubset(f) for nf in nonfaces)])
+    return make_complex([f for f in faces if not any(nf.issubset(f) for nf in nonfaces)])
 
 
-def is_triangulation(cplx, matrix):
+def is_triangulation(facets, matrix):
     """Exact check that the facets triangulate the cone of the columns.
 
     The pseudo-manifold test (De Loera, Rambau and Santos, *Triangulations*,
@@ -76,7 +61,6 @@ def is_triangulation(cplx, matrix):
     """
     d = matrix.d
     cols = matrix.columns
-    facets = cplx.facets
     if not facets:
         return False
     for f in facets:
@@ -134,49 +118,41 @@ def circuit_flip_spec(t):
     return c_plus, c_minus
 
 
-def _common_link(cplx, maximal_simplices):
-    """The shared link of the given faces, or None.
+def _exchange(facets, source, target):
+    """Replace the cells over ``source`` by ``target`` over their shared link, or give None.
 
-    Links are compared by their maximal faces; a facet's link is ((),).
-    An empty link marks a non-face, which can never flip.
+    The link of a cell s is the set of the f - s over the facets f that
+    contain s: ((),) when s is a facet, and empty when s is not a face.
+    The exchange needs the cells of ``source`` to share one nonempty link
+    L; it then removes every facet that contains a cell of ``source`` and
+    adds s | l for every s in ``target`` and l in L.
     """
-    links = {cplx.link(s) for s in maximal_simplices}
+    links = {
+        frozenset(tuple(i for i in f if i not in s) for f in facets if set(s) <= set(f))
+        for s in source
+    }
     if len(links) != 1:
         return None
-    link = links.pop()
-    return link if link else None
+    (link,) = links
+    if not link:
+        return None
+    kept = [f for f in facets if not any(set(s) <= set(f) for s in source)]
+    return make_complex(kept + [s + l for s in target for l in link])
 
 
-def _replace(cplx, from_max, to_max):
-    """Swap the flip cells: facets over ``from_max`` become ones over ``to_max``."""
-    link = _common_link(cplx, from_max)
-    if link is None:
-        raise NotFlippableComplex("maximal cells do not share a link")
-    old = {
-        f for f in cplx.facets if any(set(s) <= set(f) for s in from_max)
-    }
-    new = {
-        tuple(sorted(set(s) | set(l)))
-        for s in to_max
-        for l in link
-    }
-    return make_complex(cplx.n, (set(cplx.facets) - old) | new)
+def bistellar_flip(facets, spec):
+    """Exchange the two triangulations (c_plus, c_minus) of a circuit inside a complex.
 
-
-def bistellar_flip(cplx, spec):
-    """Exchange the two circuit triangulations (c_plus, c_minus) inside a complex.
-
-    The side currently present as a subcomplex (with all its maximal cells
-    sharing one link, automatic in the full-dimensional case) is replaced
-    by the other side; raises NotFlippableComplex when neither side
-    qualifies.
+    The side whose cells share one nonempty link in the complex, which
+    makes it a subcomplex, is replaced by the other side over that link.
+    In the full-dimensional case the link is ((),).  Raises
+    NotFlippableComplex when neither side qualifies.
     """
     c_plus, c_minus = spec
     for source, target in ((c_plus, c_minus), (c_minus, c_plus)):
-        if all(cplx.has_face(s) for s in source):
-            if _common_link(cplx, source) is None:
-                continue
-            return _replace(cplx, source, target)
+        flipped = _exchange(facets, source, target)
+        if flipped is not None:
+            return flipped
     raise NotFlippableComplex("neither side of the circuit is flippable here")
 
 
@@ -207,29 +183,31 @@ def edge_transition(move, ctx):
     certify(support(move.a) == tuple(i for i in support(t) if t[i] > 0),
             "circuit sides do not match the flip")
     c_plus, c_minus = circuit_flip_spec(t)
-    source_cplx = complex_of_radical(move.source, n)
-    target_cplx = complex_of_radical(move.target, n)
-    certify(all(source_cplx.has_face(s) for s in c_plus),
+    source = complex_of_radical(move.source, n)
+    target = complex_of_radical(move.target, n)
+    certify(all(any(set(s) <= set(f) for f in source) for s in c_plus),
             "positive side must be a subcomplex of the source triangulation")
-    flipped = _replace(source_cplx, c_plus, c_minus)
-    return BISTELLAR if flipped == target_cplx else VIOLATION
+    flipped = _exchange(source, c_plus, c_minus)
+    if flipped is None:
+        raise NotFlippableComplex("maximal cells do not share a link")
+    return BISTELLAR if flipped == target else VIOLATION
 
 
 def baues_image(graph, ctx):
     """Quotient of a flip graph by the supporting-triangulation map.
 
-    Vertices are the distinct complexes of the radicals; flip edges whose
-    endpoints share a triangulation collapse and are dropped.  Returns
-    (complexes, edges) with edges as index pairs into the sorted complexes.
+    Each vertex maps to the facets of its radical's complex.  Returns
+    (complexes, edges): the sorted distinct facet tuples, and the index
+    pairs of complexes joined by a flip edge.  Edges whose endpoints share
+    a complex collapse and are dropped.
     """
     n = ctx.A.n
     images = [complex_of_radical(v, n) for v in graph.vertices]
-    distinct = sorted({c.facets for c in images})
-    index = {f: i for i, f in enumerate(distinct)}
+    complexes = tuple(sorted(set(images)))
+    index = {c: i for i, c in enumerate(complexes)}
     edges = set()
     for i, j, _ in graph.edges:
-        a, b = index[images[i].facets], index[images[j].facets]
+        a, b = index[images[i]], index[images[j]]
         if a != b:
             edges.add((min(a, b), max(a, b)))
-    complexes = tuple(SimplicialComplex(n, f) for f in distinct)
     return complexes, tuple(sorted(edges))

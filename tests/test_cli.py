@@ -1,5 +1,6 @@
 """Command-line surface: formats, subcommands, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from agraded import lp
 from agraded.cli import main
 from agraded.fileio import FormatError, format_ideal, parse_ideal, parse_matrix
+from agraded.fixtures import named_matrix
 from agraded.monomials import minimalize
 
 
@@ -170,6 +172,25 @@ def test_cli_triangulations(matrix12, capsys):
     out = capsys.readouterr().out
     assert "triangulation=True" in out
     assert "bistellar" in out
+
+
+# sha256 of the whole stdout of ``triangulations``, recorded at commit bebc3e0
+TRIANGULATIONS_GOLDEN = {
+    ("g12", True): "575d4a63752ac9a156054cbc648b17671516e0c25d443a442ae933396aa07510",
+    ("g137", True): "1c25b6b6e59bced012733cb31fc7b1b8419439fe21b602ea61f4c4d5dc6ca591",
+    ("veronese6", False): "b76a976d0101d46748455c0e43473d2e0238c2e4736315ec8b1153ca1984ea82",
+    ("g36-8-10-15", True): "f718f35ff7b884abfdc93b67f55bf2fe5dc3713cceb31483dd14ca4edf2b0811",
+}
+
+
+@pytest.mark.parametrize("name, homogenize", sorted(TRIANGULATIONS_GOLDEN))
+def test_cli_triangulations_golden(name, homogenize, tmp_path, capsys):
+    path = tmp_path / f"{name}.txt"
+    path.write_text(format_matrix(named_matrix(name).rows))
+    args = ["triangulations", "--matrix", str(path)] + ["--homogenize"] * homogenize
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TRIANGULATIONS_GOLDEN[name, homogenize]
 
 
 def test_cli_verify_single(capsys):

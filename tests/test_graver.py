@@ -1,7 +1,9 @@
 """Graver bases: production route, oracle, circuits."""
 
 import random
-from itertools import permutations
+from functools import reduce
+from itertools import combinations, permutations
+from math import gcd
 
 import pytest
 
@@ -166,10 +168,49 @@ def test_is_circuit_rejects_a_long_pair():
         is_circuit(named_matrix("g137"), ((3, 0, 0, 1), (0, 1, 0, 1)))
 
 
+def oracle_circuit(matrix, t):
+    """t if its support columns are minimally dependent and t is primitive, else None.
+
+    The definition, by leaving out each support column in turn.
+    """
+    from test_linalg import oracle_rank
+
+    cols = [matrix.columns[i] for i, x in enumerate(t) if x]
+    if not cols or oracle_rank(cols) == len(cols):
+        return None
+    if any(oracle_rank(cols[:k] + cols[k + 1:]) < len(cols) - 1 for k in range(len(cols))):
+        return None
+    return t if reduce(gcd, t) == 1 else None
+
+
+def as_pair(t):
+    return tuple(max(x, 0) for x in t), tuple(max(-x, 0) for x in t)
+
+
+@pytest.mark.parametrize("name", ["g137", "veronese6", "g36-8-10-15"])
+def test_is_circuit_matches_its_definition(name):
+    """Graver pairs, their negatives, sums and differences of two; zero and multiples give None."""
+    m = named_matrix(name)
+    graver = [exp_sub(u, v) for u, v in graver_basis(m)]
+    vectors = set(graver) | {tuple(-x for x in t) for t in graver}
+    for s, t in combinations(graver, 2):
+        vectors.add(tuple(a + b for a, b in zip(s, t)))
+        vectors.add(tuple(a - b for a, b in zip(s, t)))
+    circuits = 0
+    for t in sorted(vectors):
+        got = is_circuit(m, as_pair(t))
+        assert got == oracle_circuit(m, t), t
+        circuits += got is not None
+    assert 0 < circuits < len(vectors)
+    zero = (0,) * m.n
+    assert is_circuit(m, (zero, zero)) is None
+    for t in graver:
+        for k in (2, 3):
+            assert is_circuit(m, as_pair(tuple(k * x for x in t))) is None
+
+
 def test_all_circuits_lie_in_graver(ctx_veronese, ctx137):
     """Independent circuit enumeration from the matrix columns alone."""
-    from itertools import combinations
-
     from agraded.binomials import canonical_pair
     from agraded.linalg import rank
     from test_linalg import oracle_nullspace, oracle_primitive

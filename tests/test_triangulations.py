@@ -1,5 +1,6 @@
 """Radical complexes, exact triangulation checks, bistellar flips."""
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -94,10 +95,9 @@ def slice_volume(matrix, facets):
     return total
 
 
-def oracle_is_triangulation(cplx, matrix):
+def oracle_is_triangulation(facets, matrix):
     """Independent full-dimensional facets, the reference volume, disjoint open cones."""
     cols = matrix.columns
-    facets = cplx.facets
     if not facets:
         return False
     if any(len(f) != matrix.d or rank([cols[i] for i in f]) != matrix.d for f in facets):
@@ -110,11 +110,11 @@ def oracle_is_triangulation(cplx, matrix):
 def perturbed(cplx, matrix):
     """The complex, each copy with one facet dropped, each with one d-subset added."""
     yield cplx
-    for k in range(len(cplx.facets)):
-        yield make_complex(cplx.n, cplx.facets[:k] + cplx.facets[k + 1:])
+    for k in range(len(cplx)):
+        yield make_complex(cplx[:k] + cplx[k + 1:])
     for extra in combinations(range(matrix.n), matrix.d):
-        if extra not in cplx.facets:
-            yield make_complex(cplx.n, cplx.facets + (extra,))
+        if extra not in cplx:
+            yield make_complex(cplx + (extra,))
 
 
 def homogenized(matrix):
@@ -127,17 +127,17 @@ SQUARE = [[1, 1, 1, 1, 1], [0, 2, 2, 0, 1], [0, 0, 2, 2, 1]]
 
 def test_complex_of_radical_basics(ctx12):
     cplx = complex_of_radical(minimalize([(1, 1)]), 2)
-    assert cplx.facets == ((0,), (1,))
-    assert complex_of_radical(minimalize([(2, 0)]), 2).facets == ((1,),)
-    assert complex_of_radical(minimalize([(0, 1)]), 2).facets == ((0,),)
+    assert cplx == ((0,), (1,))
+    assert complex_of_radical(minimalize([(2, 0)]), 2) == ((1,),)
+    assert complex_of_radical(minimalize([(0, 1)]), 2) == ((0,),)
 
 
 def test_is_triangulation_12(ctx12):
     m = ctx12.A
-    assert is_triangulation(make_complex(2, [(0,)]), m)
-    assert is_triangulation(make_complex(2, [(1,)]), m)
+    assert is_triangulation(make_complex([(0,)]), m)
+    assert is_triangulation(make_complex([(1,)]), m)
     # both rays together double-cover the cone
-    assert not is_triangulation(make_complex(2, [(0,), (1,)]), m)
+    assert not is_triangulation(make_complex([(0,), (1,)]), m)
 
 
 def test_reference_volume_invariance(ctx_veronese):
@@ -146,9 +146,9 @@ def test_reference_volume_invariance(ctx_veronese):
     vol = slice_volume(m, ref)
     ideal = ctx_veronese.reference_ideal
     cplx = complex_of_radical(ideal, m.n)
-    assert slice_volume(m, cplx.facets) == vol
+    assert slice_volume(m, cplx) == vol
     assert is_triangulation(cplx, m)
-    assert is_triangulation(make_complex(m.n, ref), m)
+    assert is_triangulation(make_complex(ref), m)
 
 
 def test_ridge_test_matches_volume_oracle(ctx_veronese, curve_ctx):
@@ -171,10 +171,10 @@ def test_t_junction_rejected():
     the facet (0, 1, 2); the volume oracle accepts the complex.
     """
     m = validate_grading(SQUARE)
-    cplx = make_complex(m.n, [(0, 1, 2), (0, 3, 4), (2, 3, 4)])
+    cplx = make_complex([(0, 1, 2), (0, 3, 4), (2, 3, 4)])
     assert oracle_is_triangulation(cplx, m)
     assert not is_triangulation(cplx, m)
-    assert is_triangulation(make_complex(m.n, [(0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)]), m)
+    assert is_triangulation(make_complex([(0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)]), m)
 
 
 def test_ridge_test_accepts_only_what_the_oracle_accepts():
@@ -183,7 +183,7 @@ def test_ridge_test_accepts_only_what_the_oracle_accepts():
     accepted = rejected_t_junctions = 0
     for size in range(1, 5):
         for facets in combinations(triples, size):
-            cplx = make_complex(m.n, facets)
+            cplx = make_complex(facets)
             if is_triangulation(cplx, m):
                 assert oracle_is_triangulation(cplx, m), cplx
                 accepted += 1
@@ -196,7 +196,7 @@ def test_ridge_test_accepts_only_what_the_oracle_accepts():
 def test_missing_facet_fails(ctx_veronese):
     m = ctx_veronese.A
     cplx = complex_of_radical(ctx_veronese.reference_ideal, m.n)
-    short = make_complex(m.n, cplx.facets[1:])
+    short = make_complex(cplx[1:])
     assert not is_triangulation(short, m)
 
 
@@ -209,10 +209,34 @@ def test_all_enumerated_radicals_triangulate(ctx_veronese, ctx137, curve_ctx):
 def test_bistellar_flip_corank1(ctx12):
     circ = is_circuit(ctx12.A, ((2, 0), (0, 1)))
     spec = circuit_flip_spec(circ)
-    start = make_complex(2, [(1,)])
+    start = make_complex([(1,)])
     other = bistellar_flip(start, spec)
-    assert other.facets == ((0,),)
+    assert other == ((0,),)
     assert bistellar_flip(other, spec) == start  # involution
+
+
+def test_bistellar_flip_is_an_involution_on_flip_edges(ctx_veronese, curve_ctx):
+    """On every bistellar edge the exchange carries each end's complex to the other's."""
+    contexts = {
+        "veronese6": ctx_veronese,
+        "g137": AGradedContext(homogenized(named_matrix("g137"))),
+        "curve1": curve_ctx[1],
+        "g36-8-10-15": AGradedContext(homogenized(named_matrix("g36-8-10-15"))),
+    }
+    counts = Counter()
+    for name, ctx in contexts.items():
+        graph = explore(ctx)
+        for i, j, label in graph.edges:
+            move = flip(graph.vertices[i], label, ctx)
+            if edge_transition(move, ctx) != BISTELLAR:
+                continue
+            spec = circuit_flip_spec(is_circuit(ctx.A, (move.a, move.b)))
+            source = complex_of_radical(move.source, ctx.A.n)
+            target = complex_of_radical(move.target, ctx.A.n)
+            assert bistellar_flip(source, spec) == target
+            assert bistellar_flip(target, spec) == source
+            counts[name] += 1
+    assert counts == {"veronese6": 30, "g137": 1, "curve1": 53, "g36-8-10-15": 94}
 
 
 def test_bistellar_flip_rejects_absent_circuit(ctx_veronese):
@@ -220,7 +244,7 @@ def test_bistellar_flip_rejects_absent_circuit(ctx_veronese):
     circ = is_circuit(m, ((0, 2, 0, 0, 0, 0), (1, 0, 0, 1, 0, 0)))
     assert circ is not None
     spec = circuit_flip_spec(circ)
-    cplx = make_complex(m.n, [(0, 2, 4)])
+    cplx = make_complex([(0, 2, 4)])
     with pytest.raises(NotFlippableComplex):
         bistellar_flip(cplx, spec)
 
@@ -296,7 +320,7 @@ def test_baues_image_veronese(ctx_veronese):
 def test_homogenized_matrix_accepted():
     # appending a row of ones turns the two rays into a 2-dimensional cone
     m = validate_grading([[1, 1], [1, 2]])
-    assert is_triangulation(make_complex(2, [(0, 1)]), m)
-    assert not is_triangulation(make_complex(2, [(0,)]), m)
+    assert is_triangulation(make_complex([(0, 1)]), m)
+    assert not is_triangulation(make_complex([(0,)]), m)
     assert slice_volume(m, reference_facets(m)) > 0
-    assert oracle_is_triangulation(make_complex(2, [(0, 1)]), m)
+    assert oracle_is_triangulation(make_complex([(0, 1)]), m)
