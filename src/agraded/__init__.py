@@ -73,7 +73,6 @@ from .triangulations import (
     BISTELLAR,
     SAME_RADICAL,
     VIOLATION,
-    baues_image,
     bistellar_flip,
     circuit_flip_spec,
     complex_of_radical,

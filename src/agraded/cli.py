@@ -207,7 +207,7 @@ def cmd_triangulations(args):
     ctx = AGradedContext(matrix)
     if args.graph:
         graph = from_json(read_text(args.graph))
-        if any(len(g) != matrix.n for v in graph.vertices for g in v.gens):
+        if any(v.packed and v.n != matrix.n for v in graph.vertices):
             raise FormatError(f"{args.graph}: the ideals do not have {matrix.n} variables")
     else:
         graph = explore(ctx)

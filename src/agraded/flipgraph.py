@@ -105,7 +105,7 @@ def explore(ctx, start=None, guard=None):
                 ctx.carry(move)
                 reverse.setdefault(j, {})[move.b] = FlipMove(found[j], move.b, move.a, ideal)
 
-    order = sorted(range(len(found)), key=lambda i: found[i].gens)
+    order = sorted(range(len(found)), key=lambda i: found[i].packed)
     new = {i: k for k, i in enumerate(order)}
     numbered = tuple(sorted((min(new[i], new[j]), max(new[i], new[j]), label)
                             for i, j, label in edges))

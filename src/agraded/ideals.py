@@ -14,12 +14,13 @@ flip label is automatically a Graver pair: a conformal decomposition of
 (a, b) would contradict either the minimality of x^a or the standardness
 of x^b.
 
-A flip step stays in packed integers from the candidate to the carried
-standard monomials, cached per ideal under the integer ``DegreeCode`` of their
-degree.  ``flip`` checks every candidate, since pairs also come from files:
-lengths, x^a a minimal generator, x^b outside and of equal degree code (known
-if x^b is cached as std(deg a): only such monomials are cached), then the wall
-marked toward x^a.  ``wall_initial`` merges the target's minimal generators
+A flip step stays in packed integers from the candidate to the target, whose
+packed generators are the whole ideal, and to the carried standard monomials,
+cached per ideal under the integer ``DegreeCode`` of their degree.  ``flip``
+checks every candidate, since pairs also come from files: lengths, x^a a
+minimal generator, x^b outside and of equal degree code (known if x^b is
+cached as std(deg a): only such monomials are cached), then the wall marked
+toward x^a.  ``wall_initial`` merges the target's minimal generators
 instead of sorting them out; this is exact because the source's other
 generators are minimal, each survivor of the completion is irreducible modulo
 everything found before it, and x^b lies outside the source.
@@ -63,7 +64,6 @@ from .monomials import (
     exp_sub,
     fiber_walk,
     guard_mask,
-    ideal_with_packed,
     k_polynomial,
     minimalize,
     pack,
@@ -92,9 +92,12 @@ class AGradedContext:
     """Shared caches for one grading matrix.
 
     Everything heavy (toric ideal, Graver basis, reference numerator,
-    standard monomials, K-polynomials) is computed once on demand and reused;
-    all cached values are immutable.  The reference ideal is the initial
-    ideal for the certificate weights c^T A.
+    standard monomials, K-polynomials) is computed once on demand and reused.
+    The values handed out are immutable, but the caches are not: the
+    K-polynomial memo, the standard-monomial dict of each ideal (``_standard``)
+    and the wall certificates (``_walls``) grow in place, and
+    ``brute_force_enumerate`` clears the memo.  The reference ideal is the
+    initial ideal for the certificate weights c^T A.
     """
 
     def __init__(self, matrix):
@@ -106,6 +109,7 @@ class AGradedContext:
         # ideal -> {degree code: standard monomial}.  A matrix has few distinct
         # degrees and standard monomials, shared across thousands of ideals, so
         # both are interned: a cache entry costs a dict slot, not an int and tuple.
+        # ``neighbors`` interns the generators it flips, which the edge labels keep.
         self._standard = {}
         self._interned = {}
         # monomial -> its packed form, for the monomials flips trade
@@ -140,7 +144,7 @@ class AGradedContext:
 
     def check_length(self, ideal):
         """BadLength unless the generators of an ideal have n entries."""
-        if ideal.gens and len(ideal.gens[0]) != self.A.n:
+        if ideal.packed and ideal.n != self.A.n:
             raise BadLength(f"generator {ideal.gens[0]} needs {self.A.n} entries")
 
     def k_codes(self, ideal):
@@ -199,8 +203,10 @@ class AGradedContext:
         """std(deg g) for each minimal generator g, by its packed degree code."""
         self.check_length(ideal)
         known = self._standard.setdefault(ideal, {})
-        return [known.get(self.degree_codes[p]) or self.standard_monomial(ideal, self.A.degree(g))
-                for g, p in zip(ideal.gens, ideal.packed)]
+        n = self.A.n
+        return [known.get(self.degree_codes[p])
+                or self.standard_monomial(ideal, self.A.degree(unpack(p, n)))
+                for p in ideal.packed]
 
     def carry(self, move):
         """Seed the standard-monomial cache of a flip target from its source.
@@ -274,7 +280,7 @@ def _graver_sides_in(ideal, graver):
     if not graver.elements:
         return
     n = len(graver.elements[0][0])
-    if ideal.gens and len(ideal.gens[0]) != n:
+    if ideal.packed and ideal.n != n:
         raise BadLength(f"generator {ideal.gens[0]} needs {n} entries")
     packed, guard = ideal.packed, guard_mask(n)
     for (u, v), (pu, pv) in zip(graver, graver.packed):
@@ -308,12 +314,13 @@ def flip(ideal, pair, ctx):
     The checks, in order; those after the orientation run on packed integers:
     - BadLength unless both sides have n entries;
     - the pair is oriented so that x^a is a minimal generator, found by one
-      scan of the generators (NotApplicable if neither side is one);
+      scan of the packed generators (NotApplicable if neither side is one;
+      ExponentOverflow if a side it packs leaves the field range);
     - NotApplicable if x^b lies in the ideal, NonHomogeneousInput if the degree
       codes differ; both pass, unchecked, for an x^b cached as std(deg a);
     - NotFlippable unless re-marking the wall ideal toward x^a reproduces
       the ideal, in which case the opposite marking is the A-graded target.
-    x^b is packed once per context (``AGradedContext.pack``).  The two wall
+    Each side is packed once per context (``AGradedContext.pack``).  The two wall
     kernels below take these checks as given.  Both read and extend the
     context's certificates of their oriented wall (``_wall_survivors``), so
     a generator whose S-monomial was divisible, on an earlier ideal, by a
@@ -324,17 +331,13 @@ def flip(ideal, pair, ctx):
     n = ctx.A.n
     if not len(u) == len(v) == n:
         raise BadLength(f"{u} and {v} need {n} entries each")
-    gens = ideal.gens
-    try:
-        i = gens.index(u)
-        a, b = u, v
-    except ValueError:
-        if v not in gens:
-            raise NotApplicable(f"neither {u} nor {v} is a minimal generator") from None
-        i = gens.index(v)
-        a, b = v, u
     packed = ideal.packed
-    pa, pb = packed[i], ctx.pack(b)
+    a, b, pa, pb = u, v, ctx.pack(u), ctx.pack(v)
+    if pa not in packed:
+        if pb not in packed:
+            raise NotApplicable(f"neither {u} nor {v} is a minimal generator")
+        a, b, pa, pb = v, u, pb, pa
+    i = packed.index(pa)
     codes = ctx.degree_codes
     if ctx._standard.get(ideal, {}).get(codes[pa]) != b:
         if packed_member(pb, packed, guard_mask(n)):
@@ -344,9 +347,7 @@ def flip(ideal, pair, ctx):
     rest = packed[:i] + packed[i + 1:]
     if not wall_recovers_source(rest, pa, pb, n, ctx._wall_certificates(ideal, pa, pb)):
         raise NotFlippable(a, b)
-    known = dict(zip(packed, gens))
-    known[pb] = b
-    return FlipMove(ideal, a, b, wall_initial(rest, pa, pb, n, known,
+    return FlipMove(ideal, a, b, wall_initial(rest, pa, pb, n,
                                               ctx._wall_certificates(ideal, pb, pa)))
 
 
@@ -415,12 +416,12 @@ def wall_recovers_source(rest, pa, pb, n, certificates=None):
     return not _wall_survivors(rest, pa, pb, guard_mask(n), True, certificates)
 
 
-def wall_initial(rest, pa, pb, n, known, certificates=None):
+def wall_initial(rest, pa, pb, n, certificates=None):
     """The flip target: the wall ideal <rest, x^a - x^b> with x^b marked.
 
-    ``known`` maps pb and the packed ``rest`` to the exponent tuples that
-    the result reuses.  Its packed minimal generators are collected, not
-    sorted out of everything: x^b, the survivors of the completion that no
+    ``rest`` holds the packed minimal generators of the source other than
+    pa, in n fields.  The target's packed minimal generators are collected,
+    not sorted out of everything: x^b, the survivors of the completion that no
     later survivor divides, and the generators of ``rest`` that neither x^b
     nor a survivor divides.  Nothing else can fail to be minimal:
     - ``rest`` is minimal, and no element of it divides x^b, which lies
@@ -430,8 +431,8 @@ def wall_initial(rest, pa, pb, n, known, certificates=None):
     - a survivor x^s does not divide x^b either: deg s - deg b is the
       degree of a monomial, so x^s | x^b would give deg s = deg b for a
       pointed grading, hence s = b, which x^b would divide.
-    One sort of the integers gives the canonical order; only the survivors
-    are unpacked.  ``certificates``, as ``flip`` passes them for the wall
+    One sort of the integers gives the canonical order, and nothing is
+    unpacked.  ``certificates``, as ``flip`` passes them for the wall
     (pb, pa), are read and extended as ``_wall_survivors`` says; without
     them the completion runs certificate-free.
     """
@@ -443,8 +444,7 @@ def wall_initial(rest, pa, pb, n, known, certificates=None):
     lower = [pb, *survivors]
     packed = lower + [p for p in rest if packed_divisor(p, lower, guard) is None]
     packed.sort()
-    gens = [known[p] if p in known else unpack(p, n) for p in packed]
-    return ideal_with_packed(tuple(gens), tuple(packed))
+    return MonomialIdeal(tuple(packed), n)
 
 
 def neighbors(ideal, ctx, reverse=None):
@@ -462,7 +462,9 @@ def neighbors(ideal, ctx, reverse=None):
     every generator is still looked up, so the cache fills as without it.
     """
     moves = []
+    intern = ctx._interned.setdefault  # edge labels share one tuple per generator
     for a, b in zip(ideal.gens, ctx.generator_standards(ideal)):
+        a = intern(a, a)
         if reverse and a in reverse:
             moves.append(reverse[a])
             continue
@@ -623,9 +625,8 @@ def brute_force_enumerate(ctx, guard=None):
     memo = ctx._kpoly_memo
 
     def ideal_of(path):
-        path = sorted(path)
-        return ideal_with_packed(tuple(map(sides.__getitem__, path)),
-                                 tuple(map(packed.__getitem__, path)))
+        chosen = tuple(map(packed.__getitem__, sorted(path)))
+        return MonomialIdeal(chosen, A.n if chosen else 0)  # the zero ideal has n = 0
 
     def prefix_agrees(path, w):
         prefix = ideal_of(path)

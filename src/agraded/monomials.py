@@ -1,15 +1,16 @@
 """Monomials, packed monomials, degree fibers, monomial ideals, K-polynomials.
 
 Monomials are plain integer tuples (the exponent of x^u).  Monomial ideals
-are kept in canonical form: the tuple of minimal generators, sorted, so two
-ideals are equal iff their representations are identical.  A term order
-is a weight tuple w: terms compare by (w.u, then lex, x1 first), and
-``weight_rank`` ranks a packed monomial by that order as one integer.
+are kept in canonical form: the ascending tuple of their packed minimal
+generators, so two ideals are equal iff their representations are
+identical.  A term order is a weight tuple w: terms compare by (w.u, then
+lex, x1 first), and ``weight_rank`` ranks a packed monomial by that order
+as one integer.
 
-Divisibility tests dominate the running time of every enumeration, so the
-hot loops mirror exponent vectors into packed integers, and this module
-holds the only definition of that representation.  Of n variables, x_i
-takes the 32-bit field at bit 32 (n - i), so x1 is the most significant;
+Divisibility tests dominate the running time of every enumeration, so
+monomials are packed into integers, and this module holds the only
+definition of that representation.  Of n variables, x_i takes the 32-bit
+field at bit 32 (n - i), so x1 is the most significant;
 a field's top bit is a guard bit, so each exponent must satisfy
 0 <= e < 2**31, and ``pack`` raises ExponentOverflow otherwise.  Ascending
 integer order is then lexicographic order of exponent tuples: the
@@ -20,8 +21,9 @@ a field with g_i > u_i borrows its guard bit away, and the guard stops the
 borrow from reaching the next field.  Fields add and subtract
 independently while every entry stays in range, so a product or quotient
 of monomials is one integer operation.  The tuple function ``divides`` is
-the reference that the packed tests are checked against.  Each
-MonomialIdeal keeps its packed generators (``MonomialIdeal.packed``).
+the reference that the packed tests are checked against.  A MonomialIdeal
+stores only its packed minimal generators and their number of fields;
+its exponent tuples (``MonomialIdeal.gens``) are unpacked on demand.
 
 ``fiber_walk`` is the one search over a degree fiber {u >= 0 : A.u = b}:
 ``fiber`` lists a fiber, ``AGradedContext.standard_monomial`` takes the
@@ -206,48 +208,46 @@ def minimal_packed(packed, guard):
     return tuple(keep)
 
 
-def ideal_with_packed(gens, packed):
-    """MonomialIdeal(gens), for sorted minimal gens, keeping packed as its packed form."""
-    ideal = MonomialIdeal(gens)
-    ideal.__dict__["packed"] = packed
-    return ideal
-
-
 # -- monomial ideals ---------------------------------------------------------
 
 @dataclass(frozen=True, order=True)
 class MonomialIdeal:
-    """Canonical monomial ideal: sorted minimal generators.
+    """Canonical monomial ideal: its packed minimal generators, ascending, in n fields.
 
-    ``packed`` and the hash are kept once made, outside the fields, so
-    equality, ordering, hashing and ``repr`` see only ``gens``.
+    ``MonomialIdeal(packed, n)`` trusts its arguments, as the kernels that
+    make them do; ``minimalize`` is the checked constructor.  Ascending
+    packed integers are lexicographic exponent tuples, so ideals of one n
+    compare as their generator tuples do.  The zero ideal is
+    ``MonomialIdeal((), 0)``.  ``gens`` unpacks the exponent tuples on each
+    use.  The hash is kept once made, outside the fields.
     """
 
-    gens: tuple
+    packed: tuple
+    n: int
 
     def __hash__(self):
         return self._hash
 
     @cached_property
     def _hash(self):
-        return hash(self.gens)  # tuples do not cache their hash
+        return hash(self.packed)  # tuples do not cache their hash
 
-    @cached_property
-    def packed(self):
-        """The packed minimal generators, ascending (canonical order), made on first use."""
-        return tuple(map(pack, self.gens))
+    @property
+    def gens(self):
+        """The minimal generators as exponent tuples, in canonical order."""
+        return tuple(unpack(p, self.n) for p in self.packed)
 
     def contains(self, u):
         """Whether x^u lies in the ideal, by the packed divisibility test.
 
-        BadLength unless u has as many entries as the generators.
+        BadLength unless u has n entries.
         """
-        if self.gens and len(u) != len(self.gens[0]):
-            raise BadLength(f"{tuple(u)} needs {len(self.gens[0])} entries")
-        return packed_member(pack(u), self.packed, guard_mask(len(u)))
+        if self.packed and len(u) != self.n:
+            raise BadLength(f"{tuple(u)} needs {self.n} entries")
+        return packed_member(pack(u), self.packed, guard_mask(self.n))
 
     def is_zero(self):
-        return not self.gens
+        return not self.packed
 
     def radical(self):
         """Squarefree ideal generated by the supports of the generators."""
@@ -261,22 +261,22 @@ class MonomialIdeal:
 
 
 def minimalize(gens):
-    """Canonical MonomialIdeal spanned by the given generators.
+    """Canonical MonomialIdeal spanned by the given exponent vectors.
 
-    ``minimal_packed`` gives the canonical order; generators passed as
-    tuples are kept as the same objects, not copies.  BadLength unless all
-    generators have one length: packed fields of two widths would collide.
+    ``minimal_packed`` gives the canonical order.  BadLength unless all
+    generators have one length, since packed fields of two widths would
+    collide; ExponentOverflow unless every exponent lies in 0 <= e < 2**31.
     """
-    known = {}
+    packed = []
     n = None
-    for g in map(tuple, gens):
+    for g in gens:
         if n is None:
             n = len(g)
         elif len(g) != n:
-            raise BadLength(f"generator {g} needs {n} entries")
-        known[pack(g)] = g
-    keep = minimal_packed(known, guard_mask(n or 0))
-    return ideal_with_packed(tuple(known[p] for p in keep), keep)
+            raise BadLength(f"generator {tuple(g)} needs {n} entries")
+        packed.append(pack(g))
+    n = n or 0
+    return MonomialIdeal(minimal_packed(packed, guard_mask(n)), n)
 
 
 # -- degree fibers -----------------------------------------------------------

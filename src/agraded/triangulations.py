@@ -21,7 +21,7 @@ from .errors import NotFlippableComplex, certify
 from .graver import is_circuit
 from .linalg import _gauss_jordan, dot, integer_kernel_basis, rank
 from .lp import lp_strict_feasible
-from .monomials import support
+from .monomials import minimalize, support
 
 
 def make_complex(facets):
@@ -39,14 +39,21 @@ def make_complex(facets):
 
 
 def complex_of_radical(ideal, n):
-    """The facets of the complex whose minimal non-faces are the generator supports of rad(I).
+    """The facets of the complex on n vertices whose minimal non-faces are the supports of rad(I).
 
-    Scans all subsets of the n variables and keeps those that contain no
-    generator support.
+    Alexander duality: a set of vertices is a face iff its complement C
+    meets every minimal non-face N, that is iff x^C lies in every prime
+    <x_i : i in N>.  So the facets are the complements of the supports of
+    the minimal generators of the intersection of those primes, taken over
+    the generators of rad(I) from the unit ideal: the zero ideal gives the
+    full simplex, and the unit ideal, whose one non-face is empty, no facet.
+
+    Oracle: the tests check it against a scan of all 2**n vertex sets.
     """
-    nonfaces = [frozenset(support(g)) for g in ideal.radical().gens]
-    faces = ([i for i in range(n) if mask >> i & 1] for mask in range(1 << n))
-    return make_complex([f for f in faces if not any(nf.issubset(f) for nf in nonfaces)])
+    dual = minimalize([(0,) * n])
+    for g in ideal.radical().gens:
+        dual = dual.intersect(minimalize(tuple(int(j == i) for j in range(n)) for i in support(g)))
+    return make_complex(tuple(i for i in range(n) if not h[i]) for h in dual.gens)
 
 
 def is_triangulation(facets, matrix):
@@ -191,23 +198,3 @@ def edge_transition(move, ctx):
     if flipped is None:
         raise NotFlippableComplex("maximal cells do not share a link")
     return BISTELLAR if flipped == target else VIOLATION
-
-
-def baues_image(graph, ctx):
-    """Quotient of a flip graph by the supporting-triangulation map.
-
-    Each vertex maps to the facets of its radical's complex.  Returns
-    (complexes, edges): the sorted distinct facet tuples, and the index
-    pairs of complexes joined by a flip edge.  Edges whose endpoints share
-    a complex collapse and are dropped.
-    """
-    n = ctx.A.n
-    images = [complex_of_radical(v, n) for v in graph.vertices]
-    complexes = tuple(sorted(set(images)))
-    index = {c: i for i, c in enumerate(complexes)}
-    edges = set()
-    for i, j, _ in graph.edges:
-        a, b = index[images[i]], index[images[j]]
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-    return complexes, tuple(sorted(edges))

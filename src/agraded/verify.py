@@ -169,7 +169,7 @@ def check_extended(name):
     matrix = named_matrix(rec["matrix"])
     ctx = _context(matrix)
     _, base = named_ideal(rec["base_ideal"])
-    n6 = len(base.gens[0])
+    n6 = base.n
     pad = matrix.n - n6
     gens = [g + (0,) * pad for g in base.gens]
     gens += [

@@ -12,7 +12,6 @@ from agraded import (
     ExponentOverflow,
     GuardExceeded,
     IncompleteInput,
-    MonomialIdeal,
     NonHomogeneousInput,
     NotApplicable,
     NotFlippable,
@@ -270,6 +269,15 @@ def test_brute_force_counts(ctx12, ctx_veronese):
     assert len(brute_force_enumerate(ctx_veronese)) == 29
 
 
+def test_trivial_kernel_gives_the_zero_ideal_alone():
+    # no Graver pair: the brute force's one leaf is the zero ideal, which is
+    # MonomialIdeal((), 0) however it is built
+    ctx = AGradedContext(validate_grading([[1, 0], [0, 1]]))
+    zero = minimalize([])
+    assert ctx.reference_ideal == zero and is_agraded(zero, ctx)
+    assert brute_force_enumerate(ctx) == explore(ctx).vertices == (zero,)
+
+
 def test_brute_force_guard(ctx_veronese):
     # the guard counts K-polynomial tests: 76 leaves and 11 prefixes here,
     # not the 29 ideals that pass
@@ -317,7 +325,7 @@ def oracle_brute_force_leaves(ctx):
                 chosen = add_gen(chosen, u)
             idx += 1
         if idx is not None:
-            leaves.append(MonomialIdeal(tuple(sorted(chosen))))
+            leaves.append(minimalize(chosen))
     return leaves
 
 
@@ -414,7 +422,7 @@ def test_the_prune_fires_on_g36_8_10_15():
     for leaf in skipped[::25]:
         numerator = k_polynomial_oracle(leaf, ctx.A, memo)
         for w in pair_weights:
-            prefix = MonomialIdeal(tuple(g for g in leaf.gens if weight(g) < w))
+            prefix = minimalize(g for g in leaf.gens if weight(g) < w)
             truncated = below(k_polynomial_oracle(prefix, ctx.A, memo), w)
             assert truncated == below(numerator, w)
             if truncated != below(reference, w):

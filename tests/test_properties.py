@@ -28,7 +28,7 @@ def tuple_minimalize(gens):
     for g in items:
         if not any(divides(h, g) for h in keep):
             keep.append(g)
-    return MonomialIdeal(tuple(sorted(keep)))
+    return tuple(sorted(keep))
 
 
 @given(wide3)
@@ -83,13 +83,25 @@ def test_ranked_integers_order_and_rewrite_as_the_term_order(case):
 
 @given(wide_gensets3, wide3)
 def test_packed_contains_matches_divides(gens, u):
-    ideal = MonomialIdeal(tuple(gens))
+    ideal = MonomialIdeal(tuple(map(pack, gens)), 3)  # unsorted, not minimal
     assert ideal.contains(u) == any(divides(g, u) for g in gens)
 
 
 @given(st.one_of(gensets3, wide_gensets3))
 def test_packed_minimalize_matches_tuple_sweep(gens):
-    assert minimalize(gens) == tuple_minimalize(gens)
+    assert minimalize(gens).gens == tuple_minimalize(gens)
+
+
+@given(st.lists(st.one_of(gensets3, wide_gensets3), max_size=8))
+def test_ideals_order_and_hash_as_their_generator_tuples(gensets):
+    ideals = [minimalize(gens) for gens in gensets]
+    assert sorted(ideals) == sorted(ideals, key=lambda ideal: ideal.gens)
+    for ideal in ideals:
+        assert minimalize(ideal.gens) == ideal
+        for other in ideals:
+            assert (ideal == other) == (ideal.gens == other.gens)
+            if ideal == other:
+                assert hash(ideal) == hash(other)
 
 
 walk_matrices = [validate_grading(rows) for rows in
@@ -236,10 +248,9 @@ def test_packed_forms_and_the_wall_kernels_on_g36_8_10_15():
         ideals.append(ideal)
         for a in ideal.gens:
             b = ctx.standard_monomial(ideal, ctx.A.degree(a))
-            rest, pa, pb, n, known = kernel_args(ideal, a, b)
-            known[pa] = a
+            rest, pa, pb, n = kernel_args(ideal, a, b)
             recovered = wall_recovers_source(rest, pa, pb, n)
-            assert recovered == (wall_initial(rest, pb, pa, n, known) == ideal)
+            assert recovered == (wall_initial(rest, pb, pa, n) == ideal)
             if recovered:
                 ideals.append(flip(ideal, (a, b), ctx).target)
             else:
@@ -285,13 +296,12 @@ def test_seeded_random_flip_walks(name, seed):
     for _ in range(150):
         a = rng.choice(ideal.gens)
         b = ctx.standard_monomial(ideal, ctx.A.degree(a))
-        rest, pa, pb, n, known = kernel_args(ideal, a, b)
-        merged = wall_initial(rest, pa, pb, n, known)
+        rest, pa, pb, n = kernel_args(ideal, a, b)
+        merged = wall_initial(rest, pa, pb, n)
         assert merged == oracle_wall_initial_formula(rest, pa, pb, n)
         assert merged.packed == tuple(map(pack, merged.gens))
         assert all(p < q for p, q in zip(merged.packed, merged.packed[1:]))
-        known[pa] = a
-        back = wall_initial(rest, pb, pa, n, known)
+        back = wall_initial(rest, pb, pa, n)
         assert back == oracle_wall_initial_formula(rest, pb, pa, n)
         assert all(p < q for p, q in zip(back.packed, back.packed[1:]))
         try:
@@ -341,7 +351,7 @@ def test_wall_certificates_never_change_an_answer(name):
     for ideal in ideals:
         members = set(ideal.packed)
         for a, b in zip(ideal.gens, census.generator_standards(ideal)):
-            rest, pa, pb, n, known = kernel_args(ideal, a, b)
+            rest, pa, pb, n = kernel_args(ideal, a, b)
             certs = ctx._walls.get((pa, pb), {})
             stale += sum(certs[m] not in members for m in rest if m in certs)
             if not wall_recovers_source(rest, pa, pb, n):
@@ -350,7 +360,7 @@ def test_wall_certificates_never_change_an_answer(name):
                 rejected += 1
                 continue
             target = flip(ideal, (a, b), ctx).target
-            assert target == wall_initial(rest, pa, pb, n, known)
+            assert target == wall_initial(rest, pa, pb, n)
             assert target == definition_flip_ideal(ideal, a, b, census.graver)
             accepted += 1
     assert accepted and rejected and stale
@@ -457,7 +467,7 @@ def test_kpolynomial_below_a_weight_needs_only_the_generators_below_it(rows, gen
         return {k: c for k, c in numerator.items() if weight(k) < w}
 
     ideal = minimalize(gens)
-    lighter = MonomialIdeal(tuple(g for g in ideal.gens if weight(matrix.degree(g)) < w))
+    lighter = minimalize(g for g in ideal.gens if weight(matrix.degree(g)) < w)
     assert below(k_polynomial_oracle(ideal, matrix)) == below(k_polynomial_oracle(lighter, matrix))
 
 

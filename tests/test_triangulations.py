@@ -12,7 +12,6 @@ from agraded import (
     SAME_RADICAL,
     BISTELLAR,
     NotFlippableComplex,
-    baues_image,
     bistellar_flip,
     brute_force_enumerate,
     circuit_flip_spec,
@@ -130,6 +129,38 @@ def test_complex_of_radical_basics(ctx12):
     assert cplx == ((0,), (1,))
     assert complex_of_radical(minimalize([(2, 0)]), 2) == ((1,),)
     assert complex_of_radical(minimalize([(0, 1)]), 2) == ((0,),)
+
+
+# -- oracle: the subset scan that Alexander duality replaced -----------------
+
+def oracle_complex_of_radical(ideal, n):
+    """The facets of the radical's complex: every vertex set with no generator support inside."""
+    nonfaces = [frozenset(support(g)) for g in ideal.radical().gens]
+    faces = ([i for i in range(n) if mask >> i & 1] for mask in range(1 << n))
+    return make_complex([f for f in faces if not any(nf.issubset(f) for nf in nonfaces)])
+
+
+@pytest.mark.parametrize("name, homogenize, vertices", [
+    ("g137", True, 2),
+    ("veronese6", False, 29),
+    ("g36-8-10-15", True, 281),
+    ("g345-13-14", True, 1547),
+])
+def test_complex_of_radical_matches_the_subset_scan(name, homogenize, vertices):
+    matrix = named_matrix(name)
+    if homogenize:
+        matrix = homogenized(matrix)
+    graph = explore(AGradedContext(matrix))
+    assert len(graph.vertices) == vertices
+    for ideal in graph.vertices:
+        assert complex_of_radical(ideal, matrix.n) == oracle_complex_of_radical(ideal, matrix.n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_complex_of_radical_of_the_zero_and_unit_ideals(n):
+    zero, unit = minimalize([]), minimalize([(0,) * n])
+    assert complex_of_radical(zero, n) == oracle_complex_of_radical(zero, n) == (tuple(range(n)),)
+    assert complex_of_radical(unit, n) == oracle_complex_of_radical(unit, n) == ()
 
 
 def test_is_triangulation_12(ctx12):
@@ -289,6 +320,26 @@ def test_transition_same_radical_keeps_incoming_support(curve_ctx):
         if verdict == SAME_RADICAL:
             support = tuple(1 if x else 0 for x in move.b)
             assert move.source.radical().contains(support)
+
+
+def baues_image(graph, ctx):
+    """Quotient of a flip graph by the supporting-triangulation map.
+
+    Each vertex maps to the facets of its radical's complex.  Returns
+    (complexes, edges): the sorted distinct facet tuples, and the index
+    pairs of complexes joined by a flip edge.  Edges whose endpoints share
+    a complex collapse and are dropped.
+    """
+    n = ctx.A.n
+    images = [complex_of_radical(v, n) for v in graph.vertices]
+    complexes = tuple(sorted(set(images)))
+    index = {c: i for i, c in enumerate(complexes)}
+    edges = set()
+    for i, j, _ in graph.edges:
+        a, b = index[images[i]], index[images[j]]
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    return complexes, tuple(sorted(edges))
 
 
 def test_baues_image_12(ctx12):
