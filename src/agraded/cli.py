@@ -55,6 +55,7 @@ from .ideals import (
     is_coherent,
     neighbors,
 )
+from .monomials import pack
 from .triangulations import complex_of_radical, edge_transition, is_triangulation
 from .verify import REGISTRY, run, verify_all
 
@@ -217,7 +218,7 @@ def cmd_triangulations(args):
               f"triangulation={is_triangulation(facets, matrix)}")
     verdicts = {}
     for i, j, label in graph.edges:
-        move = flip(graph.vertices[i], label, ctx)
+        move = flip(graph.vertices[i], tuple(map(pack, label)), ctx)
         if move.target != graph.vertices[j]:
             raise FormatError(f"edge {i} -- {j}: the flip over {pair_str(label)} leads elsewhere")
         verdict = edge_transition(move, ctx)

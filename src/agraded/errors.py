@@ -77,16 +77,18 @@ class NotApplicable(InputError):
 class NotFlippable(InputError):
     """The wall ideal does not reproduce the source under the reverse marking.
 
-    Raised with the pair (a, b).  The flip-graph search rejects most of its
-    candidates, so the message is formatted only when it is shown.
+    Raised with the packed pair (a, b) and its number of fields n.  The
+    flip-graph search rejects most of its candidates, so the sides are
+    unpacked, and the message formatted, only when it is shown.
     """
 
-    def __init__(self, a, b):
-        super().__init__(a, b)
+    def __init__(self, pa, pb, n):
+        super().__init__(pa, pb, n)
 
     def __str__(self):
-        a, b = self.args
-        return f"wall of {a} - {b} does not re-mark to the source"
+        from .monomials import unpack  # monomials imports this module
+        pa, pb, n = self.args
+        return f"wall of {unpack(pa, n)} - {unpack(pb, n)} does not re-mark to the source"
 
 
 class NotFlippableComplex(InputError):

@@ -75,8 +75,8 @@ def explore(ctx, start=None, guard=None):
     the reverse move M' -> M over (b, a) is recorded, so expanding M'
     reuses it instead of testing the wall ideal again.  The returned graph
     is the same as without either.  Flips are symmetric, so each edge is
-    kept once, from its lower number; one sort by canonical form renumbers
-    the graph at the end.
+    kept once, from its lower number, its label sides interned in the
+    context; one sort by canonical form renumbers the graph at the end.
     """
     if start is None:
         starts = [ctx.reference_ideal]
@@ -91,7 +91,8 @@ def explore(ctx, start=None, guard=None):
     if guard is not None and len(found) > guard:
         raise GuardExceeded(f"more than {guard} vertices")
     edges = []  # (i, j, label) with i < j, found when i is expanded
-    reverse = {}  # BFS number not yet expanded -> {generator b: move back over (b, a)}
+    reverse = {}  # BFS number not yet expanded -> {packed generator b: move back over (b, a)}
+    intern = ctx._interned.setdefault  # edge labels share one tuple per monomial
     for i, ideal in enumerate(found):
         for move in neighbors(ideal, ctx, reverse.pop(i, None)):
             j = number.get(move.target)
@@ -101,9 +102,10 @@ def explore(ctx, start=None, guard=None):
                 if guard is not None and len(found) > guard:
                     raise GuardExceeded(f"more than {guard} vertices")
             if j > i:
-                edges.append((i, j, move.label))
+                u, v = move.label
+                edges.append((i, j, (intern(u, u), intern(v, v))))
                 ctx.carry(move)
-                reverse.setdefault(j, {})[move.b] = FlipMove(found[j], move.b, move.a, ideal)
+                reverse.setdefault(j, {})[move.pb] = FlipMove(found[j], move.pb, move.pa, ideal)
 
     order = sorted(range(len(found)), key=lambda i: found[i].packed)
     new = {i: k for k, i in enumerate(order)}

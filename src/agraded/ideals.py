@@ -16,14 +16,17 @@ of x^b.
 
 A flip step stays in packed integers from the candidate to the target, whose
 packed generators are the whole ideal, and to the carried standard monomials,
-cached per ideal under the integer ``DegreeCode`` of their degree.  ``flip``
-checks every candidate, since pairs also come from files: lengths, x^a a
-minimal generator, x^b outside and of equal degree code (known if x^b is
-cached as std(deg a): only such monomials are cached), then the wall marked
-toward x^a.  ``wall_initial`` merges the target's minimal generators
-instead of sorting them out; this is exact because the source's other
-generators are minimal, each survivor of the completion is irreducible modulo
-everything found before it, and x^b lies outside the source.
+packed and cached per ideal under the integer ``DegreeCode`` of their
+degree.  Exponent tuples are built only where a move leaves the search
+(``FlipMove.a``, ``.b`` and ``.label``, and the rows of ``is_coherent``).
+``flip`` checks every candidate, since pairs also come from files: the
+field range, x^a a minimal generator, x^b outside and of equal degree code
+(known if x^b is cached as std(deg a): only such monomials are cached),
+then the wall marked toward x^a.  ``wall_initial`` merges the target's
+minimal generators instead of sorting them out; this is exact because the
+source's other generators are minimal, each survivor of the completion is
+irreducible modulo everything found before it, and x^b lies outside the
+source.
 
 Wall tests repeat across ideals: a census meets few oriented walls (lead,
 trail), and most of its S-monomials (x^m : x^lead) x^trail again and again.
@@ -57,6 +60,7 @@ from .grading import positive_combination
 from .graver import graver_basis
 from .lp import inherited_answer, lp_strict_feasible
 from .monomials import (
+    FIELD_BITS,
     IRREDUCIBLE,
     MonomialIdeal,
     _Lazy,
@@ -79,13 +83,14 @@ from .monomials import (
 @dataclass(frozen=True)
 class FlipMove:
     source: MonomialIdeal
-    a: tuple  # minimal generator of source
-    b: tuple  # the standard monomial it trades with
+    pa: int  # packed minimal generator of source
+    pb: int  # the packed standard monomial it trades with
     target: MonomialIdeal
 
-    @property
-    def label(self):
-        return canonical_pair(self.a, self.b)
+    # exponent tuples, unpacked where a move leaves the flip search
+    a = property(lambda self: unpack(self.pa, self.source.n))
+    b = property(lambda self: unpack(self.pb, self.source.n))
+    label = property(lambda self: canonical_pair(self.a, self.b))
 
 
 class AGradedContext:
@@ -94,10 +99,11 @@ class AGradedContext:
     Everything heavy (toric ideal, Graver basis, reference numerator,
     standard monomials, K-polynomials) is computed once on demand and reused.
     The values handed out are immutable, but the caches are not: the
-    K-polynomial memo, the standard-monomial dict of each ideal (``_standard``)
-    and the wall certificates (``_walls``) grow in place, and
-    ``brute_force_enumerate`` clears the memo.  The reference ideal is the
-    initial ideal for the certificate weights c^T A.
+    K-polynomial memo, the packed standard monomials of each ideal
+    (``_standard``), the interned codes, monomials and label sides
+    (``_interned``) and the wall certificates (``_walls``) grow in place,
+    and ``brute_force_enumerate`` clears the memo.  The reference ideal is
+    the initial ideal for the certificate weights c^T A.
     """
 
     def __init__(self, matrix):
@@ -106,14 +112,12 @@ class AGradedContext:
         # ideal the K-polynomial recursion met below the ideals asked for;
         # brute_force_enumerate releases it when it returns
         self._kpoly_memo = {}
-        # ideal -> {degree code: standard monomial}.  A matrix has few distinct
-        # degrees and standard monomials, shared across thousands of ideals, so
-        # both are interned: a cache entry costs a dict slot, not an int and tuple.
-        # ``neighbors`` interns the generators it flips, which the edge labels keep.
+        # ideal -> {degree code: packed standard monomial}.  A matrix has few
+        # distinct degrees and standard monomials, shared across thousands of
+        # ideals, so both are interned: a cache entry costs a dict slot, not two
+        # ints.  ``explore`` interns the edge label sides here too.
         self._standard = {}
         self._interned = {}
-        # monomial -> its packed form, for the monomials flips trade
-        self._packed = {}
         # oriented wall (packed lead, packed trail) -> {packed m: packed d}, the
         # certificates of ``_wall_survivors``: when m was last reduced on that
         # wall, x^d divided (x^m : x^lead) x^trail, or d = m and the product
@@ -152,13 +156,6 @@ class AGradedContext:
         self.check_length(ideal)
         return k_polynomial(ideal, self.A, memo=self._kpoly_memo, codes=True)
 
-    def pack(self, u):
-        """``pack(u)``, made once per distinct monomial of this context."""
-        p = self._packed.get(u)
-        if p is None:
-            p = self._packed[u] = pack(u)
-        return p
-
     def _generator_set(self, ideal):
         """The packed generators of an ideal as a set, kept for the last ideal asked."""
         held, members = self._last_generators
@@ -178,8 +175,9 @@ class AGradedContext:
         """The unique monomial of degree b outside an A-graded ideal.
 
         The first monomial that ``fiber_walk`` yields outside the packed
-        generators, i.e. the lexicographically smallest; cached under
-        ``DegreeCode.encode(b)`` (BadLength unless b has d entries).  Raises
+        generators, i.e. the lexicographically smallest, as an exponent
+        tuple; cached packed under ``DegreeCode.encode(b)`` (BadLength unless
+        b has d entries), so a hit is unpacked and a miss packed.  Raises
         InputError when c.b < 0, NotAGraded when every monomial of degree b
         lies in the ideal, and ExponentOverflow when the search reaches an
         exponent of 2**31 or more.
@@ -188,25 +186,26 @@ class AGradedContext:
         code = degree_code(self.A).encode(b)
         found = self._standard.get(ideal, {}).get(code)
         if found is not None:
-            return found
+            return unpack(found, self.A.n)
         if positive_combination(self.A, b) < 0:
             raise InputError(f"degree {b} is outside the monoid")
         found = next(fiber_walk(self.A, b, ideal.packed), None)
         if found is None:
             raise NotAGraded(f"no standard monomial in degree {b}")
         intern = self._interned.setdefault
-        found = intern(found, found)
-        self._standard.setdefault(ideal, {})[intern(code, code)] = found
+        p = pack(found)
+        self._standard.setdefault(ideal, {})[intern(code, code)] = intern(p, p)
         return found
 
     def generator_standards(self, ideal):
-        """std(deg g) for each minimal generator g, by its packed degree code."""
+        """The packed std(deg g) of each minimal generator g; ``standard_monomial`` fills a miss."""
         self.check_length(ideal)
         known = self._standard.setdefault(ideal, {})
-        n = self.A.n
-        return [known.get(self.degree_codes[p])
-                or self.standard_monomial(ideal, self.A.degree(unpack(p, n)))
-                for p in ideal.packed]
+        codes = self.degree_codes
+        for p in ideal.packed:
+            if known.get(codes[p]) is None:  # not a falsy test: packed 0 is the monomial 1
+                self.standard_monomial(ideal, self.A.degree(unpack(p, self.A.n)))
+        return [known[codes[p]] for p in ideal.packed]
 
     def carry(self, move):
         """Seed the standard-monomial cache of a flip target from its source.
@@ -222,8 +221,7 @@ class AGradedContext:
         degree is left to ``standard_monomial``.  When no trade happened, c
         is s, which lies outside M, so no generator that M' shares with M
         divides it: c is tested against the generators of M' that M lacks
-        alone.  The trades and the test run on packed integers; c is
-        unpacked, and its packed form kept, only when a trade happened.
+        alone.  The trades and the test run on the cached packed integers.
 
         For a flip the test always passes.  Modulo the wall ideal, the
         monomials of degree beta that trades of x^a and x^b join to s form
@@ -235,10 +233,9 @@ class AGradedContext:
         if not source:
             return
         target = move.target
-        n = self.A.n
-        guard = guard_mask(n)
-        pb = self.pack(move.b)
-        shift = self.pack(move.a) - pb
+        guard = guard_mask(self.A.n)
+        pb = move.pb
+        shift = move.pa - pb
         known = self._standard.setdefault(target, {})
         intern = self._interned.setdefault
         source_gens = self._generator_set(move.source)
@@ -248,18 +245,13 @@ class AGradedContext:
             c = source.get(beta)
             if c is None or beta in known:
                 continue
-            pc = start = self.pack(c)
+            pc = c
             while ((pc | guard) - pb) & guard == guard:  # x^b divides x^c
                 pc += shift
                 if pc & guard:
                     raise ExponentOverflow(f"a trade of {move.b} for {move.a} reached 2**31")
-            if packed_member(pc, lacking if pc == start else target.packed, guard):
-                continue
-            if pc != start:
-                c = unpack(pc, n)
-                c = intern(c, c)
-                self._packed.setdefault(c, pc)
-            known[intern(beta, beta)] = c
+            if not packed_member(pc, lacking if pc == c else target.packed, guard):
+                known[intern(beta, beta)] = intern(pc, pc)
 
 
 def is_agraded(ideal, ctx):
@@ -309,46 +301,48 @@ def definition_flip_ideal(ideal, a, b, graver):
 
 
 def flip(ideal, pair, ctx):
-    """Flip an ideal over a Graver pair of two exponent tuples, or raise.
+    """Flip an ideal over a Graver pair of two packed monomials in n fields, or raise.
 
-    The checks, in order; those after the orientation run on packed integers:
-    - BadLength unless both sides have n entries;
+    The checks, in order:
+    - InputError unless both sides are packed monomials of n fields: a side
+      that is negative, has a bit at or above field n, or has a guard bit
+      set is refused, since pairs also come from outside the program;
     - the pair is oriented so that x^a is a minimal generator, found by one
-      scan of the packed generators (NotApplicable if neither side is one;
-      ExponentOverflow if a side it packs leaves the field range);
+      scan of the packed generators (NotApplicable if neither side is one);
     - NotApplicable if x^b lies in the ideal, NonHomogeneousInput if the degree
       codes differ; both pass, unchecked, for an x^b cached as std(deg a);
     - NotFlippable unless re-marking the wall ideal toward x^a reproduces
       the ideal, in which case the opposite marking is the A-graded target.
-    Each side is packed once per context (``AGradedContext.pack``).  The two wall
-    kernels below take these checks as given.  Both read and extend the
-    context's certificates of their oriented wall (``_wall_survivors``), so
-    a generator whose S-monomial was divisible, on an earlier ideal, by a
-    generator of this ideal costs one dict probe; the verdict and the target
-    are those of the certificate-free kernels.
+    The two wall kernels below take these checks as given.  Both read and
+    extend the context's certificates of their oriented wall
+    (``_wall_survivors``), so a generator whose S-monomial was divisible,
+    on an earlier ideal, by a generator of this ideal costs one dict probe;
+    the verdict and the target are those of the certificate-free kernels.
     """
-    u, v = map(tuple, pair)
+    pa, pb = pair
     n = ctx.A.n
-    if not len(u) == len(v) == n:
-        raise BadLength(f"{u} and {v} need {n} entries each")
+    guard = guard_mask(n)
+    for p in (pa, pb):
+        if p >> FIELD_BITS * n or p & guard:  # p >> ... is -1 for a negative p
+            raise InputError(f"flip side {p:#x} is not a packed monomial of {n} fields")
     packed = ideal.packed
-    a, b, pa, pb = u, v, ctx.pack(u), ctx.pack(v)
     if pa not in packed:
         if pb not in packed:
-            raise NotApplicable(f"neither {u} nor {v} is a minimal generator")
-        a, b, pa, pb = v, u, pb, pa
+            raise NotApplicable(
+                f"neither {unpack(pa, n)} nor {unpack(pb, n)} is a minimal generator")
+        pa, pb = pb, pa
     i = packed.index(pa)
     codes = ctx.degree_codes
-    if ctx._standard.get(ideal, {}).get(codes[pa]) != b:
-        if packed_member(pb, packed, guard_mask(n)):
-            raise NotApplicable(f"{b} lies in the ideal")
+    if ctx._standard.get(ideal, {}).get(codes[pa]) != pb:
+        if packed_member(pb, packed, guard):
+            raise NotApplicable(f"{unpack(pb, n)} lies in the ideal")
         if codes[pa] != codes[pb]:
-            raise NonHomogeneousInput(f"{a} and {b} have different degrees")
+            raise NonHomogeneousInput(f"{unpack(pa, n)} and {unpack(pb, n)} have different degrees")
     rest = packed[:i] + packed[i + 1:]
     if not wall_recovers_source(rest, pa, pb, n, ctx._wall_certificates(ideal, pa, pb)):
-        raise NotFlippable(a, b)
-    return FlipMove(ideal, a, b, wall_initial(rest, pa, pb, n,
-                                              ctx._wall_certificates(ideal, pb, pa)))
+        raise NotFlippable(pa, pb, n)
+    return FlipMove(ideal, pa, pb, wall_initial(rest, pa, pb, n,
+                                                ctx._wall_certificates(ideal, pb, pa)))
 
 
 def _wall_survivors(rest, plead, ptrail, guard, first=False, certificates=None):
@@ -450,26 +444,24 @@ def wall_initial(rest, pa, pb, n, certificates=None):
 def neighbors(ideal, ctx, reverse=None):
     """All flips out of an A-graded monomial ideal, in generator order.
 
-    Candidates pair each minimal generator with the unique standard
+    Candidates pair each packed minimal generator with the packed standard
     monomial of its degree, looked up by degree code; no other Graver pair
     can satisfy the flip preconditions, and each candidate is itself a
     Graver pair.  ``flip`` validates each, finding x^b cached.
 
-    ``reverse`` is for ``explore`` only: it maps generators of ``ideal`` to
-    moves already known to leave through them, the reverses of flips into
-    ``ideal``.  Flips are symmetric, so such a move is used as it is
-    instead of testing its wall ideal again; the standard monomial of
+    ``reverse`` is for ``explore`` only: it maps packed generators of
+    ``ideal`` to moves already known to leave through them, the reverses of
+    flips into ``ideal``.  Flips are symmetric, so such a move is used as it
+    is instead of testing its wall ideal again; the standard monomial of
     every generator is still looked up, so the cache fills as without it.
     """
     moves = []
-    intern = ctx._interned.setdefault  # edge labels share one tuple per generator
-    for a, b in zip(ideal.gens, ctx.generator_standards(ideal)):
-        a = intern(a, a)
-        if reverse and a in reverse:
-            moves.append(reverse[a])
+    for pa, pb in zip(ideal.packed, ctx.generator_standards(ideal)):
+        if reverse and pa in reverse:
+            moves.append(reverse[pa])
             continue
         try:
-            moves.append(flip(ideal, (a, b), ctx))
+            moves.append(flip(ideal, (pa, pb), ctx))
         except NotFlippable:
             continue
     return tuple(moves)
@@ -496,7 +488,8 @@ def is_coherent(ideal, ctx, inherited=()):
     ideal to 0.  A certificate that fails is passed over; if none holds,
     the simplex decides.
     """
-    rows = {exp_sub(g, std) for g, std in zip(ideal.gens, ctx.generator_standards(ideal))}
+    n = ctx.A.n
+    rows = {exp_sub(g, unpack(s, n)) for g, s in zip(ideal.gens, ctx.generator_standards(ideal))}
     answer = inherited_answer(rows, inherited)
     if answer is not None:
         return answer

@@ -32,7 +32,7 @@ from .ideals import (
     special_ideals,
 )
 from .linalg import dot
-from .monomials import minimalize
+from .monomials import minimalize, pack
 from .triangulations import BISTELLAR, SAME_RADICAL, edge_transition
 
 CURVE_WEIGHT = (1, 1, 2, 0, 2)
@@ -228,7 +228,7 @@ def check_transitions():
     for mname in ("g12", "g137", "veronese6", "g36-8-10-15"):
         ctx, _, graph = _complete_graph(mname)
         for i, j, label in graph.edges:
-            verdict = edge_transition(flip(graph.vertices[i], label, ctx), ctx)
+            verdict = edge_transition(flip(graph.vertices[i], tuple(map(pack, label)), ctx), ctx)
             total += 1
             if verdict not in (SAME_RADICAL, BISTELLAR):
                 bad += 1

@@ -49,7 +49,9 @@ def test_neighbors_reaches_flip_through_the_module_once_per_untested_candidate(m
 
     The tracer rebinds ``ideals.flip``, so ``neighbors`` must call it through
     the module namespace, once per candidate that no reverse move serves,
-    and a rejected candidate must still raise ``NotFlippable`` there.
+    with the pair as two packed integers, and a rejected candidate must
+    still raise ``NotFlippable`` there.  Reverse moves are keyed by their
+    packed generator.
     """
     from agraded import FlipMove, NotFlippable, ideals
 
@@ -57,7 +59,7 @@ def test_neighbors_reaches_flip_through_the_module_once_per_untested_candidate(m
     source = ctx.reference_ideal
     move = ideals.neighbors(source, ctx)[0]
     target = move.target
-    reverse = {move.b: FlipMove(target, move.b, move.a, source)}
+    reverse = {move.pb: FlipMove(target, move.pb, move.pa, source)}
     expected = ideals.neighbors(target, ctx)
     calls, rejected = [], []
     flip = ideals.flip
@@ -72,5 +74,6 @@ def test_neighbors_reaches_flip_through_the_module_once_per_untested_candidate(m
 
     monkeypatch.setattr(ideals, "flip", counted)
     assert ideals.neighbors(target, ctx, reverse) == expected
-    assert len(calls) == len(target.gens) - 1 and move.b not in {a for a, _ in calls}
+    assert len(calls) == len(target.gens) - 1 and move.pb not in {a for a, _ in calls}
+    assert all(type(pa) is int and type(pb) is int for pa, pb in calls)
     assert rejected

@@ -22,6 +22,7 @@ from agraded import (
 )
 from agraded.ideals import wall_initial, wall_recovers_source
 from agraded.fixtures import named_ideal, named_matrix
+from agraded.monomials import pack
 
 
 def test_single_binomial_is_its_own_basis():
@@ -308,8 +309,6 @@ def context(rows):
 
 def kernel_args(ideal, a, b):
     """(rest, pa, pb, n) as ``flip`` passes them to the wall kernels."""
-    from agraded.monomials import pack
-
     packed = ideal.packed
     i = packed.index(pack(a))
     rest = packed[:i] + packed[i + 1:]
@@ -318,7 +317,7 @@ def kernel_args(ideal, a, b):
 
 def test_wall_initial_corank1(ctx12):
     I = minimalize([(2, 0)])
-    assert flip(I, ((2, 0), (0, 1)), ctx12).target == minimalize([(0, 1)])
+    assert flip(I, (pack((2, 0)), pack((0, 1))), ctx12).target == minimalize([(0, 1)])
     rest, pa, pb, n = kernel_args(I, (2, 0), (0, 1))
     assert wall_recovers_source(rest, pa, pb, n)
     assert wall_initial(rest, pa, pb, n) == minimalize([(0, 1)])
@@ -327,13 +326,14 @@ def test_wall_initial_corank1(ctx12):
 def test_wall_initial_preconditions(ctx12):
     I = minimalize([(2, 0)])
     with pytest.raises(NotApplicable):
-        flip(I, ((3, 0), (0, 1)), ctx12)  # not a minimal generator
+        flip(I, (pack((3, 0)), pack((0, 1))), ctx12)  # not a minimal generator
     with pytest.raises(NotApplicable):
-        flip(I, ((2, 0), (4, 0)), ctx12)  # inside the ideal
-    # mislabelled pairs, as a flip-graph JSON file may hold them
-    for pair in [((2, 0), (1,)), ((2, 0), (0, 1, 0)), ((2, 0, 0), (0, 1, 0))]:
-        with pytest.raises(BadLength):
-            flip(I, pair, ctx12)
+        flip(I, (pack((2, 0)), pack((4, 0))), ctx12)  # inside the ideal
+    # sides that are not packed monomials of two fields: wider, a guard bit, negative
+    for bad in [pack((0, 1, 0, 0)), 1 << 31, -1]:
+        for pair in [(pack((2, 0)), bad), (bad, pack((2, 0)))]:
+            with pytest.raises(InputError):
+                flip(I, pair, ctx12)
 
 
 def test_exponents_beyond_the_packed_field_raise():
@@ -352,9 +352,9 @@ def test_exponents_beyond_the_packed_field_raise():
     assert divides((2 ** 31, 0), (2 ** 31, 1))
     with pytest.raises(ExponentOverflow):
         minimalize([(1, 0)]).contains((2 ** 31, 1))
-    # a flip side beyond the field range is refused as it is packed
-    with pytest.raises(ExponentOverflow):
-        flip(minimalize([(0, 1)]), ((2 ** 31, 0), (0, 1)), context([[1, 1]]))
+    # a packed flip side with an exponent of 2**31 sets a guard bit and is refused
+    with pytest.raises(InputError):
+        flip(minimalize([(0, 1)]), (2 ** 31 << 32, pack((0, 1))), context([[1, 1]]))
 
 
 def test_wall_rewrite_beyond_the_packed_field_raises():
@@ -369,7 +369,7 @@ def test_wall_rewrite_beyond_the_packed_field_raises():
     with pytest.raises(ExponentOverflow):
         wall_initial(rest, pb, pa, n)  # marks x^a
     with pytest.raises(ExponentOverflow):
-        flip(I, (a, b), context([[1, 1]]))
+        flip(I, (pack(a), pack(b)), context([[1, 1]]))
 
 
 # -- oracle: the wall-ideal completion on tuples, without the product criterion
@@ -409,7 +409,7 @@ def test_wall_tests_match_the_tuple_oracle(ctx_name, request):
             recovered = oracle_wall_initial(ideal, a, b, "a_leads")
             marked = oracle_wall_initial(ideal, a, b, "b_leads")
             try:
-                move = flip(ideal, (a, b), ctx)
+                move = flip(ideal, (pack(a), pack(b)), ctx)
             except NotFlippable:
                 assert recovered != ideal
                 assert wall_initial(*kernel_args(ideal, a, b)) == marked
@@ -435,7 +435,7 @@ def test_coprime_generator_overflows_before_a_later_one_rejects():
     with pytest.raises(ExponentOverflow):
         wall_initial(rest, pb, pa, n)  # marks x^a
     with pytest.raises(ExponentOverflow):
-        flip(I, (a, b), context([[1, 2, 1]]))
+        flip(I, (pack(a), pack(b)), context([[1, 2, 1]]))
 
 
 def test_wall_initial_curve_flip(curve_ctx):
@@ -444,17 +444,17 @@ def test_wall_initial_curve_flip(curve_ctx):
     ctx = curve_ctx[1]
     M1 = curve_monomial_ideal(1)
     a, b = (5, 0, 1, 0, 0), (0, 6, 0, 0, 0)  # the unique high-degree strand flip
-    target = flip(M1, (a, b), ctx).target
+    target = flip(M1, (pack(a), pack(b)), ctx).target
     assert target == definition_flip_ideal(M1, a, b, ctx.graver)
     # flipping back returns the original ideal
-    back = flip(target, (b, a), ctx).target
+    back = flip(target, (pack(b), pack(a)), ctx).target
     assert back == M1
 
 
 def test_wall_initial_deficient_ideal(ctx123789, ideal_J):
     a, b = (0, 1, 0, 0, 0, 1), (0, 0, 1, 0, 1, 0)
-    target = flip(ideal_J, (a, b), ctx123789).target
-    assert flip(target, (b, a), ctx123789).target == ideal_J
+    target = flip(ideal_J, (pack(a), pack(b)), ctx123789).target
+    assert flip(target, (pack(b), pack(a)), ctx123789).target == ideal_J
 
 
 def test_coefficient_arithmetic_in_completion():

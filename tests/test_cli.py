@@ -9,7 +9,7 @@ from agraded import lp
 from agraded.cli import main
 from agraded.fileio import FormatError, format_ideal, parse_ideal, parse_matrix
 from agraded.fixtures import named_matrix
-from agraded.monomials import minimalize
+from agraded.monomials import minimalize, unpack
 
 
 def format_matrix(rows):
@@ -105,7 +105,7 @@ def test_cli_witness_marks_every_row(command, ctx345, tmp_path, capsys):
     paths[1].write_text(format_ideal(ideal))
     assert main([command, "--matrix", str(paths[0]), "--ideal", str(paths[1])]) == 0
     doc = json.loads(capsys.readouterr().out)
-    rows = [tuple(a - b for a, b in zip(g, std))
+    rows = [tuple(a - b for a, b in zip(g, unpack(std, ideal.n)))
             for g, std in zip(ideal.gens, ctx345.generator_standards(ideal))]
     assert doc["coherent"] is True and lp.is_witness(rows, [int(x) for x in doc["witness"]])
 
@@ -191,6 +191,27 @@ def test_cli_triangulations_golden(name, homogenize, tmp_path, capsys):
     assert main(args) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == TRIANGULATIONS_GOLDEN[name, homogenize]
+
+
+def test_cli_neighbors_golden(tmp_path, capsys):
+    """``neighbors`` prints the labels ``FlipMove.a`` and ``.b``, recorded at commit ff4757a.
+
+    A = (1 2 3 7 8 9); the initial ideal for the weight e1 has 27
+    generators and 5 flips.
+    """
+    matrix, ideal = tmp_path / "m.txt", tmp_path / "i.txt"
+    matrix.write_text("1 6\n1 2 3 7 8 9\n")
+    assert main(["initial", "--matrix", str(matrix), "--weight", "1,0,0,0,0,0"]) == 0
+    out = capsys.readouterr().out
+    assert len(parse_ideal(out, 6).gens) == 27
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6948ec8007d36531f3e3b69cbb001d38fde88bf57314fac735a8175667b0fccf")
+    ideal.write_text(out)
+    assert main(["neighbors", "--matrix", str(matrix), "--ideal", str(ideal)]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["count"] == 5
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e63da056fc0bcf8986a2e9d23696b1bed4d4472c2344680f9f19924ce9f0d4eb")
 
 
 def test_cli_verify_single(capsys):

@@ -23,6 +23,7 @@ from agraded import flipgraph, ideals
 from agraded.fixtures import as_pairs, expected, named_matrix
 from agraded.errors import FormatError, InputError
 from agraded.flipgraph import FlipGraph, GuardExceeded, IncompleteGraph
+from agraded.monomials import pack
 
 
 def canonical_edge(a, b, label):
@@ -96,8 +97,8 @@ def test_reused_reverse_moves_are_flips(complete, multi, monkeypatch):
     # one forward flip and one reused reverse move per undirected edge
     assert len(reused) == len(graph.edges)
     for ideal, b, move in reused:
-        assert move.source == ideal and move.a == b and b in ideal.gens
-        assert move == flip(ideal, (b, move.b), ctx)
+        assert move.source == ideal and move.pa == b and b in ideal.packed
+        assert move == flip(ideal, (b, move.pb), ctx)
 
 
 def test_two_vertex_graph(ctx12):
@@ -251,8 +252,8 @@ def test_walk_reaches_every_component(monkeypatch, ctx_corank4):
 def test_edge_symmetry(ctx_veronese):
     graph = explore(ctx_veronese)
     for i, j, label in graph.edges:
-        forward = flip(graph.vertices[i], label, ctx_veronese)
-        backward = flip(graph.vertices[j], label, ctx_veronese)
+        forward = flip(graph.vertices[i], tuple(map(pack, label)), ctx_veronese)
+        backward = flip(graph.vertices[j], tuple(map(pack, label)), ctx_veronese)
         assert forward.target == graph.vertices[j]
         assert backward.target == graph.vertices[i]
 

@@ -33,7 +33,7 @@ from agraded import (
 from agraded.fixtures import as_pairs, expected, named_ideal, named_matrix
 from agraded.grading import positive_combination
 from agraded.ideals import definition_flip_ideal
-from agraded.monomials import divides
+from agraded.monomials import divides, pack, unpack
 
 
 def test_agraded_examples(ctx12, ctx123789, ideal_J, curve_ctx):
@@ -59,9 +59,9 @@ def assert_definition_flips(moves, ctx):
 
 
 def test_flip_corank1(ctx12):
-    move = flip(minimalize([(2, 0)]), ((2, 0), (0, 1)), ctx12)
+    move = flip(minimalize([(2, 0)]), (pack((2, 0)), pack((0, 1))), ctx12)
     assert move.target == minimalize([(0, 1)])
-    back = flip(move.target, ((2, 0), (0, 1)), ctx12)
+    back = flip(move.target, (pack((2, 0)), pack((0, 1))), ctx12)
     assert back.target == move.source
     assert_definition_flips((move, back), ctx12)
 
@@ -69,30 +69,31 @@ def test_flip_corank1(ctx12):
 def test_every_graph_edge_matches_definition_flip(ctx137, ctx_veronese, ctx_corank4):
     for ctx in (ctx137, ctx_veronese, ctx_corank4):
         graph = explore(ctx)
-        moves = [flip(graph.vertices[i], label, ctx) for i, _, label in graph.edges]
+        moves = [flip(graph.vertices[i], tuple(map(pack, label)), ctx)
+                 for i, _, label in graph.edges]
         assert [m.target for m in moves] == [graph.vertices[j] for _, j, _ in graph.edges]
         assert_definition_flips(moves, ctx)
 
 
 def test_flip_not_applicable(ctx12):
     with pytest.raises(NotApplicable):
-        flip(minimalize([(2, 0)]), ((4, 0), (0, 2)), ctx12)
+        flip(minimalize([(2, 0)]), (pack((4, 0)), pack((0, 2))), ctx12)
 
 
 def test_flip_rejects_a_pair_of_unequal_degree(ctx12):
     # x2^2 lies outside <x1^2>, but has degree 4 against 2
     with pytest.raises(NonHomogeneousInput):
-        flip(minimalize([(2, 0)]), ((2, 0), (0, 2)), ctx12)
+        flip(minimalize([(2, 0)]), (pack((2, 0)), pack((0, 2))), ctx12)
     with pytest.raises(NonHomogeneousInput):
-        flip(minimalize([(2, 0)]), ((0, 2), (2, 0)), ctx12)
+        flip(minimalize([(2, 0)]), (pack((0, 2)), pack((2, 0))), ctx12)
 
 
 def test_flip_orients_the_pair(ctx_veronese):
     graph = explore(ctx_veronese)
     for ideal in graph.vertices[:20]:
         for move in neighbors(ideal, ctx_veronese):
-            assert flip(ideal, (move.b, move.a), ctx_veronese) == move
-            assert flip(ideal, [list(move.b), list(move.a)], ctx_veronese) == move
+            assert flip(ideal, (move.pb, move.pa), ctx_veronese) == move
+            assert flip(ideal, [move.pb, move.pa], ctx_veronese) == move
 
 
 def test_curve_flips_exactly_qrs(curve_ctx):
@@ -109,7 +110,7 @@ def test_curve_flips_exactly_qrs(curve_ctx):
         assert len(moves) == 2 * j + 4
         for b in fams["p"]:
             with pytest.raises(NotFlippable):
-                flip(ideal, b.pair(), ctx)
+                flip(ideal, tuple(map(pack, b.pair())), ctx)
         assert not flippable & blocked
 
 
@@ -134,7 +135,7 @@ def test_masked_ideal_flips(ctx345, ideal_masked):
 
 
 def coherence_rows(ideal, ctx):
-    return {tuple(a - b for a, b in zip(g, std))
+    return {tuple(a - b for a, b in zip(g, unpack(std, ideal.n)))
             for g, std in zip(ideal.gens, ctx.generator_standards(ideal))}
 
 
@@ -222,7 +223,7 @@ def test_flip_involution_on_fixture(ctx_veronese):
     ideals = brute_force_enumerate(ctx_veronese)
     for ideal in ideals[:8]:
         for move in neighbors(ideal, ctx_veronese):
-            back = flip(move.target, move.label, ctx_veronese)
+            back = flip(move.target, tuple(map(pack, move.label)), ctx_veronese)
             assert back.target == ideal
 
 
@@ -516,19 +517,19 @@ def test_warm_cache_admits_no_bad_pair(ctx_corank4):
             if codes[pa] not in fibers:
                 fibers[codes[pa]] = fiber(ctx.A, ctx.A.degree(a))
             fib = fibers[codes[pa]]
-            assert [u for u in fib if not ideal.contains(u)] == [known[codes[pa]]]
-            within = [u for u in fib if u != known[codes[pa]]]
+            assert [pack(u) for u in fib if not ideal.contains(u)] == [known[codes[pa]]]
+            within = [pack(u) for u in fib if pack(u) != known[codes[pa]]]
             for u in {*within[:2], *within[-1:]}:
                 inside += 1
                 with pytest.raises(NotApplicable):
-                    flip(ideal, (a, u), ctx)
+                    flip(ideal, (pa, u), ctx)
             for code, b in known.items():
                 if code != codes[pa]:
                     other += 1
                     with pytest.raises(NonHomogeneousInput):
-                        flip(ideal, (a, b), ctx)
+                        flip(ideal, (pa, b), ctx)
             try:
-                expected.append(flip(ideal, (a, known[codes[pa]]), cold))
+                expected.append(flip(ideal, (pa, known[codes[pa]]), cold))
             except NotFlippable:
                 pass
         moves = neighbors(ideal, ctx)

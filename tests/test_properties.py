@@ -190,13 +190,14 @@ def test_carry_repeats_the_trade_where_one_lands_inside():
     for i, j, label in graph.edges:
         for source in (graph.vertices[i], graph.vertices[j]):
             ctx = AGradedContext(matrix)
-            move = flip(source, label, ctx)
+            move = flip(source, tuple(map(pack, label)), ctx)
             a, b, target = move.a, move.b, move.target
             cached = {ctx.A.degree(g) for g in source.gens}
             for beta in cached:
                 ctx.standard_monomial(source, beta)
             ctx.carry(move)
-            carried = {degree[k]: c for k, c in ctx._standard.get(target, {}).items()}
+            carried = {degree[k]: unpack(c, matrix.n)
+                       for k, c in ctx._standard.get(target, {}).items()}
             for beta in {ctx.A.degree(g) for g in target.gens} & cached:
                 s = ctx.standard_monomial(source, beta)
                 if not divides(b, s):
@@ -220,11 +221,11 @@ def test_carry_stores_nothing_inside_the_target():
     carried = dict(ctx._standard[move.target])
     beta, c = next(iter(carried.items()))
     # the same trade into a target that also holds the candidate
-    wrong = minimalize(move.target.gens + (c,))
+    wrong = minimalize(move.target.gens + (unpack(c, move.target.n),))
     fresh = AGradedContext(ctx.A)
     for g in source.gens:
         fresh.standard_monomial(source, fresh.A.degree(g))
-    fresh.carry(FlipMove(source, move.a, move.b, wrong))
+    fresh.carry(FlipMove(source, move.pa, move.pb, wrong))
     assert beta not in fresh._standard.get(wrong, {})
 
 
@@ -252,7 +253,7 @@ def test_packed_forms_and_the_wall_kernels_on_g36_8_10_15():
             recovered = wall_recovers_source(rest, pa, pb, n)
             assert recovered == (wall_initial(rest, pb, pa, n) == ideal)
             if recovered:
-                ideals.append(flip(ideal, (a, b), ctx).target)
+                ideals.append(flip(ideal, (pa, pb), ctx).target)
             else:
                 rejected += 1
     assert rejected
@@ -279,7 +280,7 @@ def test_seeded_random_flip_walks(name, seed):
     keeps the packed form of its generators, in ascending order.  An
     accepted flip equals ``definition_flip_ideal``; the walk moves to its
     target, where ``carry`` stores only degrees whose standard monomial a
-    fresh context computes to the same value, with their packed forms.
+    fresh context computes to the same value, packed.
     """
     import random
 
@@ -305,7 +306,7 @@ def test_seeded_random_flip_walks(name, seed):
         assert back == oracle_wall_initial_formula(rest, pb, pa, n)
         assert all(p < q for p, q in zip(back.packed, back.packed[1:]))
         try:
-            move = flip(ideal, (a, b), ctx)
+            move = flip(ideal, (pa, pb), ctx)
         except NotFlippable:
             rejected += 1
             continue
@@ -316,8 +317,7 @@ def test_seeded_random_flip_walks(name, seed):
         ctx._standard.pop(move.target, None)
         ctx.carry(move)
         for code, c in ctx._standard.get(move.target, {}).items():
-            assert c == fresh.standard_monomial(move.target, degree_code(ctx.A).degree[code])
-            assert ctx.pack(c) == pack(c)
+            assert c == pack(fresh.standard_monomial(move.target, degree_code(ctx.A).degree[code]))
             carried += 1
         ideal = move.target
     assert accepted and rejected and carried
@@ -350,28 +350,74 @@ def test_wall_certificates_never_change_an_answer(name):
     accepted = rejected = stale = 0
     for ideal in ideals:
         members = set(ideal.packed)
-        for a, b in zip(ideal.gens, census.generator_standards(ideal)):
+        for a, s in zip(ideal.gens, census.generator_standards(ideal)):
+            b = unpack(s, ideal.n)
             rest, pa, pb, n = kernel_args(ideal, a, b)
             certs = ctx._walls.get((pa, pb), {})
             stale += sum(certs[m] not in members for m in rest if m in certs)
             if not wall_recovers_source(rest, pa, pb, n):
                 with pytest.raises(NotFlippable):
-                    flip(ideal, (a, b), ctx)
+                    flip(ideal, (pa, pb), ctx)
                 rejected += 1
                 continue
-            target = flip(ideal, (a, b), ctx).target
+            target = flip(ideal, (pa, pb), ctx).target
             assert target == wall_initial(rest, pa, pb, n)
             assert target == definition_flip_ideal(ideal, a, b, census.graver)
             accepted += 1
     assert accepted and rejected and stale
 
 
+@pytest.mark.parametrize("name, vertices", [("g137", 7), ("veronese6", 29), ("g36-8-10-15", 250)],
+                         ids=["g137", "veronese6", "g36-8-10-15"])
+def test_the_packed_flip_step_after_a_full_explore(name, vertices):
+    """The packed standard monomials, moves and refusals at every vertex.
+
+    After ``explore``, which carries most cache entries from a neighbour,
+    the packed std(deg g) that ``generator_standards`` gives for each
+    generator g is ``pack`` of ``standard_monomial``, the first element of
+    ``fiber_walk`` outside the ideal.  The sides ``a`` and ``b`` of every
+    move pack back to ``pa`` and ``pb``, and ``label`` is their canonical
+    pair.  ``flip`` refuses a side with a guard bit set, one wider than n
+    fields and a negative one with a plain InputError (exit 2), and each
+    NotFlippable names the unpacked pair.
+    """
+    from agraded import AGradedContext, InputError, NotFlippable, canonical_pair, flip, neighbors
+    from agraded.fixtures import named_matrix
+
+    ctx = AGradedContext(named_matrix(name))
+    A, n = ctx.A, ctx.A.n
+    rejected = 0
+    for ideal in explore(ctx, guard=vertices).vertices:  # its vertex count
+        standards = ctx.generator_standards(ideal)
+        for g, s in zip(ideal.gens, standards):
+            b = A.degree(g)
+            assert s == pack(ctx.standard_monomial(ideal, b))
+            assert s == pack(next(fiber_walk(A, b, ideal.packed)))
+        for move in neighbors(ideal, ctx):
+            assert (pack(move.a), pack(move.b)) == (move.pa, move.pb)
+            assert move.label == canonical_pair(move.a, move.b)
+        for pa, pb in zip(ideal.packed, standards):
+            for bad in (pb | 1 << 31, pb | 1 << 32 * n, -pb, -1):
+                for pair in ((pa, bad), (bad, pa)):
+                    with pytest.raises(InputError, match="not a packed monomial") as refused:
+                        flip(ideal, pair, ctx)
+                    assert type(refused.value) is InputError
+            try:
+                flip(ideal, (pa, pb), ctx)
+            except NotFlippable as exc:
+                rejected += 1
+                assert str(exc) == (f"wall of {unpack(pa, n)} - {unpack(pb, n)} "
+                                    "does not re-mark to the source")
+    assert rejected
+
+
 def test_not_flippable_keeps_its_message():
     from agraded import NotFlippable
 
-    exc = NotFlippable((0, 0, 2, 0, 1), (0, 0, 0, 3, 0))
+    pa, pb = pack((0, 0, 2, 0, 1)), pack((0, 0, 0, 3, 0))
+    exc = NotFlippable(pa, pb, 5)
     assert str(exc) == "wall of (0, 0, 2, 0, 1) - (0, 0, 0, 3, 0) does not re-mark to the source"
-    assert exc.args == ((0, 0, 2, 0, 1), (0, 0, 0, 3, 0))
+    assert exc.args == (pa, pb, 5)
 
 
 @given(st.one_of(gensets3, wide_gensets3))

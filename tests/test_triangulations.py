@@ -26,7 +26,7 @@ from agraded import (
 )
 from agraded.fixtures import named_matrix
 from agraded.linalg import dot, rank
-from agraded.monomials import support
+from agraded.monomials import pack, support
 from agraded.triangulations import _interiors_meet, make_complex
 from test_linalg import det, oracle_nullspace
 
@@ -258,7 +258,7 @@ def test_bistellar_flip_is_an_involution_on_flip_edges(ctx_veronese, curve_ctx):
     for name, ctx in contexts.items():
         graph = explore(ctx)
         for i, j, label in graph.edges:
-            move = flip(graph.vertices[i], label, ctx)
+            move = flip(graph.vertices[i], tuple(map(pack, label)), ctx)
             if edge_transition(move, ctx) != BISTELLAR:
                 continue
             spec = circuit_flip_spec(is_circuit(ctx.A, (move.a, move.b)))
@@ -291,7 +291,7 @@ def test_degenerate_flip_link_condition(ctx_veronese):
         if circ is None:
             continue
         if len(support(circ)) <= m.d:
-            move = flip(graph.vertices[i], label, ctx_veronese)
+            move = flip(graph.vertices[i], tuple(map(pack, label)), ctx_veronese)
             if edge_transition(move, ctx_veronese) == BISTELLAR:
                 moved += 1
     assert moved > 0  # the fixture really exercises the degenerate case
@@ -303,7 +303,7 @@ def test_transitions_exhaustive(ctx_veronese, ctx_corank4, curve_ctx):
         graph = explore(ctx, start=ideals)
         seen = set()
         for i, j, label in graph.edges:
-            move = flip(graph.vertices[i], label, ctx)
+            move = flip(graph.vertices[i], tuple(map(pack, label)), ctx)
             verdict = edge_transition(move, ctx)
             seen.add(verdict)
             assert verdict in (SAME_RADICAL, BISTELLAR)
