@@ -75,8 +75,9 @@ def explore(ctx, start=None, guard=None):
     the reverse move M' -> M over (b, a) is recorded, so expanding M'
     reuses it instead of testing the wall ideal again.  The returned graph
     is the same as without either.  Flips are symmetric, so each edge is
-    kept once, from its lower number, its label sides interned in the
-    context; one sort by canonical form renumbers the graph at the end.
+    kept once, from its lower number; edges with one label share one
+    tuple, unpacked once per call.  One sort by canonical form renumbers
+    the graph at the end.
     """
     if start is None:
         starts = [ctx.reference_ideal]
@@ -92,7 +93,7 @@ def explore(ctx, start=None, guard=None):
         raise GuardExceeded(f"more than {guard} vertices")
     edges = []  # (i, j, label) with i < j, found when i is expanded
     reverse = {}  # BFS number not yet expanded -> {packed generator b: move back over (b, a)}
-    intern = ctx._interned.setdefault  # edge labels share one tuple per monomial
+    labels = {}  # packed (larger, smaller) side -> the one label tuple of those sides
     for i, ideal in enumerate(found):
         for move in neighbors(ideal, ctx, reverse.pop(i, None)):
             j = number.get(move.target)
@@ -102,8 +103,11 @@ def explore(ctx, start=None, guard=None):
                 if guard is not None and len(found) > guard:
                     raise GuardExceeded(f"more than {guard} vertices")
             if j > i:
-                u, v = move.label
-                edges.append((i, j, (intern(u, u), intern(v, v))))
+                key = max(move.pa, move.pb), min(move.pa, move.pb)
+                label = labels.get(key)
+                if label is None:
+                    label = labels[key] = move.label
+                edges.append((i, j, label))
                 ctx.carry(move)
                 reverse.setdefault(j, {})[move.pb] = FlipMove(found[j], move.pb, move.pa, ideal)
 
@@ -265,10 +269,11 @@ def to_json(graph):
 def from_json(text):
     """The graph of a to_json document; FormatError if it is malformed.
 
-    Only what to_json writes is read.  Malformed are: a vertex or an edge
-    listed twice, a coherence flag other than true, false or null, an
-    exponent or label entry that is not a non-negative integer (``true``
-    included), and generators and label sides of different lengths.
+    Only what to_json writes is read.  Malformed are: a missing key
+    (``start`` included), a vertex or an edge listed twice, a coherence
+    flag other than true, false or null, an exponent or label entry that
+    is not a non-negative integer (``true`` included), and generators and
+    label sides of different lengths.
     """
     try:
         doc = json.loads(text)
@@ -279,7 +284,7 @@ def from_json(text):
             (rec["u"], rec["v"], canonical_pair(*rec["label"])) for rec in doc["edges"]))
         dangling = not all(type(i) is type(j) is int and 0 <= i < j < len(gens)
                            for i, j, _ in edges)
-        start = doc.get("start", 0)
+        start = doc["start"]
     except (ValueError, LookupError, TypeError) as exc:
         raise FormatError(f"malformed graph document: {exc!r}") from exc
     if any(type(rec["id"]) is not int or rec["id"] != i for i, rec in enumerate(records)):

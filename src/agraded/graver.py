@@ -110,7 +110,7 @@ def graver_oracle(matrix, bound):
 
     Lists every monomial of weight <= bound as one ``fiber_walk``, of
     degree (bound,) under c^T A with a slack column of weight 1 appended;
-    the slack, the last coordinate, is solved for and dropped.  It pairs
+    the slack, the last field, is solved for and shifted off.  It pairs
     disjointly supported monomials of the same degree under A and keeps
     the conformally minimal pairs.  Because conformal comparison never
     increases the weight, the result equals the weight filter of the full
@@ -123,8 +123,8 @@ def graver_oracle(matrix, bound):
         raise InputError("bound must be below 2**31")
     line = GradingMatrix((matrix.certificate_weights + (1,),), (1,))
     by_degree = {}
-    for mono in fiber_walk(line, (bound,)):
-        mono = mono[:-1]
+    for p in fiber_walk(line, (bound,)):
+        mono = unpack(p >> FIELD_BITS, matrix.n)
         by_degree.setdefault(matrix.degree(mono), []).append(mono)
 
     candidates = {canonical_pair(a, b) for monos in by_degree.values()

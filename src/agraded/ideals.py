@@ -15,9 +15,9 @@ flip label is automatically a Graver pair: a conformal decomposition of
 of x^b.
 
 A flip step stays in packed integers from the candidate to the target, whose
-packed generators are the whole ideal, and to the carried standard monomials,
-packed and cached per ideal under the integer ``DegreeCode`` of their
-degree.  Exponent tuples are built only where a move leaves the search
+packed generators are the whole ideal, and to the standard monomials, packed
+from ``fiber_walk`` to a cache per ideal under the integer ``DegreeCode`` of
+their degree.  Exponent tuples are built only where a move leaves the search
 (``FlipMove.a``, ``.b`` and ``.label``, and the rows of ``is_coherent``).
 ``flip`` checks every candidate, since pairs also come from files: the
 field range, x^a a minimal generator, x^b outside and of equal degree code
@@ -100,10 +100,10 @@ class AGradedContext:
     standard monomials, K-polynomials) is computed once on demand and reused.
     The values handed out are immutable, but the caches are not: the
     K-polynomial memo, the packed standard monomials of each ideal
-    (``_standard``), the interned codes, monomials and label sides
-    (``_interned``) and the wall certificates (``_walls``) grow in place,
-    and ``brute_force_enumerate`` clears the memo.  The reference ideal is
-    the initial ideal for the certificate weights c^T A.
+    (``_standard``, written by ``generator_standards`` and ``carry``), the
+    interned codes and monomials (``_interned``) and the wall certificates
+    (``_walls``) grow in place, and ``brute_force_enumerate`` clears the
+    memo.  The reference ideal is the initial ideal for the weights c^T A.
     """
 
     def __init__(self, matrix):
@@ -114,8 +114,7 @@ class AGradedContext:
         self._kpoly_memo = {}
         # ideal -> {degree code: packed standard monomial}.  A matrix has few
         # distinct degrees and standard monomials, shared across thousands of
-        # ideals, so both are interned: a cache entry costs a dict slot, not two
-        # ints.  ``explore`` interns the edge label sides here too.
+        # ideals, so both are interned: an entry costs a dict slot, not two ints
         self._standard = {}
         self._interned = {}
         # oriented wall (packed lead, packed trail) -> {packed m: packed d}, the
@@ -172,39 +171,36 @@ class AGradedContext:
         return certs, self._generator_set(ideal)
 
     def standard_monomial(self, ideal, b):
-        """The unique monomial of degree b outside an A-graded ideal.
+        """The unique monomial of degree b outside an A-graded ideal, packed; the uncached search.
 
-        The first monomial that ``fiber_walk`` yields outside the packed
-        generators, i.e. the lexicographically smallest, as an exponent
-        tuple; cached packed under ``DegreeCode.encode(b)`` (BadLength unless
-        b has d entries), so a hit is unpacked and a miss packed.  Raises
-        InputError when c.b < 0, NotAGraded when every monomial of degree b
-        lies in the ideal, and ExponentOverflow when the search reaches an
-        exponent of 2**31 or more.
+        The first that ``fiber_walk`` yields outside the packed generators,
+        the lexicographically smallest.  Raises BadLength unless the ideal
+        has n fields and b has d entries, ExponentOverflow when b is past the
+        ``DegreeCode`` bound or the search reaches an exponent of 2**31,
+        InputError when c.b < 0, and NotAGraded when no monomial of degree b
+        lies outside the ideal.
         """
+        self.check_length(ideal)
         b = tuple(b)
-        code = degree_code(self.A).encode(b)
-        found = self._standard.get(ideal, {}).get(code)
-        if found is not None:
-            return unpack(found, self.A.n)
+        degree_code(self.A).encode(b)  # for its checks; the search needs no code
         if positive_combination(self.A, b) < 0:
             raise InputError(f"degree {b} is outside the monoid")
         found = next(fiber_walk(self.A, b, ideal.packed), None)
         if found is None:
             raise NotAGraded(f"no standard monomial in degree {b}")
-        intern = self._interned.setdefault
-        p = pack(found)
-        self._standard.setdefault(ideal, {})[intern(code, code)] = intern(p, p)
         return found
 
     def generator_standards(self, ideal):
-        """The packed std(deg g) of each minimal generator g; ``standard_monomial`` fills a miss."""
+        """The packed std(deg g) of each minimal generator g: the cache's one entrance."""
         self.check_length(ideal)
         known = self._standard.setdefault(ideal, {})
         codes = self.degree_codes
+        intern = self._interned.setdefault
         for p in ideal.packed:
-            if known.get(codes[p]) is None:  # not a falsy test: packed 0 is the monomial 1
-                self.standard_monomial(ideal, self.A.degree(unpack(p, self.A.n)))
+            code = codes[p]
+            if code not in known:
+                s = self.standard_monomial(ideal, degree_code(self.A).degree[code])
+                known[intern(code, code)] = intern(s, s)
         return [known[codes[p]] for p in ideal.packed]
 
     def carry(self, move):
@@ -218,7 +214,7 @@ class AGradedContext:
         one standard monomial in degree beta, so c is that monomial iff it
         lies outside M'.  One packed membership test decides, and c is
         stored only then; otherwise, or when M has not cached beta, the
-        degree is left to ``standard_monomial``.  When no trade happened, c
+        degree is left to ``generator_standards``.  When no trade happened, c
         is s, which lies outside M, so no generator that M' shares with M
         divides it: c is tested against the generators of M' that M lacks
         alone.  The trades and the test run on the cached packed integers.
@@ -304,6 +300,7 @@ def flip(ideal, pair, ctx):
     """Flip an ideal over a Graver pair of two packed monomials in n fields, or raise.
 
     The checks, in order:
+    - BadLength unless the ideal has n fields, as ``check_length`` says;
     - InputError unless both sides are packed monomials of n fields: a side
       that is negative, has a bit at or above field n, or has a guard bit
       set is refused, since pairs also come from outside the program;
@@ -321,6 +318,8 @@ def flip(ideal, pair, ctx):
     """
     pa, pb = pair
     n = ctx.A.n
+    if ideal.n != n:  # one comparison on the hot path; the zero ideal passes
+        ctx.check_length(ideal)
     guard = guard_mask(n)
     for p in (pa, pb):
         if p >> FIELD_BITS * n or p & guard:  # p >> ... is -1 for a negative p

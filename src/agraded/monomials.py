@@ -25,15 +25,14 @@ the reference that the packed tests are checked against.  A MonomialIdeal
 stores only its packed minimal generators and their number of fields;
 its exponent tuples (``MonomialIdeal.gens``) are unpacked on demand.
 
-``fiber_walk`` is the one search over a degree fiber {u >= 0 : A.u = b}:
-``fiber`` lists a fiber, ``AGradedContext.standard_monomial`` takes the
-first element outside an ideal, and ``graver_oracle`` walks the fibers of
-the certificate weights.  The K-polynomial of an ideal is the numerator of
-the multigraded Hilbert series of the quotient over the common denominator
-prod_i (1 - t^{deg x_i}), so equal K-polynomials mean equal Hilbert
-functions; its recursion keys terms by an additive integer code of the
-degree (``DegreeCode``), so multiplying by t^{A.m} adds one integer to
-each key.
+``fiber_walk`` is the one search over a degree fiber {u >= 0 : A.u = b}, in
+packed monomials: ``AGradedContext.standard_monomial`` takes the first one
+outside an ideal, and ``fiber`` and ``graver_oracle`` unpack the fibers they
+list.  The K-polynomial of an ideal is the numerator of the multigraded
+Hilbert series of the quotient over the common denominator prod_i (1 -
+t^{deg x_i}), so equal K-polynomials mean equal Hilbert functions; its
+recursion keys terms by an additive integer code of the degree
+(``DegreeCode``), so multiplying by t^{A.m} adds one integer to each key.
 """
 
 import struct
@@ -284,16 +283,19 @@ def minimalize(gens):
 def fiber_walk(matrix, b, outside=()):
     """The monomials x^u of degree A.u = b that no packed monomial of ``outside`` divides.
 
-    Yields exponent tuples in lexicographic order, by backtracking over the
-    coordinates; the last one is solved for, not searched.  c.(A u) = c.b
-    caps every coordinate (nothing when c.b < 0), and when A >= 0 a
-    negative residual ends a branch.  A monomial of ``outside`` whose last
-    nonzero coordinate is j caps coordinate j at its own j-th entry once
-    its prefix divides the partial exponent, so each node tests it once, on
-    packed prefixes.  Raises ExponentOverflow when the walk reaches a
-    coordinate of 2**31 or more.
+    Yields them packed in the matrix's n fields, in ascending order, which
+    is lexicographic order, by backtracking over the coordinates; the last
+    one is solved for, not searched.  c.(A u) = c.b caps every coordinate
+    (nothing when c.b < 0), and when A >= 0 a negative residual ends a
+    branch.  A monomial of ``outside`` whose last nonzero coordinate is j
+    caps coordinate j at its own j-th entry once its prefix divides the
+    partial exponent, so each node tests it once, on packed prefixes.
+    Raises BadLength unless b has d entries, and ExponentOverflow when the
+    walk reaches a coordinate of 2**31 or more.
     """
     b = tuple(b)
+    if len(b) != matrix.d:
+        raise BadLength(f"degree {b} needs {matrix.d} entries")
     budget = positive_combination(matrix, b)
     if budget < 0:
         return
@@ -310,7 +312,6 @@ def fiber_walk(matrix, b, outside=()):
         low = max((p & -p).bit_length() - 1, 0) // FIELD_BITS
         e = p >> (FIELD_BITS * low) & (2 * FIELD_LIMIT - 1)
         buckets[n - 1 - low].append((p - e * steps[n - 1 - low], e))
-    u = [0] * n
 
     def walk(j, pu, residual, budget):
         if nonneg and any(x < 0 for x in residual):
@@ -327,12 +328,10 @@ def fiber_walk(matrix, b, outside=()):
             if k < stop and all(r == k * c for r, c in zip(residual, col)):
                 if k >= FIELD_LIMIT:
                     raise ExponentOverflow(f"degree {b} needs an exponent of 2**31 or more")
-                u[j] = k
-                yield tuple(u)
+                yield pu + k
             return
         step = steps[j]
         for k in range(min(stop, FIELD_LIMIT)):
-            u[j] = k
             yield from walk(j + 1, pu + k * step,
                             tuple(r - k * c for r, c in zip(residual, col)),
                             budget - k * weights[j])
@@ -343,12 +342,12 @@ def fiber_walk(matrix, b, outside=()):
 
 
 def fiber(matrix, b):
-    """All u >= 0 with A.u = b in lexicographic order: the whole ``fiber_walk``.
+    """All u >= 0 with A.u = b in lexicographic order: the whole ``fiber_walk``, unpacked.
 
     Oracle: the tests check ``AGradedContext.standard_monomial`` against
     it, and it against a box enumeration; no enumeration calls it.
     """
-    return tuple(fiber_walk(matrix, b))
+    return tuple(unpack(p, matrix.n) for p in fiber_walk(matrix, b))
 
 
 # -- K-polynomials -----------------------------------------------------------

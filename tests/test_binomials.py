@@ -22,7 +22,7 @@ from agraded import (
 )
 from agraded.ideals import wall_initial, wall_recovers_source
 from agraded.fixtures import named_ideal, named_matrix
-from agraded.monomials import pack
+from agraded.monomials import pack, unpack
 
 
 def test_single_binomial_is_its_own_basis():
@@ -405,7 +405,7 @@ def test_wall_tests_match_the_tuple_oracle(ctx_name, request):
     tried = rejected = 0
     for ideal in explore(ctx).vertices:
         for a in ideal.gens:
-            b = ctx.standard_monomial(ideal, ctx.A.degree(a))
+            b = unpack(ctx.standard_monomial(ideal, ctx.A.degree(a)), ctx.A.n)
             recovered = oracle_wall_initial(ideal, a, b, "a_leads")
             marked = oracle_wall_initial(ideal, a, b, "b_leads")
             try:

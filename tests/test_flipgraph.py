@@ -258,6 +258,18 @@ def test_edge_symmetry(ctx_veronese):
         assert backward.target == graph.vertices[i]
 
 
+def test_edges_with_one_label_share_one_tuple(ctx_corank4):
+    """``explore`` unpacks each distinct flip label once, and the JSON text keeps its digest."""
+    from test_golden import GOLDEN, digest
+
+    graph = explore(AGradedContext(ctx_corank4.A))
+    shared = {}
+    for _, _, label in graph.edges:
+        assert shared.setdefault(label, label) is label
+    assert len(shared) == len(graph.labels()) < len(graph.edges)
+    assert digest(to_json(with_coherence(graph, ctx_corank4))) == GOLDEN["g36-8-10-15"]["graph"]
+
+
 def test_curve_vertices_exceed_bound(curve_ctx):
     from agraded import curve_monomial_ideal, neighbors
 
@@ -345,10 +357,12 @@ def test_json_roundtrip_without_flags(ctx_veronese):
     assert again == graph
 
 
-@pytest.mark.parametrize("start", [2, -1, "0", None, True])
+@pytest.mark.parametrize("start", [2, -1, "0", None, True, pytest.param(..., id="missing")])
 def test_json_start_must_be_a_vertex_id(ctx12, start):
     doc = json.loads(to_json(explore(ctx12)))
     doc["start"] = start
+    if start is ...:  # the key is left out
+        del doc["start"]
     with pytest.raises(FormatError, match="start"):
         from_json(json.dumps(doc))
 

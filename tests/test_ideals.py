@@ -189,7 +189,7 @@ def test_coherent_reference_everywhere(ctx137, ctx345, ctx_veronese):
         assert coherent
         # the witness re-marks every minimal generator above its partner
         for g in ctx.reference_ideal.gens:
-            std = ctx.standard_monomial(ctx.reference_ideal, ctx.A.degree(g))
+            std = unpack(ctx.standard_monomial(ctx.reference_ideal, ctx.A.degree(g)), ctx.A.n)
             assert sum(Fraction(a - b) * w for a, b, w in zip(g, std, witness)) >= 1
 
 
@@ -233,7 +233,8 @@ def test_every_generator_pairs_into_graver(ctx_veronese):
     basis = set(ctx_veronese.graver.elements)
     for ideal in brute_force_enumerate(ctx_veronese)[:10]:
         for g in ideal.gens:
-            std = ctx_veronese.standard_monomial(ideal, ctx_veronese.A.degree(g))
+            std = unpack(ctx_veronese.standard_monomial(ideal, ctx_veronese.A.degree(g)),
+                         ctx_veronese.A.n)
             pair = (g, std) if g > std else (std, g)
             assert pair in basis
 
@@ -457,7 +458,10 @@ def test_parametric_family_rational_scalars(curve_ctx):
 
 
 def test_standard_monomial_rejects_bad_degrees(ctx345):
-    """A degree of the wrong length, or one that needs an exponent of 2**31, caches nothing."""
+    """A degree of the wrong length, or one that needs an exponent of 2**31, raises.
+
+    ``standard_monomial`` is the uncached search: no answer is cached.
+    """
     ctx = AGradedContext(ctx345.A)
     ideal = ctx.reference_ideal
     for b in [(13, 99), ()]:
@@ -468,8 +472,8 @@ def test_standard_monomial_rejects_bad_degrees(ctx345):
     for b in [(2**40,), (2**35,)]:
         with pytest.raises(ExponentOverflow):
             ctx.standard_monomial(ideal, b)
+    assert ctx.standard_monomial(ideal, (13,)) == pack((0, 0, 0, 1, 0))
     assert not ctx._standard.get(ideal)
-    assert ctx.standard_monomial(ideal, (13,)) == (0, 0, 0, 1, 0)
 
 
 FIVE_VARIABLES = minimalize([(1, 0, 0, 0, 0)])
@@ -483,8 +487,11 @@ FIVE_VARIABLES = minimalize([(1, 0, 0, 0, 0)])
     lambda ctx: is_agraded(minimalize([(1, 0)]), ctx),
     lambda ctx: is_agraded(minimalize([(0, 0, 0, 1)]), ctx),
     lambda ctx: FIVE_VARIABLES.contains((0, 0, 1)),
+    lambda ctx: flip(FIVE_VARIABLES, (FIVE_VARIABLES.packed[0], pack((0, 0, 1))), ctx),
+    lambda ctx: flip(minimalize([(0, 1)]), (pack((0, 1)), pack((1, 2, 0))), ctx),
+    lambda ctx: ctx.standard_monomial(FIVE_VARIABLES, (7,)),
 ], ids=["weakly-agraded-5", "agraded-5", "coherent-5", "neighbors-5", "agraded-2", "agraded-4",
-        "contains-3-in-5"])
+        "contains-3-in-5", "flip-5", "flip-2", "standard-monomial-5"])
 def test_an_ideal_in_another_number_of_variables_is_rejected(ctx137, call):
     """A = (1 3 7) has three variables: an ideal in 2, 4 or 5 raises, it is not answered."""
     with pytest.raises(BadLength):
@@ -547,4 +554,4 @@ def test_standard_monomial_unique(ctx123789, ideal_J):
         b = ctx123789.A.degree(g)
         std = ctx123789.standard_monomial(ideal_J, b)
         outside = [u for u in fiber(ctx123789.A, b) if not ideal_J.contains(u)]
-        assert outside == [std]
+        assert outside == [unpack(std, ctx123789.A.n)]

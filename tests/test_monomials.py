@@ -154,6 +154,13 @@ def test_fiber_matches_the_box(rows, degrees):
         assert fiber(m, b) == box_fiber(m, b)
 
 
+@pytest.mark.parametrize("b", [(4,), (4, 7, 9), ()], ids=["short", "long", "empty"])
+def test_fiber_of_a_degree_without_d_entries_raises(b):
+    """A degree is not truncated or padded to the d rows of A."""
+    with pytest.raises(BadLength):
+        fiber(validate_grading([[1, 1, 1, 1, 1], [0, 1, 3, 4, 6]]), b)
+
+
 def test_fiber_raises_at_once_on_an_exponent_of_2_31():
     with pytest.raises(ExponentOverflow):
         fiber(validate_grading([[1]]), (FIELD_LIMIT,))

@@ -114,7 +114,7 @@ def test_fiber_walk_outside_an_ideal_matches_the_box(matrix, gens, u):
     ideal = minimalize(gens)
     b = matrix.degree(u)
     expected = [v for v in box_fiber(matrix, b) if not any(divides(g, v) for g in ideal.gens)]
-    assert list(fiber_walk(matrix, b, ideal.packed)) == expected
+    assert list(fiber_walk(matrix, b, ideal.packed)) == list(map(pack, expected))
 
 
 @pytest.mark.parametrize("gen", [(2, 0, 0), (1, 0, 0), (0, 0, 1), (1, 1, 2), (3, 0, 1)],
@@ -126,7 +126,7 @@ def test_fiber_walk_buckets_by_the_last_nonzero_coordinate(matrix, gen):
     for u in [(4, 0, 0), (0, 0, 4), (2, 3, 5), (5, 1, 3)]:
         b = matrix.degree(u)
         expected = [v for v in box_fiber(matrix, b) if not divides(gen, v)]
-        assert list(fiber_walk(matrix, b, (pack(gen),))) == expected
+        assert list(fiber_walk(matrix, b, (pack(gen),))) == list(map(pack, expected))
 
 
 def test_standard_monomial_on_the_unit_ideal_raises():
@@ -154,9 +154,9 @@ def outside_in_fiber(ideal, matrix, b, fibers):
 def test_standard_monomial_is_the_fiber_element_outside(name, multi):
     """Every vertex of an explored graph, at the degree of each generator.
 
-    The values come from the cache that explore filled, so this pins the
-    carried values as well as the backtracked ones, from the reference
-    ideal and from every ideal at once.
+    The values come from ``generator_standards``, the cache that explore
+    filled, so this pins the carried values as well as the backtracked
+    ones, from the reference ideal and from every ideal at once.
     """
     from agraded import AGradedContext, brute_force_enumerate
     from agraded.fixtures import named_matrix
@@ -165,9 +165,9 @@ def test_standard_monomial_is_the_fiber_element_outside(name, multi):
     start = brute_force_enumerate(AGradedContext(ctx.A)) if multi else None
     fibers = {}
     for ideal in explore(ctx, start=start).vertices:
-        for g in ideal.gens:
+        for g, s in zip(ideal.gens, ctx.generator_standards(ideal)):
             b = ctx.A.degree(g)
-            assert outside_in_fiber(ideal, ctx.A, b, fibers) == [ctx.standard_monomial(ideal, b)]
+            assert outside_in_fiber(ideal, ctx.A, b, fibers) == [unpack(s, ctx.A.n)]
 
 
 def test_carry_repeats_the_trade_where_one_lands_inside():
@@ -193,13 +193,12 @@ def test_carry_repeats_the_trade_where_one_lands_inside():
             move = flip(source, tuple(map(pack, label)), ctx)
             a, b, target = move.a, move.b, move.target
             cached = {ctx.A.degree(g) for g in source.gens}
-            for beta in cached:
-                ctx.standard_monomial(source, beta)
+            ctx.generator_standards(source)
             ctx.carry(move)
             carried = {degree[k]: unpack(c, matrix.n)
                        for k, c in ctx._standard.get(target, {}).items()}
             for beta in {ctx.A.degree(g) for g in target.gens} & cached:
-                s = ctx.standard_monomial(source, beta)
+                s = unpack(ctx.standard_monomial(source, beta), matrix.n)
                 if not divides(b, s):
                     continue
                 once = tuple(x - y + z for x, y, z in zip(s, b, a))
@@ -223,8 +222,7 @@ def test_carry_stores_nothing_inside_the_target():
     # the same trade into a target that also holds the candidate
     wrong = minimalize(move.target.gens + (unpack(c, move.target.n),))
     fresh = AGradedContext(ctx.A)
-    for g in source.gens:
-        fresh.standard_monomial(source, fresh.A.degree(g))
+    fresh.generator_standards(source)
     fresh.carry(FlipMove(source, move.pa, move.pb, wrong))
     assert beta not in fresh._standard.get(wrong, {})
 
@@ -248,7 +246,7 @@ def test_packed_forms_and_the_wall_kernels_on_g36_8_10_15():
     for ideal in explore(ctx, guard=250).vertices:  # its vertex count
         ideals.append(ideal)
         for a in ideal.gens:
-            b = ctx.standard_monomial(ideal, ctx.A.degree(a))
+            b = unpack(ctx.standard_monomial(ideal, ctx.A.degree(a)), ctx.A.n)
             rest, pa, pb, n = kernel_args(ideal, a, b)
             recovered = wall_recovers_source(rest, pa, pb, n)
             assert recovered == (wall_initial(rest, pb, pa, n) == ideal)
@@ -280,7 +278,7 @@ def test_seeded_random_flip_walks(name, seed):
     keeps the packed form of its generators, in ascending order.  An
     accepted flip equals ``definition_flip_ideal``; the walk moves to its
     target, where ``carry`` stores only degrees whose standard monomial a
-    fresh context computes to the same value, packed.
+    fresh context computes to the same packed value.
     """
     import random
 
@@ -296,7 +294,7 @@ def test_seeded_random_flip_walks(name, seed):
     accepted = rejected = carried = 0
     for _ in range(150):
         a = rng.choice(ideal.gens)
-        b = ctx.standard_monomial(ideal, ctx.A.degree(a))
+        b = unpack(ctx.standard_monomial(ideal, ctx.A.degree(a)), ctx.A.n)
         rest, pa, pb, n = kernel_args(ideal, a, b)
         merged = wall_initial(rest, pa, pb, n)
         assert merged == oracle_wall_initial_formula(rest, pa, pb, n)
@@ -312,12 +310,11 @@ def test_seeded_random_flip_walks(name, seed):
             continue
         accepted += 1
         assert move.target == definition_flip_ideal(ideal, a, b, ctx.graver)
-        for g in ideal.gens:
-            ctx.standard_monomial(ideal, ctx.A.degree(g))
+        ctx.generator_standards(ideal)
         ctx._standard.pop(move.target, None)
         ctx.carry(move)
         for code, c in ctx._standard.get(move.target, {}).items():
-            assert c == pack(fresh.standard_monomial(move.target, degree_code(ctx.A).degree[code]))
+            assert c == fresh.standard_monomial(move.target, degree_code(ctx.A).degree[code])
             carried += 1
         ideal = move.target
     assert accepted and rejected and carried
@@ -374,7 +371,7 @@ def test_the_packed_flip_step_after_a_full_explore(name, vertices):
 
     After ``explore``, which carries most cache entries from a neighbour,
     the packed std(deg g) that ``generator_standards`` gives for each
-    generator g is ``pack`` of ``standard_monomial``, the first element of
+    generator g is what ``standard_monomial`` gives, the first element of
     ``fiber_walk`` outside the ideal.  The sides ``a`` and ``b`` of every
     move pack back to ``pa`` and ``pb``, and ``label`` is their canonical
     pair.  ``flip`` refuses a side with a guard bit set, one wider than n
@@ -391,8 +388,8 @@ def test_the_packed_flip_step_after_a_full_explore(name, vertices):
         standards = ctx.generator_standards(ideal)
         for g, s in zip(ideal.gens, standards):
             b = A.degree(g)
-            assert s == pack(ctx.standard_monomial(ideal, b))
-            assert s == pack(next(fiber_walk(A, b, ideal.packed)))
+            assert s == ctx.standard_monomial(ideal, b)
+            assert s == next(fiber_walk(A, b, ideal.packed))
         for move in neighbors(ideal, ctx):
             assert (pack(move.a), pack(move.b)) == (move.pa, move.pb)
             assert move.label == canonical_pair(move.a, move.b)
