@@ -39,6 +39,7 @@ the reduction is known to give zero and x^m costs one dict probe
 every ExponentOverflow are those of the certificate-free kernels.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -100,10 +101,10 @@ class AGradedContext:
     standard monomials, K-polynomials) is computed once on demand and reused.
     The values handed out are immutable, but the caches are not: the
     K-polynomial memo, the packed standard monomials of each ideal
-    (``_standard``, written by ``generator_standards`` and ``carry``), the
-    interned codes and monomials (``_interned``) and the wall certificates
-    (``_walls``) grow in place, and ``brute_force_enumerate`` clears the
-    memo.  The reference ideal is the initial ideal for the weights c^T A.
+    (``_standard``, written by ``generator_standards`` and ``carry``) and
+    the wall certificates (``_walls``) grow in place, and
+    ``brute_force_enumerate`` clears the memo.  The reference ideal is the
+    initial ideal for the weights c^T A.
     """
 
     def __init__(self, matrix):
@@ -112,17 +113,15 @@ class AGradedContext:
         # ideal the K-polynomial recursion met below the ideals asked for;
         # brute_force_enumerate releases it when it returns
         self._kpoly_memo = {}
-        # ideal -> {degree code: packed standard monomial}.  A matrix has few
-        # distinct degrees and standard monomials, shared across thousands of
-        # ideals, so both are interned: an entry costs a dict slot, not two ints
+        # ideal -> {degree code: packed standard monomial}; ``carry`` hands
+        # the source's integer objects on to the target
         self._standard = {}
-        self._interned = {}
         # oriented wall (packed lead, packed trail) -> {packed m: packed d}, the
         # certificates of ``_wall_survivors``: when m was last reduced on that
         # wall, x^d divided (x^m : x^lead) x^trail, or d = m and the product
         # criterion skipped x^m.  Both are facts about (lead, trail, m, d), so
         # they hold for every ideal with that wall.
-        self._walls = {}
+        self._walls = defaultdict(dict)
         # (ideal, set of its packed generators) for the ideal asked last;
         # ``neighbors`` flips one ideal many times in a row
         self._last_generators = (None, frozenset())
@@ -163,13 +162,6 @@ class AGradedContext:
             self._last_generators = (ideal, members)
         return members
 
-    def _wall_certificates(self, ideal, plead, ptrail):
-        """The ``certificates`` of the wall kernels for the oriented wall (lead, trail) of ``ideal``."""
-        certs = self._walls.get((plead, ptrail))
-        if certs is None:
-            certs = self._walls[plead, ptrail] = {}
-        return certs, self._generator_set(ideal)
-
     def standard_monomial(self, ideal, b):
         """The unique monomial of degree b outside an A-graded ideal, packed; the uncached search.
 
@@ -195,12 +187,10 @@ class AGradedContext:
         self.check_length(ideal)
         known = self._standard.setdefault(ideal, {})
         codes = self.degree_codes
-        intern = self._interned.setdefault
         for p in ideal.packed:
             code = codes[p]
             if code not in known:
-                s = self.standard_monomial(ideal, degree_code(self.A).degree[code])
-                known[intern(code, code)] = intern(s, s)
+                known[code] = self.standard_monomial(ideal, degree_code(self.A).degree[code])
         return [known[codes[p]] for p in ideal.packed]
 
     def carry(self, move):
@@ -233,7 +223,6 @@ class AGradedContext:
         pb = move.pb
         shift = move.pa - pb
         known = self._standard.setdefault(target, {})
-        intern = self._interned.setdefault
         source_gens = self._generator_set(move.source)
         lacking = [p for p in target.packed if p not in source_gens]
         for p in target.packed:
@@ -247,7 +236,7 @@ class AGradedContext:
                 if pc & guard:
                     raise ExponentOverflow(f"a trade of {move.b} for {move.a} reached 2**31")
             if not packed_member(pc, lacking if pc == c else target.packed, guard):
-                known[intern(beta, beta)] = intern(pc, pc)
+                known[beta] = pc
 
 
 def is_agraded(ideal, ctx):
@@ -338,10 +327,10 @@ def flip(ideal, pair, ctx):
         if codes[pa] != codes[pb]:
             raise NonHomogeneousInput(f"{unpack(pa, n)} and {unpack(pb, n)} have different degrees")
     rest = packed[:i] + packed[i + 1:]
-    if not wall_recovers_source(rest, pa, pb, n, ctx._wall_certificates(ideal, pa, pb)):
+    generators = ctx._generator_set(ideal)
+    if not wall_recovers_source(rest, pa, pb, n, (ctx._walls[pa, pb], generators)):
         raise NotFlippable(pa, pb, n)
-    return FlipMove(ideal, pa, pb, wall_initial(rest, pa, pb, n,
-                                                ctx._wall_certificates(ideal, pb, pa)))
+    return FlipMove(ideal, pa, pb, wall_initial(rest, pa, pb, n, (ctx._walls[pb, pa], generators)))
 
 
 def _wall_survivors(rest, plead, ptrail, guard, first=False, certificates=None):
@@ -355,10 +344,10 @@ def _wall_survivors(rest, plead, ptrail, guard, first=False, certificates=None):
     product criterion would skip.
 
     Certificates.  ``certificates`` is None (none are read or kept) or the
-    pair (certs, generators) of ``AGradedContext._wall_certificates``: the
-    dict of this oriented wall, shared by every ideal, and the set of packed
-    generators of the ideal at hand.  certs maps m to d when, as m was last
-    reduced here, x^d was the first monomial to divide the S-monomial
+    pair (certs, generators) that ``flip`` passes: the dict of this oriented
+    wall in ``AGradedContext._walls``, shared by every ideal, and the set of
+    packed generators of the ideal at hand.  certs maps m to d when, as m was
+    last reduced here, x^d was the first monomial to divide the S-monomial
     (x^m : x^lead) x^trail, or d = m and the product criterion skipped x^m
     (kept only when m + trail stays in range).  Both facts depend on (lead,
     trail, m, d) alone.  An x^m whose d is a generator of the ideal is

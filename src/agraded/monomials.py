@@ -50,9 +50,6 @@ def divides(g, u):
     """Tuple divisibility: the reference for the packed test below."""
     return all(a <= b for a, b in zip(g, u))
 
-def exp_lcm(u, v):
-    return tuple(map(max, u, v))
-
 def exp_sub(u, v):
     return tuple(map(sub, u, v))
 
@@ -253,7 +250,16 @@ class MonomialIdeal:
         return minimalize(support_exp(g) for g in self.gens)
 
     def intersect(self, other):
-        return minimalize(exp_lcm(g, h) for g in self.gens for h in other.gens)
+        """The intersection, generated by the packed lcms p + (x^q : x^p) of the generators.
+
+        BadLength unless one side is the zero ideal or both have n fields.
+        """
+        if self.packed and other.packed and self.n != other.n:
+            raise BadLength(f"ideals of {self.n} and {other.n} fields do not intersect")
+        guard = guard_mask(self.n)
+        packed = minimal_packed(
+            {p + packed_colon(q, p, guard) for p in self.packed for q in other.packed}, guard)
+        return MonomialIdeal(packed, self.n if packed else 0)  # the zero ideal has n = 0
 
     def __repr__(self):
         return f"MonomialIdeal({list(map(list, self.gens))})"

@@ -17,7 +17,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import NotFlippableComplex, certify
+from .errors import BadLength, NotFlippableComplex, certify
 from .graver import is_circuit
 from .linalg import _gauss_jordan, dot, integer_kernel_basis, rank
 from .lp import lp_strict_feasible
@@ -47,9 +47,12 @@ def complex_of_radical(ideal, n):
     the minimal generators of the intersection of those primes, taken over
     the generators of rad(I) from the unit ideal: the zero ideal gives the
     full simplex, and the unit ideal, whose one non-face is empty, no facet.
+    BadLength unless the ideal is zero or has n fields.
 
     Oracle: the tests check it against a scan of all 2**n vertex sets.
     """
+    if ideal.packed and ideal.n != n:
+        raise BadLength(f"generator {ideal.gens[0]} needs {n} entries")
     dual = minimalize([(0,) * n])
     for g in ideal.radical().gens:
         dual = dual.intersect(minimalize(tuple(int(j == i) for j in range(n)) for i in support(g)))
@@ -64,14 +67,15 @@ def is_triangulation(facets, matrix):
     one index) that lies in only one facet spans a supporting hyperplane of
     the cone, and no point lies strictly inside two facet cones (exact LP).
     Then the facet cones cover the cone, and every other ridge lies in
-    exactly two facets, one on each side.
+    exactly two facets, one on each side.  A facet of another size or with
+    an index outside 0..n-1 gives False.
     """
-    d = matrix.d
+    d, n = matrix.d, matrix.n
     cols = matrix.columns
     if not facets:
         return False
     for f in facets:
-        if len(f) != d or rank([cols[i] for i in f]) != d:
+        if len(f) != d or not all(0 <= i < n for i in f) or rank([cols[i] for i in f]) != d:
             return False
     ridges = Counter(f[:k] + f[k + 1:] for f in facets for k in range(d))
     if not all(_supporting(matrix, r) for r, count in ridges.items() if count == 1):

@@ -222,15 +222,16 @@ def check_coherence_mask():
 
 
 def check_transitions():
-    """Every flip edge of the small graphs maps to the Baues graph cleanly."""
+    """Every flip edge of the small graphs reaches its end and maps to the Baues graph cleanly."""
     bad = 0
     total = 0
     for mname in ("g12", "g137", "veronese6", "g36-8-10-15"):
         ctx, _, graph = _complete_graph(mname)
         for i, j, label in graph.edges:
-            verdict = edge_transition(flip(graph.vertices[i], tuple(map(pack, label)), ctx), ctx)
+            move = flip(graph.vertices[i], tuple(map(pack, label)), ctx)
             total += 1
-            if verdict not in (SAME_RADICAL, BISTELLAR):
+            arrives = move.target == graph.vertices[j]
+            if not arrives or edge_transition(move, ctx) not in (SAME_RADICAL, BISTELLAR):
                 bad += 1
     return {"violations": 0, "nonempty": True}, {"violations": bad, "nonempty": total > 0}
 

@@ -438,6 +438,28 @@ def test_minimalize_order_insensitive(gens, rng):
     assert minimalize(shuffled) == minimalize(gens)
 
 
+@given(st.one_of(gensets3, wide_gensets3), st.one_of(gensets3, wide_gensets3),
+       st.one_of(exponents3, wide3))
+def test_intersection_holds_what_both_ideals_hold(gens, others, u):
+    """x^u lies in I and J iff it lies in I.intersect(J), whose generators are the lcms."""
+    I, J = minimalize(gens), minimalize(others)
+    meet = I.intersect(J)
+    assert meet == minimalize(tuple(map(max, g, h)) for g in I.gens for h in J.gens)
+    for v in (u, *meet.gens):
+        assert meet.contains(v) == (I.contains(v) and J.contains(v))
+
+
+def test_intersection_refuses_ideals_of_two_widths():
+    """x3^5 is not dropped: ideals in 2 and 3 variables do not intersect."""
+    from agraded import BadLength
+
+    with pytest.raises(BadLength):
+        minimalize([(1, 0)]).intersect(minimalize([(0, 1, 5)]))
+    zero = minimalize([])
+    assert zero.intersect(minimalize([(0, 1, 5)])) == zero
+    assert minimalize([(1, 0)]).intersect(zero) == zero
+
+
 @given(gensets3)
 def test_minimal_generators_form_antichain(gens):
     ideal = minimalize(gens)

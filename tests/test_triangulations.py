@@ -9,6 +9,7 @@ import pytest
 
 from agraded import (
     AGradedContext,
+    BadLength,
     SAME_RADICAL,
     BISTELLAR,
     NotFlippableComplex,
@@ -161,6 +162,21 @@ def test_complex_of_radical_of_the_zero_and_unit_ideals(n):
     zero, unit = minimalize([]), minimalize([(0,) * n])
     assert complex_of_radical(zero, n) == oracle_complex_of_radical(zero, n) == (tuple(range(n)),)
     assert complex_of_radical(unit, n) == oracle_complex_of_radical(unit, n) == ()
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_complex_of_radical_of_an_ideal_of_another_width_raises(n):
+    """<x1 x4, x2 x3> has four fields: it is read neither in 3 nor in 5 variables."""
+    with pytest.raises(BadLength):
+        complex_of_radical(minimalize([(1, 0, 0, 1), (0, 1, 1, 0)]), n)
+
+
+@pytest.mark.parametrize("facets", [((0, 1), (-1, 1)), ((0, 1), (1, 3))], ids=["-1", "n"])
+def test_is_triangulation_refuses_an_index_outside_the_columns(facets):
+    """-1 would wrap to the last column and n would index past it: both give False."""
+    m = validate_grading([[1, 1, 1], [0, 1, 3]])
+    assert is_triangulation(((0, 1), (1, 2)), m)
+    assert not is_triangulation(facets, m)
 
 
 def test_is_triangulation_12(ctx12):

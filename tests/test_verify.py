@@ -1,5 +1,7 @@
 """The known-answer runner: reports, failures, and the light catalogue."""
 
+from dataclasses import replace
+
 import pytest
 
 from agraded import UnknownName, verify
@@ -30,6 +32,23 @@ def test_verify_all_reports_failures_and_skips_heavy(monkeypatch):
     light = verify_all(include_heavy=False)
     assert [(r["example"], r["status"]) for r in light] == [("a", "pass"), ("b", "fail")]
     assert [r["example"] for r in verify_all()] == ["a", "b", "h"]
+
+
+def test_transitions_count_an_edge_that_leads_elsewhere(monkeypatch):
+    """An edge whose flip does not reach its end vertex is a violation."""
+    complete = verify._complete_graph
+
+    def moved(name):
+        ctx, ideals, graph = complete(name)
+        if name == "g137":
+            (i, j, label), *rest = graph.edges
+            graph = replace(graph, edges=((i, (j + 1) % len(graph.vertices), label), *rest))
+        return ctx, ideals, graph
+
+    monkeypatch.setattr(verify, "_complete_graph", moved)
+    report = run("triangulation-transitions")
+    assert report["status"] == "fail"
+    assert report["actual"] == {"violations": 1, "nonempty": True}
 
 
 def test_unknown_example():
