@@ -1,5 +1,11 @@
 """Command-line interface.
 
+``main`` reads the ``--matrix`` file and builds the run's one
+``AGradedContext`` before it dispatches, so every ``cmd_*`` takes
+(args, ctx); ``verify-paper`` reads no matrix and gets None.  Only
+``triangulations --homogenize`` builds a second context, for the
+homogenized matrix.
+
 Exit codes, and the branch of ``errors.py`` that each failure comes from:
 
 * 0: success.
@@ -93,8 +99,8 @@ def _ideal_record(ideal, ctx):
     return record
 
 
-def cmd_graver(args):
-    matrix = load_matrix(args.matrix)
+def cmd_graver(args, ctx):
+    matrix = ctx.A
     basis = graver_basis(matrix) if args.bound is None else graver_oracle(matrix, args.bound)
     names = variable_names(matrix.n)
     for u, v in basis:
@@ -103,8 +109,8 @@ def cmd_graver(args):
     return OK
 
 
-def cmd_toric_gb(args):
-    matrix = load_matrix(args.matrix)
+def cmd_toric_gb(args, ctx):
+    matrix = ctx.A
     gens = toric_ideal(matrix)
     if args.weight:
         gens = buchberger(gens, _weight(args.weight, matrix.n), matrix).binomials
@@ -115,28 +121,23 @@ def cmd_toric_gb(args):
     return OK
 
 
-def cmd_initial(args):
-    matrix = load_matrix(args.matrix)
-    ideal = initial_ideal(matrix, _weight(args.weight, matrix.n))
-    names = variable_names(matrix.n)
+def cmd_initial(args, ctx):
+    ideal = initial_ideal(ctx.A, _weight(args.weight, ctx.A.n))
+    names = variable_names(ctx.A.n)
     sys.stdout.write(format_ideal(ideal))
     print("#", ", ".join(monomial_str(g, names) for g in ideal.gens))
     return OK
 
 
-def cmd_check(args):
-    matrix = load_matrix(args.matrix)
-    ctx = AGradedContext(matrix)
-    ideal = load_ideal(args.ideal, matrix.n)
+def cmd_check(args, ctx):
+    ideal = load_ideal(args.ideal, ctx.A.n)
     print(json.dumps(_ideal_record(ideal, ctx), indent=1, sort_keys=True))
     return OK
 
 
-def cmd_neighbors(args):
-    matrix = load_matrix(args.matrix)
-    ctx = AGradedContext(matrix)
+def cmd_neighbors(args, ctx):
     ideal = _agraded_ideal(args.ideal, ctx)
-    names = variable_names(matrix.n)
+    names = variable_names(ctx.A.n)
     moves = neighbors(ideal, ctx)
     doc = [
         {
@@ -150,9 +151,7 @@ def cmd_neighbors(args):
     return OK
 
 
-def cmd_coherent(args):
-    matrix = load_matrix(args.matrix)
-    ctx = AGradedContext(matrix)
+def cmd_coherent(args, ctx):
     ideal = _agraded_ideal(args.ideal, ctx)
     coherent, witness = is_coherent(ideal, ctx)
     doc = {"coherent": coherent}
@@ -162,9 +161,7 @@ def cmd_coherent(args):
     return OK
 
 
-def cmd_enumerate(args):
-    matrix = load_matrix(args.matrix)
-    ctx = AGradedContext(matrix)
+def cmd_enumerate(args, ctx):
     if args.mode == "brute":
         ideals = brute_force_enumerate(ctx, guard=args.guard)
     else:
@@ -177,9 +174,7 @@ def cmd_enumerate(args):
     return OK
 
 
-def cmd_flipgraph(args):
-    matrix = load_matrix(args.matrix)
-    ctx = AGradedContext(matrix)
+def cmd_flipgraph(args, ctx):
     start = _agraded_ideal(args.start, ctx) if args.start else None
     graph = explore(ctx, start=start, guard=args.guard)
     if args.coherence:
@@ -200,16 +195,15 @@ def cmd_flipgraph(args):
     return OK
 
 
-def cmd_triangulations(args):
-    matrix = load_matrix(args.matrix)
+def cmd_triangulations(args, ctx):
     if args.homogenize:
-        ones = [1] * matrix.n
-        matrix = validate_grading([ones] + [list(r) for r in matrix.rows])
-    ctx = AGradedContext(matrix)
+        rows = [[1] * ctx.A.n] + [list(r) for r in ctx.A.rows]
+        ctx = AGradedContext(validate_grading(rows))
+    matrix = ctx.A
     if args.graph:
         graph = from_json(read_text(args.graph))
-        if any(v.packed and v.n != matrix.n for v in graph.vertices):
-            raise FormatError(f"{args.graph}: the ideals do not have {matrix.n} variables")
+        for vertex in graph.vertices:
+            vertex.check_width(matrix.n)
     else:
         graph = explore(ctx)
     for i, vertex in enumerate(graph.vertices):
@@ -228,7 +222,7 @@ def cmd_triangulations(args):
     return MISMATCH if verdicts.get("violation") else OK
 
 
-def cmd_verify(args):
+def cmd_verify(args, ctx):
     if args.list:
         for name in sorted(REGISTRY):
             print(name)
@@ -253,47 +247,38 @@ def build_parser():
         "ideal: flip graphs, coherence, triangulations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    matrix = argparse.ArgumentParser(add_help=False)
+    matrix.add_argument("--matrix", required=True)
+    ideal = argparse.ArgumentParser(add_help=False, parents=[matrix])
+    ideal.add_argument("--ideal", required=True)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, fn, parent=None, **kwargs):
+        p = sub.add_parser(name, parents=[parent] if parent else [], **kwargs)
         p.set_defaults(fn=fn)
         return p
 
-    p = add("graver", cmd_graver, help="print the Graver basis")
-    p.add_argument("--matrix", required=True)
+    p = add("graver", cmd_graver, matrix, help="print the Graver basis")
     p.add_argument("--bound", type=int, default=None,
                    help="use the enumeration oracle up to this weight instead")
 
-    p = add("toric-gb", cmd_toric_gb, help="print toric-ideal generators or a basis")
-    p.add_argument("--matrix", required=True)
+    p = add("toric-gb", cmd_toric_gb, matrix, help="print toric-ideal generators or a basis")
     p.add_argument("--weight", default=None, help="comma-separated weight vector")
 
-    p = add("initial", cmd_initial, help="initial ideal for a weight vector")
-    p.add_argument("--matrix", required=True)
+    p = add("initial", cmd_initial, matrix, help="initial ideal for a weight vector")
     p.add_argument("--weight", required=True)
 
-    p = add("check", cmd_check, help="flags of one ideal")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--ideal", required=True)
+    add("check", cmd_check, ideal, help="flags of one ideal")
+    add("neighbors", cmd_neighbors, ideal, help="all flips out of an ideal")
+    add("coherent", cmd_coherent, ideal, help="coherence test with witness")
 
-    p = add("neighbors", cmd_neighbors, help="all flips out of an ideal")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--ideal", required=True)
-
-    p = add("coherent", cmd_coherent, help="coherence test with witness")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--ideal", required=True)
-
-    p = add("enumerate", cmd_enumerate, help="enumerate the monomial ideals")
-    p.add_argument("--matrix", required=True)
+    p = add("enumerate", cmd_enumerate, matrix, help="enumerate the monomial ideals")
     p.add_argument("--mode", choices=("brute", "flip"), default="brute")
     p.add_argument("--guard", type=int, default=None,
                    help="exit 2 past this many BFS vertices (flip) or brute-force "
                    "K-polynomial tests, leaves and prefixes (brute)")
     p.add_argument("--list", action="store_true")
 
-    p = add("flipgraph", cmd_flipgraph, help="explore the flip graph")
-    p.add_argument("--matrix", required=True)
+    p = add("flipgraph", cmd_flipgraph, matrix, help="explore the flip graph")
     p.add_argument("--start", default=None)
     p.add_argument("--dot", default=None)
     p.add_argument("--json", default=None)
@@ -304,9 +289,8 @@ def build_parser():
                    help="exit 2 past this many BFS vertices; with --census the "
                    "same number also bounds the brute-force K-polynomial tests")
 
-    p = add("triangulations", cmd_triangulations,
+    p = add("triangulations", cmd_triangulations, matrix,
             help="facet lists and flip transitions")
-    p.add_argument("--matrix", required=True)
     p.add_argument("--graph", default=None, help="reuse an exported graph JSON")
     p.add_argument("--homogenize", action="store_true",
                    help="prepend a row of ones for the geometry")
@@ -322,10 +306,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        ctx = AGradedContext(load_matrix(args.matrix)) if "matrix" in args else None
+        return args.fn(args, ctx)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT

@@ -144,14 +144,9 @@ class AGradedContext:
         """Packed monomial -> additive code of its degree (``DegreeCode.code``)."""
         return degree_code(self.A).code
 
-    def check_length(self, ideal):
-        """BadLength unless the generators of an ideal have n entries."""
-        if ideal.packed and ideal.n != self.A.n:
-            raise BadLength(f"generator {ideal.gens[0]} needs {self.A.n} entries")
-
     def k_codes(self, ideal):
         """The K-polynomial of an ideal as a {degree code: coefficient} dict."""
-        self.check_length(ideal)
+        ideal.check_width(self.A.n)
         return k_polynomial(ideal, self.A, memo=self._kpoly_memo, codes=True)
 
     def _generator_set(self, ideal):
@@ -172,7 +167,7 @@ class AGradedContext:
         InputError when c.b < 0, and NotAGraded when no monomial of degree b
         lies outside the ideal.
         """
-        self.check_length(ideal)
+        ideal.check_width(self.A.n)
         b = tuple(b)
         degree_code(self.A).encode(b)  # for its checks; the search needs no code
         if positive_combination(self.A, b) < 0:
@@ -184,7 +179,7 @@ class AGradedContext:
 
     def generator_standards(self, ideal):
         """The packed std(deg g) of each minimal generator g: the cache's one entrance."""
-        self.check_length(ideal)
+        ideal.check_width(self.A.n)
         known = self._standard.setdefault(ideal, {})
         codes = self.degree_codes
         for p in ideal.packed:
@@ -257,8 +252,7 @@ def _graver_sides_in(ideal, graver):
     if not graver.elements:
         return
     n = len(graver.elements[0][0])
-    if ideal.packed and ideal.n != n:
-        raise BadLength(f"generator {ideal.gens[0]} needs {n} entries")
+    ideal.check_width(n)
     packed, guard = ideal.packed, guard_mask(n)
     for (u, v), (pu, pv) in zip(graver, graver.packed):
         yield u, v, packed_member(pu, packed, guard), packed_member(pv, packed, guard)
@@ -289,7 +283,7 @@ def flip(ideal, pair, ctx):
     """Flip an ideal over a Graver pair of two packed monomials in n fields, or raise.
 
     The checks, in order:
-    - BadLength unless the ideal has n fields, as ``check_length`` says;
+    - BadLength unless the ideal is zero or has n fields (``check_width``);
     - InputError unless both sides are packed monomials of n fields: a side
       that is negative, has a bit at or above field n, or has a guard bit
       set is refused, since pairs also come from outside the program;
@@ -308,7 +302,7 @@ def flip(ideal, pair, ctx):
     pa, pb = pair
     n = ctx.A.n
     if ideal.n != n:  # one comparison on the hot path; the zero ideal passes
-        ctx.check_length(ideal)
+        ideal.check_width(n)
     guard = guard_mask(n)
     for p in (pa, pb):
         if p >> FIELD_BITS * n or p & guard:  # p >> ... is -1 for a negative p

@@ -245,6 +245,11 @@ class MonomialIdeal:
     def is_zero(self):
         return not self.packed
 
+    def check_width(self, n):
+        """BadLength unless the ideal is zero or has n fields."""
+        if self.packed and self.n != n:
+            raise BadLength(f"generator {self.gens[0]} needs {n} entries")
+
     def radical(self):
         """Squarefree ideal generated by the supports of the generators."""
         return minimalize(support_exp(g) for g in self.gens)
@@ -254,8 +259,8 @@ class MonomialIdeal:
 
         BadLength unless one side is the zero ideal or both have n fields.
         """
-        if self.packed and other.packed and self.n != other.n:
-            raise BadLength(f"ideals of {self.n} and {other.n} fields do not intersect")
+        if other.packed:
+            self.check_width(other.n)
         guard = guard_mask(self.n)
         packed = minimal_packed(
             {p + packed_colon(q, p, guard) for p in self.packed for q in other.packed}, guard)

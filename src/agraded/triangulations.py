@@ -17,7 +17,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import BadLength, NotFlippableComplex, certify
+from .errors import NotFlippableComplex, certify
 from .graver import is_circuit
 from .linalg import _gauss_jordan, dot, integer_kernel_basis, rank
 from .lp import lp_strict_feasible
@@ -51,8 +51,7 @@ def complex_of_radical(ideal, n):
 
     Oracle: the tests check it against a scan of all 2**n vertex sets.
     """
-    if ideal.packed and ideal.n != n:
-        raise BadLength(f"generator {ideal.gens[0]} needs {n} entries")
+    ideal.check_width(n)
     dual = minimalize([(0,) * n])
     for g in ideal.radical().gens:
         dual = dual.intersect(minimalize(tuple(int(j == i) for j in range(n)) for i in support(g)))
@@ -67,11 +66,13 @@ def is_triangulation(facets, matrix):
     one index) that lies in only one facet spans a supporting hyperplane of
     the cone, and no point lies strictly inside two facet cones (exact LP).
     Then the facet cones cover the cone, and every other ridge lies in
-    exactly two facets, one on each side.  A facet of another size or with
-    an index outside 0..n-1 gives False.
+    exactly two facets, one on each side.  A facet's indices may come in
+    any order; a facet of another size or with an index outside 0..n-1
+    gives False.
     """
     d, n = matrix.d, matrix.n
     cols = matrix.columns
+    facets = [tuple(sorted(f)) for f in facets]  # ridges are keyed by position
     if not facets:
         return False
     for f in facets:

@@ -225,6 +225,25 @@ def test_cli_verify_list(capsys):
     assert "graver-137" in names and "census-123789-brute" in names
 
 
+def test_cli_verify_runs_the_catalogue(tmp_path, monkeypatch, capsys):
+    """Without --example the whole catalogue runs: light entries, then --heavy adds the rest."""
+    from agraded import verify
+
+    monkeypatch.setattr(verify, "REGISTRY", {"a": lambda: (1, 1), "b": lambda: (2, 2), "h": lambda: (0, 0)})
+    monkeypatch.setattr(verify, "HEAVY", {"h"})
+    path = tmp_path / "reports.json"
+    assert main(["verify-paper", "--json", str(path)]) == 0
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == ["a", "b"]
+    assert [(r["example"], r["status"]) for r in json.loads(path.read_text())] == [
+        ("a", "pass"), ("b", "pass")]
+    assert main(["verify-paper", "--heavy", "--json", str(path)]) == 0
+    assert [r["example"] for r in json.loads(path.read_text())] == ["a", "b", "h"]
+    monkeypatch.setitem(verify.REGISTRY, "b", lambda: (2, 3))
+    assert main(["verify-paper", "--json", str(path)]) == 4
+    assert "b: fail" in capsys.readouterr().out
+    assert [r["status"] for r in json.loads(path.read_text())] == ["pass", "fail"]
+
+
 def test_cli_bad_input(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 2\n1 -1\n")

@@ -109,6 +109,15 @@ def test_two_vertex_graph(ctx12):
     assert graph.edges[0][2] == ((2, 0), (0, 1))
 
 
+def test_census_without_a_brute_count_calls_two_components_disconnected(ctx12):
+    """Only a brute count can confirm one component; two components are a verdict alone."""
+    graph = explore(ctx12)
+    assert census(graph, ctx12)["connected"] is None
+    split = FlipGraph(graph.vertices, (), graph.start)
+    report = census(split, ctx12)
+    assert report["components"] == 2 and report["connected"] is False
+
+
 def test_guard(ctx_veronese):
     with pytest.raises(GuardExceeded):
         explore(ctx_veronese, guard=5)

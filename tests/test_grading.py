@@ -307,3 +307,10 @@ def test_lp_witness_recheck_runs_under_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=60, check=True).stdout
     assert out.split() == ["raised", "1"]
+
+
+@pytest.mark.parametrize("rows, message", [([], "empty"), ([[]], "empty"), ([[1, 2], [3]], "ragged")],
+                         ids=["no-rows", "empty-row", "ragged"])
+def test_empty_and_ragged_matrices_rejected(rows, message):
+    with pytest.raises(GradingError, match=message):
+        validate_grading(rows)

@@ -9,6 +9,8 @@ import pytest
 
 from agraded import (
     BadLength,
+    InputError,
+    NonHomogeneousInput,
     graver_basis,
     graver_oracle,
     is_circuit,
@@ -276,3 +278,14 @@ def test_half_norm_sweep_on_permuted_columns(name, seed):
     m = named_matrix(name)
     perm = random.Random(seed).sample(range(m.n), m.n)
     assert _graver_of_permuted(m, perm, two_orientation_graver) == graver_basis(m).elements
+
+
+def test_is_circuit_rejects_a_pair_of_unequal_degree():
+    with pytest.raises(NonHomogeneousInput):
+        is_circuit(validate_grading([[1, 2]]), ((1, 0), (0, 1)))
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_graver_oracle_refuses_a_bound_below_1(bound):
+    with pytest.raises(InputError, match="positive"):
+        graver_oracle(named_matrix("g12"), bound)

@@ -12,6 +12,7 @@ from agraded import (
     ExponentOverflow,
     GuardExceeded,
     IncompleteInput,
+    InputError,
     NonHomogeneousInput,
     NotApplicable,
     NotFlippable,
@@ -474,6 +475,23 @@ def test_standard_monomial_rejects_bad_degrees(ctx345):
             ctx.standard_monomial(ideal, b)
     assert ctx.standard_monomial(ideal, (13,)) == pack((0, 0, 0, 1, 0))
     assert not ctx._standard.get(ideal)
+
+
+def test_standard_monomial_refuses_a_degree_outside_the_monoid(ctx345):
+    """c.b < 0 for the positive row certificate c: no monomial has degree b."""
+    with pytest.raises(InputError, match="outside the monoid"):
+        ctx345.standard_monomial(ctx345.reference_ideal, (-1,))
+
+
+def test_carry_from_a_source_without_cache_writes_nothing(ctx137):
+    """A context that never cached the source leaves every degree of the target to the search."""
+    move = neighbors(ctx137.reference_ideal, ctx137)[0]
+    fresh = AGradedContext(ctx137.A)
+    fresh.carry(move)
+    assert fresh._standard == {}
+    fresh.generator_standards(move.source)
+    fresh.carry(move)
+    assert fresh._standard[move.target]
 
 
 FIVE_VARIABLES = minimalize([(1, 0, 0, 0, 0)])

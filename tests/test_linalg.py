@@ -11,7 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from agraded import InputError, lp, lp_strict_feasible
 from agraded.fixtures import named_matrix
-from agraded.linalg import integer_kernel_basis, mat_vec, pivot, rank, solve_linear
+from agraded.linalg import (
+    gram_determinant, integer_kernel_basis, lll_reduce, mat_vec, pivot, rank, solve_linear,
+)
 from agraded.triangulations import _interiors_meet
 
 
@@ -348,3 +350,12 @@ def test_rows_of_the_wrong_length_rejected(call):
     # which fails the row, and the last (0, 1)
     with pytest.raises(InputError):
         call()
+
+
+@pytest.mark.parametrize("vectors", [[(1, 2), (2, 4)], [(1, 2, 0), (0, 1, 1), (1, 3, 1)], [(0, 0), (1, 0)]],
+                         ids=["multiple", "sum", "zero-first"])
+def test_dependent_vectors(vectors):
+    """The Gram determinant of dependent vectors is 0, and LLL refuses them."""
+    assert gram_determinant(vectors) == 0
+    with pytest.raises(InputError, match="linearly independent"):
+        lll_reduce(vectors)

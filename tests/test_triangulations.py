@@ -3,7 +3,7 @@
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -224,6 +224,20 @@ def test_t_junction_rejected():
     assert is_triangulation(make_complex([(0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)]), m)
 
 
+def test_is_triangulation_reads_a_facet_in_any_order():
+    """Every ordering of every facet gives the verdict of the sorted facets.
+
+    The four-triangle fan around the center of the square triangulates it;
+    the T-junction does not, however its facets are listed.
+    """
+    m = validate_grading(SQUARE)
+    fan = ((0, 1, 4), (0, 3, 4), (1, 2, 4), (2, 3, 4))
+    t_junction = ((0, 1, 2), (0, 3, 4), (2, 3, 4))
+    for facets, verdict in ((fan, True), (t_junction, False)):
+        for ordered in product(*map(permutations, facets)):
+            assert is_triangulation(ordered, m) is verdict, ordered
+
+
 def test_ridge_test_accepts_only_what_the_oracle_accepts():
     m = validate_grading(SQUARE)
     triples = list(combinations(range(m.n), m.d))
@@ -294,6 +308,15 @@ def test_bistellar_flip_rejects_absent_circuit(ctx_veronese):
     cplx = make_complex([(0, 2, 4)])
     with pytest.raises(NotFlippableComplex):
         bistellar_flip(cplx, spec)
+
+
+def test_bistellar_flip_rejects_sides_whose_cells_have_two_links():
+    """On each side of the diagonal circuit of the square one cell is a facet and one is no face."""
+    m = validate_grading(SQUARE)
+    spec = circuit_flip_spec(is_circuit(m, ((1, 0, 1, 0, 0), (0, 1, 0, 1, 0))))
+    assert spec == (((0, 1, 3), (1, 2, 3)), ((0, 1, 2), (0, 2, 3)))
+    with pytest.raises(NotFlippableComplex):
+        bistellar_flip(make_complex([(0, 1, 3), (0, 1, 2)]), spec)
 
 
 def test_degenerate_flip_link_condition(ctx_veronese):

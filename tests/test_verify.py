@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from agraded import UnknownName, verify
+from agraded.fixtures import expected, named_ideal, named_matrix
 from agraded.verify import HEAVY, REGISTRY, run, verify_all
 
 # light entries that take seconds each; the CI catalogue step runs them
@@ -54,3 +55,9 @@ def test_transitions_count_an_edge_that_leads_elsewhere(monkeypatch):
 def test_unknown_example():
     with pytest.raises(UnknownName):
         run("nope")
+
+
+@pytest.mark.parametrize("lookup", [named_matrix, named_ideal, expected])
+def test_unknown_fixture_name(lookup):
+    with pytest.raises(UnknownName):
+        lookup("nope")
